@@ -272,16 +272,19 @@ def cmd_verify(args):
     )
     check("coset table orthogonality (unitarity)", alg.orthogonality_holds)
 
-    def x_at_zero():
-        table = alg.coset_table()
-        for mat in (alg.x_plus(), alg.x_minus()):
-            for i in range(len(alg.class_params)):
-                for j in range(len(alg.chars)):
-                    if mat[i][j].eval_zero() != table[i][j]:
+    def direct_kostka_at_zero():
+        # X(+/-) = X(0) K_direct(+/-) with X(0) invertible, so X(+/-)(0) = X(0)
+        # exactly when K_direct(+/-)(0) is the identity
+        one, zero = alg.field.one, alg.field.zero
+        for sign in (+1, -1):
+            mat = alg.kostka_direct(sign)
+            for i, row in enumerate(mat):
+                for j, v in enumerate(row):
+                    if v.eval_zero() != (one if i == j else zero):
                         return False
         return True
 
-    check("transition matrices specialize to the table at t=0", x_at_zero)
+    check("transition matrices specialize to the table at t=0", direct_kostka_at_zero)
 
     def kostka_match():
         for sign in (+1, -1):

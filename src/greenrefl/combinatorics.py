@@ -244,12 +244,6 @@ class ClassParam:
         return {"beta": [list(c) for c in self.beta], "b": self.b}
 
 
-def stabilizer_order(alpha, params):
-    """Order p/c of the stabilizer of the orbit of alpha."""
-    c = orbit_data(alpha, params.p)[1]
-    return params.p // c
-
-
 def enumerate_char_params(params):
     """All (alpha, phi) valid for the coset q, in the canonical total order
     (similarity classes of decreasing a-value, see ``similarity_order``)."""

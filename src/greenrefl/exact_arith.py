@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +114,7 @@ class CycField:
         g = den
         for x in nums:
             if x:
-                g = gcd_int(g, x)
+                g = gcd(g, x)
             if g == 1:
                 break
         if g > 1:
@@ -133,12 +134,6 @@ class CycField:
                 for i in range(d):
                     out[i] += c * row[i]
         return out
-
-
-def gcd_int(a, b):
-    from math import gcd
-
-    return gcd(a, b)
 
 
 class CycNum:
@@ -202,7 +197,7 @@ class CycNum:
             if d1 == 1:
                 return CycNum(self.field, tuple(nums), 1)
             return self.field.make(nums, d1)
-        g = gcd_int(d1, d2)
+        g = gcd(d1, d2)
         m1 = d2 // g
         m2 = d1 // g
         nums = [a * m1 + b * m2 for a, b in zip(self.num, other.num)]
@@ -223,7 +218,7 @@ class CycNum:
             if d1 == 1:
                 return CycNum(self.field, tuple(nums), 1)
             return self.field.make(nums, d1)
-        g = gcd_int(d1, d2)
+        g = gcd(d1, d2)
         m1 = d2 // g
         m2 = d1 // g
         nums = [a * m1 - b * m2 for a, b in zip(self.num, other.num)]
@@ -405,7 +400,7 @@ class CycNum:
 def _cyc_from_fractions(field, fracs):
     den = 1
     for f in fracs:
-        den = den * f.denominator // gcd_int(den, f.denominator)
+        den = den * f.denominator // gcd(den, f.denominator)
     nums = [int(f * den) for f in fracs]
     return field.make(nums, den)
 
@@ -850,11 +845,3 @@ def trat_normalize(num, den):
 def trat_subst_tinv(f):
     return f.subst_tinv()
 
-
-def trat_zero(e=1):
-    field = CycField(e)
-    return TRat(TPoly(field, (), trusted=True), reduce=False)
-
-
-def trat_one(e=1):
-    return TRat.rational(1, e)

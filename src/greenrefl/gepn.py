@@ -11,16 +11,19 @@ coordinate vectors over the partitions of the corresponding sub-level, so
 all computations reduce to the wreath-product machinery plus bookkeeping.
 
 The coset character table is the transition matrix from tuple power sums
-to tuple Schur functions; Kostka matrices come either from the transition
-to tuple Hall-Littlewood functions or from the block assembly out of
-sub-level Kostka matrices; and the Green-function suite packages
+to tuple Schur functions.  The Kostka matrices come from the block
+assembly out of sub-level Kostka matrices; the transition to tuple
+Hall-Littlewood functions gives them a second time, as an independent
+check.  The Green-function suite packages
 
     Ktilde(+/-) = K(+/-)(t^(-1)) T,      T = diag(t^(a(z))),
-    LambdaTilde = t^(-n) G(t) T^(-1) Lambda(t^(-1)) T,
     OmegaPrime  = G(t) sum_xi X(0)-row outer products / det(t id - w_xi),
+    LambdaTilde = the similarity-class diagonal blocks of
+                  Ktilde-^(-1) OmegaPrime tr(Ktilde+)^(-1),
 
 and checks the factorization Ktilde- LambdaTilde tr(Ktilde+) = OmegaPrime
-exactly.
+exactly: the residual vanishes iff the off-diagonal blocks of the solved
+Lambda do, which ties the sub-level Kostka data to the coset table.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .combinatorics import (
     similarity_order,
 )
 from .exact_arith import CycField, TPoly, TRat
-from .symfunc import BasisExpansion, Level
+from .symfunc import Level
 from .wreath import LabeledMatrix, hl_data
 
 _ALGEBRAS = {}
@@ -104,11 +107,10 @@ class CosetAlgebra:
             self.h_of[j] = h
         self.zero = TRat(TPoly(self.field, ()), reduce=False)
         self.one = TRat.from_cyc(self.field.one)
-        self.t = TRat.t(self.field)
         self._keys = None
-        self._xmats = {}
         self._coset_table = None
         self._kostka = {}
+        self._omega = None
         self._green = None
         self._lambda = None
 
@@ -270,7 +272,8 @@ class CosetAlgebra:
         return self._keys
 
     def stack_schur(self, fun):
-        """Stacked Schur coordinates of a tuple function."""
+        """Stacked Schur coordinates of a tuple function (Schur or power-sum
+        components)."""
         out = []
         for j in sorted(self.levels):
             level = self.levels[j]
@@ -294,43 +297,27 @@ class CosetAlgebra:
                             svec[didx] = svec[didx] + cval * w
                 out.extend(svec)
             else:
-                conv = level.convert(BasisExpansion(level, basis, tuple(vec)), "schur")
-                out.extend(conv.coeffs)
+                raise ValueError(f"cannot stack a {basis!r} component")
         return out
 
-    def _x_matrix(self, which):
-        """Transition matrix M(Bp, B?) with rows indexed by class params:
-        which is 's' (tuple Schur), '+' or '-' (tuple Hall-Littlewood)."""
-        if which not in self._xmats:
-            if which == "s":
-                basis_rows = [self.stack_schur(self.tuple_schur(z)) for z in self.chars]
-            else:
-                sign = 1 if which == "+" else -1
-                basis_rows = [
-                    self.stack_schur(self.tuple_hall_littlewood(z, sign))
-                    for z in self.chars
-                ]
-            p_rows = [
-                self.stack_schur(self.tuple_powersum(xi)) for xi in self.class_params
-            ]
-            a_mat = [list(col) for col in zip(*basis_rows)]       # keys x chars
-            b_mat = [list(col) for col in zip(*p_rows)]           # keys x classes
-            xt = linalg.solve(a_mat, b_mat)                       # chars x classes
-            self._xmats[which] = [list(row) for row in zip(*xt)]  # classes x chars
-        return self._xmats[which]
-
-    def x_plus(self):
-        return self._x_matrix("+")
-
-    def x_minus(self):
-        return self._x_matrix("-")
+    def _x_matrix(self):
+        """Transition matrix M(Bp, Bs) from tuple power sums to tuple Schur
+        functions, rows indexed by class params."""
+        s_rows = [self.stack_schur(self.tuple_schur(z)) for z in self.chars]
+        p_rows = [
+            self.stack_schur(self.tuple_powersum(xi)) for xi in self.class_params
+        ]
+        a_mat = [list(col) for col in zip(*s_rows)]        # keys x chars
+        b_mat = [list(col) for col in zip(*p_rows)]        # keys x classes
+        xt = linalg.solve(a_mat, b_mat)                    # chars x classes
+        return [list(row) for row in zip(*xt)]             # classes x chars
 
     # -- the coset character table ------------------------------------------------
 
     def coset_table(self):
         """X(0): rows class params, columns char params, values in Z[zeta]."""
         if self._coset_table is None:
-            xs = self._x_matrix("s")
+            xs = self._x_matrix()
             table = []
             for row in xs:
                 crow = []
@@ -447,23 +434,27 @@ class CosetAlgebra:
 
     # -- Lambda and the Green suite ----------------------------------------------------
 
-    def z_diagonal(self):
-        return [self.z_coset_series(xi) for xi in self.class_params]
+    def ktilde(self, sign):
+        """Ktilde(sign) = K(sign)(t^(-1)) T with T = diag(t^(a(z)))."""
+        key = ("tilde", sign)
+        if key not in self._kostka:
+            a_diag = [self.a_of[z] for z in self.chars]
+            self._kostka[key] = [
+                [
+                    v if v.is_zero()
+                    else v.subst_tinv() * TRat(TPoly.t_power(self.field, a), reduce=False)
+                    for v, a in zip(row, a_diag)
+                ]
+                for row in self.kostka_assembled(sign)
+            ]
+        return self._kostka[key]
 
     def lambda_matrix(self):
-        """Lambda(t) from conj(X-) Lambda tr(X+) = Z(t)."""
+        """Ktilde-^(-1) OmegaPrime tr(Ktilde+)^(-1), off-diagonal blocks
+        included."""
         if self._lambda is None:
-            xm = self.x_minus()
-            xp = self.x_plus()
-            zdiag = self.z_diagonal()
-            k = len(self.chars)
-            xm_conj = [[v.conjugate() for v in row] for row in xm]
-            zmat = [
-                [zdiag[i] if i == j else self.zero for j in range(k)]
-                for i in range(k)
-            ]
-            w = linalg.solve(xm_conj, zmat)          # w = Lambda tr(X+)
-            lam_t = linalg.solve([list(r) for r in xp], [list(r) for r in zip(*w)])
+            w = linalg.solve(self.ktilde(-1), self.omega_prime())  # Lambda tr(Ktilde+)
+            lam_t = linalg.solve(self.ktilde(+1), [list(col) for col in zip(*w)])
             self._lambda = [list(row) for row in zip(*lam_t)]
         return self._lambda
 
@@ -507,6 +498,11 @@ class CosetAlgebra:
 
     def omega_prime(self):
         """O'[z,z'] = G(t) sum_xi X[xi,z] conj(X[xi,z']) / (z_xi det_xi)."""
+        if self._omega is None:
+            self._omega = self._compute_omega_prime()
+        return self._omega
+
+    def _compute_omega_prime(self):
         table = self.coset_table()
         g = self.g_poly()
         k = len(self.chars)
@@ -555,59 +551,17 @@ class CosetAlgebra:
     def _compute_green(self):
         k = len(self.chars)
         a_diag = [self.a_of[z] for z in self.chars]
-        kostka = {s: self.kostka_assembled(s) for s in (+1, -1)}
-        t = self.t
-
-        def t_pow(a):
-            return TRat(TPoly.t_power(self.field, a), reduce=False)
-
-        ktilde = {}
-        for s in (+1, -1):
-            mat = []
-            for i in range(k):
-                row = []
-                for j in range(k):
-                    v = kostka[s][i][j]
-                    if v.is_zero():
-                        row.append(v)
-                    else:
-                        row.append(v.subst_tinv() * t_pow(a_diag[j]))
-                mat.append(row)
-            ktilde[s] = mat
-        lam = self.lambda_matrix()
-        # block-diagonality on similarity classes is asserted, not assumed
+        ktilde = {s: self.ktilde(s) for s in (+1, -1)}
         blocks = [len(cls) for cls in self.char_classes]
-        starts = []
-        pos = 0
-        for b in blocks:
-            starts.append(pos)
-            pos += b
-        block_of = {}
-        for bi, (s0, b) in enumerate(zip(starts, blocks)):
-            for i in range(s0, s0 + b):
-                block_of[i] = bi
-        for i in range(k):
-            for j in range(k):
-                if block_of[i] != block_of[j] and not lam[i][j].is_zero():
-                    raise ArithmeticError(
-                        "Lambda is not block diagonal on similarity classes"
-                    )
-        gfac = self.g_poly() * TRat(
-            TPoly.t_power(self.field, self.params.n), reduce=False
-        ).inverse()
-        lam_tilde = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                v = lam[i][j]
-                if v.is_zero():
-                    row.append(v)
-                else:
-                    # T^(-1) Lambda(t^(-1)) T^(-1), then t^(-n) G(t)
-                    w = v.subst_tinv() / t_pow(a_diag[i] + a_diag[j])
-                    row.append(w * gfac)
-            lam_tilde.append(row)
+        class_of = [ci for ci, cls in enumerate(self.char_classes) for _ in cls]
         omega = self.omega_prime()
+        # LambdaTilde keeps the similarity-class diagonal blocks; anything
+        # off them leaves a nonzero residual below
+        lam = self.lambda_matrix()
+        lam_tilde = [
+            [lam[i][j] if class_of[i] == class_of[j] else self.zero for j in range(k)]
+            for i in range(k)
+        ]
         product = linalg.mat_mul(
             linalg.mat_mul(ktilde[-1], lam_tilde),
             [list(col) for col in zip(*ktilde[+1])],

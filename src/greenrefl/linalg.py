@@ -32,12 +32,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def mat_apply(f, a):
-    return [[f(x) for x in row] for row in a]
 
 
 def solve(a, b):
@@ -95,23 +89,3 @@ def invert(a):
         raise ValueError("singular matrix")
     identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
     return solve(a, identity)
-
-
-def identity_like(a, n=None):
-    zero = a[0][0] - a[0][0]
-    one = None
-    for row in a:
-        for x in row:
-            if not x.is_zero():
-                one = x / x
-                break
-        if one is not None:
-            break
-    n = n if n is not None else len(a)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_equal(a, b):
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        return False
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))

@@ -146,8 +146,6 @@ class HLData:
     a_values: one a-value per class
     sp / sm: Schur coordinates of P+ / P- (rows aligned with ``order``,
              columns aligned with level.partitions)
-    pp / pm: power-sum coordinates of the same functions
-    gram: per class, the matrix <P+_z, P-_z'> restricted to the class
     qp / qm: Schur coordinates of the dual families Q+ / Q-
     """
 
@@ -158,9 +156,6 @@ class HLData:
     a_values: list
     sp: list
     sm: list
-    pp: list
-    pm: list
-    gram: list
     qp: list
     qm: list
 
@@ -182,6 +177,10 @@ CACHE_ENV = "GREENREFL_CACHE"
 
 
 def hl_data(level, r):
+    if level.space.m != (max(level.n, 1),) * level.ecols:
+        raise ValueError(
+            f"hl_data needs the default variable counts m; got m={level.space.m}"
+        )
     key = (level, r)
     if key not in _HL_CACHE:
         data = _load_cached_hl(level, r)
@@ -216,30 +215,16 @@ def _load_cached_hl(level, r):
     def rows(key):
         return [[TRat.from_json(v) for v in row] for row in raw[key]]
 
-    sp, sm, qp, qm = rows("sp"), rows("sm"), rows("qp"), rows("qm")
-    pp = [level.p_coords_of_s_vector(v) for v in sp]
-    pm = [level.p_coords_of_s_vector(v) for v in sm]
-    classes = [list(c) for c in raw["classes"]]
-    grams = [
-        [
-            [level.scalar_from_p(pp[zi], pm[zj]) for zj in cls]
-            for zi in cls
-        ]
-        for cls in classes
-    ]
     return HLData(
         level=level,
         r=r,
         order=order,
-        classes=classes,
+        classes=[list(c) for c in raw["classes"]],
         a_values=list(raw["a_values"]),
-        sp=sp,
-        sm=sm,
-        pp=pp,
-        pm=pm,
-        gram=grams,
-        qp=qp,
-        qm=qm,
+        sp=rows("sp"),
+        sm=rows("sm"),
+        qp=rows("qp"),
+        qm=rows("qm"),
     )
 
 
@@ -288,10 +273,10 @@ def _compute_hl(level, r):
 
     sp, sm, pp, pm = [], [], [], []
     # pairing helpers per finished function:
-    #   xvec_z[g] = pp_z[g] * z_g(t)         so <P+_z, f> = sum xvec_z conj(f_p)
+    #   xv[g] = pp_z[g] * z_g(t)             so <P+_z, f> = sum xv conj(f_p)
     #   yvec_z[g] = conj(pm_z[g]) * z_g(t)   so <f, P-_z> = sum f_p yvec_z
     #   s_pair_minus_z[b] = <s_b, P-_z>,  s_pair_plus_z[b] = <P+_z, s_b>
-    xvec, yvec = [], []
+    yvec = []
     s_pair_minus, s_pair_plus = [], []
     grams = []
     for ci, cls in enumerate(class_ranges):
@@ -337,7 +322,6 @@ def _compute_hl(level, r):
             pm.append(p_minus)
             xv = [p_plus[g] * zser[g] for g in range(size)]
             yv = [p_minus[g].conjugate() * zser[g] for g in range(size)]
-            xvec.append(xv)
             yvec.append(yv)
             # <s_b, P-_z> = sum_g s_in_p[b][g] yv[g];  <P+_z, s_b> similarly
             pair_m = []
@@ -396,9 +380,6 @@ def _compute_hl(level, r):
         a_values=list(a_values),
         sp=sp,
         sm=sm,
-        pp=pp,
-        pm=pm,
-        gram=grams,
         qp=qp,
         qm=qm,
     )

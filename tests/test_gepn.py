@@ -329,14 +329,17 @@ def test_tuple_hl_orthogonality():
 
 
 def test_x_matrices_specialize_to_table():
+    # X(+/-) = X(0) K_direct(+/-) with X(0) invertible, so X(+/-)(0) = X(0)
+    # is the statement K_direct(+/-)(0) = identity
     for e, p, n, q in [(2, 2, 2, 0), (2, 2, 3, 1), (3, 3, 2, 0)]:
         params = GroupParams(e, p, n, q)
         alg = coset_algebra(params)
-        table = alg.coset_table()
-        for mat in (alg.x_plus(), alg.x_minus()):
-            for i in range(len(alg.class_params)):
-                for j in range(len(alg.chars)):
-                    assert mat[i][j].eval_zero() == table[i][j]
+        for sign in (+1, -1):
+            mat = alg.kostka_direct(sign)
+            for i, row in enumerate(mat):
+                for j, v in enumerate(row):
+                    want = alg.field.one if i == j else alg.field.zero
+                    assert v.eval_zero() == want, (e, p, n, q, sign, i, j)
 
 
 def test_kostka_direct_equals_assembled():
@@ -350,6 +353,20 @@ def test_kostka_direct_equals_assembled():
             for i in range(k):
                 for j in range(k):
                     assert direct[i][j] == assembled[i][j], (e, p, n, q, sign, i, j)
+
+
+def test_twisted_coset_defect_stays_visible(capsys):
+    # Known defect: for these twisted cosets the factorization does not hold
+    # (the class-sum fake degrees are not polynomials there).  The residual
+    # is multiplied out from the printed matrices, so it must not hold by
+    # construction; a fix of the defect flips this test.
+    from greenrefl.cli import main
+
+    for e, p, n, q in [(3, 3, 2, 1), (4, 4, 2, 1)]:
+        assert green_suite(GroupParams(e, p, n, q)).residual_zero is False
+        argv = ["green", "--e", str(e), "--p", str(p), "--n", str(n), "--q", str(q)]
+        assert main(argv) == 1
+    capsys.readouterr()
 
 
 def test_kostka_structure():

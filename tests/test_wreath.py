@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from greenrefl.combinatorics import partitions
 from greenrefl.exact_arith import TRat
 from greenrefl.symfunc import level_for, scalar_product
@@ -231,10 +233,12 @@ def test_hl_orthogonality_and_duality():
             for zi in cls:
                 class_of[zi] = ci
         size = len(data.order)
+        pp = [lv.p_coords_of_s_vector(v) for v in data.sp]
+        pm = [lv.p_coords_of_s_vector(v) for v in data.sm]
         # <P+_z, P-_z'> = 0 unless similar
         for i in range(size):
             for j in range(size):
-                got = lv.scalar_from_p(data.pp[i], data.pm[j])
+                got = lv.scalar_from_p(pp[i], pm[j])
                 if class_of[i] != class_of[j]:
                     assert got.is_zero(), (data.order[i], data.order[j])
         # <P+_z, Q-_z'> = delta and <Q+_z, P-_z'> = delta
@@ -242,10 +246,15 @@ def test_hl_orthogonality_and_duality():
         qp_p = [lv.p_coords_of_s_vector(v) for v in data.qp]
         for i in range(size):
             for j in range(size):
-                d1 = lv.scalar_from_p(data.pp[i], qm_p[j])
-                d2 = lv.scalar_from_p(qp_p[i], data.pm[j])
+                d1 = lv.scalar_from_p(pp[i], qm_p[j])
+                d2 = lv.scalar_from_p(qp_p[i], pm[j])
                 want = lv.one if i == j else lv.zero_rat
                 assert d1 == want and d2 == want, (i, j)
+
+
+def test_hl_data_rejects_custom_variable_counts():
+    with pytest.raises(ValueError, match="m="):
+        hl_data(level_for(2, 3, m=(1, 1)), 2)
 
 
 def test_kostka_classical():
