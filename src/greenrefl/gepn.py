@@ -47,7 +47,7 @@ from .combinatorics import (
 )
 from .exact_arith import CycField, TPoly, TRat
 from .symfunc import Level
-from .wreath import LabeledMatrix, hl_data
+from .wreath import LabeledMatrix, hl_data, kostka_matrix
 
 _ALGEBRAS = {}
 
@@ -462,19 +462,23 @@ class CosetAlgebra:
         params = self.params
         return params.e * params.n * (params.n - 1) // 2 + params.n * (params.d - 1)
 
-    def g_poly(self):
-        """G(t) = t^(N*) (zeta^(qd) t^(dn) - 1) prod_(i<n) (t^(ei) - 1)."""
+    def _degree_product(self):
+        """(zeta^(qd) t^(dn) - 1) prod_(i<n) (t^(ei) - 1)."""
         params = self.params
         field = self.field
-        out = TRat(TPoly.t_power(field, self.n_star()), reduce=False)
-        lead = TRat(
+        out = TRat(
             TPoly.t_power(field, params.d * params.n,
                           field.zeta((params.q * params.d) % params.e))
         ) - self.one
-        out = out * lead
         for i in range(1, params.n):
             out = out * (TRat(TPoly.t_power(field, params.e * i)) - self.one)
         return out
+
+    def g_poly(self):
+        """G(t) = t^(N*) (zeta^(qd) t^(dn) - 1) prod_(i<n) (t^(ei) - 1)."""
+        return TRat(TPoly.t_power(self.field, self.n_star()), reduce=False) * (
+            self._degree_product()
+        )
 
     def det_poly(self, beta):
         """det(t id - w) = prod over parts (t^part - zeta^k)."""
@@ -525,15 +529,8 @@ class CosetAlgebra:
 
     def fake_degree(self, z):
         """R_q(chi~^z) by the class sum; a polynomial for q = 0."""
-        params = self.params
         table = self.coset_table()
         zi = self.char_index[z]
-        lead = TRat(
-            TPoly.t_power(self.field, params.d * params.n,
-                          self.field.zeta((params.q * params.d) % params.e))
-        ) - self.one
-        for i in range(1, params.n):
-            lead = lead * (TRat(TPoly.t_power(self.field, params.e * i)) - self.one)
         acc = self.zero
         for i, xi in enumerate(self.class_params):
             val = table[i][zi]
@@ -541,7 +538,7 @@ class CosetAlgebra:
                 continue
             num = self.det_of_class(xi.beta) * val * Fraction(1, self.z_integer(xi))
             acc = acc + TRat(TPoly.constant(num), self.det_poly(xi.beta))
-        return lead * acc
+        return self._degree_product() * acc
 
     def green(self):
         if self._green is None:
@@ -602,16 +599,12 @@ def _dot_col(vec, mat, col, zero):
 
 def _kostka_by_partition(level, data, sign):
     """Sub-level Kostka entries keyed by (row partition, column partition)."""
-    size = len(data.order)
-    perm = [level.pindex[alpha] for alpha in data.order]
-    rows = data.sp if sign > 0 else data.sm
-    u = [[rows[i][perm[j]] for j in range(size)] for i in range(size)]
-    k = linalg.invert(u)
-    out = {}
-    for i, ai in enumerate(data.order):
-        for j, aj in enumerate(data.order):
-            out[(ai, aj)] = k[i][j]
-    return out
+    k = kostka_matrix(level, data.r, sign).entries
+    return {
+        (ai, aj): k[i][j]
+        for i, ai in enumerate(data.order)
+        for j, aj in enumerate(data.order)
+    }
 
 
 @dataclass

@@ -74,7 +74,8 @@ def solve(a, b):
     return [rows[i][n:] for i in range(n)]
 
 
-def invert(a):
+def _identity(a):
+    """The identity matrix of the size and scalar type of the square a."""
     n = len(a)
     zero = a[0][0] - a[0][0]
     one = None
@@ -87,5 +88,46 @@ def invert(a):
             break
     if one is None:
         raise ValueError("singular matrix")
-    identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    return solve(a, identity)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def invert(a):
+    return solve(a, _identity(a))
+
+
+def block_ldu(a, blocks):
+    """Two-sided block elimination of the square a over consecutive index
+    blocks of the given sizes.
+
+    Returns (e, d, f) with e a f = diag(d): e is block lower and f block
+    upper unitriangular (identity diagonal blocks), and d lists the
+    diagonal blocks.  Raises ValueError when one of them is singular.
+    """
+    if sum(blocks) != len(a):
+        raise ValueError("block sizes do not add up to the matrix size")
+    a = [list(row) for row in a]
+    e = _identity(a)
+    ft = [list(row) for row in e]          # f transposed: column ops as row ops
+    d = []
+    start = 0
+    for size in blocks:
+        piv = range(start, start + size)
+        rest = range(start + size, len(a))
+        start += size
+        dk = [[a[i][j] for j in piv] for i in piv]
+        d.append(dk)
+        try:
+            # A[rest, piv] D^(-1) and (D^(-1) A[piv, rest])^T
+            lower = _transpose(solve(_transpose(dk), [[a[i][k] for i in rest] for k in piv]))
+            upper_t = _transpose(solve(dk, [[a[k][j] for j in rest] for k in piv]))
+        except ValueError:
+            raise ValueError(f"singular diagonal block at index {piv.start}") from None
+        for rows, coeffs in ((a, lower), (e, lower), (ft, upper_t)):
+            update = mat_mul(coeffs, [rows[k] for k in piv])
+            for i, u in zip(rest, update):
+                rows[i] = [x - y for x, y in zip(rows[i], u)]
+    return e, d, _transpose(ft)
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .combinatorics import enumerate_epartitions, ep_length, ep_size
 from .exact_arith import CycField, TPoly, TRat
@@ -235,7 +236,7 @@ class Level:
 
     def _init(self, E, h, ecols, n, m):
         field = CycField(E)
-        if E // __import__("math").gcd(E, h) != ecols:
+        if E // gcd(E, h) != ecols:
             raise ValueError("zeta_E^h must have order ecols")
         self.E = E
         self.h = h
@@ -586,6 +587,33 @@ class Level:
             self._s_in_p = rows
         return self._s_in_p
 
+    def schur_gram(self, order):
+        """G[a][b] = <s_a, s_b> for a, b running over ``order``.
+
+        Every z-series is rewritten over one common denominator, the lcm L
+        of their denominators, so an entry is a polynomial combination
+        sum_beta s_in_p[a][beta] conj(s_in_p[b][beta]) (z_beta L) reduced
+        against L once."""
+        zser = [self.z_series(beta) for beta in self.partitions]
+        common = TPoly.constant(self.field.one)
+        for z in zser:
+            common = common * z.den.divmod(common.gcd(z.den))[0]
+        weights = [z.num * common.divmod(z.den)[0] for z in zser]
+        s_in_p = self.s_in_p()
+        rows = [s_in_p[self.pindex[alpha]] for alpha in order]
+        conj_rows = [[c.conjugate() for c in row] for row in rows]
+        gram = []
+        for row in rows:
+            out = []
+            for conj_row in conj_rows:
+                num = TPoly(self.field, (), trusted=True)
+                for x, y, w in zip(row, conj_row, weights):
+                    if not x.is_zero() and not y.is_zero():
+                        num = num + w.scale(x * y)
+                out.append(TRat(num, common))
+            gram.append(out)
+        return gram
+
     def p_coords_of_s_vector(self, svec):
         """Powersum coordinates of a function given in Schur coordinates."""
         sp = self.s_in_p()
@@ -623,7 +651,7 @@ def _dot(u, v, zero):
 
 def level_for(e, n, m=None):
     """Standalone level for G(e,1,n) with zeta = zeta_e."""
-    return Level(e, 1 if e > 1 else 1, e, n, m)
+    return Level(e, 1, e, n, m)
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,25 @@
 wreath-product level (one color structure, all of G(e,1,n)).
 
 The two Hall-Littlewood families P+/P- attached to symbols with a fixed
-shift r are built by induction along the canonical total order on
-similarity classes (largest a-value first):
+shift r are pinned down by two conditions along the canonical total order
+on similarity classes (largest a-value first):
 
-    P(+/-)_z = s_z + corrections from strictly earlier classes,
+    P(+/-)_z = s_z + multiples of s_z' for z' in strictly earlier classes,
+    <P+_z, P-_z'> = 0 when z and z' lie in different classes.
 
-where the correction coefficients against each earlier class solve the
-linear system forcing cross-orthogonality <P+_z, P-_z'> = 0 for z' in that
-class.  The dual families Q+/Q- come from inverting the within-class Gram
-matrices.  The Kostka matrix K(+/-) = M(s, P) is the inverse of the
-unitriangular matrix collecting the P's in Schur coordinates.
+Together these make them the unique block LDU of the Schur Gram matrix
+G = (<s_a, s_b>) over the class blocks (the Lusztig-Shoji algorithm):
+e G f = diag(D), the rows of e are P+, the conjugated columns of f are P-,
+and D holds the within-class Gram matrices <P+_z, P-_z'>.  The dual
+families Q+/Q- come from inverting those blocks.  The Kostka matrix
+K(+/-) = M(s, P) is the inverse of the unitriangular matrix collecting the
+P's in Schur coordinates.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
 
 from . import linalg
@@ -163,17 +168,10 @@ class HLData:
         return self.order.index(alpha)
 
 
-def _dot_pair(u, v, zero):
-    acc = zero
-    for x, y in zip(u, v):
-        if not x.is_zero() and not y.is_zero():
-            acc = acc + x * y
-    return acc
-
-
 _HL_CACHE = {}
 
 CACHE_ENV = "GREENREFL_CACHE"
+CACHE_FORMAT = 2          # part of the cache file name; bump when the layout changes
 
 
 def hl_data(level, r):
@@ -192,46 +190,69 @@ def hl_data(level, r):
 
 
 def _cache_path(level, r):
-    import os
-
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
-    name = f"hl_E{level.E}_h{level.h}_e{level.ecols}_n{level.n}_r{r}.json"
+    name = (
+        f"hl_v{CACHE_FORMAT}_E{level.E}_h{level.h}_e{level.ecols}_n{level.n}_r{r}.json"
+    )
     return os.path.join(root, name)
 
 
 def _load_cached_hl(level, r):
-    import json
-    import os
-
+    """The cached data of (level, r); None when the file is missing, cannot
+    be parsed, or fails ``_is_valid_hl``."""
     path = _cache_path(level, r)
     if path is None or not os.path.exists(path):
         return None
-    with open(path) as handle:
-        raw = json.load(handle)
-    order = [tuple(tuple(c) for c in alpha) for alpha in raw["order"]]
+    try:
+        with open(path) as handle:
+            raw = json.load(handle)
 
-    def rows(key):
-        return [[TRat.from_json(v) for v in row] for row in raw[key]]
+        def rows(key):
+            return [[TRat.from_json(v) for v in row] for row in raw[key]]
 
-    return HLData(
-        level=level,
-        r=r,
-        order=order,
-        classes=[list(c) for c in raw["classes"]],
-        a_values=list(raw["a_values"]),
-        sp=rows("sp"),
-        sm=rows("sm"),
-        qp=rows("qp"),
-        qm=rows("qm"),
-    )
+        data = HLData(
+            level=level,
+            r=r,
+            order=[tuple(tuple(c) for c in alpha) for alpha in raw["order"]],
+            classes=[list(c) for c in raw["classes"]],
+            a_values=list(raw["a_values"]),
+            sp=rows("sp"),
+            sm=rows("sm"),
+            qp=rows("qp"),
+            qm=rows("qm"),
+        )
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
+        return None
+    return data if _is_valid_hl(data) else None
+
+
+def _is_valid_hl(data):
+    """Same symbol order as a fresh computation, square rows of the right
+    size, and P+/P- block unitriangular in that order."""
+    level = data.level
+    order, classes, a_values = _symbol_order(level, data.r)
+    if (data.order, data.classes, data.a_values) != (order, classes, a_values):
+        return False
+    size = len(order)
+    for rows in (data.sp, data.sm, data.qp, data.qm):
+        if len(rows) != size or any(len(row) != size for row in rows):
+            return False
+    class_of = [ci for ci, cls in enumerate(classes) for _ in cls]
+    position = [order.index(alpha) for alpha in level.partitions]
+    for rows in (data.sp, data.sm):
+        for i, row in enumerate(rows):
+            for v, j in zip(row, position):
+                if j == i:
+                    if v != level.one:
+                        return False
+                elif class_of[j] >= class_of[i] and not v.is_zero():
+                    return False
+    return True
 
 
 def _store_cached_hl(data):
-    import json
-    import os
-
     path = _cache_path(data.level, data.r)
     if path is None:
         return
@@ -251,133 +272,44 @@ def _store_cached_hl(data):
     os.replace(tmp, path)
 
 
-def _compute_hl(level, r):
+def _symbol_order(level, r):
+    """The canonical total order, its similarity classes as index ranges,
+    and one a-value per class."""
     classes_parts, a_values = partition_similarity_classes(level.ecols, level.n, r)
     order = [alpha for cls in classes_parts for alpha in cls]
-    class_ranges = []
-    pos = 0
+    classes, start = [], 0
     for cls in classes_parts:
-        class_ranges.append(list(range(pos, pos + len(cls))))
-        pos += len(cls)
+        classes.append(list(range(start, start + len(cls))))
+        start += len(cls)
+    return order, classes, list(a_values)
 
-    size = level.size
-    zero = level.zero_rat
-    one = level.one
-    zser = [level.z_series(beta) for beta in level.partitions]
-    s_in_p = level.s_in_p()
 
-    def unit_svec(alpha):
-        v = [zero] * size
-        v[level.pindex[alpha]] = one
-        return v
+def _compute_hl(level, r):
+    order, class_ranges, a_values = _symbol_order(level, r)
+    # e <s, s> f = diag(grams): the rows of e are P+ and the conjugated
+    # columns of f are P-, in Schur coordinates along ``order``
+    e, grams, f = linalg.block_ldu(
+        level.schur_gram(order), [len(cls) for cls in class_ranges]
+    )
+    perm = [order.index(alpha) for alpha in level.partitions]
+    sp = [[row[j] for j in perm] for row in e]
+    sm = [[f[j][i].conjugate() for j in perm] for i in range(len(order))]
 
-    sp, sm, pp, pm = [], [], [], []
-    # pairing helpers per finished function:
-    #   xv[g] = pp_z[g] * z_g(t)             so <P+_z, f> = sum xv conj(f_p)
-    #   yvec_z[g] = conj(pm_z[g]) * z_g(t)   so <f, P-_z> = sum f_p yvec_z
-    #   s_pair_minus_z[b] = <s_b, P-_z>,  s_pair_plus_z[b] = <P+_z, s_b>
-    yvec = []
-    s_pair_minus, s_pair_plus = [], []
-    grams = []
-    for ci, cls in enumerate(class_ranges):
-        for zi in cls:
-            alpha = order[zi]
-            s_plus = unit_svec(alpha)
-            s_minus = unit_svec(alpha)
-            p_plus = list(level.p_coords_of_s_vector(s_plus))
-            p_minus = list(p_plus)
-            aidx = level.pindex[alpha]
-            # corrections from every strictly earlier class, one linear
-            # system per class (cross terms between distinct earlier
-            # classes vanish by the already-established orthogonality)
-            for cj in range(ci):
-                prev = class_ranges[cj]
-                gram = grams[cj]
-                k = len(prev)
-                # <P+_z, P-_z'> = 0: solve sum_i d_i gram[i][j] = -<s_z, P-_j>
-                rhs_p = [[-s_pair_minus[prev[j]][aidx]] for j in range(k)]
-                a_mat = [[gram[i][j] for i in range(k)] for j in range(k)]
-                d_plus = linalg.solve(a_mat, rhs_p)
-                # <P+_z', P-_z> = 0: solve sum_j gram[i][j] conj(d'_j) = -<P+_i, s_z>
-                rhs_m = [[-s_pair_plus[prev[i]][aidx]] for i in range(k)]
-                d_minus_conj = linalg.solve(gram, rhs_m)
-                for idx, zj in enumerate(prev):
-                    dp = d_plus[idx][0]
-                    if not dp.is_zero():
-                        for c in range(size):
-                            if not sp[zj][c].is_zero():
-                                s_plus[c] = s_plus[c] + dp * sp[zj][c]
-                            if not pp[zj][c].is_zero():
-                                p_plus[c] = p_plus[c] + dp * pp[zj][c]
-                    dm = d_minus_conj[idx][0].conjugate()
-                    if not dm.is_zero():
-                        for c in range(size):
-                            if not sm[zj][c].is_zero():
-                                s_minus[c] = s_minus[c] + dm * sm[zj][c]
-                            if not pm[zj][c].is_zero():
-                                p_minus[c] = p_minus[c] + dm * pm[zj][c]
-            sp.append(s_plus)
-            sm.append(s_minus)
-            pp.append(p_plus)
-            pm.append(p_minus)
-            xv = [p_plus[g] * zser[g] for g in range(size)]
-            yv = [p_minus[g].conjugate() * zser[g] for g in range(size)]
-            yvec.append(yv)
-            # <s_b, P-_z> = sum_g s_in_p[b][g] yv[g];  <P+_z, s_b> similarly
-            pair_m = []
-            pair_p = []
-            for b in range(size):
-                accm = zero
-                accp = zero
-                row = s_in_p[b]
-                for g in range(size):
-                    c = row[g]
-                    if c.is_zero():
-                        continue
-                    if not yv[g].is_zero():
-                        accm = accm + yv[g].scale_cyc(c)
-                    if not xv[g].is_zero():
-                        accp = accp + xv[g].scale_cyc(c.conjugate())
-                pair_m.append(accm)
-                pair_p.append(accp)
-            s_pair_minus.append(pair_m)
-            s_pair_plus.append(pair_p)
-        # Gram matrix of the finished class
-        gram = [
-            [_dot_pair(pp[zi], yvec[zj], zero) for zj in cls] for zi in cls
-        ]
-        grams.append(gram)
-
-    # dual families: Q+_z = sum G^{-1}[z,:] P+, Q-_z from the conjugate
-    qp = [None] * len(order)
-    qm = [None] * len(order)
+    # dual families: Q+ = G^(-1) P+ and Q- = conj(G^(-T)) P- within a class
+    qp, qm = [], []
     for cls, gram in zip(class_ranges, grams):
         ginv = linalg.invert(gram)
-        k = len(cls)
-        for a in range(k):
-            vp = [zero] * size
-            vm = [zero] * size
-            for b in range(k):
-                cp = ginv[a][b]
-                if not cp.is_zero():
-                    for c in range(size):
-                        if not sp[cls[b]][c].is_zero():
-                            vp[c] = vp[c] + cp * sp[cls[b]][c]
-                # Q-: coefficients conj(G^{-T})
-                cm = ginv[b][a].conjugate()
-                if not cm.is_zero():
-                    for c in range(size):
-                        if not sm[cls[b]][c].is_zero():
-                            vm[c] = vm[c] + cm * sm[cls[b]][c]
-            qp[cls[a]] = vp
-            qm[cls[a]] = vm
+        qp += linalg.mat_mul(ginv, [sp[i] for i in cls])
+        qm += linalg.mat_mul(
+            [[x.conjugate() for x in col] for col in zip(*ginv)], [sm[i] for i in cls]
+        )
 
     return HLData(
         level=level,
         r=r,
         order=order,
         classes=class_ranges,
-        a_values=list(a_values),
+        a_values=a_values,
         sp=sp,
         sm=sm,
         qp=qp,

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -269,6 +270,25 @@ def test_scalar_product_q_m_duality():
                 qb = lv.expand(lv.q_product(beta, +1), "powersum")
                 got2 = scalar_product(ma, qb)
                 assert got2 == (lv.one if alpha == beta else lv.zero_rat)
+
+
+def test_schur_gram_matches_scalar_from_p():
+    # one rational function per pair of power-sum coordinates, summed term
+    # by term: no common denominator involved
+    for e, n in [(2, 3), (3, 2), (1, 4)]:
+        lv = level_for(e, n)
+        order = list(lv.partitions)
+        random.Random(e * 10 + n).shuffle(order)
+        gram = lv.schur_gram(order)
+        coords = [
+            lv.p_coords_of_s_vector(
+                [lv.one if beta == alpha else lv.zero_rat for beta in lv.partitions]
+            )
+            for alpha in order
+        ]
+        for i, u in enumerate(coords):
+            for j, v in enumerate(coords):
+                assert gram[i][j] == lv.scalar_from_p(u, v), (e, n, order[i], order[j])
 
 
 def test_z_series_examples():

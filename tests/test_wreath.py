@@ -354,3 +354,58 @@ def test_hl_cache_roundtrip(tmp_path, monkeypatch):
     assert loaded.sp == fresh.sp and loaded.sm == fresh.sm
     assert loaded.qp == fresh.qp and loaded.qm == fresh.qm
     assert loaded.a_values == fresh.a_values
+
+
+def _cached_file(tmp_path, monkeypatch, lv, r):
+    """Fill an empty disk cache with one level's data; clear the in-process
+    cache so that hl_data reads the disk."""
+    import greenrefl.wreath as wreath_mod
+
+    monkeypatch.setenv(wreath_mod.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(wreath_mod, "_HL_CACHE", {})
+    fresh = wreath_mod._compute_hl(lv, r)
+    wreath_mod._store_cached_hl(fresh)
+    (path,) = tmp_path.iterdir()
+    return fresh, path
+
+
+def _same_hl(a, b):
+    return (a.order, a.classes, a.a_values, a.sp, a.sm, a.qp, a.qm) == (
+        b.order, b.classes, b.a_values, b.sp, b.sm, b.qp, b.qm
+    )
+
+
+def test_hl_cache_recomputes_a_truncated_file(tmp_path, monkeypatch):
+    import greenrefl.wreath as wreath_mod
+
+    lv = level_for(2, 2)
+    fresh, path = _cached_file(tmp_path, monkeypatch, lv, 2)
+    assert "_v" in path.name
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    assert wreath_mod._load_cached_hl(lv, 2) is None
+    assert _same_hl(hl_data(lv, 2), fresh)
+    # the bad file was overwritten with the recomputed data
+    assert path.read_text() == text
+    assert _same_hl(wreath_mod._load_cached_hl(lv, 2), fresh)
+
+
+def test_hl_cache_recomputes_a_file_not_block_unitriangular(tmp_path, monkeypatch):
+    import json
+
+    import greenrefl.wreath as wreath_mod
+
+    lv = level_for(2, 2)
+    fresh, path = _cached_file(tmp_path, monkeypatch, lv, 2)
+    assert len(fresh.classes) > 1
+    text = path.read_text()
+    raw = json.loads(text)
+    # first function of the first class, coefficient of the last partition
+    # in the order: above the diagonal blocks, so zero in valid data
+    col = lv.pindex[fresh.order[-1]]
+    assert fresh.sm[0][col].is_zero()
+    raw["sm"][0][col] = lv.t.to_json()
+    path.write_text(json.dumps(raw))
+    assert wreath_mod._load_cached_hl(lv, 2) is None
+    assert _same_hl(hl_data(lv, 2), fresh)
+    assert path.read_text() == text
