@@ -44,6 +44,7 @@ from .gepn import (
     GreenSuite,
     TupleFun,
     ZCoset,
+    clear_caches,
     coset_algebra,
     coset_char_table,
     fake_degrees,
@@ -89,9 +90,9 @@ __all__ = [
     "GroupParams", "GroupReport", "HLBasis", "LabeledMatrix", "Level",
     "SimilarityPartition", "SymPoly", "Symbol", "TPoly", "TRat", "TupleFun",
     "VarSpace", "ZCoset", "a_value", "alpha_divide", "alpha_truncate",
-    "brute_force_oracle", "cauchy_truncated", "char_table", "coset_algebra",
-    "coset_char_table", "cyc_conjugate", "cyc_inverse", "cyc_make",
-    "cyclotomic_polynomial", "delta", "enumerate_char_params",
+    "brute_force_oracle", "cauchy_truncated", "char_table", "clear_caches",
+    "coset_algebra", "coset_char_table", "cyc_conjugate", "cyc_inverse",
+    "cyc_make", "cyclotomic_polynomial", "delta", "enumerate_char_params",
     "enumerate_class_params", "enumerate_epartitions", "ep_str", "expand",
     "f_invariant", "fake_degrees", "green_suite", "hall_littlewood",
     "hl_data", "kostka", "kostka_gepn", "level_for", "make_symbol",

@@ -46,6 +46,7 @@ from .combinatorics import (
     similarity_order,
 )
 from .exact_arith import CycField, TPoly, TRat
+from . import wreath
 from .symfunc import Level
 from .wreath import LabeledMatrix, hl_data, kostka_matrix
 
@@ -57,6 +58,22 @@ def coset_algebra(params, r=2):
     if key not in _ALGEBRAS:
         _ALGEBRAS[key] = CosetAlgebra(params, r)
     return _ALGEBRAS[key]
+
+
+def clear_caches():
+    """Drop every coset algebra, level and in-memory Hall-Littlewood family.
+
+    The three caches are emptied together: a level compares by identity, so
+    HL data kept for a dropped level could never be found again, and a kept
+    coset algebra would go on holding the dropped levels.  The HL disk cache
+    is not touched.  ``CycField._cache`` stays, because fields also compare
+    by identity and every live number holds its field; a second Q(zeta_e)
+    would make numbers built before and after the call unequal.  The
+    ``lru_cache``s of ``combinatorics`` and ``exact_arith`` stay too: they
+    are pure functions of integers and their values are never wrong."""
+    _ALGEBRAS.clear()
+    Level._cache.clear()
+    wreath._HL_CACHE.clear()
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,17 @@ and the one-row q-functions are produced by the generating series
 
 (with k-1 in place of k+1 for the minus sign).
 
-Basis conversions go through monomial coordinates: a symmetric homogeneous
-polynomial of degree n is determined by its coefficients on the dominant
-monomial of each e-partition of n, and the transition matrices between
-bases are cached per level.  A ``Level`` bundles one color structure with
-a choice of root of unity (an element of an ambient cyclotomic field, so
-that nested levels can share a single field).
+The character table of a level (the coefficients of the Schur functions
+in the power sums) comes from the wreath-product character formula: the
+colour-wise Murnaghan-Nakayama rule, with no polynomial expansion.  The
+explicit polynomials serve the q and monomial bases, ``expand``/``convert``
+and the reproducing-kernel check; their conversions go through monomial
+coordinates: a symmetric homogeneous polynomial of degree n is determined
+by its coefficients on the dominant monomial of each e-partition of n, and
+the transition matrices between bases are cached per level.  A ``Level``
+bundles one color structure with a choice of root of unity (an element of
+an ambient cyclotomic field, so that nested levels can share a single
+field).
 """
 
 from __future__ import annotations
@@ -532,15 +537,59 @@ class Level:
     # -- character table and centralizers --------------------------------------
 
     def char_table(self):
-        """Matrix chi[alpha][beta]: coefficient of s_alpha in p_beta."""
+        """Matrix chi[alpha][beta]: coefficient of s_alpha in p_beta.
+
+        Computed by the wreath-product character formula (Macdonald, ch. I,
+        appendix B): expanding p_r^(i) = sum_j zeta^(i*j) p_r(x^(j)) sends
+        every part r of colour index i to one colour j with weight
+        zeta^(i*j), so p_beta is a weighted sum of products
+        prod_j p_(rho^(j))(x^(j)), and
+
+            chi[alpha][beta] = sum_rho weight(rho) prod_j chi^(alpha^(j))(rho^(j))
+
+        with S_n characters from the Murnaghan-Nakayama rule.  Only rho
+        with |rho^(j)| = |alpha^(j)| for every j contribute.  With fewer
+        variables than n (a custom m) the Schur functions of longer
+        components vanish, so the table is the full one restricted to
+        ``partitions``."""
         if self._char is None:
-            mp = self.basis_matrix("powersum")
-            sinv = self.basis_matrix_inv("schur")
-            prows = linalg.mat_mul(mp, sinv)
-            self._char = [
-                [prows[b][a] for b in range(self.size)] for a in range(self.size)
-            ]
+            memo = {}
+            by_sizes = {}
+            for a, alpha in enumerate(self.partitions):
+                by_sizes.setdefault(tuple(map(sum, alpha)), []).append(a)
+            chi = [[None] * self.size for _ in range(self.size)]
+            for b, beta in enumerate(self.partitions):
+                acc = [self.field.zero] * self.size
+                for rho, weight in self._colour_distributions(beta).items():
+                    for a in by_sizes.get(tuple(map(sum, rho)), ()):
+                        value = 1
+                        for lam, mu in zip(self.partitions[a], rho):
+                            value *= _sn_character(lam, mu, memo)
+                            if not value:
+                                break
+                        if value:
+                            acc[a] = acc[a] + weight * value
+                for a, c in enumerate(acc):
+                    chi[a][b] = TRat.from_cyc(c)
+            self._char = chi
         return self._char
+
+    def _colour_distributions(self, beta):
+        """p_beta as {(rho^(0), ..., rho^(ecols-1)): weight}, the weighted
+        products prod_j p_(rho^(j))(x^(j)) with equal rho grouped."""
+        zetas = [self.zeta_pow(k) for k in range(self.ecols)]
+        dists = {((),) * self.ecols: self.field.one}
+        for i, comp in enumerate(beta):
+            for r in comp:
+                nxt = {}
+                for rho, weight in dists.items():
+                    for j in range(self.ecols):
+                        part = tuple(sorted(rho[j] + (r,), reverse=True))
+                        key = rho[:j] + (part,) + rho[j + 1 :]
+                        w = weight * zetas[i * j % self.ecols]
+                        nxt[key] = nxt[key] + w if key in nxt else w
+                dists = nxt
+        return dists
 
     def z_int(self, beta):
         """Centralizer order: ecols^length * prod of the symbol z-factors."""
@@ -639,6 +688,36 @@ class Level:
                 z = z.subst_power(subst)
             acc = acc + ug * vg.conjugate() * z
         return acc
+
+
+def _sn_character(lam, mu, memo):
+    """chi^lam(mu) of S_n by the Murnaghan-Nakayama rule on beta-numbers:
+    removing an r-border strip moves one bead r places down the abacus,
+    with sign (-1)^(beads jumped over).  ``mu`` is weakly decreasing;
+    ``memo`` caches values for the duration of one table build."""
+    if not mu:
+        return 1
+    key = (lam, mu)
+    value = memo.get(key)
+    if value is None:
+        r, rest = mu[0], mu[1:]
+        rows = len(lam)
+        beads = [part + rows - 1 - i for i, part in enumerate(lam)]
+        occupied = set(beads)
+        value = 0
+        for i, b in enumerate(beads):
+            nb = b - r
+            if nb < 0 or nb in occupied:
+                continue
+            jumped = sum(1 for x in beads if nb < x < b)
+            moved = sorted(beads[:i] + beads[i + 1 :] + [nb], reverse=True)
+            shape = tuple(
+                x - (rows - 1 - k) for k, x in enumerate(moved) if x > rows - 1 - k
+            )
+            term = _sn_character(shape, rest, memo)
+            value += -term if jumped % 2 else term
+        memo[key] = value
+    return value
 
 
 def _dot(u, v, zero):

@@ -3,6 +3,8 @@ from itertools import permutations
 
 import pytest
 
+import greenrefl
+from greenrefl import gepn, wreath
 from greenrefl.combinatorics import (
     CharParam,
     ClassParam,
@@ -28,7 +30,7 @@ from greenrefl.gepn import (
     z_coset,
 )
 from greenrefl.oracle import BruteForceGroup, e_inv, e_mul
-from greenrefl.symfunc import SymPoly, VarSpace
+from greenrefl.symfunc import Level, SymPoly, VarSpace
 
 P = lambda *comps: tuple(tuple(c) for c in comps)
 
@@ -234,6 +236,25 @@ def test_coset_table_matches_oracle():
             tuple(row[c].embed(lcm) for c in col_map) for row in oracle_table
         }
         assert lib_rows == ora_rows, (e, p, n)
+
+
+def test_clear_caches_rebuilds_the_coset_table():
+    caches = (gepn._ALGEBRAS, Level._cache, wreath._HL_CACHE)
+    saved = [dict(cache) for cache in caches]
+    try:
+        params = GroupParams(3, 3, 3, 0)
+        before = coset_char_table(params)
+        level = coset_algebra(params).levels[0]
+        greenrefl.clear_caches()
+        assert not any(caches)
+        after = coset_char_table(params)
+        assert coset_algebra(params).levels[0] is not level
+        assert after.rows == before.rows and after.cols == before.cols
+        assert after.entries == before.entries
+    finally:
+        for cache, old in zip(caches, saved):
+            cache.clear()
+            cache.update(old)
 
 
 def test_z_coset_vs_brute_force():

@@ -2,8 +2,16 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from greenrefl.combinatorics import delta, enumerate_epartitions, partitions, theta
+from greenrefl import linalg
+from greenrefl.combinatorics import (
+    GroupParams,
+    delta,
+    enumerate_epartitions,
+    partitions,
+    theta,
+)
 from greenrefl.exact_arith import CycField, TPoly, TRat
+from greenrefl.gepn import coset_algebra
 from greenrefl.symfunc import (
     BasisExpansion,
     Level,
@@ -19,6 +27,8 @@ from greenrefl.symfunc import (
     scalar_product,
     schur,
 )
+
+from test_acceptance import GRID
 
 P = lambda *comps: tuple(tuple(c) for c in comps)
 
@@ -51,6 +61,18 @@ def mn_character(lam, mu):
         newlam = tuple(x for x in newlam if x > 0)
         total += (-1) ** height * mn_character(newlam, rest)
     return total
+
+
+def expansion_char_table(level):
+    """The character table by polynomial expansion: the coefficient of
+    s_alpha in p_beta read off the monomial coordinates of both bases.
+
+    It is computed on a private copy of ``level``, so it neither reads nor
+    fills the cached table of the shared level object."""
+    own = object.__new__(Level)
+    own._init(level.E, level.h, level.ecols, level.n, level.space.m)
+    prows = linalg.mat_mul(own.basis_matrix("powersum"), own.basis_matrix_inv("schur"))
+    return [list(col) for col in zip(*prows)]
 
 
 def jacobi_trudi_schur(level, k, lam):
@@ -226,6 +248,37 @@ def test_expand_matches_mn_rule():
                 lam,
                 beta,
             )
+
+
+def test_char_table_matches_expansion():
+    # every sub-level of the acceptance grid and of the three chartable
+    # benchmark groups, every G(e,1,n) with e*n <= 10 whose expansion stays
+    # cheap, and two levels with fewer variables than n
+    levels = {}
+    for e, p, n, q in GRID + [(3, 3, 4, 0), (2, 2, 5, 0), (6, 2, 3, 0)]:
+        for lv in coset_algebra(GroupParams(e, p, n, q)).levels.values():
+            levels[(lv.E, lv.h, lv.ecols, lv.n, lv.space.m)] = lv
+    for e in range(1, 11):
+        for n in range(1, 10 // e + 1):
+            if (e, n) not in ((1, 9), (1, 10)):
+                lv = level_for(e, n)
+                levels[(e, 1, e, n, lv.space.m)] = lv
+    for e, n, m in [(2, 3, (2, 2)), (3, 3, (1, 2, 3))]:
+        lv = level_for(e, n, m=m)
+        levels[(e, 1, e, n, m)] = lv
+    for key, lv in levels.items():
+        assert lv.char_table() == expansion_char_table(lv), key
+
+
+def test_char_table_of_symmetric_groups():
+    # S_9 and S_10, where the expansion in 9 and 10 variables is too slow,
+    # against the test-side Murnaghan-Nakayama oracle
+    for n in (9, 10):
+        lv = level_for(1, n)
+        chi = lv.char_table()
+        for a, (lam,) in enumerate(lv.partitions):
+            for b, (mu,) in enumerate(lv.partitions):
+                assert chi[a][b] == TRat.rational(mn_character(lam, mu), 1), (lam, mu)
 
 
 def test_expand_roundtrip():

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from greenrefl.combinatorics import partitions
+from greenrefl.combinatorics import GroupParams, partitions
 from greenrefl.exact_arith import TRat
-from greenrefl.symfunc import level_for, scalar_product
+from greenrefl.oracle import BruteForceGroup
+from greenrefl.symfunc import Level, level_for, scalar_product
 from greenrefl.wreath import (
     char_table,
     hall_littlewood,
@@ -137,22 +139,58 @@ def test_trivial_character_row():
 
 
 def test_char_table_orthogonality():
-    for e, n in [(1, 3), (2, 2), (3, 2), (4, 2)]:
-        lv = level_for(e, n)
-        chi = lv.char_table()
-        size = lv.size
+    levels = [
+        level_for(e, n)
+        for e, n in [(1, 3), (2, 2), (3, 2), (4, 2), (6, 3), (3, 4), (2, 5)]
+    ]
+    levels.append(Level(6, 2, 3, 2))
+    for lv in levels:
+        chi = [[v.to_cyc() for v in row] for row in lv.char_table()]
+        cols = [list(col) for col in zip(*chi)]
+        field = lv.field
+        z = [lv.z_int(beta) for beta in lv.partitions]
+
+        def pairing(u, v, weights):
+            acc = field.zero
+            for x, y, w in zip(u, v, weights):
+                if not x.is_zero() and not y.is_zero():
+                    acc = acc + x * y.conjugate() * w
+            return acc
+
         # column orthogonality with centralizer orders
-        for b1 in range(size):
-            for b2 in range(size):
-                acc = lv.zero_rat
-                for a in range(size):
-                    acc = acc + chi[a][b1] * chi[a][b2].conjugate()
-                if b1 == b2:
-                    assert acc == TRat.rational(
-                        lv.z_int(lv.partitions[b1]), lv.E
-                    )
-                else:
-                    assert acc.is_zero()
+        ones = [1] * lv.size
+        for b1 in range(lv.size):
+            for b2 in range(b1, lv.size):
+                got = pairing(cols[b1], cols[b2], ones)
+                assert got == field.from_rational(z[b1] if b1 == b2 else 0), (lv, b1, b2)
+        # row orthogonality: sum over classes of chi_a conj(chi_a') / z_beta
+        inv_z = [Fraction(1, c) for c in z]
+        for a1 in range(lv.size):
+            for a2 in range(a1, lv.size):
+                got = pairing(chi[a1], chi[a2], inv_z)
+                assert got == (field.one if a1 == a2 else field.zero), (lv, a1, a2)
+
+
+def test_char_table_matches_brute_force():
+    # the Dixon table of the permutation group shares no code with the
+    # symmetric-function route; rows are compared as a set
+    for e, n in [(2, 3), (3, 2)]:
+        params = GroupParams(e, 1, n)
+        table = char_table(e, n)
+        group = BruteForceGroup(params)
+        oracle_table = group.character_table()
+        big = oracle_table[0][0].field.e
+        lcm = big * e // gcd(big, e)
+        cols = [
+            group.class_index_of(group.element_for_class_param(beta, 0))
+            for beta in table.partitions
+        ]
+        ours = {
+            tuple(v.to_cyc().embed(lcm) for v in row) for row in table.matrix.entries
+        }
+        theirs = {tuple(row[c].embed(lcm) for c in cols) for row in oracle_table}
+        assert len(ours) == table.level.size
+        assert ours == theirs, (e, n)
 
 
 def test_z_series_examples():
