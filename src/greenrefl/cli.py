@@ -323,8 +323,6 @@ def cmd_verify(args):
     if params.order <= SIZE_CAP:
 
         def oracle_table_ok():
-            if params.q != 0:
-                return True
             from math import gcd
 
             group = BruteForceGroup(params)
@@ -342,7 +340,12 @@ def cmd_verify(args):
             }
             return lib == ora
 
-        check("coset table matches the brute-force character table", oracle_table_ok)
+        # the brute-force group has no character table of a coset yet
+        name = "coset table matches the brute-force character table"
+        if params.q == 0:
+            check(name, oracle_table_ok)
+        else:
+            checks.append((name, None, ""))
 
         def centralizers_ok():
             group = BruteForceGroup(params)
@@ -372,8 +375,8 @@ def cmd_verify(args):
     lines = []
     ok_all = True
     for name, ok, msg in checks:
-        status = "ok" if ok else "FAIL"
-        ok_all = ok_all and ok
+        status = "skip" if ok is None else "ok" if ok else "FAIL"
+        ok_all = ok_all and ok is not False
         suffix = f"  ({msg})" if msg else ""
         lines.append(f"[{status:>4}] {name}{suffix}")
     lines.append(

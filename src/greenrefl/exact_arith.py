@@ -149,12 +149,6 @@ class CycNum:
         self.den = den
         self._hash = None
 
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def rational(value, e=1):
-        return CycField(e).from_rational(value)
-
     @property
     def coeffs(self):
         """Power-basis coordinates as Fractions (canonical)."""

@@ -10,11 +10,14 @@ zeta^h and the deformation parameter t^h.  Components are stored as
 coordinate vectors over the partitions of the corresponding sub-level, so
 all computations reduce to the wreath-product machinery plus bookkeeping.
 
-The coset character table is the transition matrix from tuple power sums
-to tuple Schur functions.  The Kostka matrices come from the block
-assembly out of sub-level Kostka matrices; the transition to tuple
-Hall-Littlewood functions gives them a second time, as an independent
-check.  The Green-function suite packages
+The production route reads everything off the sub-levels G(e',1,n').  The
+coset character table X(0), the transition matrix from tuple power sums to
+tuple Schur functions, is X(0)[xi][z] = <p_xi, s_z>: a sum of sub-level
+character-table entries with roots of unity.  The Kostka matrices come
+from the block assembly out of sub-level Kostka matrices.  The tuple
+functions in stacked coordinates are the independent check:
+``kostka_direct`` solves for the Kostka matrices against the tuple
+Hall-Littlewood functions.  The Green-function suite packages
 
     Ktilde(+/-) = K(+/-)(t^(-1)) T,      T = diag(t^(a(z))),
     OmegaPrime  = G(t) sum_xi X(0)-row outer products / det(t id - w_xi),
@@ -47,7 +50,7 @@ from .combinatorics import (
 )
 from .exact_arith import CycField, TPoly, TRat
 from . import wreath
-from .symfunc import Level
+from .symfunc import BasisExpansion, Level
 from .wreath import LabeledMatrix, hl_data, kostka_matrix
 
 _ALGEBRAS = {}
@@ -124,7 +127,6 @@ class CosetAlgebra:
             self.h_of[j] = h
         self.zero = TRat(TPoly(self.field, ()), reduce=False)
         self.one = TRat.from_cyc(self.field.one)
-        self._keys = None
         self._coset_table = None
         self._kostka = {}
         self._omega = None
@@ -164,30 +166,33 @@ class CosetAlgebra:
     # -- tuple functions ------------------------------------------------------
 
     def tuple_schur(self, z):
-        return self._tuple_from_units(z, "schur")
+        return self._orbit_tuple(z, "schur", self._unit)
 
     def tuple_q(self, z, sign):
-        return self._tuple_from_units(z, "qplus" if sign > 0 else "qminus")
+        return self._orbit_tuple(z, "qplus" if sign > 0 else "qminus", self._unit)
 
     def tuple_monomial(self, z):
-        return self._tuple_from_units(z, "monomial")
+        return self._orbit_tuple(z, "monomial", self._unit)
 
-    def _tuple_from_units(self, z, basis):
-        """Components phi(tau^j) sum_i zeta^(q i d) B_(theta^i(alpha)
-        truncated), for B one of the classical bases of the sub-level."""
+    def _unit(self, j, trunc):
+        return [(self.levels[j].pindex[trunc], self.one)]
+
+    def _orbit_tuple(self, z, basis, entries):
+        """Components phi(tau^j) sum_(i<c) zeta^(q i d) B_j(theta^i(alpha)
+        truncated at j), for j a multiple of the orbit size c; entries(j,
+        trunc) lists B_j(trunc) as (index, coefficient) pairs."""
         params = self.params
         orbit, c = orbit_data(z.alpha, params.p)
         comps = {}
         for j, level in self.levels.items():
             if j % c:
                 continue
-            scale = TRat.from_cyc(self.phi_value(z, j))
             vec = [self.zero] * level.size
+            phi = self.phi_value(z, j)
             for i in range(c):
-                trunc = alpha_truncate(orbit[i], j, params)
-                w = self.zeta_pow(params.q * i * params.d)
-                idx = level.pindex[trunc]
-                vec[idx] = vec[idx] + scale.scale_cyc(w)
+                w = phi * self.zeta_pow(params.q * i * params.d)
+                for idx, val in entries(j, alpha_truncate(orbit[i], j, params)):
+                    vec[idx] = vec[idx] + val.scale_cyc(w)
             comps[j] = (basis, vec)
         return TupleFun(params, comps)
 
@@ -211,32 +216,20 @@ class CosetAlgebra:
     def tuple_hall_littlewood(self, z, sign):
         """Assembled from sub-level Hall-Littlewood functions, with the
         deformation parameter t^h in component j."""
-        params = self.params
-        orbit, c = orbit_data(z.alpha, params.p)
-        comps = {}
-        for j, level in self.levels.items():
-            if j % c:
-                continue
-            data = hl_data(level, self.r)
-            rows = data.sp if sign > 0 else data.sm
-            h = self.h_of[j]
-            scale = TRat.from_cyc(self.phi_value(z, j))
-            vec = [self.zero] * level.size
-            for i in range(c):
-                trunc = alpha_truncate(orbit[i], j, params)
-                w = scale.scale_cyc(self.zeta_pow(params.q * i * params.d))
-                row = rows[data.index(trunc)]
-                for cidx in range(level.size):
-                    val = row[cidx]
-                    if val.is_zero():
-                        continue
-                    if h != 1:
-                        val = val.subst_power(h)
-                    vec[cidx] = vec[cidx] + w * val
-            comps[j] = ("schur", vec)
-        return TupleFun(params, comps)
 
-    # -- scalar product ---------------------------------------------------------
+        def entries(j, trunc):
+            data = hl_data(self.levels[j], self.r)
+            row = (data.sp if sign > 0 else data.sm)[data.index(trunc)]
+            h = self.h_of[j]
+            return [
+                (idx, val if h == 1 else val.subst_power(h))
+                for idx, val in enumerate(row)
+                if not val.is_zero()
+            ]
+
+        return self._orbit_tuple(z, "schur", entries)
+
+    # -- scalar product and stacked Schur coordinates ---------------------------
 
     def component_p_coords(self, fun, j):
         """Power-sum coordinates of component j.
@@ -255,11 +248,9 @@ class CosetAlgebra:
             return vec
         if basis == "schur":
             return level.p_coords_of_s_vector(vec)
-        mat = level.basis_matrix(basis)
-        mvec = [
-            _dot_col(vec, mat, col, self.zero) for col in range(level.size)
-        ]
-        pcoords = level.expand_mcoords(mvec, "powersum")
+        pcoords = level.convert(
+            BasisExpansion(level, basis, tuple(vec)), "powersum"
+        ).coeffs
         h = self.h_of[j]
         if h != 1 and basis in ("qplus", "qminus"):
             pcoords = [c.subst_power(h) for c in pcoords]
@@ -277,73 +268,69 @@ class CosetAlgebra:
             total = total + level.scalar_from_p(u, v, subst=h)
         return total.scale_cyc(self.field.from_rational(Fraction(1, self.params.p)))
 
-    # -- stacked Schur coordinates and transition matrices -----------------------
-
-    def keys(self):
-        if self._keys is None:
-            self._keys = [
-                (j, idx)
-                for j in sorted(self.levels)
-                for idx in range(self.levels[j].size)
-            ]
-        return self._keys
-
     def stack_schur(self, fun):
-        """Stacked Schur coordinates of a tuple function (Schur or power-sum
-        components)."""
+        """Stacked Schur coordinates of a tuple function with Schur
+        components."""
         out = []
         for j in sorted(self.levels):
-            level = self.levels[j]
             comp = fun.component(j)
             if comp is None:
-                out.extend([self.zero] * level.size)
-                continue
-            basis, vec = comp
-            if basis == "schur":
-                out.extend(vec)
-            elif basis == "powersum":
-                # p_gamma = sum_delta chi[delta][gamma] s_delta (t-free)
-                chi = level.char_table()
-                svec = [self.zero] * level.size
-                for gidx, cval in enumerate(vec):
-                    if cval.is_zero():
-                        continue
-                    for didx in range(level.size):
-                        w = chi[didx][gidx]
-                        if not w.is_zero():
-                            svec[didx] = svec[didx] + cval * w
-                out.extend(svec)
+                out.extend([self.zero] * self.levels[j].size)
+            elif comp[0] == "schur":
+                out.extend(comp[1])
             else:
-                raise ValueError(f"cannot stack a {basis!r} component")
+                raise ValueError(f"cannot stack a {comp[0]!r} component")
         return out
 
-    def _x_matrix(self):
-        """Transition matrix M(Bp, Bs) from tuple power sums to tuple Schur
-        functions, rows indexed by class params."""
-        s_rows = [self.stack_schur(self.tuple_schur(z)) for z in self.chars]
-        p_rows = [
-            self.stack_schur(self.tuple_powersum(xi)) for xi in self.class_params
-        ]
-        a_mat = [list(col) for col in zip(*s_rows)]        # keys x chars
-        b_mat = [list(col) for col in zip(*p_rows)]        # keys x classes
-        xt = linalg.solve(a_mat, b_mat)                    # chars x classes
-        return [list(row) for row in zip(*xt)]             # classes x chars
-
     # -- the coset character table ------------------------------------------------
+
+    def _x_matrix(self):
+        """X(0)[xi][z] = <p_xi, s_z>, read off the sub-level tables.
+
+        The tuple Schur functions are orthonormal at t = 0 and
+        <p_gamma, s_delta> = chi_j[delta][gamma] on the sub-level at j, so
+        with c_j(xi) p_(beta[j]) the components of the tuple power sum
+
+          X(0)[xi][z] = (1/p) sum_j c_j(xi) conj(phi_z(tau^j))
+                        sum_(i<c) zeta^(-q i d) chi_j[theta^i(alpha){j}][beta[j]],
+
+        j running over the multiples of the orbit size c where beta
+        divides.  Rows are class params, columns char params."""
+        params = self.params
+        chi = {
+            j: [[v.to_cyc() for v in row] for row in level.char_table()]
+            for j, level in self.levels.items()
+        }
+        # per char: (j, row of chi_j, conj(phi_z(tau^j)) zeta^(-q i d))
+        schur_terms = []
+        for z in self.chars:
+            orbit, c = orbit_data(z.alpha, params.p)
+            schur_terms.append([
+                (j, self.levels[j].pindex[alpha_truncate(orbit[i], j, params)],
+                 self.zeta_pow(-(z.phi * j + params.q * i) * params.d))
+                for j in self.levels if j % c == 0 for i in range(c)
+            ])
+        inv_p = Fraction(1, params.p)
+        table = []
+        for xi in self.class_params:
+            power = {
+                j: [(g, v.to_cyc()) for g, v in enumerate(vec) if not v.is_zero()]
+                for j, (_, vec) in self.tuple_powersum(xi).comps.items()
+            }
+            row = []
+            for terms in schur_terms:
+                acc = self.field.zero
+                for j, a, w in terms:
+                    for g, cval in power.get(j, ()):
+                        acc = acc + cval * w * chi[j][a][g]
+                row.append(acc * inv_p)
+            table.append(row)
+        return table
 
     def coset_table(self):
         """X(0): rows class params, columns char params, values in Z[zeta]."""
         if self._coset_table is None:
-            xs = self._x_matrix()
-            table = []
-            for row in xs:
-                crow = []
-                for v in row:
-                    if not v.is_constant():
-                        raise ArithmeticError("non-constant coset table entry")
-                    crow.append(v.to_cyc())
-                table.append(crow)
-            self._coset_table = table
+            self._coset_table = self._x_matrix()
         return self._coset_table
 
     def z_integer(self, xi):
@@ -602,16 +589,6 @@ class CosetAlgebra:
             omega_prime=LabeledMatrix(labels, labels, omega, blocks, blocks),
             residual_zero=residual_zero,
         )
-
-
-def _dot_col(vec, mat, col, zero):
-    acc = zero
-    for i, v in enumerate(vec):
-        if not v.is_zero():
-            w = mat[i][col]
-            if not w.is_zero():
-                acc = acc + v * w
-    return acc
 
 
 def _kostka_by_partition(level, data, sign):

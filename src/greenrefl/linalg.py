@@ -1,7 +1,8 @@
 """Small exact linear algebra over a field of scalars (CycNum or TRat).
 
-Scalars must support +, -, *, /, ``is_zero()`` and equality.  Matrices are
-plain lists of lists; everything is deterministic (first nonzero pivot).
+Scalars must support +, -, *, /, ``inverse()``, ``is_zero()`` and
+equality.  Matrices are plain lists of lists; everything is deterministic
+(first nonzero pivot).
 """
 
 from __future__ import annotations
@@ -55,12 +56,8 @@ def solve(a, b):
             raise ValueError("matrix does not have full column rank")
         r0 = len(pivot_rows)
         rows[r0], rows[pivot] = rows[pivot], rows[r0]
-        inv = rows[r0][col].inverse() if hasattr(rows[r0][col], "inverse") else None
-        if inv is not None:
-            rows[r0] = [x * inv for x in rows[r0]]
-        else:
-            piv = rows[r0][col]
-            rows[r0] = [x / piv for x in rows[r0]]
+        inv = rows[r0][col].inverse()
+        rows[r0] = [x * inv for x in rows[r0]]
         for r in range(m):
             if r != r0 and not rows[r][col].is_zero():
                 factor = rows[r][col]

@@ -217,9 +217,6 @@ class BasisExpansion:
         }
 
 
-BASES = ("schur", "monomial", "powersum", "qplus", "qminus")
-
-
 class Level:
     """One color structure: ecols colors, a root of unity of that order
     living in an ambient field Q(zeta_E), and a fixed homogeneous degree n.
@@ -285,9 +282,6 @@ class Level:
         return self.field.zeta((k * self.h) % self.E)
 
     # -- single-color building blocks ----------------------------------------
-
-    def _color_vars(self, k):
-        return [self.space.var_exp(k, i) for i in range(self.space.m[k])]
 
     def _hom_poly(self, k, deg):
         """Complete homogeneous polynomial of one color."""

@@ -42,15 +42,6 @@ class LabeledMatrix:
     def entry(self, i, j):
         return self.entries[i][j]
 
-    def transpose(self):
-        return LabeledMatrix(
-            list(self.col_labels),
-            list(self.row_labels),
-            [list(col) for col in zip(*self.entries)],
-            self.col_blocks,
-            self.row_blocks,
-        )
-
     def to_json(self):
         return {
             "rows": [str(l) for l in self.row_labels],

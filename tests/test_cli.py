@@ -101,6 +101,16 @@ def test_verify_passes(capsys):
     assert "Kostka entries are polynomial" in out
 
 
+def test_verify_skips_the_oracle_table_for_a_twisted_coset(capsys):
+    line = "coset table matches the brute-force character table"
+    code, out = run(capsys, "verify", "--e", "2", "--p", "2", "--n", "2", "--q", "1")
+    assert code == 0
+    assert f"[skip] {line}" in out
+    code, out = run(capsys, "verify", "--e", "2", "--p", "2", "--n", "2")
+    assert code == 0
+    assert f"[  ok] {line}" in out
+
+
 def test_invalid_parameters(capsys):
     with pytest.raises(SystemExit) as info:
         run(capsys, "green", "--e", "4", "--p", "3", "--n", "2")

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 import greenrefl
-from greenrefl import gepn, wreath
+from greenrefl import gepn, linalg, wreath
 from greenrefl.combinatorics import (
     CharParam,
     ClassParam,
@@ -236,6 +236,61 @@ def test_coset_table_matches_oracle():
             tuple(row[c].embed(lcm) for c in col_map) for row in oracle_table
         }
         assert lib_rows == ora_rows, (e, p, n)
+
+
+STACKED_SOLVE_CASES = (
+    [(2, 1, 3, 0), (3, 1, 3, 0)]
+    + [(2, 2, n, q) for n in (2, 3, 4, 5) for q in (0, 1)]
+    + [(3, 3, n, q) for n in (2, 3, 4) for q in (0, 1)]
+    + [(4, 2, 2, 0), (4, 2, 3, 0)]
+    + [(4, 4, n, q) for n in (2, 3) for q in (0, 1, 2)]
+    + [(6, 2, 2, 0), (6, 2, 3, 0)]
+    + [(6, 3, n, q) for n in (2, 3) for q in (0, 2)]
+    + [(6, 6, 2, q) for q in range(4)]
+)
+
+
+def stacked_solve_table(alg):
+    """X(0) as the transition matrix from tuple power sums to tuple Schur
+    functions: both stacked in Schur coordinates, a power-sum component
+    converted by p_gamma = sum_delta chi[delta][gamma] s_delta, and solved
+    exactly; the solve raises unless the system is consistent, i.e. unless
+    the tuple Schur functions span every tuple power sum."""
+
+    def stack(fun):
+        out = []
+        for j in sorted(alg.levels):
+            level = alg.levels[j]
+            comp = fun.component(j)
+            if comp is None:
+                out.extend([alg.zero] * level.size)
+                continue
+            basis, vec = comp
+            if basis == "powersum":
+                chi = level.char_table()
+                vec = [
+                    sum((vec[g] * chi[d][g] for g in range(level.size)), alg.zero)
+                    for d in range(level.size)
+                ]
+            out.extend(vec)
+        return out
+
+    s_cols = [list(col) for col in zip(*(stack(alg.tuple_schur(z)) for z in alg.chars))]
+    p_cols = [
+        list(col)
+        for col in zip(*(stack(alg.tuple_powersum(xi)) for xi in alg.class_params))
+    ]
+    xt = linalg.solve(s_cols, p_cols)               # chars x classes
+    for row in xt:
+        assert all(v.is_constant() for v in row)
+    return [[v.to_cyc() for v in col] for col in zip(*xt)]
+
+
+def test_coset_table_equals_stacked_solve():
+    assert len(STACKED_SOLVE_CASES) == 34
+    for e, p, n, q in STACKED_SOLVE_CASES:
+        alg = coset_algebra(GroupParams(e, p, n, q))
+        assert alg.coset_table() == stacked_solve_table(alg), (e, p, n, q)
 
 
 def test_clear_caches_rebuilds_the_coset_table():
