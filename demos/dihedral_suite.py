@@ -8,8 +8,11 @@ vector of fake degrees, computed here independently through the
 coinvariant-algebra class sum.
 """
 
+import sys
+
 from greenrefl import GroupParams, fake_degrees, green_suite
 
+mismatches = 0
 for e in (3, 4, 5, 6):
     params = GroupParams(e, e, 2, 0)
     suite = green_suite(params, r=2)
@@ -18,5 +21,8 @@ for e in (3, 4, 5, 6):
     for i, z in enumerate(suite.char_params):
         col = suite.ktilde_minus.entries[i][0]
         mark = "ok" if col == degs[z] else "MISMATCH"
+        mismatches += mark != "ok"
         print(f"  {z.label():<14} fake degree {str(degs[z]):<18} [{mark}]")
     print()
+
+sys.exit(1 if mismatches else 0)

@@ -258,7 +258,9 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        sigma_k(x), 1 < k < e prime to e, over the norm N(x), which is
+        x times that product and rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.is_rational():
@@ -269,34 +271,12 @@ class CycNum:
                 (sign * self.den,) + (0,) * (self.field.degree - 1),
                 abs(n),
             )
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(self.field.e)]
-        a = [Fraction(c, self.den) for c in self.num]
-        s_a, s_b = [Fraction(1)], [Fraction(0)]
-        b = modulus
-        while True:
-            while a and not a[-1]:
-                a.pop()
-            if len(a) == 1:
-                inv = [c / a[0] for c in s_a]
-                inv += [Fraction(0)] * (self.field.degree - len(inv))
-                return _cyc_from_fractions(self.field, inv)
-            # b = q*a + r ; replace (a, b) <- (r, a)
-            q = [Fraction(0)] * (len(b) - len(a) + 1)
-            r = list(b)
-            for k in range(len(q) - 1, -1, -1):
-                q[k] = r[k + len(a) - 1] / a[-1]
-                if q[k]:
-                    for i, ai in enumerate(a):
-                        r[k + i] -= q[k] * ai
-            r = r[: len(a) - 1]
-            # s_r = s_b - q*s_a
-            s_r = list(s_b) + [Fraction(0)] * max(0, len(q) + len(s_a) - 1 - len(s_b))
-            for k, qk in enumerate(q):
-                if qk:
-                    for i, si in enumerate(s_a):
-                        s_r[k + i] -= qk * si
-            a, b = r, a
-            s_a, s_b = s_r, s_a
+        e = self.field.e
+        others = self.field.one
+        for k in range(2, e):
+            if gcd(k, e) == 1:
+                others = others * self.galois(k)
+        return others * (1 / (self * others).to_fraction())
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -304,19 +284,24 @@ class CycNum:
             return NotImplemented
         return self * other.inverse()
 
-    def conjugate(self):
-        """The automorphism zeta -> zeta^(-1) (complex conjugation)."""
-        e = self.field.e
-        d = self.field.degree
-        if d == 1 or not any(self.num[1:]):
-            return self
+    def galois(self, k):
+        """The automorphism sigma_k: zeta -> zeta^k, for k prime to e."""
+        e, d = self.field.e, self.field.degree
+        if gcd(k, e) != 1:
+            raise ValueError(f"zeta -> zeta^{k} is not an automorphism of Q(zeta_{e})")
         out = [0] * d
         for i, c in enumerate(self.num):
             if c:
-                row = self.field._powers[(e - i) % e]
-                for k in range(d):
-                    out[k] += c * row[k]
+                row = self.field._powers[i * k % e]
+                for j in range(d):
+                    out[j] += c * row[j]
         return CycNum(self.field, tuple(out), self.den)
+
+    def conjugate(self):
+        """The automorphism zeta -> zeta^(-1) (complex conjugation)."""
+        if self.field.degree == 1 or not any(self.num[1:]):
+            return self
+        return self.galois(-1)
 
     # -- embedding into a larger cyclotomic field ---------------------------
 

@@ -20,13 +20,16 @@ functions in stacked coordinates are the independent check:
 Hall-Littlewood functions.  The Green-function suite packages
 
     Ktilde(+/-) = K(+/-)(t^(-1)) T,      T = diag(t^(a(z))),
-    OmegaPrime  = G(t) sum_xi X(0)-row outer products / det(t id - w_xi),
+    OmegaPrime  = G(t) sum_xi X(0)-row outer products / (z_xi det(t id - w_xi)),
     LambdaTilde = the similarity-class diagonal blocks of
                   Ktilde-^(-1) OmegaPrime tr(Ktilde+)^(-1),
 
 and checks the factorization Ktilde- LambdaTilde tr(Ktilde+) = OmegaPrime
 exactly: the residual vanishes iff the off-diagonal blocks of the solved
 Lambda do, which ties the sub-level Kostka data to the coset table.
+OmegaPrime and the fake degrees are class sums over the columns of X(0),
+computed over one common denominator by ``symfunc.weighted_gram``, the
+kernel shared with the Schur Gram matrix of a level.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .combinatorics import (
 )
 from .exact_arith import CycField, TPoly, TRat
 from . import wreath
-from .symfunc import BasisExpansion, Level
+from .symfunc import BasisExpansion, Level, weighted_gram
 from .wreath import LabeledMatrix, hl_data, kostka_matrix
 
 _ALGEBRAS = {}
@@ -106,7 +109,6 @@ class CosetAlgebra:
         self.char_classes = sim.classes
         self.class_a_values = sim.a_values
         self.chars = [z for cls in sim.classes for z in cls]
-        self.char_index = {z: i for i, z in enumerate(self.chars)}
         self.a_of = {}
         for cls, a in zip(sim.classes, sim.a_values):
             for z in cls:
@@ -484,65 +486,41 @@ class CosetAlgebra:
             self._degree_product()
         )
 
-    def det_poly(self, beta):
-        """det(t id - w) = prod over parts (t^part - zeta^k)."""
-        field = self.field
-        poly = TPoly.constant(field.one)
-        for k, comp in enumerate(beta):
-            for part in comp:
-                factor = TPoly(
-                    field,
-                    [-field.zeta(k % field.e)]
-                    + [field.zero] * (part - 1)
-                    + [field.one],
-                )
-                poly = poly * factor
-        return poly
-
     def det_of_class(self, beta):
         """det_M(w_beta(b)) = (-1)^(n - length) zeta^(delta(beta))."""
         sign = (-1) ** (self.params.n - ep_length(beta))
         return self.field.zeta(delta(beta) % self.params.e) * sign
 
+    def _class_weights(self, numerator):
+        """numerator / (z_xi det(t id - w_xi)) for every class xi."""
+        det_poly = self.levels[0].det_poly
+        return [
+            numerator * TRat(
+                TPoly.constant(self.field.from_rational(Fraction(1, self.z_integer(xi)))),
+                det_poly(xi.beta),
+            )
+            for xi in self.class_params
+        ]
+
     def omega_prime(self):
         """O'[z,z'] = G(t) sum_xi X[xi,z] conj(X[xi,z']) / (z_xi det_xi)."""
         if self._omega is None:
-            self._omega = self._compute_omega_prime()
+            cols = list(zip(*self.coset_table()))
+            self._omega = weighted_gram(cols, cols, self._class_weights(self.g_poly()))
         return self._omega
 
-    def _compute_omega_prime(self):
-        table = self.coset_table()
-        g = self.g_poly()
-        k = len(self.chars)
-        out = [[self.zero] * k for _ in range(k)]
-        for i, xi in enumerate(self.class_params):
-            weight = g.scale_cyc(self.field.from_rational(
-                Fraction(1, self.z_integer(xi))
-            )) * TRat(TPoly.constant(self.field.one), self.det_poly(xi.beta))
-            row = table[i]
-            conj_row = [v.conjugate() for v in row]
-            for a in range(k):
-                if row[a].is_zero():
-                    continue
-                wa = weight.scale_cyc(row[a])
-                for b in range(k):
-                    if conj_row[b].is_zero():
-                        continue
-                    out[a][b] = out[a][b] + wa.scale_cyc(conj_row[b])
-        return out
+    def fake_degrees(self):
+        """R_q(chi~^z) for every character z, by the class sum
 
-    def fake_degree(self, z):
-        """R_q(chi~^z) by the class sum; a polynomial for q = 0."""
-        table = self.coset_table()
-        zi = self.char_index[z]
-        acc = self.zero
-        for i, xi in enumerate(self.class_params):
-            val = table[i][zi]
-            if val.is_zero():
-                continue
-            num = self.det_of_class(xi.beta) * val * Fraction(1, self.z_integer(xi))
-            acc = acc + TRat(TPoly.constant(num), self.det_poly(xi.beta))
-        return self._degree_product() * acc
+          (zeta^(qd) t^(dn) - 1) prod_(i<n) (t^(ei) - 1)
+              sum_xi det_M(w_xi) X[xi,z] / (z_xi det_xi),
+
+        a polynomial for q = 0; one column of ``weighted_gram``."""
+        cols = list(zip(*self.coset_table()))
+        dets = [[self.det_of_class(xi.beta).conjugate() for xi in self.class_params]]
+        weights = self._class_weights(self._degree_product())
+        column = weighted_gram(cols, dets, weights)
+        return {z: row[0] for z, row in zip(self.chars, column)}
 
     def green(self):
         if self._green is None:
@@ -665,17 +643,16 @@ class ZCoset:
 # public operations
 
 
-def xj_variables(j, params, m=None):
+def xj_variables(j, params):
     """The contracted variables at component j: maps (k, i) to the tuple of
     (color, index) factors x_i^(color) making up X_i^(k)."""
     if not 0 <= j < params.p:
         raise ValueError("component index out of range")
     h = params.h_of(j)
     ncols = params.j1_of(j) * params.d
-    m = m if m is not None else (params.n,) * params.e
     out = {}
     for k in range(ncols):
-        for i in range(m[k]):
+        for i in range(params.n):
             out[(k, i)] = tuple(
                 ((k + s * j * params.d) % params.e, i) for s in range(h)
             )
@@ -735,5 +712,4 @@ def green_suite(params, r=2):
 
 
 def fake_degrees(params, r=2):
-    alg = coset_algebra(params, r)
-    return {z: alg.fake_degree(z) for z in alg.chars}
+    return coset_algebra(params, r).fake_degrees()

@@ -1,6 +1,6 @@
 """Symmetric polynomials in colored variables x_i^(k).
 
-A color structure has ``ecols`` colors with m_k variables of color k; a
+A color structure has ``ecols`` colors with max(n, 1) variables each; a
 polynomial is a sparse map from exponent vectors (flat tuples over all
 variables) to TRat coefficients.  The classical bases (Schur, monomial,
 power sum) are taken color-wise; power sums of color-index i mix the
@@ -25,6 +25,10 @@ the transition matrices between bases are cached per level.  A ``Level``
 bundles one color structure with a choice of root of unity (an element of
 an ambient cyclotomic field, so that nested levels can share a single
 field).
+
+Every t-deformed scalar product of two families given by their values on
+the classes is one class sum, ``weighted_gram``: the Schur Gram matrix of
+a level here, and Omega' and the fake degrees of the coset layer.
 """
 
 from __future__ import annotations
@@ -226,17 +230,16 @@ class Level:
 
     _cache = {}
 
-    def __new__(cls, E, h, ecols, n, m=None):
-        m = tuple(m) if m is not None else (max(n, 1),) * ecols
-        key = (E, h, ecols, n, m)
+    def __new__(cls, E, h, ecols, n):
+        key = (E, h, ecols, n)
         level = cls._cache.get(key)
         if level is None:
             level = object.__new__(cls)
-            level._init(E, h, ecols, n, m)
+            level._init(E, h, ecols, n)
             cls._cache[key] = level
         return level
 
-    def _init(self, E, h, ecols, n, m):
+    def _init(self, E, h, ecols, n):
         field = CycField(E)
         if E // gcd(E, h) != ecols:
             raise ValueError("zeta_E^h must have order ecols")
@@ -246,12 +249,8 @@ class Level:
         self.ecols = ecols
         self.n = n
         self.zeta = field.zeta(h)
-        self.space = VarSpace(m)
-        self.partitions = tuple(
-            alpha
-            for alpha in enumerate_epartitions(n, ecols)
-            if all(len(comp) <= mk for comp, mk in zip(alpha, m))
-        )
+        self.space = VarSpace((max(n, 1),) * ecols)
+        self.partitions = tuple(enumerate_epartitions(n, ecols))
         self.pindex = {alpha: i for i, alpha in enumerate(self.partitions)}
         self.size = len(self.partitions)
         self._sym = {}
@@ -268,7 +267,7 @@ class Level:
         return f"Level(E={self.E}, zeta^={self.h}, colors={self.ecols}, n={self.n})"
 
     def __hash__(self):
-        return hash((self.E, self.h, self.ecols, self.n, self.space.m))
+        return hash((self.E, self.h, self.ecols, self.n))
 
     def __eq__(self, other):
         return self is other
@@ -542,10 +541,7 @@ class Level:
             chi[alpha][beta] = sum_rho weight(rho) prod_j chi^(alpha^(j))(rho^(j))
 
         with S_n characters from the Murnaghan-Nakayama rule.  Only rho
-        with |rho^(j)| = |alpha^(j)| for every j contribute.  With fewer
-        variables than n (a custom m) the Schur functions of longer
-        components vanish, so the table is the full one restricted to
-        ``partitions``."""
+        with |rho^(j)| = |alpha^(j)| for every j contribute."""
         if self._char is None:
             memo = {}
             by_sizes = {}
@@ -598,23 +594,22 @@ class Level:
                     out *= i
         return out
 
+    def det_poly(self, beta):
+        """det(t id - w_beta) = prod over parts (t^part - zeta^k)."""
+        poly = TPoly.constant(self.field.one)
+        for k, comp in enumerate(beta):
+            for part in comp:
+                poly = poly * (
+                    TPoly.t_power(self.field, part) - TPoly.constant(self.zeta_pow(k))
+                )
+        return poly
+
     def z_series(self, beta):
         """Deformed centralizer: z_beta / prod over parts (1 - zeta^k t^part)."""
-        key = beta
-        if key not in self._zser:
-            den = TPoly(self.field, (self.field.one,), trusted=True)
-            for k, comp in enumerate(beta):
-                for part in comp:
-                    factor = TPoly(
-                        self.field,
-                        [self.field.one]
-                        + [self.field.zero] * (part - 1)
-                        + [-self.zeta_pow(k)],
-                    )
-                    den = den * factor
+        if beta not in self._zser:
             num = TPoly.constant(self.field.from_rational(self.z_int(beta)))
-            self._zser[key] = TRat(num, den)
-        return self._zser[key]
+            self._zser[beta] = TRat(num, self.det_poly(beta).reversed_coeffs())
+        return self._zser[beta]
 
     def s_in_p(self):
         """Rows: powersum coordinates of the Schur functions (constants)."""
@@ -631,31 +626,12 @@ class Level:
         return self._s_in_p
 
     def schur_gram(self, order):
-        """G[a][b] = <s_a, s_b> for a, b running over ``order``.
-
-        Every z-series is rewritten over one common denominator, the lcm L
-        of their denominators, so an entry is a polynomial combination
-        sum_beta s_in_p[a][beta] conj(s_in_p[b][beta]) (z_beta L) reduced
-        against L once."""
-        zser = [self.z_series(beta) for beta in self.partitions]
-        common = TPoly.constant(self.field.one)
-        for z in zser:
-            common = common * z.den.divmod(common.gcd(z.den))[0]
-        weights = [z.num * common.divmod(z.den)[0] for z in zser]
+        """G[a][b] = <s_a, s_b> for a, b running over ``order``: the class
+        sum of the ``s_in_p`` rows against the z-series."""
         s_in_p = self.s_in_p()
         rows = [s_in_p[self.pindex[alpha]] for alpha in order]
-        conj_rows = [[c.conjugate() for c in row] for row in rows]
-        gram = []
-        for row in rows:
-            out = []
-            for conj_row in conj_rows:
-                num = TPoly(self.field, (), trusted=True)
-                for x, y, w in zip(row, conj_row, weights):
-                    if not x.is_zero() and not y.is_zero():
-                        num = num + w.scale(x * y)
-                out.append(TRat(num, common))
-            gram.append(out)
-        return gram
+        zser = [self.z_series(beta) for beta in self.partitions]
+        return weighted_gram(rows, rows, zser)
 
     def p_coords_of_s_vector(self, svec):
         """Powersum coordinates of a function given in Schur coordinates."""
@@ -682,6 +658,31 @@ class Level:
                 z = z.subst_power(subst)
             acc = acc + ug * vg.conjugate() * z
         return acc
+
+
+def weighted_gram(left, right, weights):
+    """M[a][b] = sum_i left[a][i] conj(right[b][i]) weights[i].
+
+    The rows hold CycNum values and the weights are TRat.  Every weight is
+    rewritten over one common denominator, the lcm L of their denominators,
+    so an entry is one polynomial combination reduced against L once."""
+    field = weights[0].field
+    common = TPoly.constant(field.one)
+    for w in weights:
+        common = common * w.den.divmod(common.gcd(w.den))[0]
+    nums = [w.num * common.divmod(w.den)[0] for w in weights]
+    conj_right = [[c.conjugate() for c in row] for row in right]
+    gram = []
+    for row in left:
+        out = []
+        for conj_row in conj_right:
+            num = TPoly(field, (), trusted=True)
+            for x, y, w in zip(row, conj_row, nums):
+                if not x.is_zero() and not y.is_zero():
+                    num = num + w.scale(x * y)
+            out.append(TRat(num, common))
+        gram.append(out)
+    return gram
 
 
 def _sn_character(lam, mu, memo):
@@ -722,37 +723,37 @@ def _dot(u, v, zero):
     return acc
 
 
-def level_for(e, n, m=None):
+def level_for(e, n):
     """Standalone level for G(e,1,n) with zeta = zeta_e."""
-    return Level(e, 1, e, n, m)
+    return Level(e, 1, e, n)
 
 
 # ---------------------------------------------------------------------------
 # public operations in terms of a standalone level
 
 
-def schur(alpha, m=None):
-    lv = level_for(len(alpha), ep_size(alpha), m)
+def schur(alpha):
+    lv = level_for(len(alpha), ep_size(alpha))
     return lv.schur(alpha)
 
 
-def monomial(alpha, m=None):
-    lv = level_for(len(alpha), ep_size(alpha), m)
+def monomial(alpha):
+    lv = level_for(len(alpha), ep_size(alpha))
     return lv.monomial(alpha)
 
 
-def powersum(alpha, m=None):
-    lv = level_for(len(alpha), ep_size(alpha), m)
+def powersum(alpha):
+    lv = level_for(len(alpha), ep_size(alpha))
     return lv.powersum(alpha)
 
 
-def q_row(r, k, sign, e, n=None, m=None):
-    lv = level_for(e, n if n is not None else r, m)
+def q_row(r, k, sign, e, n=None):
+    lv = level_for(e, n if n is not None else r)
     return lv.q_row(r, k, 1 if str(sign) in ("+", "1", "+1") else -1)
 
 
-def q_product(alpha, sign, m=None):
-    lv = level_for(len(alpha), ep_size(alpha), m)
+def q_product(alpha, sign):
+    lv = level_for(len(alpha), ep_size(alpha))
     return lv.q_product(alpha, 1 if str(sign) in ("+", "1", "+1") else -1)
 
 
@@ -771,7 +772,7 @@ def scalar_product(f, g):
     return lv.scalar_from_p(fp, gp)
 
 
-def cauchy_truncated(n, e, m=None):
+def cauchy_truncated(n, e):
     """Check the degree-(n, n) piece of the reproducing kernel identity
 
         sum_a q_(a,-)(x) m_a(y) = sum_a m_a(x) q_(a,+)(y)
@@ -783,7 +784,7 @@ def cauchy_truncated(n, e, m=None):
 
     Returns (identity holds, the common polynomial in the doubled space).
     """
-    lv = level_for(e, n, m)
+    lv = level_for(e, n)
     mm = lv.space.m
     union = VarSpace(mm + mm)
     lhs = SymPoly.zero(union)

@@ -166,10 +166,6 @@ CACHE_FORMAT = 2          # part of the cache file name; bump when the layout ch
 
 
 def hl_data(level, r):
-    if level.space.m != (max(level.n, 1),) * level.ecols:
-        raise ValueError(
-            f"hl_data needs the default variable counts m; got m={level.space.m}"
-        )
     key = (level, r)
     if key not in _HL_CACHE:
         data = _load_cached_hl(level, r)

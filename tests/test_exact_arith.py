@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -80,6 +81,23 @@ def test_cyc_conjugate():
     assert cyc_conjugate(f5.from_rational(Fraction(5, 3))) == f5.from_rational(Fraction(5, 3))
     f2 = CycField(2)
     assert cyc_conjugate(f2.from_rational(-1)) == f2.from_rational(-1)
+
+
+def test_cyc_galois():
+    # sigma_k sends zeta to zeta^k and is a ring homomorphism
+    rng = random.Random(20261018)
+    for e in (3, 4, 5, 7, 8, 9, 12):
+        field = CycField(e)
+        for k in range(1, e):
+            if gcd(k, e) != 1:
+                continue
+            assert field.zeta().galois(k) == field.zeta(k)
+            for _ in range(4):
+                a, b = _random_cyc(field, rng), _random_cyc(field, rng)
+                assert (a * b).galois(k) == a.galois(k) * b.galois(k), (e, k)
+                assert (a + b).galois(k) == a.galois(k) + b.galois(k), (e, k)
+    with pytest.raises(ValueError):
+        CycField(6).zeta().galois(2)
 
 
 def _random_cyc(field, rng):

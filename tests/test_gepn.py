@@ -12,6 +12,7 @@ from greenrefl.combinatorics import (
     delta,
     enumerate_class_params,
     ep_length,
+    orbit_data,
     theta,
 )
 from greenrefl.exact_arith import CycField, TPoly, TRat
@@ -31,6 +32,8 @@ from greenrefl.gepn import (
 )
 from greenrefl.oracle import BruteForceGroup, e_inv, e_mul
 from greenrefl.symfunc import Level, SymPoly, VarSpace
+
+from test_acceptance import GRID
 
 P = lambda *comps: tuple(tuple(c) for c in comps)
 
@@ -250,6 +253,23 @@ STACKED_SOLVE_CASES = (
 )
 
 
+def test_linear_character_tells_the_coset_table_from_its_conjugate():
+    # the restriction of w -> zeta^(sum of the colours of w) is the character
+    # whose orbit holds (();(n);();...); its values are non-real here, so a
+    # table conjugated as a whole fails where row-set comparisons pass
+    for e, p, n in [(6, 2, 2), (6, 2, 3)]:
+        params = GroupParams(e, p, n, 0)
+        alg = coset_algebra(params)
+        group = BruteForceGroup(params)
+        alpha = ((), (n,)) + ((),) * (e - 2)
+        [col] = [
+            zi for zi, z in enumerate(alg.chars) if alpha in orbit_data(z.alpha, p)[0]
+        ]
+        for row, xi in zip(alg.coset_table(), alg.class_params):
+            _, colours = group.element_for_class_param(xi.beta, xi.b)
+            assert row[col] == alg.field.zeta(sum(colours)), (e, p, n, xi)
+
+
 def stacked_solve_table(alg):
     """X(0) as the transition matrix from tuple power sums to tuple Schur
     functions: both stacked in Schur coordinates, a power-sum component
@@ -366,7 +386,7 @@ def test_det_conventions_against_matrices():
         shifted = [
             [tid[i][j] - mat[i][j] for j in range(3)] for i in range(3)
         ]
-        assert poly_det(shifted) == TRat(alg.det_poly(xi.beta), reduce=False), xi
+        assert poly_det(shifted) == TRat(alg.levels[0].det_poly(xi.beta), reduce=False), xi
 
 
 # -- Hall-Littlewood tuples ---------------------------------------------------------
@@ -618,6 +638,46 @@ def test_green_block_structure():
                 assert block_of[j] < block_of[i]
             if block_of[i] != block_of[j]:
                 assert suite.lambda_tilde.entries[i][j].is_zero()
+
+
+def per_term_omega_prime(alg):
+    """OmegaPrime summed class by class, one TRat add per term."""
+    table = alg.coset_table()
+    g = alg.g_poly()
+    k = len(alg.chars)
+    out = [[alg.zero] * k for _ in range(k)]
+    for row, xi in zip(table, alg.class_params):
+        inv_z = alg.field.from_rational(Fraction(1, alg.z_integer(xi)))
+        weight = g.scale_cyc(inv_z) * TRat(
+            TPoly.constant(alg.field.one), alg.levels[0].det_poly(xi.beta)
+        )
+        for a in range(k):
+            for b in range(k):
+                term = weight.scale_cyc(row[a] * row[b].conjugate())
+                out[a][b] = out[a][b] + term
+    return out
+
+
+def per_character_fake_degrees(alg):
+    """The class sum of each fake degree on its own, one TRat add per term."""
+    table = alg.coset_table()
+    out = {}
+    for zi, z in enumerate(alg.chars):
+        acc = alg.zero
+        for row, xi in zip(table, alg.class_params):
+            num = alg.det_of_class(xi.beta) * row[zi] * Fraction(1, alg.z_integer(xi))
+            acc = acc + TRat(TPoly.constant(num), alg.levels[0].det_poly(xi.beta))
+        out[z] = alg._degree_product() * acc
+    return out
+
+
+def test_class_sum_kernel_equals_per_term_sums():
+    # OmegaPrime and the fake degrees share symfunc.weighted_gram with the
+    # Schur Gram matrix; here both are summed term by term instead
+    for e, p, n, q in GRID + [(3, 3, 2, 1), (4, 4, 2, 1), (6, 3, 2, 2)]:
+        alg = coset_algebra(GroupParams(e, p, n, q))
+        assert alg.omega_prime() == per_term_omega_prime(alg), (e, p, n, q)
+        assert alg.fake_degrees() == per_character_fake_degrees(alg), (e, p, n, q)
 
 
 def test_fake_degrees_dihedral():

@@ -70,7 +70,7 @@ def expansion_char_table(level):
     It is computed on a private copy of ``level``, so it neither reads nor
     fills the cached table of the shared level object."""
     own = object.__new__(Level)
-    own._init(level.E, level.h, level.ecols, level.n, level.space.m)
+    own._init(level.E, level.h, level.ecols, level.n)
     prows = linalg.mat_mul(own.basis_matrix("powersum"), own.basis_matrix_inv("schur"))
     return [list(col) for col in zip(*prows)]
 
@@ -111,7 +111,7 @@ def test_schur_examples():
         {lv.space.var_exp(0, i): lv.one for i in range(lv.space.m[0])},
     )
     assert s == expect
-    lv1 = level_for(1, 2, m=(2,))
+    lv1 = level_for(1, 2)
     s2 = lv1.schur(P((2,)))
     assert sorted(s2.terms) == [(0, 2), (1, 1), (2, 0)]
     # product structure over colors
@@ -134,10 +134,10 @@ def test_schur_vs_jacobi_trudi():
 def test_monomial_examples():
     lv = level_for(2, 1)
     assert lv.monomial(P((1,), ())) == lv.schur(P((1,), ()))
-    lv1 = level_for(1, 2, m=(2,))
+    lv1 = level_for(1, 2)
     m11 = lv1.monomial(P((1, 1)))
     assert m11.terms == {(1, 1): lv1.one}
-    lv3 = level_for(1, 3, m=(3,))
+    lv3 = level_for(1, 3)
     m21 = lv3.monomial(P((2, 1)))
     assert set(m21.terms) == {
         (2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2),
@@ -146,7 +146,7 @@ def test_monomial_examples():
 
 def test_powersum_examples():
     # e = 1 reduces to the classical power sum
-    lv1 = level_for(1, 2, m=(2,))
+    lv1 = level_for(1, 2)
     p2 = lv1.powersum(P((2,)))
     assert p2.terms == {(2, 0): lv1.one, (0, 2): lv1.one}
     # e = 2: zeta = -1 mixes the two colors
@@ -160,7 +160,7 @@ def test_powersum_examples():
 
 
 def test_q_row_examples():
-    lv = level_for(1, 2, m=(2,))
+    lv = level_for(1, 2)
     assert lv.q_row(0, 0, +1) == SymPoly.constant(lv.space, lv.one)
     one_minus_t = TRat(TPoly(lv.field, [lv.field.one, -lv.field.one]))
     q1 = lv.q_row(1, 0, +1)
@@ -172,7 +172,7 @@ def test_q_row_examples():
 
 
 def test_q_product_examples():
-    lv = level_for(1, 2, m=(2,))
+    lv = level_for(1, 2)
     empty = P(())
     assert lv.q_product(empty, +1) == SymPoly.constant(lv.space, lv.one)
     q11 = lv.q_product(P((1, 1)), +1)
@@ -225,7 +225,7 @@ def test_q_row_closed_form():
 
 
 def test_expand_schur_examples():
-    lv = level_for(1, 2, m=(2,))
+    lv = level_for(1, 2)
     exp = lv.expand(lv.powersum(P((2,))), "schur")
     assert exp.coeff(P((2,))) == lv.one
     assert exp.coeff(P((1, 1))) == TRat.rational(-1, 1)
@@ -240,7 +240,7 @@ def test_expand_schur_examples():
 
 
 def test_expand_matches_mn_rule():
-    lv = level_for(1, 3, m=(3,))
+    lv = level_for(1, 3)
     for beta in partitions(3):
         exp = lv.expand(lv.powersum(P(beta)), "schur")
         for lam in partitions(3):
@@ -252,20 +252,16 @@ def test_expand_matches_mn_rule():
 
 def test_char_table_matches_expansion():
     # every sub-level of the acceptance grid and of the three chartable
-    # benchmark groups, every G(e,1,n) with e*n <= 10 whose expansion stays
-    # cheap, and two levels with fewer variables than n
+    # benchmark groups, and every G(e,1,n) with e*n <= 10 whose expansion
+    # stays cheap
     levels = {}
     for e, p, n, q in GRID + [(3, 3, 4, 0), (2, 2, 5, 0), (6, 2, 3, 0)]:
         for lv in coset_algebra(GroupParams(e, p, n, q)).levels.values():
-            levels[(lv.E, lv.h, lv.ecols, lv.n, lv.space.m)] = lv
+            levels[(lv.E, lv.h, lv.ecols, lv.n)] = lv
     for e in range(1, 11):
         for n in range(1, 10 // e + 1):
             if (e, n) not in ((1, 9), (1, 10)):
-                lv = level_for(e, n)
-                levels[(e, 1, e, n, lv.space.m)] = lv
-    for e, n, m in [(2, 3, (2, 2)), (3, 3, (1, 2, 3))]:
-        lv = level_for(e, n, m=m)
-        levels[(e, 1, e, n, m)] = lv
+                levels[(e, 1, e, n)] = level_for(e, n)
     for key, lv in levels.items():
         assert lv.char_table() == expansion_char_table(lv), key
 

@@ -1,8 +1,6 @@
 from fractions import Fraction
 from math import gcd
 
-import pytest
-
 from greenrefl.combinatorics import GroupParams, partitions
 from greenrefl.exact_arith import TRat
 from greenrefl.oracle import BruteForceGroup
@@ -193,6 +191,21 @@ def test_char_table_matches_brute_force():
         assert ours == theirs, (e, n)
 
 
+def test_linear_character_tells_the_table_from_its_conjugate():
+    # alpha = (();(n);();...) is the linear character w -> zeta^(sum of the
+    # colours of w).  A table conjugated as a whole still passes the row-set
+    # comparison above, but not this one on a class with a non-real value
+    for e, n in [(3, 2), (4, 2), (6, 2), (3, 3)]:
+        table = char_table(e, n)
+        group = BruteForceGroup(GroupParams(e, 1, n))
+        field = table.level.field
+        alpha = ((), (n,)) + ((),) * (e - 2)
+        for beta in table.partitions:
+            _, colours = group.element_for_class_param(beta, 0)
+            want = TRat.from_cyc(field.zeta(sum(colours)))
+            assert table.value(alpha, beta) == want, (e, n, beta)
+
+
 def test_z_series_examples():
     f = z_series(P((1,), ()))
     lv = level_for(2, 1)
@@ -288,11 +301,6 @@ def test_hl_orthogonality_and_duality():
                 d2 = lv.scalar_from_p(qp_p[i], pm[j])
                 want = lv.one if i == j else lv.zero_rat
                 assert d1 == want and d2 == want, (i, j)
-
-
-def test_hl_data_rejects_custom_variable_counts():
-    with pytest.raises(ValueError, match="m="):
-        hl_data(level_for(2, 3, m=(1, 1)), 2)
 
 
 def test_kostka_classical():
