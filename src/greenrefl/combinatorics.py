@@ -87,7 +87,7 @@ def delta(alpha):
 class GroupParams:
     """Parameters (e, p, n) of G(e,p,n) together with a coset label q.
 
-    q = 0 is the untwisted case.  A nonzero q must divide e, and e/q must
+    q = 0 is the untwisted case.  A positive q must divide e, and e/q must
     be coprime to e/p so that the coset carries a character theory.
     """
 
@@ -101,6 +101,8 @@ class GroupParams:
             raise ValueError("e, p, n must be positive")
         if self.e % self.p != 0:
             raise ValueError(f"p={self.p} must divide e={self.e}")
+        if self.q < 0:
+            raise ValueError(f"q={self.q} must be nonnegative")
         if self.q:
             if self.e % self.q != 0:
                 raise ValueError(f"q={self.q} must divide e={self.e} (or be 0)")

@@ -30,6 +30,10 @@ Lambda do, which ties the sub-level Kostka data to the coset table.
 OmegaPrime and the fake degrees are class sums over the columns of X(0),
 computed over one common denominator by ``symfunc.weighted_gram``, the
 kernel shared with the Schur Gram matrix of a level.
+
+The coset phase of a character lives in ``CosetAlgebra._orbit_terms``:
+the tuple functions, X(0) and the Kostka assembly all read it, and
+``_power_terms`` is its counterpart for a class.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .combinatorics import (
     alpha_truncate,
     class_multiplicity,
     delta,
-    divide_condition,
     enumerate_class_params,
     ep_length,
     orbit_data,
@@ -161,9 +164,37 @@ class CosetAlgebra:
             perm.append(w)
         return perm
 
-    def phi_value(self, z, j):
-        """phi(tau^j) for the stabilizer character labelled z.phi."""
-        return self.zeta_pow(z.phi * self.params.d * j)
+    # -- orbit and power terms -----------------------------------------------
+
+    def _orbit_terms(self, z):
+        """The coset phase of the character z = (alpha, phi), in one place.
+
+        One term (j, i, a, k) per sub-level j that is a multiple of the orbit
+        size c and per orbit step i < c: a is the partition index of
+        theta^i(alpha) truncated at j, and zeta^k = phi(tau^j) zeta^(q i d)."""
+        params = self.params
+        orbit, c = orbit_data(z.alpha, params.p)
+        return [
+            (j, i, level.pindex[alpha_truncate(orbit[i], j, params)],
+             (z.phi * j + params.q * i) * params.d)
+            for j, level in self.levels.items() if j % c == 0 for i in range(c)
+        ]
+
+    def _power_terms(self, xi):
+        """The class side: one (j, g, c_j(xi)) per sub-level j where beta
+        divides, with g the partition index of beta[j] and
+        c_j(xi) = h^len zeta^(-(delta+b) j d)."""
+        params = self.params
+        terms = []
+        for j, level in self.levels.items():
+            divided = alpha_divide(xi.beta, j, params)
+            if divided is None:
+                continue
+            coeff = self.zeta_pow(-(delta(xi.beta) + xi.b) * j * params.d) * (
+                self.h_of[j] ** ep_length(divided)
+            )
+            terms.append((j, level.pindex[divided], coeff))
+        return terms
 
     # -- tuple functions ------------------------------------------------------
 
@@ -176,52 +207,38 @@ class CosetAlgebra:
     def tuple_monomial(self, z):
         return self._orbit_tuple(z, "monomial", self._unit)
 
-    def _unit(self, j, trunc):
-        return [(self.levels[j].pindex[trunc], self.one)]
+    def _unit(self, j, a):
+        return [(a, self.one)]
 
     def _orbit_tuple(self, z, basis, entries):
-        """Components phi(tau^j) sum_(i<c) zeta^(q i d) B_j(theta^i(alpha)
-        truncated at j), for j a multiple of the orbit size c; entries(j,
-        trunc) lists B_j(trunc) as (index, coefficient) pairs."""
-        params = self.params
-        orbit, c = orbit_data(z.alpha, params.p)
+        """Components sum zeta^k B_j(theta^i(alpha) truncated at j) over the
+        orbit terms (j, i, a, k) of z; entries(j, a) lists B_j of the
+        partition with index a as (index, coefficient) pairs."""
         comps = {}
-        for j, level in self.levels.items():
-            if j % c:
-                continue
-            vec = [self.zero] * level.size
-            phi = self.phi_value(z, j)
-            for i in range(c):
-                w = phi * self.zeta_pow(params.q * i * params.d)
-                for idx, val in entries(j, alpha_truncate(orbit[i], j, params)):
-                    vec[idx] = vec[idx] + val.scale_cyc(w)
-            comps[j] = (basis, vec)
-        return TupleFun(params, comps)
+        for j, _, a, k in self._orbit_terms(z):
+            _, vec = comps.setdefault(j, (basis, [self.zero] * self.levels[j].size))
+            w = self.zeta_pow(k)
+            for idx, val in entries(j, a):
+                vec[idx] = vec[idx] + val.scale_cyc(w)
+        return TupleFun(self.params, comps)
 
     def tuple_powersum(self, xi):
-        """Components h^len * zeta^(-(delta+b) j d) p_(beta[j])."""
-        params = self.params
+        """Components c_j(xi) p_(beta[j]) over the power terms of xi."""
         comps = {}
-        for j, level in self.levels.items():
-            if not divide_condition(xi.beta, j, params):
-                continue
-            divided = alpha_divide(xi.beta, j, params)
-            h = self.h_of[j]
-            coeff = self.zeta_pow(-(delta(xi.beta) + xi.b) * j * params.d) * (
-                h ** ep_length(divided)
-            )
-            vec = [self.zero] * level.size
-            vec[level.pindex[divided]] = TRat.from_cyc(coeff)
+        for j, g, coeff in self._power_terms(xi):
+            vec = [self.zero] * self.levels[j].size
+            vec[g] = TRat.from_cyc(coeff)
             comps[j] = ("powersum", vec)
-        return TupleFun(params, comps)
+        return TupleFun(self.params, comps)
 
     def tuple_hall_littlewood(self, z, sign):
         """Assembled from sub-level Hall-Littlewood functions, with the
         deformation parameter t^h in component j."""
 
-        def entries(j, trunc):
-            data = hl_data(self.levels[j], self.r)
-            row = (data.sp if sign > 0 else data.sm)[data.index(trunc)]
+        def entries(j, a):
+            level = self.levels[j]
+            data = hl_data(level, self.r)
+            row = (data.sp if sign > 0 else data.sm)[data.index(level.partitions[a])]
             h = self.h_of[j]
             return [
                 (idx, val if h == 1 else val.subst_power(h))
@@ -291,39 +308,31 @@ class CosetAlgebra:
 
         The tuple Schur functions are orthonormal at t = 0 and
         <p_gamma, s_delta> = chi_j[delta][gamma] on the sub-level at j, so
-        with c_j(xi) p_(beta[j]) the components of the tuple power sum
+        over the orbit terms (j, i, a, k) of z and the power terms
+        (j, g, c_j(xi)) of xi at a common j
 
-          X(0)[xi][z] = (1/p) sum_j c_j(xi) conj(phi_z(tau^j))
-                        sum_(i<c) zeta^(-q i d) chi_j[theta^i(alpha){j}][beta[j]],
+          X(0)[xi][z] = (1/p) sum c_j(xi) zeta^(-k) chi_j[a][g].
 
-        j running over the multiples of the orbit size c where beta
-        divides.  Rows are class params, columns char params."""
-        params = self.params
+        Rows are class params, columns char params."""
         chi = {
             j: [[v.to_cyc() for v in row] for row in level.char_table()]
             for j, level in self.levels.items()
         }
-        # per char: (j, row of chi_j, conj(phi_z(tau^j)) zeta^(-q i d))
-        schur_terms = []
-        for z in self.chars:
-            orbit, c = orbit_data(z.alpha, params.p)
-            schur_terms.append([
-                (j, self.levels[j].pindex[alpha_truncate(orbit[i], j, params)],
-                 self.zeta_pow(-(z.phi * j + params.q * i) * params.d))
-                for j in self.levels if j % c == 0 for i in range(c)
-            ])
-        inv_p = Fraction(1, params.p)
+        # per char: (j, row of chi_j, zeta^(-k))
+        schur_terms = [
+            [(j, a, self.zeta_pow(-k)) for j, _, a, k in self._orbit_terms(z)]
+            for z in self.chars
+        ]
+        inv_p = Fraction(1, self.params.p)
         table = []
         for xi in self.class_params:
-            power = {
-                j: [(g, v.to_cyc()) for g, v in enumerate(vec) if not v.is_zero()]
-                for j, (_, vec) in self.tuple_powersum(xi).comps.items()
-            }
+            power = {j: (g, cval) for j, g, cval in self._power_terms(xi)}
             row = []
             for terms in schur_terms:
                 acc = self.field.zero
                 for j, a, w in terms:
-                    for g, cval in power.get(j, ()):
+                    if j in power:
+                        g, cval = power[j]
                         acc = acc + cval * w * chi[j][a][g]
                 row.append(acc * inv_p)
             table.append(row)
@@ -387,54 +396,45 @@ class CosetAlgebra:
         return self._kostka[key]
 
     def kostka_assembled(self, sign):
-        """The block assembly from sub-level Kostka matrices: for
-        z = (alpha, phi_f), z' = (alpha', phi'_g) with orbit sizes c, c',
+        """The block assembly from sub-level Kostka matrices: for z with
+        orbit size c and z', summed over the orbit terms (j, 0, a, k) of z
+        and (j, i', a', k') of z' at a common sub-level j,
 
-          K[z,z'] = (c/p) sum_(i < p/c') zeta^(d c' i (f-g)) L^(c' i)
+          K[z,z'] = (c/p) sum zeta^(k - k') K_(level j)[a, a']
 
-        where L^j sums zeta^(-q i' d) K_(level j)[alpha{j}, theta^i'(alpha'){j}]
-        (parameter t^h) over the orbit of alpha', and vanishes unless the
-        truncations exist at j."""
+        with the sub-level matrix indexed by partition and taken at the
+        parameter t^h."""
         key = ("assembled", sign)
         if key not in self._kostka:
-            params = self.params
-            p, d, q = params.p, params.d, params.q
             base = {}
             for j, level in self.levels.items():
-                data = hl_data(level, self.r)
-                kmat = _kostka_by_partition(level, data, sign)
-                base[j] = (data, kmat)
+                kmat = kostka_matrix(level, self.r, sign).entries
+                order = hl_data(level, self.r).order
+                pos = [order.index(alpha) for alpha in level.partitions]
+                h = self.h_of[j]
+                base[j] = [
+                    [kmat[x][y] if h == 1 or kmat[x][y].is_zero()
+                     else kmat[x][y].subst_power(h) for y in pos]
+                    for x in pos
+                ]
+            terms = [self._orbit_terms(z) for z in self.chars]
             size = len(self.chars)
             out = [[self.zero] * size for _ in range(size)]
             for zi, z in enumerate(self.chars):
-                orbit_z, c = orbit_data(z.alpha, params.p)
-                for wi, w in enumerate(self.chars):
-                    orbit_w, cw = orbit_data(w.alpha, params.p)
+                # z.alpha leads its orbit, so its own terms are the i = 0 ones
+                lead = {j: (a, k) for j, i, a, k in terms[zi] if i == 0}
+                c = orbit_data(z.alpha, self.params.p)[1]
+                scale = self.field.from_rational(Fraction(c, self.params.p))
+                for wi, w_terms in enumerate(terms):
                     acc = self.zero
-                    for i in range(p // cw):
-                        j = cw * i
-                        if j % c or j not in self.levels:
+                    for j, _, b, kw in w_terms:
+                        if j not in lead:
                             continue
-                        h = self.h_of[j]
-                        level = self.levels[j]
-                        kmat = base[j][1]
-                        trunc_z = alpha_truncate(z.alpha, j, params)
-                        lval = self.zero
-                        for ip in range(cw):
-                            trunc_w = alpha_truncate(orbit_w[ip], j, params)
-                            entry = kmat[(trunc_z, trunc_w)]
-                            if entry.is_zero():
-                                continue
-                            if h != 1:
-                                entry = entry.subst_power(h)
-                            lval = lval + entry.scale_cyc(
-                                self.zeta_pow(-q * ip * d)
-                            )
-                        if lval.is_zero():
-                            continue
-                        phase = self.zeta_pow(d * cw * i * (z.phi - w.phi))
-                        acc = acc + lval.scale_cyc(phase)
-                    out[zi][wi] = acc.scale_cyc(self.field.from_rational(Fraction(c, p)))
+                        a, k = lead[j]
+                        entry = base[j][a][b]
+                        if not entry.is_zero():
+                            acc = acc + entry.scale_cyc(self.zeta_pow(k - kw))
+                    out[zi][wi] = acc.scale_cyc(scale)
             self._kostka[key] = out
         return self._kostka[key]
 
@@ -567,16 +567,6 @@ class CosetAlgebra:
             omega_prime=LabeledMatrix(labels, labels, omega, blocks, blocks),
             residual_zero=residual_zero,
         )
-
-
-def _kostka_by_partition(level, data, sign):
-    """Sub-level Kostka entries keyed by (row partition, column partition)."""
-    k = kostka_matrix(level, data.r, sign).entries
-    return {
-        (ai, aj): k[i][j]
-        for i, ai in enumerate(data.order)
-        for j, aj in enumerate(data.order)
-    }
 
 
 @dataclass

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from greenrefl import cli
 from greenrefl.cli import main
 from greenrefl.exact_arith import TRat
 
@@ -101,14 +102,26 @@ def test_verify_passes(capsys):
     assert "Kostka entries are polynomial" in out
 
 
-def test_verify_skips_the_oracle_table_for_a_twisted_coset(capsys):
+def test_verify_skips_the_oracle_table_for_a_twisted_coset(capsys, monkeypatch):
     line = "coset table matches the brute-force character table"
+    fake = "fake degrees are polynomials with natural coefficients"
+    centralizers = "centralizer orders match brute force"
     code, out = run(capsys, "verify", "--e", "2", "--p", "2", "--n", "2", "--q", "1")
     assert code == 0
     assert f"[skip] {line}" in out
+    assert f"[skip] {fake}" in out
     code, out = run(capsys, "verify", "--e", "2", "--p", "2", "--n", "2")
     assert code == 0
     assert f"[  ok] {line}" in out
+    assert f"[  ok] {fake}" in out
+    assert f"[  ok] {centralizers}" in out
+    # above the size cap the brute-force checks show up as skipped too
+    monkeypatch.setattr(cli, "SIZE_CAP", 3)     # |G(2,2,2)| = 4
+    code, out = run(capsys, "verify", "--e", "2", "--p", "2", "--n", "2")
+    assert code == 0
+    assert f"[skip] {line}" in out
+    assert f"[skip] {centralizers}" in out
+    assert f"[  ok] {fake}" in out
 
 
 def test_invalid_parameters(capsys):
@@ -118,6 +131,10 @@ def test_invalid_parameters(capsys):
     with pytest.raises(SystemExit) as info:
         run(capsys, "green", "--e", "4", "--p", "2", "--n", "2", "--q", "2")
     assert "coprime" in str(info.value)
+    # q = -1 would run the coset sigma^2 W, which q = 2 is refused for
+    with pytest.raises(SystemExit) as info:
+        run(capsys, "green", "--e", "3", "--p", "3", "--n", "2", "--q", "-1")
+    assert "nonnegative" in str(info.value)
 
 
 def test_size_guard(capsys):

@@ -167,7 +167,7 @@ def test_tuple_pairing_phi_factors():
                     u = alg.component_p_coords(fq, j)
                     v = alg.component_p_coords(fm, j)
                     pairing = level.scalar_from_p(u, v, subst=alg.h_of[j])
-                    phase = alg.phi_value(z, j) * alg.phi_value(w, j).conjugate()
+                    phase = alg.field.zeta((z.phi - w.phi) * params.d * j % params.e)
                     assert pairing == TRat.from_cyc(phase * c), (z, w, j)
 
 
@@ -268,6 +268,30 @@ def test_linear_character_tells_the_coset_table_from_its_conjugate():
         for row, xi in zip(alg.coset_table(), alg.class_params):
             _, colours = group.element_for_class_param(xi.beta, xi.b)
             assert row[col] == alg.field.zeta(sum(colours)), (e, p, n, xi)
+
+
+def test_sigma_conjugation_steps_the_phi_label():
+    # sigma = diag(zeta_e, 1, ..., 1) normalizes W and tensors the stabilizer
+    # character by one step: chi_(alpha,phi)(sigma w sigma^-1) = chi_(alpha,phi+1)(w);
+    # a table with its phi labels reversed passes every row-set comparison
+    for e, p, n in [(3, 3, 3), (6, 3, 3), (6, 6, 3), (4, 4, 4)]:
+        params = GroupParams(e, p, n, 0)
+        alg = coset_algebra(params)
+        group = BruteForceGroup(params)
+        sigma = (tuple(range(n)), (1,) + (0,) * (n - 1))
+        reps = [group.element_for_class_param(xi.beta, xi.b) for xi in alg.class_params]
+        row_of = {group.class_index_of(w): x for x, w in enumerate(reps)}
+        image = [
+            row_of[group.class_index_of(e_mul(e_mul(sigma, w, e), e_inv(sigma, e), e))]
+            for w in reps
+        ]
+        col_of = {z: zi for zi, z in enumerate(alg.chars)}
+        table = alg.coset_table()
+        for zi, z in enumerate(alg.chars):
+            c = orbit_data(z.alpha, p)[1]
+            step = col_of[CharParam(z.alpha, (z.phi + 1) % (p // c))]
+            for x, y in enumerate(image):
+                assert table[y][zi] == table[x][step], (e, p, n, z, x)
 
 
 def stacked_solve_table(alg):
@@ -490,15 +514,15 @@ def test_kostka_structure():
 
 def test_cor_4_10_special_case():
     # both stabilizers trivial: K[z,z'] = sum_i zeta^(-qid) K_base[alpha, theta^i(alpha')]
-    from greenrefl.wreath import hl_data
-    from greenrefl.gepn import _kostka_by_partition
-
     params = GroupParams(2, 2, 3, 0)
     alg = coset_algebra(params)
     level = alg.levels[0]
-    data = hl_data(level, 2)
+    order = wreath.hl_data(level, 2).order
     for sign in (+1, -1):
-        base = _kostka_by_partition(level, data, sign)
+        k = wreath.kostka_matrix(level, 2, sign).entries
+        base = {
+            (ai, aj): k[i][j] for i, ai in enumerate(order) for j, aj in enumerate(order)
+        }
         mat = alg.kostka_assembled(sign)
         for zi, z in enumerate(alg.chars):
             for wi, w in enumerate(alg.chars):
