@@ -312,26 +312,19 @@ def cmd_verify(args):
     # the twisted class sums are not polynomials yet (ROADMAP item 1)
     check("fake degrees are polynomials with natural coefficients", fake_ok, params.q == 0)
 
-    def oracle_table_ok():
-        from math import gcd
+    # the brute-force group is built only up to SIZE_CAP elements, and it has
+    # no character table of a coset yet
+    small = params.order <= SIZE_CAP
+    group = BruteForceGroup(params) if small else None
 
-        group = BruteForceGroup(params)
+    def oracle_table_ok():
         table = coset_char_table(params, args.r)
-        oracle_table = group.character_table()
-        big = oracle_table[0][0].field.e
-        lcm = big * params.e // gcd(big, params.e)
-        col_map = [
-            group.class_index_of(group.element_for_class_param(xi.beta, xi.b))
-            for xi in table.cols
-        ]
-        lib = {tuple(v.embed(lcm) for v in row) for row in table.entries}
-        ora = {
-            tuple(row[c].embed(lcm) for c in col_map) for row in oracle_table
-        }
-        return lib == ora
+        problems = group.table_problems(table.rows, table.cols, table.entries)
+        if problems:                   # check() prints them on the [FAIL] line
+            raise AssertionError("; ".join(problems))
+        return True
 
     def centralizers_ok():
-        group = BruteForceGroup(params)
         for xi in enumerate_class_params(params):
             w = group.element_for_class_param(xi.beta, xi.b)
             if z_coset(xi, params, args.r).centralizer != group.centralizer_order(
@@ -340,9 +333,6 @@ def cmd_verify(args):
                 return False
         return True
 
-    # the brute-force group is built only up to SIZE_CAP elements, and it has
-    # no character table of a coset yet
-    small = params.order <= SIZE_CAP
     check("coset table matches the brute-force character table", oracle_table_ok,
           small and params.q == 0)
     check("centralizer orders match brute force", centralizers_ok, small)

@@ -763,10 +763,10 @@ class TRat:
         return TRat(num, den)
 
     def subst_power(self, k):
-        """t -> t^k."""
+        """t -> t^k; coprime num and den stay coprime, a monic den stays monic."""
         if k == 1:
             return self
-        return TRat(self.num.subst_power(k), self.den.subst_power(k))
+        return TRat(self.num.subst_power(k), self.den.subst_power(k), reduce=False)
 
     def eval_zero(self):
         """Value at t = 0 (denominator must not vanish there)."""

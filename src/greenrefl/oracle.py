@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from math import gcd, isqrt
+from math import isqrt, lcm
 
-from .combinatorics import GroupParams
+from .combinatorics import CharParam, GroupParams, ep_str, orbit_data
 from .exact_arith import CycField
 
 SIZE_CAP = 10 ** 6
@@ -63,13 +63,7 @@ class BruteForceGroup:
         self.e = e
         self.n = n
         self.identity = (tuple(range(n)), (0,) * n)
-        self.elements = [
-            (perm, colors)
-            for perm in permutations(range(n))
-            for colors in product(range(e), repeat=n)
-            if sum(colors) % p == 0
-        ]
-        self.index = {w: i for i, w in enumerate(self.elements)}
+        self.elements = self.coset_elements(0)
         gens = []
         for i in range(n - 1):
             perm = list(range(n))
@@ -86,7 +80,6 @@ class BruteForceGroup:
         if not gens:
             gens.append((tuple(range(n)), (p % e,) + (0,) * (n - 1)))
         self.generators = [g for g in gens if sum(g[1]) % p == 0]
-        self._classes = None
         self._coset_orbits = {}
         self._char_table = None
 
@@ -97,9 +90,7 @@ class BruteForceGroup:
     # -- conjugacy classes and coset orbits ---------------------------------
 
     def conjugacy_classes(self):
-        if self._classes is None:
-            self._classes = self._orbits(self.elements)
-        return self._classes
+        return self.coset_orbits(0)
 
     def coset_elements(self, q):
         e, p, n = self.e, self.params.p, self.n
@@ -112,8 +103,15 @@ class BruteForceGroup:
 
     def coset_orbits(self, q):
         """W-orbits on the coset sigma^q W under conjugation."""
+        return self._orbit_data(q)[0]
+
+    def _orbit_data(self, q):
+        """(orbits on sigma^q W, {element: index of its orbit})."""
+        q %= self.params.p
         if q not in self._coset_orbits:
-            self._coset_orbits[q] = self._orbits(self.coset_elements(q))
+            orbits = self._orbits(self.coset_elements(q) if q else self.elements)
+            index = {w: i for i, orbit in enumerate(orbits) for w in orbit}
+            self._coset_orbits[q] = orbits, index
         return self._coset_orbits[q]
 
     def _orbits(self, pool):
@@ -139,11 +137,7 @@ class BruteForceGroup:
         return orbits
 
     def centralizer_order(self, w, q=None):
-        pool = self.coset_orbits(q) if q is not None else self.conjugacy_classes()
-        for orbit in pool:
-            if w in orbit:
-                return self.order // len(orbit)
-        raise ValueError("element not in the requested coset")
+        return self.order // len(self.coset_orbits(q or 0)[self.class_index_of(w, q)])
 
     # -- canonical class representatives -------------------------------------
 
@@ -172,20 +166,15 @@ class BruteForceGroup:
         return tuple(perm), tuple(colors)
 
     def class_index_of(self, w, q=None):
-        pool = self.coset_orbits(q) if q is not None else self.conjugacy_classes()
-        for i, orbit in enumerate(pool):
-            if w in orbit:
-                return i
-        raise ValueError("element not found")
+        try:
+            return self._orbit_data(q or 0)[1][w]
+        except KeyError:
+            raise ValueError("element not in the requested coset") from None
 
     # -- Dixon character table ------------------------------------------------
 
     def exponent(self):
-        m = 1
-        for cls in self.conjugacy_classes():
-            o = element_order(cls[0], self.e)
-            m = m * o // gcd(m, o)
-        return m
+        return lcm(*(element_order(cls[0], self.e) for cls in self.conjugacy_classes()))
 
     def character_table(self):
         """Exact character table: rows are irreducible characters (in a
@@ -194,6 +183,67 @@ class BruteForceGroup:
         if self._char_table is None:
             self._char_table = _dixon(self)
         return self._char_table
+
+    def table_problems(self, rows, cols, entries):
+        """What is wrong with a character table of W, by the Dixon table;
+        ``[]`` when nothing is.
+
+        ``rows`` are ``CharParam``s, ``cols`` ``ClassParam``s (the class of
+        ``element_for_class_param``) and ``entries[row][col]`` lie in
+        Q(zeta_e).  Three checks, each seeing a fault the others miss:
+
+        * the rows, as a set, are the Dixon rows (blind to the labels);
+        * w -> zeta_e^(sum of the colours of w) and w -> trace(w) are the
+          characters (();(n);();...) and ((n-1);(1);();...) of G(e,1,n), so
+          the rows whose orbit holds that label sum to them on W; a table
+          conjugated as a whole fails this where they are not real;
+        * conjugation by sigma = diag(zeta_e, 1, ..., 1) takes the values of
+          (alpha, phi) to those of (alpha, phi + 1 mod p/c), which a table
+          with its phi labels permuted fails.
+        """
+        if self.params.q:
+            raise ValueError("the brute-force character table is one of W, not of a coset")
+        e, p, n = self.e, self.params.p, self.n
+        dixon = self.character_table()
+        reps = [self.element_for_class_param(xi.beta, xi.b) for xi in cols]
+        classes = [self.class_index_of(w) for w in reps]
+        col_of = {c: x for x, c in enumerate(classes)}
+        k = len(dixon)
+        if not len(rows) == len(set(rows)) == len(entries) == len(col_of) == k:
+            return [f"the table is not {k} distinct characters on {k} classes"]
+        common = lcm(dixon[0][0].field.e, e)          # values compared in Q(zeta_common)
+        zero, problems = CycField(common).zero, []
+        ours = {tuple(v.embed(common) for v in row) for row in entries}
+        theirs = {tuple(row[c].embed(common) for c in classes) for row in dixon}
+        if ours != theirs:
+            problems.append("the rows differ from the Dixon table")
+        if e >= 2:
+            cyc, blank = CycField(e), ((),) * (e - 2)
+            known = {((), (n,)) + blank: lambda perm, colours: cyc.zeta(sum(colours))}
+            if n >= 2:
+                known[((n - 1,), (1,)) + blank] = lambda perm, colours: sum(
+                    (cyc.zeta(c) for i, c in enumerate(colours) if perm[i] == i), cyc.zero
+                )
+            for alpha, value in known.items():
+                mine = [row for z, row in zip(rows, entries) if alpha in orbit_data(z.alpha, p)[0]]
+                bad = [
+                    xi.label() for x, (xi, w) in enumerate(zip(cols, reps))
+                    if sum((row[x].embed(common) for row in mine), zero) != value(*w).embed(common)
+                ]
+                if bad:
+                    problems.append(f"the rows of {ep_str(alpha)} are not its character on {bad[0]}")
+        sigma = (tuple(range(n)), (1,) + (0,) * (n - 1))
+        image = [
+            col_of[self.class_index_of(e_mul(e_mul(sigma, w, e), e_inv(sigma, e), e))]
+            for w in reps
+        ]
+        row_of = {z: i for i, z in enumerate(rows)}
+        for z, row in zip(rows, entries):
+            c = orbit_data(z.alpha, p)[1]
+            step = row_of.get(CharParam(z.alpha, (z.phi + 1) % (p // c)))
+            if step is None or any(row[y] != entries[step][x] for x, y in enumerate(image)):
+                problems.append(f"conjugation by sigma does not step the phi label of {z.label()}")
+        return problems
 
 
 def _find_prime(modulus, lower):
@@ -206,40 +256,47 @@ def _find_prime(modulus, lower):
         k += 1
 
 
+def _reduce_mod_p(rows, width, p):
+    """Gauss-Jordan elimination over F_p on the first ``width`` columns of
+    ``rows``, in place; returns the pivot column of each leading row."""
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((rr for rr in range(r, len(rows)) if rows[rr][col] % p), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for rr in range(len(rows)):
+            if rr != r and rows[rr][col] % p:
+                f = rows[rr][col]
+                rows[rr] = [(x - f * y) % p for x, y in zip(rows[rr], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
 def _kernel_mod_p(matrix, p):
     """Basis of the kernel of a square matrix over F_p."""
     k = len(matrix)
     a = [row[:] for row in matrix]
-    piv_col_of_row = []
-    row = 0
-    for col in range(k):
-        piv = None
-        for r in range(row, k):
-            if a[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], p - 2, p)
-        a[row] = [(x * inv) % p for x in a[row]]
-        for r in range(k):
-            if r != row and a[r][col] % p:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[row])]
-        piv_col_of_row.append(col)
-        row += 1
-    pivots = set(piv_col_of_row)
+    pivots = _reduce_mod_p(a, k, p)
     basis = []
-    for col in range(k):
-        if col in pivots:
-            continue
-        vec = [0] * k
-        vec[col] = 1
-        for r, pc in enumerate(piv_col_of_row):
+    for col in (c for c in range(k) if c not in pivots):
+        vec = [int(c == col) for c in range(k)]
+        for r, pc in enumerate(pivots):
             vec[pc] = (-a[r][col]) % p
         basis.append(vec)
     return basis
+
+
+def _solve_mod_p(a, b, p):
+    """Solve a x = b mod p for full-column-rank a (k x d), b (k x c)."""
+    d = len(a[0])
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    if len(_reduce_mod_p(rows, d, p)) < d:
+        raise ArithmeticError("singular system")
+    return [row[d:] for row in rows[:d]]
 
 
 def _dixon(group):
@@ -247,10 +304,7 @@ def _dixon(group):
     k = len(classes)
     reps = [cls[0] for cls in classes]
     sizes = [len(cls) for cls in classes]
-    class_of = {}
-    for i, cls in enumerate(classes):
-        for w in cls:
-            class_of[w] = i
+    class_of = group._orbit_data(0)[1]
     e = group.e
     inv_class = [class_of[e_inv(rep, e)] for rep in reps]
 
@@ -278,10 +332,9 @@ def _dixon(group):
             # restriction N of the matrix to the subspace: columns of N solve
             # M b_i = sum_j N[j][i] b_j;  set up the k x d system once
             d = len(basis)
-            images = []
-            for b in basis:
-                img = [sum(mat[r][c] * b[c] for c in range(k)) % p for r in range(k)]
-                images.append(img)
+            images = [
+                [sum(mat[r][c] * b[c] for c in range(k)) % p for r in range(k)] for b in basis
+            ]
             # solve for coordinates of each image in the row space
             bt = [[basis[j][r] for j in range(d)] for r in range(k)]
             coords = _solve_mod_p(bt, [[img[r] for img in images] for r in range(k)], p)
@@ -294,15 +347,10 @@ def _dixon(group):
                 ]
                 ker = _kernel_mod_p(shifted, p)
                 if ker:
-                    sub = []
-                    for coeffs in ker:
-                        vec = [0] * k
-                        for j, cf in enumerate(coeffs):
-                            if cf:
-                                for r in range(k):
-                                    vec[r] = (vec[r] + cf * basis[j][r]) % p
-                        sub.append(vec)
-                    new_spaces.append(sub)
+                    new_spaces.append([
+                        [sum(cf * b[r] for cf, b in zip(coeffs, basis)) % p for r in range(k)]
+                        for coeffs in ker
+                    ])
                     seen += len(ker)
                     if seen == d:
                         break
@@ -318,7 +366,6 @@ def _dixon(group):
     # normalize: the central character takes value |C_i| chi(g_i)/chi(1),
     # so the coordinate at the identity class is 1
     table_mod = []
-    degrees = []
     for ray in rays:
         if ray[ident] % p == 0:
             raise ArithmeticError("degenerate ray")
@@ -329,33 +376,22 @@ def _dixon(group):
         for j in range(k):
             denom = (denom + w[j] * w[inv_class[j]] * pow(sizes[j], p - 2, p)) % p
         val = (group.order % p) * pow(denom, p - 2, p) % p
-        deg = None
-        for cand in range(1, isqrt(group.order) + 1):
-            if (cand * cand) % p == val:
-                deg = cand
-                break
+        deg = next((c for c in range(1, isqrt(group.order) + 1) if c * c % p == val), None)
         if deg is None:
             raise ArithmeticError("could not recover a character degree")
-        degrees.append(deg)
-        row = [
-            (w[j] * deg % p) * pow(sizes[j], p - 2, p) % p for j in range(k)
-        ]
-        table_mod.append(row)
+        table_mod.append([(w[j] * deg % p) * pow(sizes[j], p - 2, p) % p for j in range(k)])
 
     # lift to Q(zeta_m): chi(g) = sum_l a_l zeta_o^l with
     # a_l = (1/o) sum_s chi^(g^s) z_o^(-l s) mod p, each a_l a small integer
     field = CycField(m)
     z = _element_of_order(m, p)
     orders = [element_order(rep, e) for rep in reps]
-    power_class = []
+    power_class = []                       # power_class[j][s]: the class of rep_j^s
     for rep, o in zip(reps, orders):
-        pc = []
-        cur = group.identity
-        for _ in range(o):
-            pc.append(class_of[cur])
-            cur = e_mul(cur, rep, e)
-        # pc[s] = class of rep^s with pc[0] the identity class
-        power_class.append(pc)
+        powers = [group.identity]
+        while len(powers) < o:
+            powers.append(e_mul(powers[-1], rep, e))
+        power_class.append([class_of[w] for w in powers])
 
     table = []
     for row_mod in table_mod:
@@ -364,7 +400,7 @@ def _dixon(group):
             o = orders[j]
             zo = pow(z, m // o, p)
             inv_o = pow(o, p - 2, p)
-            val = CycField(m).zero
+            val = field.zero
             for l in range(o):
                 acc = 0
                 for s in range(o):
@@ -379,46 +415,14 @@ def _dixon(group):
     return table
 
 
-def _solve_mod_p(a, b, p):
-    """Solve a x = b mod p for full-column-rank a (k x d), b (k x c)."""
-    k, d = len(a), len(a[0])
-    c = len(b[0])
-    rows = [a[i][:] + b[i][:] for i in range(k)]
-    r = 0
-    piv_cols = []
-    for col in range(d):
-        piv = None
-        for rr in range(r, k):
-            if rows[rr][col] % p:
-                piv = rr
-                break
-        if piv is None:
-            raise ArithmeticError("singular system")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for rr in range(k):
-            if rr != r and rows[rr][col] % p:
-                f = rows[rr][col]
-                rows[rr] = [(x - f * y) % p for x, y in zip(rows[rr], rows[r])]
-        piv_cols.append(col)
-        r += 1
-    return [rows[i][d:] for i in range(d)]
-
-
 def _element_of_order(m, p):
     """An element of exact multiplicative order m in F_p (m | p-1)."""
-    for g in range(2, p):
+    primes = [
+        q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, isqrt(q) + 1))
+    ]
+    for g in range(1, p):
         x = pow(g, (p - 1) // m, p)
-        if x == 1:
-            continue
-        ok = True
-        for q in range(2, m + 1):
-            if m % q == 0 and all(q % r for r in range(2, isqrt(q) + 1)):
-                if pow(x, m // q, p) == 1:
-                    ok = False
-                    break
-        if ok:
+        if all(pow(x, m // q, p) != 1 for q in primes):
             return x
     raise ArithmeticError("no element of the requested order")
 

@@ -336,22 +336,11 @@ def test_criterion_7_orthogonality_and_oracle():
         alg = coset_algebra(params, 2)
         ok = ok and alg.orthogonality_holds()
         if q == 0:
-            from math import gcd
-
-            group = BruteForceGroup(params)
             table = coset_char_table(params, 2)
-            oracle_table = group.character_table()
-            big = oracle_table[0][0].field.e
-            lcm = big * e // gcd(big, e)
-            col_map = [
-                group.class_index_of(group.element_for_class_param(xi.beta, xi.b))
-                for xi in table.cols
-            ]
-            lib = {tuple(v.embed(lcm) for v in row) for row in table.entries}
-            ora = {
-                tuple(row[c].embed(lcm) for c in col_map) for row in oracle_table
-            }
-            ok = ok and lib == ora
+            problems = BruteForceGroup(params).table_problems(
+                table.rows, table.cols, table.entries
+            )
+            ok = ok and problems == []
     report("7 (orthogonality on the grid; q=0 tables match brute force)", ok)
 
 

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from greenrefl import cli
+from greenrefl import cli, gepn
 from greenrefl.cli import main
 from greenrefl.exact_arith import TRat
+
+from test_oracle import conjugated, phi_swapped
 
 
 def run(capsys, *argv):
@@ -122,6 +124,28 @@ def test_verify_skips_the_oracle_table_for_a_twisted_coset(capsys, monkeypatch):
     assert f"[skip] {line}" in out
     assert f"[skip] {centralizers}" in out
     assert f"[  ok] {fake}" in out
+
+
+def test_verify_on_a_trivial_group(capsys):
+    # G(3,3,1) has one element, so its Dixon table is [[1]] over Q
+    code, out = run(capsys, "verify", "--e", "3", "--p", "3", "--n", "1")
+    assert code == 0
+    assert "[  ok] coset table matches the brute-force character table" in out
+
+
+@pytest.mark.parametrize("e, p, n, wrong", [
+    (3, 3, 3, phi_swapped),     # the rows of (alpha, phi) and (alpha, -phi) swapped
+    (6, 2, 2, conjugated),      # every value complex-conjugated
+])
+def test_verify_fails_on_a_mislabelled_table(capsys, monkeypatch, e, p, n, wrong):
+    # both tables have the rows of the right one, under the wrong labels
+    monkeypatch.setattr(
+        cli, "coset_char_table", lambda params, r: wrong(gepn.coset_char_table(params, r))
+    )
+    code, out = run(capsys, "verify", "--e", str(e), "--p", str(p), "--n", str(n))
+    assert code == 1
+    assert "[FAIL] coset table matches the brute-force character table" in out
+    assert out.count("[FAIL]") == 1
 
 
 def test_invalid_parameters(capsys):

@@ -200,6 +200,27 @@ def test_trat_subst_power_and_eval():
     t3 = TRat.t(field, 3)
     assert g == (t3 + TRat.rational(1, 2)) / (t3 * t3)
     assert (t + TRat.rational(1, 2)).eval_zero() == field.one
+    # t -> t^k keeps a reduced fraction reduced, so subst_power skips the
+    # gcd; it must equal the fully reduced construction
+    rng = random.Random(20261018)
+    for e in (1, 2, 3, 4, 6):
+        field = CycField(e)
+
+        def poly():
+            return TPoly(field, [
+                sum((field.zeta(j) * rng.randint(-2, 2) for j in range(field.degree)), field.zero)
+                for _ in range(rng.randint(1, 4))
+            ])
+
+        for _ in range(20):
+            num, den, common = poly(), poly(), poly()
+            if den.is_zero() or common.is_zero():
+                continue
+            f = TRat(num * common, den * common)
+            for k in (2, 3, 5):
+                want = TRat(f.num.subst_power(k), f.den.subst_power(k))
+                assert f.subst_power(k) == want, (e, f, k)
+                assert want == TRat(num.subst_power(k), den.subst_power(k))
 
 
 def test_trat_conjugate():

@@ -12,7 +12,6 @@ from greenrefl.combinatorics import (
     delta,
     enumerate_class_params,
     ep_length,
-    orbit_data,
     theta,
 )
 from greenrefl.exact_arith import CycField, TPoly, TRat
@@ -30,10 +29,11 @@ from greenrefl.gepn import (
     xj_variables,
     z_coset,
 )
-from greenrefl.oracle import BruteForceGroup, e_inv, e_mul
+from greenrefl.oracle import BruteForceGroup
 from greenrefl.symfunc import Level, SymPoly, VarSpace
 
 from test_acceptance import GRID
+from test_oracle import conjugated, phi_swapped, table_problems
 
 P = lambda *comps: tuple(tuple(c) for c in comps)
 
@@ -221,24 +221,8 @@ def test_coset_table_trivial_character_column():
 
 def test_coset_table_matches_oracle():
     for e, p, n in [(2, 2, 2), (2, 2, 3), (3, 3, 2), (3, 3, 3), (4, 2, 2)]:
-        params = GroupParams(e, p, n, 0)
-        table = coset_char_table(params)
-        group = BruteForceGroup(params)
-        oracle_table = group.character_table()
-        big = oracle_table[0][0].field.e
-        lcm = big * e // __import__("math").gcd(big, e)
-        # align columns: class param -> oracle class index
-        col_map = [
-            group.class_index_of(group.element_for_class_param(xi.beta, xi.b))
-            for xi in table.cols
-        ]
-        lib_rows = {
-            tuple(v.embed(lcm) for v in row) for row in table.entries
-        }
-        ora_rows = {
-            tuple(row[c].embed(lcm) for c in col_map) for row in oracle_table
-        }
-        assert lib_rows == ora_rows, (e, p, n)
+        table = coset_char_table(GroupParams(e, p, n, 0))
+        assert table_problems(table) == [], (e, p, n)
 
 
 STACKED_SOLVE_CASES = (
@@ -258,16 +242,11 @@ def test_linear_character_tells_the_coset_table_from_its_conjugate():
     # whose orbit holds (();(n);();...); its values are non-real here, so a
     # table conjugated as a whole fails where row-set comparisons pass
     for e, p, n in [(6, 2, 2), (6, 2, 3)]:
-        params = GroupParams(e, p, n, 0)
-        alg = coset_algebra(params)
-        group = BruteForceGroup(params)
-        alpha = ((), (n,)) + ((),) * (e - 2)
-        [col] = [
-            zi for zi, z in enumerate(alg.chars) if alpha in orbit_data(z.alpha, p)[0]
-        ]
-        for row, xi in zip(alg.coset_table(), alg.class_params):
-            _, colours = group.element_for_class_param(xi.beta, xi.b)
-            assert row[col] == alg.field.zeta(sum(colours)), (e, p, n, xi)
+        table = coset_char_table(GroupParams(e, p, n, 0))
+        assert table_problems(table) == [], (e, p, n)
+        problems = table_problems(conjugated(table))
+        assert problems, (e, p, n)
+        assert all(m.startswith("the rows of") for m in problems), problems
 
 
 def test_sigma_conjugation_steps_the_phi_label():
@@ -275,23 +254,11 @@ def test_sigma_conjugation_steps_the_phi_label():
     # character by one step: chi_(alpha,phi)(sigma w sigma^-1) = chi_(alpha,phi+1)(w);
     # a table with its phi labels reversed passes every row-set comparison
     for e, p, n in [(3, 3, 3), (6, 3, 3), (6, 6, 3), (4, 4, 4)]:
-        params = GroupParams(e, p, n, 0)
-        alg = coset_algebra(params)
-        group = BruteForceGroup(params)
-        sigma = (tuple(range(n)), (1,) + (0,) * (n - 1))
-        reps = [group.element_for_class_param(xi.beta, xi.b) for xi in alg.class_params]
-        row_of = {group.class_index_of(w): x for x, w in enumerate(reps)}
-        image = [
-            row_of[group.class_index_of(e_mul(e_mul(sigma, w, e), e_inv(sigma, e), e))]
-            for w in reps
-        ]
-        col_of = {z: zi for zi, z in enumerate(alg.chars)}
-        table = alg.coset_table()
-        for zi, z in enumerate(alg.chars):
-            c = orbit_data(z.alpha, p)[1]
-            step = col_of[CharParam(z.alpha, (z.phi + 1) % (p // c))]
-            for x, y in enumerate(image):
-                assert table[y][zi] == table[x][step], (e, p, n, z, x)
+        table = coset_char_table(GroupParams(e, p, n, 0))
+        assert table_problems(table) == [], (e, p, n)
+        problems = table_problems(phi_swapped(table))
+        assert problems, (e, p, n)
+        assert all(m.startswith("conjugation by sigma does not step") for m in problems)
 
 
 def stacked_solve_table(alg):

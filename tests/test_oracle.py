@@ -1,7 +1,14 @@
 import pytest
 
-from greenrefl.combinatorics import GroupParams, enumerate_char_params, enumerate_class_params
+from greenrefl.combinatorics import (
+    CharParam,
+    GroupParams,
+    enumerate_char_params,
+    enumerate_class_params,
+    orbit_data,
+)
 from greenrefl.exact_arith import CycField
+from greenrefl.gepn import CosetTable, coset_char_table
 from greenrefl.oracle import (
     BruteForceGroup,
     brute_force_oracle,
@@ -11,6 +18,29 @@ from greenrefl.oracle import (
 )
 
 P = lambda *comps: tuple(tuple(c) for c in comps)
+
+
+def table_problems(table):
+    """The brute-force verdict on a coset table of W (q = 0)."""
+    group = BruteForceGroup(table.params)
+    return group.table_problems(table.rows, table.cols, table.entries)
+
+
+def conjugated(table):
+    """The table with every value complex-conjugated, labels kept."""
+    entries = [[v.conjugate() for v in row] for row in table.entries]
+    return CosetTable(table.params, table.rows, table.cols, entries)
+
+
+def phi_swapped(table):
+    """The table with the rows of (alpha, phi) and (alpha, -phi) swapped."""
+    p = table.params.p
+    index = {z: i for i, z in enumerate(table.rows)}
+    entries = [
+        table.entries[index[CharParam(z.alpha, -z.phi % (p // orbit_data(z.alpha, p)[1]))]]
+        for z in table.rows
+    ]
+    return CosetTable(table.params, table.rows, table.cols, entries)
 
 
 def test_element_arithmetic():
@@ -99,6 +129,30 @@ def test_degree_sum_of_squares():
         ident = group.class_index_of(group.identity)
         total = sum(int(str(row[ident])) ** 2 for row in table)
         assert total == group.order
+
+
+def test_trivial_group_character_table():
+    # the exponent is 1, so the lift needs an element of order 1 in F_p
+    table = BruteForceGroup(GroupParams(1, 1, 1)).character_table()
+    assert [[str(v) for v in row] for row in table] == [["1"]]
+    assert BruteForceGroup(GroupParams(3, 3, 1)).character_table() == table
+
+
+def test_table_problems_sees_values_and_labels():
+    # a conjugated table has the right rows under the wrong labels
+    for e, p, n in [(3, 3, 3), (6, 2, 2)]:
+        table = coset_char_table(GroupParams(e, p, n))
+        assert table_problems(table) == [], (e, p, n)
+        changed = [row[:] for row in table.entries]
+        changed[1][1] = changed[1][1] + changed[1][1].field.one
+        changed = CosetTable(table.params, table.rows, table.cols, changed)
+        assert table_problems(changed), (e, p, n)
+        assert conjugated(table).entries != table.entries
+        assert table_problems(conjugated(table)), (e, p, n)
+    # phi runs over Z/3 for ((1);(1);(1)) in G(3,3,3); in G(6,2,2) phi = -phi
+    assert table_problems(phi_swapped(coset_char_table(GroupParams(3, 3, 3))))
+    with pytest.raises(ValueError):
+        BruteForceGroup(GroupParams(2, 2, 2, 1)).table_problems([], [], [])
 
 
 def test_size_cap():
