@@ -58,21 +58,7 @@ from .gepn import (
     z_coset,
 )
 from .oracle import BruteForceGroup, GroupReport, brute_force_oracle
-from .symfunc import (
-    BasisExpansion,
-    Level,
-    SymPoly,
-    VarSpace,
-    cauchy_truncated,
-    expand,
-    level_for,
-    monomial,
-    powersum,
-    q_product,
-    q_row,
-    scalar_product,
-    schur,
-)
+from .symfunc import BasisExpansion, Level, level_for, scalar_product
 from .wreath import (
     CharTable,
     HLBasis,
@@ -88,17 +74,15 @@ __all__ = [
     "BasisExpansion", "BruteForceGroup", "CharParam", "CharTable",
     "ClassParam", "CosetTable", "CycField", "CycNum", "GreenSuite",
     "GroupParams", "GroupReport", "HLBasis", "LabeledMatrix", "Level",
-    "SimilarityPartition", "SymPoly", "Symbol", "TPoly", "TRat", "TupleFun",
-    "VarSpace", "ZCoset", "a_value", "alpha_divide", "alpha_truncate",
-    "brute_force_oracle", "cauchy_truncated", "char_table", "clear_caches",
-    "coset_algebra", "coset_char_table", "cyc_conjugate", "cyc_inverse",
-    "cyc_make", "cyclotomic_polynomial", "delta", "enumerate_char_params",
-    "enumerate_class_params", "enumerate_epartitions", "ep_str", "expand",
-    "f_invariant", "fake_degrees", "green_suite", "hall_littlewood",
-    "hl_data", "kostka", "kostka_gepn", "level_for", "make_symbol",
-    "monomial", "orbit_data", "powersum", "q_product", "q_row",
-    "scalar_product", "schur", "similarity_order", "theta",
-    "trat_normalize", "trat_subst_tinv", "tuple_hall_littlewood",
-    "tuple_powersum", "tuple_q_m", "tuple_schur", "xj_variables",
-    "z_coset", "z_series",
+    "SimilarityPartition", "Symbol", "TPoly", "TRat", "TupleFun", "ZCoset",
+    "a_value", "alpha_divide", "alpha_truncate", "brute_force_oracle",
+    "char_table", "clear_caches", "coset_algebra", "coset_char_table",
+    "cyc_conjugate", "cyc_inverse", "cyc_make", "cyclotomic_polynomial",
+    "delta", "enumerate_char_params", "enumerate_class_params",
+    "enumerate_epartitions", "ep_str", "f_invariant", "fake_degrees",
+    "green_suite", "hall_littlewood", "hl_data", "kostka", "kostka_gepn",
+    "level_for", "make_symbol", "orbit_data", "scalar_product",
+    "similarity_order", "theta", "trat_normalize", "trat_subst_tinv",
+    "tuple_hall_littlewood", "tuple_powersum", "tuple_q_m", "tuple_schur",
+    "xj_variables", "z_coset", "z_series",
 ]

@@ -89,8 +89,11 @@ def resolve_params(args):
 
 def emit(text, args):
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SystemExit(f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 

@@ -56,7 +56,7 @@ from .combinatorics import (
 )
 from .exact_arith import CycField, TPoly, TRat
 from . import wreath
-from .symfunc import BasisExpansion, Level, weighted_gram
+from .symfunc import Level, weighted_gram
 from .wreath import LabeledMatrix, hl_data, kostka_matrix
 
 _ALGEBRAS = {}
@@ -255,21 +255,14 @@ class CosetAlgebra:
 
         A component (basis, vec) stands for sum_g vec[g] B_g(X_j; t^h): the
         stored coefficients are already in terms of the global t, while the
-        basis functions carry the sub-level parameter t^h.  Conversion to
-        power sums is t-free for Schur/monomial bases, but t-dependent for
-        the q bases, where the conversion output needs t -> t^h."""
+        basis functions carry the sub-level parameter t^h.  The power-sum
+        rows of the Schur and monomial bases are free of t; those of the q
+        bases are not, so their coordinates need t -> t^h."""
         comp = fun.component(j)
         if comp is None:
             return None
         basis, vec = comp
-        level = self.levels[j]
-        if basis == "powersum":
-            return vec
-        if basis == "schur":
-            return level.p_coords_of_s_vector(vec)
-        pcoords = level.convert(
-            BasisExpansion(level, basis, tuple(vec)), "powersum"
-        ).coeffs
+        pcoords = self.levels[j].p_coords(vec, basis)
         h = self.h_of[j]
         if h != 1 and basis in ("qplus", "qminus"):
             pcoords = [c.subst_power(h) for c in pcoords]

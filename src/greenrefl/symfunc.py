@@ -1,30 +1,28 @@
-"""Symmetric polynomials in colored variables x_i^(k).
+"""Symmetric functions of a colour structure, in power-sum coordinates.
 
-A color structure has ``ecols`` colors with max(n, 1) variables each; a
-polynomial is a sparse map from exponent vectors (flat tuples over all
-variables) to TRat coefficients.  The classical bases (Schur, monomial,
-power sum) are taken color-wise; power sums of color-index i mix the
-colors through the root of unity:
+A level has ``ecols`` colours, a root of unity zeta of that order in an
+ambient cyclotomic field (so that nested levels can share a single field),
+and a fixed homogeneous degree n.  A symmetric function of degree n is a
+coordinate vector over the e-partitions of n; the power sums of colour
+index i mix the colours through the root of unity,
 
     p_r^(i) = sum_j zeta^(i*j) p_r(x^(j)),
 
-and the one-row q-functions are produced by the generating series
+and every basis is stored by the power-sum coordinates of its elements
+(``Level.basis_matrix``), so no polynomial in x is ever formed:
 
-    q_(r,+)^(k) = [y^r]  prod_i (1 - t x_i^(k+1) y) / prod_i (1 - x_i^(k) y)
+* Schur: the character table of the level (the coefficients of the Schur
+  functions in the power sums), from the wreath-product character formula:
+  the colour-wise Murnaghan-Nakayama rule.
+* one-row q: the plethystic closed form of the generating series
+  prod_i (1 - t x_i^(k+1) y) / prod_i (1 - x_i^(k) y) (k-1 in place of k+1
+  for the minus sign), a product of such rows for each e-partition.
+* monomial: the dual basis of h, the q rows at t = 0, under the product
+  at t = 0.
 
-(with k-1 in place of k+1 for the minus sign).
-
-The character table of a level (the coefficients of the Schur functions
-in the power sums) comes from the wreath-product character formula: the
-colour-wise Murnaghan-Nakayama rule, with no polynomial expansion.  The
-explicit polynomials serve the q and monomial bases, ``expand``/``convert``
-and the reproducing-kernel check; their conversions go through monomial
-coordinates: a symmetric homogeneous polynomial of degree n is determined
-by its coefficients on the dominant monomial of each e-partition of n, and
-the transition matrices between bases are cached per level.  A ``Level``
-bundles one color structure with a choice of root of unity (an element of
-an ambient cyclotomic field, so that nested levels can share a single
-field).
+``convert`` goes through power-sum coordinates.  The tests hold these
+coordinates against explicit polynomials multiplied out in max(n, 1)
+variables per colour (``tests/polynomial_oracle.py``).
 
 Every t-deformed scalar product of two families given by their values on
 the classes is one class sum, ``weighted_gram``: the Schur Gram matrix of
@@ -37,159 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .combinatorics import enumerate_epartitions, ep_length, ep_size
+from .combinatorics import enumerate_epartitions, ep_length, partitions
 from .exact_arith import CycField, TPoly, TRat
 from . import linalg
-
-
-class VarSpace:
-    """Layout of the colored variables: m_k variables of color k."""
-
-    def __init__(self, m):
-        self.m = tuple(m)
-        self.ecols = len(self.m)
-        self.offsets = []
-        total = 0
-        for mk in self.m:
-            self.offsets.append(total)
-            total += mk
-        self.total = total
-        self.zero_exp = (0,) * total
-
-    def var_exp(self, k, i, power=1):
-        exp = [0] * self.total
-        exp[self.offsets[k] + i] = power
-        return tuple(exp)
-
-    def dominant_exp(self, alpha):
-        """Exponent of the leading monomial of m_alpha."""
-        exp = [0] * self.total
-        for k, comp in enumerate(alpha):
-            for i, part in enumerate(comp):
-                exp[self.offsets[k] + i] = part
-        return tuple(exp)
-
-    def __eq__(self, other):
-        return isinstance(other, VarSpace) and self.m == other.m
-
-    def __hash__(self):
-        return hash(self.m)
-
-
-class SymPoly:
-    """Sparse polynomial with TRat coefficients; immutable by convention."""
-
-    __slots__ = ("space", "terms")
-
-    def __init__(self, space, terms=None):
-        self.space = space
-        self.terms = terms if terms is not None else {}
-
-    @staticmethod
-    def zero(space):
-        return SymPoly(space, {})
-
-    @staticmethod
-    def constant(space, coeff):
-        if coeff.is_zero():
-            return SymPoly.zero(space)
-        return SymPoly(space, {space.zero_exp: coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, exp):
-        return self.terms.get(exp)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            cur = out.get(exp)
-            if cur is None:
-                out[exp] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del out[exp]
-                else:
-                    out[exp] = s
-        return SymPoly(self.space, out)
-
-    def __neg__(self):
-        return SymPoly(self.space, {exp: -c for exp, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                c = c1 * c2
-                if c.is_zero():
-                    continue
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                cur = out.get(exp)
-                if cur is None:
-                    out[exp] = c
-                else:
-                    s = cur + c
-                    if s.is_zero():
-                        del out[exp]
-                    else:
-                        out[exp] = s
-        return SymPoly(self.space, out)
-
-    def scale(self, coeff):
-        if coeff.is_zero():
-            return SymPoly.zero(self.space)
-        return SymPoly(self.space, {e: c * coeff for e, c in self.terms.items()})
-
-    def conjugate(self):
-        return SymPoly(self.space, {e: c.conjugate() for e, c in self.terms.items()})
-
-    def shift_colors(self, d):
-        """Substitution x_i^(k) -> x_i^(k+d) (colors mod ecols)."""
-        space = self.space
-        e = space.ecols
-        out = {}
-        for exp, c in self.terms.items():
-            new = [0] * space.total
-            for k in range(e):
-                off = space.offsets[k]
-                noff = space.offsets[(k + d) % e]
-                for i in range(space.m[k]):
-                    new[noff + i] = exp[off + i]
-            out[tuple(new)] = c
-        return SymPoly(space, out)
-
-    def lift(self, target, color_offset):
-        """Embed into a larger variable space starting at a color offset."""
-        out = {}
-        shift = target.offsets[color_offset]
-        for exp, c in self.terms.items():
-            new = [0] * target.total
-            new[shift : shift + self.space.total] = exp
-            out[tuple(new)] = c
-        return SymPoly(target, out)
-
-    def degree(self):
-        return max((sum(exp) for exp in self.terms), default=0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymPoly)
-            and self.space == other.space
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        if self.is_zero():
-            return "SymPoly(0)"
-        items = sorted(self.terms.items(), reverse=True)
-        return "SymPoly(" + " + ".join(f"({c})*x^{exp}" for exp, c in items[:6]) + (
-            " + ..." if len(items) > 6 else ""
-        ) + ")"
 
 
 @dataclass(frozen=True)
@@ -225,7 +73,7 @@ class Level:
     """One color structure: ecols colors, a root of unity of that order
     living in an ambient field Q(zeta_E), and a fixed homogeneous degree n.
 
-    All transition matrices between the classical bases are cached here.
+    The basis matrices in power-sum coordinates are cached here.
     """
 
     _cache = {}
@@ -248,18 +96,14 @@ class Level:
         self.field = field
         self.ecols = ecols
         self.n = n
-        self.zeta = field.zeta(h)
-        self.space = VarSpace((max(n, 1),) * ecols)
         self.partitions = tuple(enumerate_epartitions(n, ecols))
         self.pindex = {alpha: i for i, alpha in enumerate(self.partitions)}
         self.size = len(self.partitions)
-        self._sym = {}
         self._mats = {}
         self._mat_invs = {}
         self._char = None
         self._s_in_p = None
         self._zser = {}
-        self.t = TRat.t(field)
         self.one = TRat.from_cyc(field.one)
         self.zero_rat = TRat(TPoly(field, ()), reduce=False)
 
@@ -272,230 +116,31 @@ class Level:
     def __eq__(self, other):
         return self is other
 
-    # -- scalars -------------------------------------------------------------
-
-    def cyc_rat(self, c):
-        return TRat.from_cyc(c)
-
     def zeta_pow(self, k):
         return self.field.zeta((k * self.h) % self.E)
 
-    # -- single-color building blocks ----------------------------------------
-
-    def _hom_poly(self, k, deg):
-        """Complete homogeneous polynomial of one color."""
-        key = ("h", k, deg)
-        if key not in self._sym:
-            from itertools import combinations_with_replacement
-
-            mk = self.space.m[k]
-            off = self.space.offsets[k]
-            terms = {}
-            for combo in combinations_with_replacement(range(mk), deg):
-                exp = [0] * self.space.total
-                for i in combo:
-                    exp[off + i] += 1
-                terms[tuple(exp)] = self.one
-            if deg == 0:
-                terms = {self.space.zero_exp: self.one}
-            self._sym[key] = SymPoly(self.space, terms)
-        return self._sym[key]
-
-    def _elem_poly(self, k, deg):
-        key = ("e", k, deg)
-        if key not in self._sym:
-            from itertools import combinations
-
-            mk = self.space.m[k]
-            off = self.space.offsets[k]
-            terms = {}
-            if deg == 0:
-                terms = {self.space.zero_exp: self.one}
-            elif deg <= mk:
-                for combo in combinations(range(mk), deg):
-                    exp = [0] * self.space.total
-                    for i in combo:
-                        exp[off + i] = 1
-                    terms[tuple(exp)] = self.one
-            self._sym[key] = SymPoly(self.space, terms)
-        return self._sym[key]
-
-    def _plain_power_poly(self, k, r):
-        key = ("pr", k, r)
-        if key not in self._sym:
-            off = self.space.offsets[k]
-            terms = {}
-            for i in range(self.space.m[k]):
-                exp = [0] * self.space.total
-                exp[off + i] = r
-                terms[tuple(exp)] = self.one
-            self._sym[key] = SymPoly(self.space, terms)
-        return self._sym[key]
-
-    def _schur_color(self, k, lam):
-        """Schur polynomial of one color by semistandard tableau sum."""
-        key = ("s", k, lam)
-        if key not in self._sym:
-            mk = self.space.m[k]
-            off = self.space.offsets[k]
-            fillings = [()]
-            for ri, rlen in enumerate(lam):
-                new = []
-                for partial in fillings:
-                    above = partial[ri - 1] if ri > 0 else None
-
-                    def extend(row):
-                        pos = len(row)
-                        if pos == rlen:
-                            new.append(partial + (tuple(row),))
-                            return
-                        lo = row[pos - 1] if pos > 0 else 0
-                        if above is not None:
-                            lo = max(lo, above[pos] + 1)
-                        for v in range(lo, mk):
-                            extend(row + [v])
-
-                    extend([])
-                fillings = new
-            terms = {}
-            for tab in fillings:
-                exp = [0] * self.space.total
-                for row in tab:
-                    for v in row:
-                        exp[off + v] += 1
-                exp = tuple(exp)
-                cur = terms.get(exp)
-                terms[exp] = self.one if cur is None else cur + self.one
-            if not lam:
-                terms = {self.space.zero_exp: self.one}
-            self._sym[key] = SymPoly(self.space, terms)
-        return self._sym[key]
-
-    def _monomial_color(self, k, lam):
-        key = ("m", k, lam)
-        if key not in self._sym:
-            from itertools import permutations
-
-            mk = self.space.m[k]
-            off = self.space.offsets[k]
-            padded = tuple(lam) + (0,) * (mk - len(lam))
-            terms = {}
-            for perm in set(permutations(padded)):
-                exp = [0] * self.space.total
-                for i, v in enumerate(perm):
-                    exp[off + i] = v
-                terms[tuple(exp)] = self.one
-            self._sym[key] = SymPoly(self.space, terms)
-        return self._sym[key]
-
-    # -- the named bases ------------------------------------------------------
-
-    def mixed_power(self, i, r):
-        """p_r^(i): the zeta-weighted sum of color power sums."""
-        key = ("P", i % self.ecols, r)
-        if key not in self._sym:
-            if r == 0:
-                out = SymPoly.constant(self.space, self.one)
-            else:
-                out = SymPoly.zero(self.space)
-                for j in range(self.ecols):
-                    w = self.cyc_rat(self.zeta_pow(i * j))
-                    out = out + self._plain_power_poly(j, r).scale(w)
-            self._sym[key] = out
-        return self._sym[key]
-
-    def schur(self, alpha):
-        key = ("S", alpha)
-        if key not in self._sym:
-            out = SymPoly.constant(self.space, self.one)
-            for k, comp in enumerate(alpha):
-                if comp:
-                    out = out * self._schur_color(k, tuple(comp))
-            self._sym[key] = out
-        return self._sym[key]
-
-    def monomial(self, alpha):
-        key = ("M", alpha)
-        if key not in self._sym:
-            out = SymPoly.constant(self.space, self.one)
-            for k, comp in enumerate(alpha):
-                if comp:
-                    out = out * self._monomial_color(k, tuple(comp))
-            self._sym[key] = out
-        return self._sym[key]
-
-    def powersum(self, alpha):
-        key = ("Pw", alpha)
-        if key not in self._sym:
-            out = SymPoly.constant(self.space, self.one)
-            for k, comp in enumerate(alpha):
-                for part in comp:
-                    out = out * self.mixed_power(k, part)
-            self._sym[key] = out
-        return self._sym[key]
-
-    def q_row(self, r, k, sign):
-        """One-row q-function of color k from the generating series."""
-        key = ("q", r, k, sign)
-        if key not in self._sym:
-            if r == 0:
-                out = SymPoly.constant(self.space, self.one)
-            else:
-                kk = (k + (1 if sign > 0 else -1)) % self.ecols
-                out = SymPoly.zero(self.space)
-                for b in range(r + 1):
-                    elem = self._elem_poly(kk, b)
-                    if elem.is_zero():
-                        continue
-                    coeff = TRat(
-                        TPoly.t_power(
-                            self.field, b, self.field.from_rational((-1) ** b)
-                        ),
-                        reduce=False,
-                    )
-                    out = out + (elem * self._hom_poly(k, r - b)).scale(coeff)
-            self._sym[key] = out
-        return self._sym[key]
-
-    def q_product(self, alpha, sign):
-        key = ("Q", alpha, sign)
-        if key not in self._sym:
-            out = SymPoly.constant(self.space, self.one)
-            for k, comp in enumerate(alpha):
-                for part in comp:
-                    out = out * self.q_row(part, k, sign)
-            self._sym[key] = out
-        return self._sym[key]
-
-    def basis_poly(self, basis, alpha):
-        if basis == "schur":
-            return self.schur(alpha)
-        if basis == "monomial":
-            return self.monomial(alpha)
-        if basis == "powersum":
-            return self.powersum(alpha)
-        if basis == "qplus":
-            return self.q_product(alpha, +1)
-        if basis == "qminus":
-            return self.q_product(alpha, -1)
-        raise ValueError(f"unknown basis {basis!r}")
-
-    # -- coordinates and conversion -------------------------------------------
-
-    def m_coords(self, poly):
-        """Monomial-basis coordinates (coefficients on dominant exponents)."""
-        out = []
-        for alpha in self.partitions:
-            c = poly.coefficient(self.space.dominant_exp(alpha))
-            out.append(c if c is not None else self.zero_rat)
-        return out
+    # -- the named bases in power-sum coordinates ------------------------------
 
     def basis_matrix(self, basis):
-        """Rows: m-coordinates of the basis elements, aligned with partitions."""
+        """Rows: power-sum coordinates of the basis functions, both indices
+        aligned with partitions."""
         if basis not in self._mats:
-            self._mats[basis] = [
-                self.m_coords(self.basis_poly(basis, alpha)) for alpha in self.partitions
-            ]
+            if basis == "powersum":
+                rows = [
+                    [self.one if a == b else self.zero_rat for b in range(self.size)]
+                    for a in range(self.size)
+                ]
+            elif basis == "schur":
+                rows = [[TRat.from_cyc(c) for c in row] for row in self.s_in_p()]
+            elif basis == "qplus":
+                rows = self._q_rows(+1)
+            elif basis == "qminus":
+                rows = self._q_rows(-1)
+            elif basis == "monomial":
+                rows = self._monomial_rows()
+            else:
+                raise ValueError(f"unknown basis {basis!r}")
+            self._mats[basis] = rows
         return self._mats[basis]
 
     def basis_matrix_inv(self, basis):
@@ -503,29 +148,83 @@ class Level:
             self._mat_invs[basis] = linalg.invert(self.basis_matrix(basis))
         return self._mat_invs[basis]
 
-    def expand_mcoords(self, mvec, basis):
-        if basis == "monomial":
-            return list(mvec)
-        inv = self.basis_matrix_inv(basis)
+    def _q_rows(self, sign):
+        """q_alpha = prod over the parts r of each alpha^(k) of q_r^(k); a
+        product of power sums merges their parts per colour index.  Sign 0
+        gives h_alpha, the q rows at t = 0."""
+        one_rows = {}
+        rows = []
+        for alpha in self.partitions:
+            fun = {((),) * self.ecols: TPoly.constant(self.field.one)}
+            for k, comp in enumerate(alpha):
+                for r in comp:
+                    if (r, k) not in one_rows:
+                        one_rows[(r, k)] = self._one_row(r, k, sign)
+                    fun = _multiply(fun, one_rows[(r, k)])
+            row = [self.zero_rat] * self.size
+            for label, poly in fun.items():
+                row[self.pindex[label]] = TRat(poly, reduce=False)
+            rows.append(row)
+        return rows
+
+    def _one_row(self, r, k, sign):
+        """q_r^(k) as {power-sum label: polynomial in t}.  The generating
+        series is exp sum_m (p_m(x^(k)) - t^m p_m(x^(k+sign))) y^m / m, so
+
+            q_r^(k) = sum_(rho |- r) z_rho^(-1)
+                      prod_i (p_(rho_i)(x^(k)) - t^(rho_i) p_(rho_i)(x^(k+sign))),
+
+        and p_m(x^(j)) = (1/ecols) sum_i zeta^(-i*j) p_m^(i) gives the
+        coordinates.  The factors 1/ecols are folded into z_int((rho,)) =
+        ecols^len(rho) z_rho.  Sign 0 drops the t term."""
+        field = self.field
+        kk = (k + sign) % self.ecols
+        empty = ((),) * self.ecols
+        out = {}
+        for rho in partitions(r):
+            scale = field.from_rational(Fraction(1, self.z_int((rho,))))
+            fun = {empty: TPoly.constant(scale)}
+            for m in rho:
+                factor = {}
+                for i in range(self.ecols):
+                    c = TPoly.constant(self.zeta_pow(-i * k))
+                    if sign:
+                        c = c - TPoly.t_power(field, m, self.zeta_pow(-i * kk))
+                    factor[empty[:i] + ((m,),) + empty[i + 1 :]] = c
+                fun = _multiply(fun, factor)
+            for label, poly in fun.items():
+                out[label] = out[label] + poly if label in out else poly
+        return out
+
+    def _monomial_rows(self):
+        """m is dual to h under the product at t = 0, <p_a, p_b> = delta z_a:
+        sum_g h[a][g] conj(m[b][g]) z_g = delta_ab, so m[b][g] is
+        conj(inverse(h)[g][b]) / z_g."""
+        h_inv = linalg.invert(self._q_rows(0))
+        weights = [
+            self.field.from_rational(Fraction(1, self.z_int(beta)))
+            for beta in self.partitions
+        ]
         return [
-            _dot(mvec, [inv[i][j] for i in range(self.size)], self.zero_rat)
-            for j in range(self.size)
+            [h_inv[g][b].conjugate().scale_cyc(weights[g]) for g in range(self.size)]
+            for b in range(self.size)
         ]
 
-    def expand(self, poly, basis):
-        """Exact coordinates of a homogeneous symmetric polynomial."""
-        coords = self.expand_mcoords(self.m_coords(poly), basis)
-        return BasisExpansion(self, basis, tuple(coords))
+    # -- coordinates and conversion -------------------------------------------
+
+    def p_coords(self, vec, basis):
+        """Power-sum coordinates of sum_g vec[g] B_g for the named basis."""
+        if basis == "powersum":
+            return list(vec)
+        return _row_times(vec, self.basis_matrix(basis), self.zero_rat)
 
     def convert(self, expansion, basis):
         if expansion.basis == basis:
             return expansion
-        mat = self.basis_matrix(expansion.basis)
-        mvec = [
-            _dot(expansion.coeffs, [mat[i][j] for i in range(self.size)], self.zero_rat)
-            for j in range(self.size)
-        ]
-        return BasisExpansion(self, basis, tuple(self.expand_mcoords(mvec, basis)))
+        coords = self.p_coords(expansion.coeffs, expansion.basis)
+        if basis != "powersum":
+            coords = _row_times(coords, self.basis_matrix_inv(basis), self.zero_rat)
+        return BasisExpansion(self, basis, tuple(coords))
 
     # -- character table and centralizers --------------------------------------
 
@@ -633,20 +332,6 @@ class Level:
         zser = [self.z_series(beta) for beta in self.partitions]
         return weighted_gram(rows, rows, zser)
 
-    def p_coords_of_s_vector(self, svec):
-        """Powersum coordinates of a function given in Schur coordinates."""
-        sp = self.s_in_p()
-        out = []
-        for j in range(self.size):
-            acc = self.zero_rat
-            for i, c in enumerate(svec):
-                if not c.is_zero():
-                    w = sp[i][j]
-                    if not w.is_zero():
-                        acc = acc + c.scale_cyc(w)
-            out.append(acc)
-        return out
-
     def scalar_from_p(self, u, v, subst=1):
         """<f, g> from powersum coordinate vectors; z-series in t^subst."""
         acc = self.zero_rat
@@ -715,51 +400,35 @@ def _sn_character(lam, mu, memo):
     return value
 
 
-def _dot(u, v, zero):
-    acc = zero
-    for x, y in zip(u, v):
-        if not x.is_zero() and not y.is_zero():
-            acc = acc + x * y
-    return acc
+def _multiply(f, g):
+    """Product of two functions given as {power-sum label: coefficient}:
+    the labels merge their parts per colour index."""
+    out = {}
+    for lf, cf in f.items():
+        for lg, cg in g.items():
+            label = tuple(
+                tuple(sorted(a + b, reverse=True)) for a, b in zip(lf, lg)
+            )
+            c = cf * cg
+            out[label] = out[label] + c if label in out else c
+    return out
+
+
+def _row_times(vec, rows, zero):
+    """The row vector vec times the matrix rows."""
+    out = [zero] * len(rows[0])
+    for c, row in zip(vec, rows):
+        if c.is_zero():
+            continue
+        for b, w in enumerate(row):
+            if not w.is_zero():
+                out[b] = out[b] + c * w
+    return out
 
 
 def level_for(e, n):
     """Standalone level for G(e,1,n) with zeta = zeta_e."""
     return Level(e, 1, e, n)
-
-
-# ---------------------------------------------------------------------------
-# public operations in terms of a standalone level
-
-
-def schur(alpha):
-    lv = level_for(len(alpha), ep_size(alpha))
-    return lv.schur(alpha)
-
-
-def monomial(alpha):
-    lv = level_for(len(alpha), ep_size(alpha))
-    return lv.monomial(alpha)
-
-
-def powersum(alpha):
-    lv = level_for(len(alpha), ep_size(alpha))
-    return lv.powersum(alpha)
-
-
-def q_row(r, k, sign, e, n=None):
-    lv = level_for(e, n if n is not None else r)
-    return lv.q_row(r, k, 1 if str(sign) in ("+", "1", "+1") else -1)
-
-
-def q_product(alpha, sign):
-    lv = level_for(len(alpha), ep_size(alpha))
-    return lv.q_product(alpha, 1 if str(sign) in ("+", "1", "+1") else -1)
-
-
-def expand(poly, basis, n, e=None):
-    lv = level_for(e if e is not None else poly.space.ecols, n)
-    return lv.expand(poly, basis)
 
 
 def scalar_product(f, g):
@@ -771,33 +440,3 @@ def scalar_product(f, g):
     gp = lv.convert(g, "powersum").coeffs
     return lv.scalar_from_p(fp, gp)
 
-
-def cauchy_truncated(n, e):
-    """Check the degree-(n, n) piece of the reproducing kernel identity
-
-        sum_a q_(a,-)(x) m_a(y) = sum_a m_a(x) q_(a,+)(y)
-                                = sum_a z_a(t)^(-1) p_a(x) conj(p_a)(y).
-
-    The q-sign pairing is the one consistent with the centralizer series
-    carrying (1 - zeta^k t^part) factors; it is what makes the bases
-    {q_(a,-)} / {m_a} and {m_a} / {q_(a,+)} dual under the scalar product.
-
-    Returns (identity holds, the common polynomial in the doubled space).
-    """
-    lv = level_for(e, n)
-    mm = lv.space.m
-    union = VarSpace(mm + mm)
-    lhs = SymPoly.zero(union)
-    mid = SymPoly.zero(union)
-    rhs = SymPoly.zero(union)
-    for alpha in lv.partitions:
-        qx = lv.q_product(alpha, -1).lift(union, 0)
-        my = lv.monomial(alpha).lift(union, e)
-        lhs = lhs + qx * my
-        mx = lv.monomial(alpha).lift(union, 0)
-        qy = lv.q_product(alpha, +1).lift(union, e)
-        mid = mid + mx * qy
-        px = lv.powersum(alpha).lift(union, 0)
-        py = lv.powersum(alpha).conjugate().lift(union, e)
-        rhs = rhs + (px * py).scale(lv.z_series(alpha).inverse())
-    return lhs == rhs and mid == rhs, lhs

@@ -148,7 +148,7 @@ def test_verify_fails_on_a_mislabelled_table(capsys, monkeypatch, e, p, n, wrong
     assert out.count("[FAIL]") == 1
 
 
-def test_invalid_parameters(capsys):
+def test_invalid_parameters(capsys, tmp_path):
     with pytest.raises(SystemExit) as info:
         run(capsys, "green", "--e", "4", "--p", "3", "--n", "2")
     assert "must divide" in str(info.value)
@@ -159,6 +159,11 @@ def test_invalid_parameters(capsys):
     with pytest.raises(SystemExit) as info:
         run(capsys, "green", "--e", "3", "--p", "3", "--n", "2", "--q", "-1")
     assert "nonnegative" in str(info.value)
+    # --out into a directory that does not exist: one line, no traceback
+    target = tmp_path / "missing" / "x"
+    with pytest.raises(SystemExit) as info:
+        run(capsys, "chartable", "--e", "2", "--n", "2", "--out", str(target))
+    assert str(info.value) == f"cannot write {target}: No such file or directory"
 
 
 def test_size_guard(capsys):

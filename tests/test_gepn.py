@@ -12,6 +12,7 @@ from greenrefl.combinatorics import (
     delta,
     enumerate_class_params,
     ep_length,
+    orbit_data,
     theta,
 )
 from greenrefl.exact_arith import CycField, TPoly, TRat
@@ -30,8 +31,9 @@ from greenrefl.gepn import (
     z_coset,
 )
 from greenrefl.oracle import BruteForceGroup
-from greenrefl.symfunc import Level, SymPoly, VarSpace
+from greenrefl.symfunc import Level
 
+from polynomial_oracle import SymPoly, VarSpace, poly_level
 from test_acceptance import GRID
 from test_oracle import conjugated, phi_swapped, table_problems
 
@@ -146,29 +148,31 @@ def test_tuple_q_m_gating():
 
 
 def test_tuple_pairing_phi_factors():
-    # <q^j_(z,-), m^j_(z')>_j = phi(tau^j) conj(phi'(tau^j)) c delta_(alpha)
-    params = GroupParams(2, 2, 2, 0)
-    alg = coset_algebra(params)
-    zs = alg.chars
-    for z in zs:
-        fq = alg.tuple_q(z, -1)
-        for w in zs:
-            fm = alg.tuple_monomial(w)
-            # tuple pairing (1/p) sum_j <,>_j must be the Kronecker delta
-            got = alg.tuple_scalar(fq, fm)
-            want = alg.one if z == w else alg.zero
-            assert got == want, (z, w)
-            # component pairing carries the phi factors
-            if z.alpha == w.alpha:
-                c = 1 if theta(z.alpha, 2) == z.alpha else 2
-                for j, level in alg.levels.items():
-                    if j % c:
-                        continue
-                    u = alg.component_p_coords(fq, j)
-                    v = alg.component_p_coords(fm, j)
-                    pairing = level.scalar_from_p(u, v, subst=alg.h_of[j])
-                    phase = alg.field.zeta((z.phi - w.phi) * params.d * j % params.e)
-                    assert pairing == TRat.from_cyc(phase * c), (z, w, j)
+    # <q^j_(z,-), m^j_(z')>_j = phi(tau^j) conj(phi'(tau^j)) c delta_(alpha),
+    # with q-basis components at sub-levels with h = 2 and h = 3
+    for e, p, n in [(2, 2, 2), (3, 3, 3), (4, 2, 2), (4, 4, 2)]:
+        params = GroupParams(e, p, n, 0)
+        alg = coset_algebra(params)
+        zs = alg.chars
+        for z in zs:
+            fq = alg.tuple_q(z, -1)
+            for w in zs:
+                fm = alg.tuple_monomial(w)
+                # tuple pairing (1/p) sum_j <,>_j must be the Kronecker delta
+                got = alg.tuple_scalar(fq, fm)
+                want = alg.one if z == w else alg.zero
+                assert got == want, (params, z, w)
+                # component pairing carries the phi factors
+                if z.alpha == w.alpha:
+                    c = orbit_data(z.alpha, p)[1]
+                    for j, level in alg.levels.items():
+                        if j % c:
+                            continue
+                        u = alg.component_p_coords(fq, j)
+                        v = alg.component_p_coords(fm, j)
+                        pairing = level.scalar_from_p(u, v, subst=alg.h_of[j])
+                        phase = alg.field.zeta((z.phi - w.phi) * params.d * j % params.e)
+                        assert pairing == TRat.from_cyc(phase * c), (params, z, w, j)
 
 
 def test_tuple_powersum_orthogonality():
@@ -513,9 +517,10 @@ def test_tuple_cauchy_expansions():
             params = GroupParams(2, 2, n, q)
             alg = coset_algebra(params)
             for j, level in alg.levels.items():
+                oracle = poly_level(level)
                 h = alg.h_of[j]
                 d = params.d
-                union = VarSpace(level.space.m + level.space.m)
+                union = VarSpace(oracle.space.m + oracle.space.m)
                 ec = level.ecols
                 # Theta_q applied to the kernel, x side
                 lhs = SymPoly.zero(union)
@@ -523,9 +528,9 @@ def test_tuple_cauchy_expansions():
                     for i in range(params.p):
                         w = alg.zeta_pow(params.q * i * d)
                         # theta^i acts on the X-colors by shifting i*d
-                        qx = _poly_subst(level.q_product(gamma, -1), h)
+                        qx = _poly_subst(oracle.q_product(gamma, -1), h)
                         qx = qx.shift_colors((i * d) % ec)
-                        my = level.monomial(gamma).lift(union, ec)
+                        my = oracle.monomial(gamma).lift(union, ec)
                         lhs = lhs + (qx.lift(union, 0) * my).scale(
                             TRat.from_cyc(w)
                         )
@@ -537,10 +542,10 @@ def test_tuple_cauchy_expansions():
                     if comp is None:
                         continue
                     _, vec = comp
-                    px = SymPoly.zero(level.space)
+                    px = SymPoly.zero(oracle.space)
                     for gi, c in enumerate(vec):
                         if not c.is_zero():
-                            px = px + level.powersum(level.partitions[gi]).scale(c)
+                            px = px + oracle.powersum(level.partitions[gi]).scale(c)
                     py = px.conjugate()
                     weight = alg.z_coset_series(xi).inverse()
                     rhs = rhs + (px.lift(union, 0) * py.lift(union, ec)).scale(weight)
@@ -554,9 +559,10 @@ def test_tuple_cauchy_schur_side():
             params = GroupParams(2, 2, n, q)
             alg = coset_algebra(params)
             for j, level in alg.levels.items():
+                oracle = poly_level(level)
                 h = alg.h_of[j]
                 ec = level.ecols
-                union = VarSpace(level.space.m + level.space.m)
+                union = VarSpace(oracle.space.m + oracle.space.m)
                 lhs = SymPoly.zero(union)
                 for z in alg.chars:
                     fq = alg.tuple_q(z, -1)
@@ -565,16 +571,16 @@ def test_tuple_cauchy_schur_side():
                     cm = fm.component(j)
                     if cq is None or cm is None:
                         continue
-                    qpoly = SymPoly.zero(level.space)
+                    qpoly = SymPoly.zero(oracle.space)
                     for gi, c in enumerate(cq[1]):
                         if not c.is_zero():
                             qpoly = qpoly + _poly_subst(
-                                level.q_product(level.partitions[gi], -1), h
+                                oracle.q_product(level.partitions[gi], -1), h
                             ).scale(c)
-                    mpoly = SymPoly.zero(level.space)
+                    mpoly = SymPoly.zero(oracle.space)
                     for gi, c in enumerate(cm[1]):
                         if not c.is_zero():
-                            mpoly = mpoly + level.monomial(
+                            mpoly = mpoly + oracle.monomial(
                                 level.partitions[gi]
                             ).scale(c)
                     lhs = lhs + qpoly.lift(union, 0) * mpoly.conjugate().lift(union, ec)
@@ -585,10 +591,10 @@ def test_tuple_cauchy_schur_side():
                     if comp is None:
                         continue
                     _, vec = comp
-                    px = SymPoly.zero(level.space)
+                    px = SymPoly.zero(oracle.space)
                     for gi, c in enumerate(vec):
                         if not c.is_zero():
-                            px = px + level.powersum(level.partitions[gi]).scale(c)
+                            px = px + oracle.powersum(level.partitions[gi]).scale(c)
                     weight = alg.z_coset_series(xi).inverse()
                     rhs = rhs + (px.lift(union, 0) * px.conjugate().lift(union, ec)).scale(weight)
                 assert lhs == rhs, (n, q, j)

@@ -12,22 +12,9 @@ from greenrefl.combinatorics import (
 )
 from greenrefl.exact_arith import CycField, TPoly, TRat
 from greenrefl.gepn import coset_algebra
-from greenrefl.symfunc import (
-    BasisExpansion,
-    Level,
-    SymPoly,
-    VarSpace,
-    cauchy_truncated,
-    expand,
-    level_for,
-    monomial,
-    powersum,
-    q_product,
-    q_row,
-    scalar_product,
-    schur,
-)
+from greenrefl.symfunc import BasisExpansion, Level, level_for, scalar_product
 
+from polynomial_oracle import SymPoly, cauchy_truncated, poly_level, poly_level_for
 from test_acceptance import GRID
 
 P = lambda *comps: tuple(tuple(c) for c in comps)
@@ -66,12 +53,9 @@ def mn_character(lam, mu):
 def expansion_char_table(level):
     """The character table by polynomial expansion: the coefficient of
     s_alpha in p_beta read off the monomial coordinates of both bases.
-
-    It is computed on a private copy of ``level``, so it neither reads nor
-    fills the cached table of the shared level object."""
-    own = object.__new__(Level)
-    own._init(level.E, level.h, level.ecols, level.n)
-    prows = linalg.mat_mul(own.basis_matrix("powersum"), own.basis_matrix_inv("schur"))
+    The polynomial oracle never reads the level's own table."""
+    px = poly_level(level)
+    prows = linalg.mat_mul(px.m_matrix("powersum"), px.m_matrix_inv("schur"))
     return [list(col) for col in zip(*prows)]
 
 
@@ -104,18 +88,18 @@ def jacobi_trudi_schur(level, k, lam):
 
 
 def test_schur_examples():
-    lv = level_for(2, 1)
+    lv = poly_level_for(2, 1)
     s = lv.schur(P((1,), ()))
     expect = SymPoly(
         lv.space,
         {lv.space.var_exp(0, i): lv.one for i in range(lv.space.m[0])},
     )
     assert s == expect
-    lv1 = level_for(1, 2)
+    lv1 = poly_level_for(1, 2)
     s2 = lv1.schur(P((2,)))
     assert sorted(s2.terms) == [(0, 2), (1, 1), (2, 0)]
     # product structure over colors
-    lv2 = level_for(2, 2)
+    lv2 = poly_level_for(2, 2)
     prod = lv2.schur(P((1,), (1,)))
     a = lv2.schur(P((1,), ()))
     b = lv2.schur(P((), (1,)))
@@ -124,7 +108,7 @@ def test_schur_examples():
 
 def test_schur_vs_jacobi_trudi():
     for e, n in [(1, 3), (1, 4), (2, 3)]:
-        lv = level_for(e, n)
+        lv = poly_level_for(e, n)
         for lam in partitions(n):
             if len(lam) > lv.space.m[0]:
                 continue
@@ -132,12 +116,12 @@ def test_schur_vs_jacobi_trudi():
 
 
 def test_monomial_examples():
-    lv = level_for(2, 1)
+    lv = poly_level_for(2, 1)
     assert lv.monomial(P((1,), ())) == lv.schur(P((1,), ()))
-    lv1 = level_for(1, 2)
+    lv1 = poly_level_for(1, 2)
     m11 = lv1.monomial(P((1, 1)))
     assert m11.terms == {(1, 1): lv1.one}
-    lv3 = level_for(1, 3)
+    lv3 = poly_level_for(1, 3)
     m21 = lv3.monomial(P((2, 1)))
     assert set(m21.terms) == {
         (2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2),
@@ -146,11 +130,11 @@ def test_monomial_examples():
 
 def test_powersum_examples():
     # e = 1 reduces to the classical power sum
-    lv1 = level_for(1, 2)
+    lv1 = poly_level_for(1, 2)
     p2 = lv1.powersum(P((2,)))
     assert p2.terms == {(2, 0): lv1.one, (0, 2): lv1.one}
     # e = 2: zeta = -1 mixes the two colors
-    lv = level_for(2, 1)
+    lv = poly_level_for(2, 1)
     p_plus = lv.powersum(P((1,), ()))
     p_minus = lv.powersum(P((), (1,)))
     x0 = lv._plain_power_poly(0, 1)
@@ -160,19 +144,19 @@ def test_powersum_examples():
 
 
 def test_q_row_examples():
-    lv = level_for(1, 2)
+    lv = poly_level_for(1, 2)
     assert lv.q_row(0, 0, +1) == SymPoly.constant(lv.space, lv.one)
     one_minus_t = TRat(TPoly(lv.field, [lv.field.one, -lv.field.one]))
     q1 = lv.q_row(1, 0, +1)
     assert q1 == lv._plain_power_poly(0, 1).scale(one_minus_t)
-    lv2 = level_for(2, 1)
+    lv2 = poly_level_for(2, 1)
     q = lv2.q_row(1, 0, +1)
     t = TRat.t(lv2.field)
     assert q == lv2._plain_power_poly(0, 1) + lv2._plain_power_poly(1, 1).scale(-t)
 
 
 def test_q_product_examples():
-    lv = level_for(1, 2)
+    lv = poly_level_for(1, 2)
     empty = P(())
     assert lv.q_product(empty, +1) == SymPoly.constant(lv.space, lv.one)
     q11 = lv.q_product(P((1, 1)), +1)
@@ -185,7 +169,7 @@ def test_q_row_closed_form():
     #     * prod_j (x_i - t y_j) * Vandermonde(x without x_i)
     for e in (1, 2, 3):
         for n in (2, 3):
-            lv = level_for(e, n)
+            lv = poly_level_for(e, n)
             t = TRat.t(lv.field)
             for sign in (+1, -1):
                 kk = (0 + sign) % e
@@ -225,7 +209,7 @@ def test_q_row_closed_form():
 
 
 def test_expand_schur_examples():
-    lv = level_for(1, 2)
+    lv = poly_level_for(1, 2)
     exp = lv.expand(lv.powersum(P((2,))), "schur")
     assert exp.coeff(P((2,))) == lv.one
     assert exp.coeff(P((1, 1))) == TRat.rational(-1, 1)
@@ -233,14 +217,14 @@ def test_expand_schur_examples():
     assert exp2.coeff(P((2,))) == lv.one
     assert exp2.coeff(P((1, 1))) == lv.one
     # expanding a Schur function is a delta
-    lv2 = level_for(2, 2)
+    lv2 = poly_level_for(2, 2)
     for alpha in lv2.partitions:
         exp = lv2.expand(lv2.schur(alpha), "schur")
         assert exp.support() == {alpha: lv2.one}
 
 
 def test_expand_matches_mn_rule():
-    lv = level_for(1, 3)
+    lv = poly_level_for(1, 3)
     for beta in partitions(3):
         exp = lv.expand(lv.powersum(P(beta)), "schur")
         for lam in partitions(3):
@@ -278,7 +262,7 @@ def test_char_table_of_symmetric_groups():
 
 
 def test_expand_roundtrip():
-    lv = level_for(2, 2)
+    lv = poly_level_for(2, 2)
     for alpha in lv.partitions:
         exp = lv.expand(lv.q_product(alpha, +1), "powersum")
         rebuilt = SymPoly.zero(lv.space)
@@ -287,18 +271,67 @@ def test_expand_roundtrip():
         assert rebuilt == lv.q_product(alpha, +1)
 
 
+BASES = ("powersum", "schur", "qplus", "qminus", "monomial")
+
+
+def differential_levels():
+    """Every sub-level of the acceptance grid, plus levels with a proper
+    power of zeta (h > 1) and the larger G(2,1,4) and G(3,1,3)."""
+    levels = {}
+    for e, p, n, q in GRID:
+        for lv in coset_algebra(GroupParams(e, p, n, q)).levels.values():
+            levels[(lv.E, lv.h, lv.ecols, lv.n)] = lv
+    for lv in (Level(6, 2, 3, 2), Level(6, 3, 2, 2), level_for(2, 4), level_for(3, 3)):
+        levels[(lv.E, lv.h, lv.ecols, lv.n)] = lv
+    return levels
+
+
+def common_denominator(values):
+    """The lcm of the denominators of ``values``, as a TRat."""
+    den = TPoly.constant(values[0].field.one)
+    for v in values:
+        den = den * v.den.divmod(den.gcd(v.den))[0]
+    return TRat(den)
+
+
+def test_basis_matrices_match_polynomial_oracle():
+    # the power-sum rows of all five bases against polynomials multiplied
+    # out; then convert between every pair of bases, on a vector with
+    # distinct coefficients so that a transposed or misaligned transition
+    # matrix shows.  The oracle checks a conversion by its monomial
+    # coordinates, which must be those of the input (the monomial
+    # coordinates of a basis are independent), so it never inverts its q
+    # matrices; clearing denominators first keeps that sum polynomial.
+    for key, lv in differential_levels().items():
+        px = poly_level(lv)
+        to_p = px.m_matrix_inv("powersum")
+        for basis in BASES:
+            want = linalg.mat_mul(px.m_matrix(basis), to_p)
+            assert lv.basis_matrix(basis) == want, (key, basis)
+        coeffs = tuple(TRat.rational(a + 1, lv.E) for a in range(lv.size))
+        for source in BASES:
+            fun = BasisExpansion(lv, source, coeffs)
+            want = px.mvec(fun)
+            for target in BASES:
+                got = lv.convert(fun, target)
+                assert got.basis == target, (key, source, target)
+                den = common_denominator(got.coeffs)
+                cleared = BasisExpansion(lv, target, tuple(c * den for c in got.coeffs))
+                assert px.mvec(cleared) == [w * den for w in want], (key, source, target)
+
+
 # -- scalar product -----------------------------------------------------------
 
 
 def test_scalar_product_power_sums():
-    lv = level_for(2, 2)
+    lv = poly_level_for(2, 2)
     for i, alpha in enumerate(lv.partitions):
         fa = lv.expand(lv.powersum(alpha), "powersum")
         for j, beta in enumerate(lv.partitions):
             fb = lv.expand(lv.powersum(beta), "powersum")
             got = scalar_product(fa, fb)
             if i == j:
-                assert got == lv.z_series(alpha)
+                assert got == lv.level.z_series(alpha)
             else:
                 assert got.is_zero()
 
@@ -307,7 +340,7 @@ def test_scalar_product_q_m_duality():
     # the sign pairing consistent with the (1 - zeta^k t^part) centralizer
     # series: <q_(a,-), m_b> = delta and <m_a, q_(b,+)> = delta
     for e, n in [(1, 2), (2, 2), (1, 3), (3, 2)]:
-        lv = level_for(e, n)
+        lv = poly_level_for(e, n)
         for alpha in lv.partitions:
             qa = lv.expand(lv.q_product(alpha, -1), "powersum")
             for beta in lv.partitions:
@@ -330,8 +363,9 @@ def test_schur_gram_matches_scalar_from_p():
         random.Random(e * 10 + n).shuffle(order)
         gram = lv.schur_gram(order)
         coords = [
-            lv.p_coords_of_s_vector(
-                [lv.one if beta == alpha else lv.zero_rat for beta in lv.partitions]
+            lv.p_coords(
+                [lv.one if beta == alpha else lv.zero_rat for beta in lv.partitions],
+                "schur",
             )
             for alpha in order
         ]
@@ -370,7 +404,7 @@ def test_theta_twist():
     # schur: color shift by d permutes the label components
     for e, p in [(2, 2), (3, 3), (4, 2)]:
         d = e // p
-        lv = level_for(e, 2)
+        lv = poly_level_for(e, 2)
         for alpha in lv.partitions:
             assert lv.schur(alpha).shift_colors(d) == lv.schur(theta(alpha, p))
             assert lv.monomial(alpha).shift_colors(d) == lv.monomial(theta(alpha, p))
@@ -378,14 +412,14 @@ def test_theta_twist():
                 theta(alpha, p), +1
             )
             # power sums pick up the phase zeta^(-delta(alpha) d)
-            phase = lv.cyc_rat(lv.field.zeta((-delta(alpha) * d * lv.h) % lv.E))
+            phase = lv.cyc_rat(lv.field.zeta((-delta(alpha) * d * lv.level.h) % lv.E))
             assert lv.powersum(alpha).shift_colors(d) == lv.powersum(alpha).scale(
                 phase
             )
 
 
 def test_expansion_json():
-    lv = level_for(2, 2)
+    lv = poly_level_for(2, 2)
     exp = lv.expand(lv.powersum(P((1,), (1,))), "schur")
     data = exp.to_json()
     assert data["basis"] == "schur"
@@ -393,8 +427,8 @@ def test_expansion_json():
 
 
 def test_scalar_product_mixed_degrees_zero():
-    lv2 = level_for(2, 2)
-    lv1 = level_for(2, 1)
+    lv2 = poly_level_for(2, 2)
+    lv1 = poly_level_for(2, 1)
     f = lv2.expand(lv2.powersum(P((2,), ())), "powersum")
     g = lv1.expand(lv1.powersum(P((1,), ())), "powersum")
     assert scalar_product(f, g).is_zero()
