@@ -92,6 +92,25 @@ def invert(a):
     return solve(a, _identity(a))
 
 
+def invert_unit_lower(a):
+    """Inverse of a unit lower-triangular matrix by forward substitution:
+    row i of the inverse is e_i - sum_(l<i) a[i][l] (row l).  Raises
+    ValueError when a is not unit lower-triangular."""
+    zero = a[0][0] - a[0][0]
+    out = []
+    for i, row in enumerate(a):
+        if not row[i].is_one() or any(not x.is_zero() for x in row[i + 1 :]):
+            raise ValueError(f"not unit lower-triangular at row {i}")
+        inv_row = [zero] * i + [row[i]] + [zero] * (len(a) - i - 1)
+        for l, x in enumerate(row[:i]):
+            if not x.is_zero():
+                for j, z in enumerate(out[l][: l + 1]):
+                    if not z.is_zero():
+                        inv_row[j] = inv_row[j] - x * z
+        out.append(inv_row)
+    return out
+
+
 def block_ldu(a, blocks):
     """Two-sided block elimination of the square a over consecutive index
     blocks of the given sizes.

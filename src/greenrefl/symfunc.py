@@ -25,15 +25,23 @@ coordinates against explicit polynomials multiplied out in max(n, 1)
 variables per colour (``tests/polynomial_oracle.py``).
 
 Every t-deformed scalar product of two families given by their values on
-the classes is one class sum, ``weighted_gram``: the Schur Gram matrix of
-a level here, and Omega' and the fake degrees of the coset layer.
+the classes is one class sum, ``gram_numerators``: the Schur Gram matrix
+of a level here, and (wrapped as canonical fractions by
+``weighted_gram``) Omega' and the fake degrees of the coset layer.  It
+returns the numerators over the lcm L of the weight denominators.  Every
+value is scaled to Z[zeta][t] and packed into one Python int, a slot of B
+bits per monomial t^d zeta^m (Kronecker substitution), so the k^3 scalar
+products are big-integer products.  B is safe because it comes from the
+L1 norms: no coefficient of a sum can exceed sum_i max|X|_1 max|Y|_1
+|W|_1 in absolute value, and B - 1 bits hold that bound; the unpacking
+refuses a value that spills past its last slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .combinatorics import enumerate_epartitions, ep_length, partitions
 from .exact_arith import CycField, TPoly, TRat
@@ -325,12 +333,13 @@ class Level:
         return self._s_in_p
 
     def schur_gram(self, order):
-        """G[a][b] = <s_a, s_b> for a, b running over ``order``: the class
-        sum of the ``s_in_p`` rows against the z-series."""
+        """(N, L) with <s_a, s_b> = N[a][b] / L for a, b running over
+        ``order``: the class sum of the ``s_in_p`` rows against the
+        z-series, left over the common denominator L of the z-series."""
         s_in_p = self.s_in_p()
         rows = [s_in_p[self.pindex[alpha]] for alpha in order]
         zser = [self.z_series(beta) for beta in self.partitions]
-        return weighted_gram(rows, rows, zser)
+        return gram_numerators(rows, rows, zser)
 
     def scalar_from_p(self, u, v, subst=1):
         """<f, g> from powersum coordinate vectors; z-series in t^subst."""
@@ -346,28 +355,107 @@ class Level:
 
 
 def weighted_gram(left, right, weights):
-    """M[a][b] = sum_i left[a][i] conj(right[b][i]) weights[i].
+    """M[a][b] = sum_i left[a][i] conj(right[b][i]) weights[i], each entry
+    a canonical TRat: the numerators of ``gram_numerators`` over L."""
+    nums, common = gram_numerators(left, right, weights)
+    return [[TRat(num, common) for num in row] for row in nums]
 
-    The rows hold CycNum values and the weights are TRat.  Every weight is
-    rewritten over one common denominator, the lcm L of their denominators,
-    so an entry is one polynomial combination reduced against L once."""
+
+def gram_numerators(left, right, weights):
+    """(N, L) with sum_i left[a][i] conj(right[b][i]) weights[i] = N[a][b] / L.
+
+    The rows hold CycNum values and the weights are TRat; L is the lcm of
+    the weight denominators and N[a][b] a TPoly.  Class i is scaled to
+    integers: X[a] and Y[b] are the integer numerators of column i of left
+    and conj(right) over their lcm denominators, W the primitive integer
+    part of weights[i] * L, and one rational factor per class, brought to
+    the common denominator D, is folded into W.  Every X, Y and W is packed
+    into one int (Kronecker substitution), a slot of B bits per monomial
+    t^d zeta^m, 3 phi(e) - 2 zeta-slots per power of t: a product X Y W has
+    zeta-degree at most 3 (phi(e) - 1), so its slots never collide, and the
+    k^3 products are integer products.  A slot of the sum holds a
+    coefficient of absolute value at most S = sum_i max|X|_1 max|Y|_1 |W|_1
+    (L1 norms of the coefficient vectors), and B = bitlength(S) + 1 keeps
+    it below 2^(B-1), so signed digits read it back exactly.  zeta^m with
+    m >= phi(e) is then reduced by the power table of the field."""
     field = weights[0].field
     common = TPoly.constant(field.one)
     for w in weights:
         common = common * w.den.divmod(common.gcd(w.den))[0]
-    nums = [w.num * common.divmod(w.den)[0] for w in weights]
+    w_nums = [w.num * common.divmod(w.den)[0] for w in weights]
+
     conj_right = [[c.conjugate() for c in row] for row in right]
-    gram = []
-    for row in left:
+    left_cols = [_integer_column(col) for col in zip(*left)]
+    right_cols = [_integer_column(col) for col in zip(*conj_right)]
+    factors, w_ints = [], []
+    for (dx, _), (dy, _), w in zip(left_cols, right_cols, w_nums):
+        dw = lcm(*(c.den for c in w.coeffs))
+        ints = [[x * (dw // c.den) for x in c.num] for c in w.coeffs]
+        content = gcd(*(x for num in ints for x in num)) or 1
+        w_ints.append([[x // content for x in num] for num in ints])
+        factors.append(Fraction(content, dx * dy * dw))
+    den = lcm(*(f.denominator for f in factors))
+    w_ints = [
+        [[x * (f * den).numerator for x in num] for num in w]
+        for f, w in zip(factors, w_ints)
+    ]
+
+    def l1(vec):
+        return sum(abs(x) for x in vec)
+
+    bound = 0
+    for (_, xs), (_, ys), w in zip(left_cols, right_cols, w_ints):
+        bound += max(map(l1, xs)) * max(map(l1, ys)) * sum(map(l1, w))
+    bits = bound.bit_length() + 1
+    phi = field.degree
+    stride = 3 * phi - 2
+    slots = stride * max(len(w) for w in w_ints)
+
+    def pack(num, offset=0):
+        out = 0
+        for c in reversed(num):
+            out = (out << bits) + c
+        return out << (bits * offset)
+
+    packed_w = [sum(pack(num, d * stride) for d, num in enumerate(w)) for w in w_ints]
+    packed_y = list(zip(*([pack(y) for y in ys] for _, ys in right_cols)))
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    bias = half * (((1 << (bits * slots)) - 1) // mask)
+    powers, e = field._powers, field.e
+    nums = []
+    for xs in zip(*(xs for _, xs in left_cols)):
+        xw_row = [pack(x) * pw for x, pw in zip(xs, packed_w)]
         out = []
-        for conj_row in conj_right:
-            num = TPoly(field, (), trusted=True)
-            for x, y, w in zip(row, conj_row, nums):
-                if not x.is_zero() and not y.is_zero():
-                    num = num + w.scale(x * y)
-            out.append(TRat(num, common))
-        gram.append(out)
-    return gram
+        for ys in packed_y:
+            value = bias
+            for xw, y in zip(xw_row, ys):
+                if xw and y:
+                    value += xw * y
+            digits = []
+            for _ in range(slots):
+                digits.append((value & mask) - half)
+                value >>= bits
+            if value:
+                raise ArithmeticError("packed class sum overflows its slots")
+            coeffs = []
+            for d in range(0, slots, stride):
+                red = digits[d : d + phi]
+                for m in range(phi, stride):
+                    c = digits[d + m]
+                    if c:
+                        red = [a + c * b for a, b in zip(red, powers[m % e])]
+                coeffs.append(field.make(red, den))
+            out.append(TPoly(field, coeffs))
+        nums.append(out)
+    return nums, common
+
+
+def _integer_column(col):
+    """(d, X): the CycNum values of col are X[a] / d over their lcm
+    denominator d, with integer coordinate vectors X[a]."""
+    d = lcm(*(c.den for c in col))
+    return d, [[x * (d // c.den) for x in c.num] for c in col]
 
 
 def _sn_character(lam, mu, memo):

@@ -11,10 +11,12 @@ on similarity classes (largest a-value first):
 Together these make them the unique block LDU of the Schur Gram matrix
 G = (<s_a, s_b>) over the class blocks (the Lusztig-Shoji algorithm):
 e G f = diag(D), the rows of e are P+, the conjugated columns of f are P-,
-and D holds the within-class Gram matrices <P+_z, P-_z'>.  The dual
-families Q+/Q- come from inverting those blocks.  The Kostka matrix
-K(+/-) = M(s, P) is the inverse of the unitriangular matrix collecting the
-P's in Schur coordinates.
+and D holds the within-class Gram matrices <P+_z, P-_z'>.  The elimination
+runs on the polynomial numerators N = L G over the common denominator L
+of the z-series: e N f = diag(D_N) with the same e and f, and D = D_N / L.
+The dual families Q+/Q- come from inverting those blocks.  The Kostka
+matrix K(+/-) = M(s, P) is the inverse of the unit lower-triangular
+matrix collecting the P's in Schur coordinates, by forward substitution.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .combinatorics import ep_str, partition_similarity_classes
-from .exact_arith import TRat
+from .exact_arith import TPoly, TRat
 from .symfunc import Level, level_for
 
 
@@ -272,12 +274,35 @@ def _symbol_order(level, r):
 
 
 def _compute_hl(level, r):
-    order, class_ranges, a_values = _symbol_order(level, r)
-    # e <s, s> f = diag(grams): the rows of e are P+ and the conjugated
-    # columns of f are P-, in Schur coordinates along ``order``
-    e, grams, f = linalg.block_ldu(
-        level.schur_gram(order), [len(cls) for cls in class_ranges]
+    order, class_ranges, _ = _symbol_order(level, r)
+    return _hl_from_ldu(
+        level, r, _schur_ldu(level, order, [len(cls) for cls in class_ranges])
     )
+
+
+def _schur_ldu(level, order, blocks):
+    """Block LDU (e, grams, f) of the Schur Gram matrix G along ``order``.
+
+    It eliminates on the numerators N = L G of ``Level.schur_gram``, which
+    are polynomials: scaling a matrix by L leaves e and f unchanged and
+    scales its diagonal blocks by L, so only the entries of the diagonal
+    blocks D_N are divided by L, and no intermediate carries L."""
+    nums, common = level.schur_gram(order)
+    e, d_nums, f = linalg.block_ldu(
+        [[TRat(x, reduce=False) for x in row] for row in nums], blocks
+    )
+    inv_common = TRat(TPoly.constant(level.field.one), common)
+    grams = [[[x * inv_common for x in row] for row in dk] for dk in d_nums]
+    return e, grams, f
+
+
+def _hl_from_ldu(level, r, ldu):
+    """The HL data of (level, r) from the block LDU e G f = diag(grams)
+    along the symbol order."""
+    order, class_ranges, a_values = _symbol_order(level, r)
+    # the rows of e are P+ and the conjugated columns of f are P-, in Schur
+    # coordinates along ``order``
+    e, grams, f = ldu
     perm = [order.index(alpha) for alpha in level.partitions]
     sp = [[row[j] for j in perm] for row in e]
     sm = [[f[j][i].conjugate() for j in perm] for i in range(len(order))]
@@ -346,7 +371,7 @@ def kostka_matrix(level, r, sign):
     perm = [level.pindex[alpha] for alpha in data.order]
     rows = data.sp if sign > 0 else data.sm
     u = [[rows[i][perm[j]] for j in range(size)] for i in range(size)]
-    k = linalg.invert(u)
+    k = linalg.invert_unit_lower(u)
     labels = [ep_str(alpha) for alpha in data.order]
     blocks = [len(c) for c in data.classes]
     return LabeledMatrix(labels, labels, k, blocks, blocks)

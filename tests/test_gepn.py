@@ -670,8 +670,11 @@ def per_character_fake_degrees(alg):
 
 def test_class_sum_kernel_equals_per_term_sums():
     # OmegaPrime and the fake degrees share symfunc.weighted_gram with the
-    # Schur Gram matrix; here both are summed term by term instead
-    for e, p, n, q in GRID + [(3, 3, 2, 1), (4, 4, 2, 1), (6, 3, 2, 2)]:
+    # Schur Gram matrix; here both are summed term by term instead.  In
+    # Q(zeta_5) and Q(zeta_8) (phi = 4) a product of three field elements
+    # reaches zeta^9, past the power table's 2 phi entries
+    extra = [(3, 3, 2, 1), (4, 4, 2, 1), (6, 3, 2, 2), (5, 5, 2, 0), (8, 4, 2, 0)]
+    for e, p, n, q in GRID + extra:
         alg = coset_algebra(GroupParams(e, p, n, q))
         assert alg.omega_prime() == per_term_omega_prime(alg), (e, p, n, q)
         assert alg.fake_degrees() == per_character_fake_degrees(alg), (e, p, n, q)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from greenrefl.exact_arith import CycField, TPoly, TRat
-from greenrefl.linalg import block_ldu, mat_mul
+from greenrefl.linalg import block_ldu, invert, invert_unit_lower, mat_mul
 
 
 def _random_cyc(field, rng):
@@ -130,3 +130,23 @@ def test_block_ldu_rejects_wrong_block_sizes():
     a = [[field.one, field.zero], [field.zero, field.one]]
     with pytest.raises(ValueError):
         block_ldu(a, [1])
+
+
+def test_invert_unit_lower_matches_invert():
+    rng = random.Random(5)
+    field = CycField(3)
+    for size in (1, 2, 5, 8):
+        a = [
+            [_random_cyc(field, rng) if j < i else field.one if j == i else field.zero
+             for j in range(size)]
+            for i in range(size)
+        ]
+        assert invert_unit_lower(a) == invert(a), size
+
+
+def test_invert_unit_lower_rejects_other_shapes():
+    field = CycField(3)
+    one, zero, two = field.one, field.zero, field.from_rational(2)
+    for bad in ([[one, zero], [one, two]], [[one, one], [zero, one]]):
+        with pytest.raises(ValueError):
+            invert_unit_lower(bad)

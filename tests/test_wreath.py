@@ -447,3 +447,31 @@ def test_hl_cache_recomputes_a_file_not_block_unitriangular(tmp_path, monkeypatc
     assert wreath_mod._load_cached_hl(lv, 2) is None
     assert _same_hl(hl_data(lv, 2), fresh)
     assert path.read_text() == text
+
+
+def test_hl_data_matches_ldu_of_normalised_gram():
+    # production eliminates on the numerators N = L G; the reference
+    # eliminates on the Gram matrix itself, every entry a canonical TRat
+    import greenrefl.wreath as wreath_mod
+    from greenrefl import linalg
+    from greenrefl.gepn import coset_algebra
+    from test_acceptance import GRID
+
+    levels = []
+    for e, p, n, q in GRID:
+        for lv in coset_algebra(GroupParams(e, p, n, q)).levels.values():
+            if lv not in levels:
+                levels.append(lv)
+    levels += [level_for(2, 4), level_for(5, 2), level_for(1, 5)]
+    for lv in levels:
+        order, classes, _ = wreath_mod._symbol_order(lv, 2)
+        blocks = [len(cls) for cls in classes]
+        nums, common = lv.schur_gram(order)
+        gram = [[TRat(num, common) for num in row] for row in nums]
+        ref = linalg.block_ldu(gram, blocks)
+        e, grams, f = wreath_mod._schur_ldu(lv, order, blocks)
+        assert (e, f) == (ref[0], ref[2]), lv
+        assert grams == ref[1], lv
+        got, want = hl_data(lv, 2), wreath_mod._hl_from_ldu(lv, 2, ref)
+        for name in ("sp", "sm", "qp", "qm"):
+            assert getattr(got, name) == getattr(want, name), (lv, name)
