@@ -32,12 +32,8 @@ from .exact_arith import (
     CycNum,
     TPoly,
     TRat,
-    cyc_conjugate,
-    cyc_inverse,
     cyc_make,
     cyclotomic_polynomial,
-    trat_normalize,
-    trat_subst_tinv,
 )
 from .gepn import (
     CosetTable,
@@ -51,14 +47,11 @@ from .gepn import (
     green_suite,
     kostka_gepn,
     tuple_hall_littlewood,
-    tuple_powersum,
-    tuple_q_m,
     tuple_schur,
-    xj_variables,
     z_coset,
 )
 from .oracle import BruteForceGroup, GroupReport, brute_force_oracle
-from .symfunc import BasisExpansion, Level, level_for, scalar_product
+from .symfunc import Level, level_for
 from .wreath import (
     CharTable,
     HLBasis,
@@ -71,18 +64,16 @@ from .wreath import (
 )
 
 __all__ = [
-    "BasisExpansion", "BruteForceGroup", "CharParam", "CharTable",
-    "ClassParam", "CosetTable", "CycField", "CycNum", "GreenSuite",
-    "GroupParams", "GroupReport", "HLBasis", "LabeledMatrix", "Level",
-    "SimilarityPartition", "Symbol", "TPoly", "TRat", "TupleFun", "ZCoset",
-    "a_value", "alpha_divide", "alpha_truncate", "brute_force_oracle",
-    "char_table", "clear_caches", "coset_algebra", "coset_char_table",
-    "cyc_conjugate", "cyc_inverse", "cyc_make", "cyclotomic_polynomial",
-    "delta", "enumerate_char_params", "enumerate_class_params",
-    "enumerate_epartitions", "ep_str", "f_invariant", "fake_degrees",
-    "green_suite", "hall_littlewood", "hl_data", "kostka", "kostka_gepn",
-    "level_for", "make_symbol", "orbit_data", "scalar_product",
-    "similarity_order", "theta", "trat_normalize", "trat_subst_tinv",
-    "tuple_hall_littlewood", "tuple_powersum", "tuple_q_m", "tuple_schur",
-    "xj_variables", "z_coset", "z_series",
+    "BruteForceGroup", "CharParam", "CharTable", "ClassParam", "CosetTable",
+    "CycField", "CycNum", "GreenSuite", "GroupParams", "GroupReport",
+    "HLBasis", "LabeledMatrix", "Level", "SimilarityPartition", "Symbol",
+    "TPoly", "TRat", "TupleFun", "ZCoset", "a_value", "alpha_divide",
+    "alpha_truncate", "brute_force_oracle", "char_table", "clear_caches",
+    "coset_algebra", "coset_char_table", "cyc_make",
+    "cyclotomic_polynomial", "delta", "enumerate_char_params",
+    "enumerate_class_params", "enumerate_epartitions", "ep_str",
+    "f_invariant", "fake_degrees", "green_suite", "hall_littlewood",
+    "hl_data", "kostka", "kostka_gepn", "level_for", "make_symbol",
+    "orbit_data", "similarity_order", "theta", "tuple_hall_littlewood",
+    "tuple_schur", "z_coset", "z_series",
 ]

@@ -160,10 +160,6 @@ def orbit_data(alpha, p):
     return tuple(orbit[i:] + orbit[:i]), len(orbit)
 
 
-def canonical_rep(alpha, p):
-    return orbit_data(alpha, p)[0][0]
-
-
 # ---------------------------------------------------------------------------
 # the divide / truncate constructions on e-partitions
 

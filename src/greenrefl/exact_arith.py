@@ -396,14 +396,6 @@ def cyc_make(e, raw):
     return out
 
 
-def cyc_inverse(a):
-    return a.inverse()
-
-
-def cyc_conjugate(a):
-    return a.conjugate()
-
-
 # ---------------------------------------------------------------------------
 # polynomials in t over a cyclotomic field
 
@@ -814,13 +806,4 @@ class TRat:
             raise ZeroDivisionError("zero denominator")
         field = dens[0].field
         return TRat(TPoly(field, nums), TPoly(field, dens))
-
-
-def trat_normalize(num, den):
-    """Canonical rational function num/den (gcd-reduced, monic denominator)."""
-    return TRat(num, den)
-
-
-def trat_subst_tinv(f):
-    return f.subst_tinv()
 

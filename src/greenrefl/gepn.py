@@ -6,18 +6,20 @@ component lives in the contracted variables
     X_i^(k) = x_i^(k) x_i^(k+jd) ... x_i^(k+(h-1)jd),   0 <= k < j1*d,
 
 (h the order of j mod p, j1 = gcd(j, p)), carries the root of unity
-zeta^h and the deformation parameter t^h.  Components are stored as
-coordinate vectors over the partitions of the corresponding sub-level, so
+zeta^h and the deformation parameter t^h.  The tuple Schur and
+Hall-Littlewood functions are kept here, each component as its Schur
+coordinate vector over the partitions of the corresponding sub-level, so
 all computations reduce to the wreath-product machinery plus bookkeeping.
 
 The production route reads everything off the sub-levels G(e',1,n').  The
 coset character table X(0), the transition matrix from tuple power sums to
 tuple Schur functions, is X(0)[xi][z] = <p_xi, s_z>: a sum of sub-level
 character-table entries with roots of unity.  The Kostka matrices come
-from the block assembly out of sub-level Kostka matrices.  The tuple
-functions in stacked coordinates are the independent check:
-``kostka_direct`` solves for the Kostka matrices against the tuple
-Hall-Littlewood functions.  The Green-function suite packages
+from the block assembly out of sub-level Kostka matrices, which is the
+paper's theorem.  The paper's definition is the independent check:
+``kostka_direct`` solves for the Kostka matrices as the transition matrix
+between the stacked tuple Schur and tuple Hall-Littlewood functions.  The
+Green-function suite packages
 
     Ktilde(+/-) = K(+/-)(t^(-1)) T,      T = diag(t^(a(z))),
     OmegaPrime  = G(t) sum_xi X(0)-row outer products / (z_xi det(t id - w_xi)),
@@ -33,7 +35,8 @@ kernel shared with the Schur Gram matrix of a level.
 
 The coset phase of a character lives in ``CosetAlgebra._orbit_terms``:
 the tuple functions, X(0) and the Kostka assembly all read it, and
-``_power_terms`` is its counterpart for a class.
+``_power_terms``, the tuple power sum of a class, is its counterpart on
+the class side.
 """
 
 from __future__ import annotations
@@ -89,8 +92,8 @@ def clear_caches():
 class TupleFun:
     """A p-tuple of sub-level symmetric functions in coordinate form.
 
-    comps maps a component index j to (basis, coeffs) where coeffs is the
-    coordinate vector over the partitions of the sub-level at j.
+    comps maps a component index j to its Schur coordinates, a vector over
+    the partitions of the sub-level at j.
     """
 
     params: GroupParams
@@ -147,20 +150,26 @@ class CosetAlgebra:
         """Index permutation induced by complex conjugation of the
         characters, located by matching conjugated table columns (the
         label arithmetic alone does not determine it: a stabilizer
-        character can conjugate to itself).  Falls back to the identity
-        when no exact match exists (possible for twisted cosets, where
-        conjugate extensions may differ by a phase)."""
-        table = self.coset_table()
-        nclasses = len(self.class_params)
+        character can conjugate to itself).
+
+        Only the untwisted coset is matched.  Complex conjugation maps
+        sigma^q W to sigma^(-q) W, so for q != 0 the conjugate of a column
+        is a column of the sigma^(-q) W table, whose extensions carry other
+        phases even where that coset is sigma^q W again, and the
+        permutation is the identity by rule.  For q = 0 every column has
+        its conjugate in the table; ArithmeticError if one does not."""
         k = len(self.chars)
-        cols = [tuple(table[i][z] for i in range(nclasses)) for z in range(k)]
+        if self.params.q:
+            return list(range(k))
+        cols = [tuple(row[z] for row in self.coset_table()) for z in range(k)]
         index = {col: z for z, col in enumerate(cols)}
         perm = []
-        for z in range(k):
-            conj_col = tuple(v.conjugate() for v in cols[z])
-            w = index.get(conj_col)
+        for z, col in enumerate(cols):
+            w = index.get(tuple(v.conjugate() for v in col))
             if w is None:
-                return list(range(k))
+                raise ArithmeticError(
+                    f"the conjugate of column {self.chars[z].label()} is not in the table"
+                )
             perm.append(w)
         return perm
 
@@ -199,36 +208,19 @@ class CosetAlgebra:
     # -- tuple functions ------------------------------------------------------
 
     def tuple_schur(self, z):
-        return self._orbit_tuple(z, "schur", self._unit)
+        return self._orbit_tuple(z, lambda j, a: [(a, self.one)])
 
-    def tuple_q(self, z, sign):
-        return self._orbit_tuple(z, "qplus" if sign > 0 else "qminus", self._unit)
-
-    def tuple_monomial(self, z):
-        return self._orbit_tuple(z, "monomial", self._unit)
-
-    def _unit(self, j, a):
-        return [(a, self.one)]
-
-    def _orbit_tuple(self, z, basis, entries):
+    def _orbit_tuple(self, z, entries):
         """Components sum zeta^k B_j(theta^i(alpha) truncated at j) over the
-        orbit terms (j, i, a, k) of z; entries(j, a) lists B_j of the
-        partition with index a as (index, coefficient) pairs."""
+        orbit terms (j, i, a, k) of z; entries(j, a) lists the Schur
+        coordinates of B_j of the partition with index a as (index,
+        coefficient) pairs."""
         comps = {}
         for j, _, a, k in self._orbit_terms(z):
-            _, vec = comps.setdefault(j, (basis, [self.zero] * self.levels[j].size))
+            vec = comps.setdefault(j, [self.zero] * self.levels[j].size)
             w = self.zeta_pow(k)
             for idx, val in entries(j, a):
                 vec[idx] = vec[idx] + val.scale_cyc(w)
-        return TupleFun(self.params, comps)
-
-    def tuple_powersum(self, xi):
-        """Components c_j(xi) p_(beta[j]) over the power terms of xi."""
-        comps = {}
-        for j, g, coeff in self._power_terms(xi):
-            vec = [self.zero] * self.levels[j].size
-            vec[g] = TRat.from_cyc(coeff)
-            comps[j] = ("powersum", vec)
         return TupleFun(self.params, comps)
 
     def tuple_hall_littlewood(self, z, sign):
@@ -246,52 +238,16 @@ class CosetAlgebra:
                 if not val.is_zero()
             ]
 
-        return self._orbit_tuple(z, "schur", entries)
+        return self._orbit_tuple(z, entries)
 
-    # -- scalar product and stacked Schur coordinates ---------------------------
-
-    def component_p_coords(self, fun, j):
-        """Power-sum coordinates of component j.
-
-        A component (basis, vec) stands for sum_g vec[g] B_g(X_j; t^h): the
-        stored coefficients are already in terms of the global t, while the
-        basis functions carry the sub-level parameter t^h.  The power-sum
-        rows of the Schur and monomial bases are free of t; those of the q
-        bases are not, so their coordinates need t -> t^h."""
-        comp = fun.component(j)
-        if comp is None:
-            return None
-        basis, vec = comp
-        pcoords = self.levels[j].p_coords(vec, basis)
-        h = self.h_of[j]
-        if h != 1 and basis in ("qplus", "qminus"):
-            pcoords = [c.subst_power(h) for c in pcoords]
-        return pcoords
-
-    def tuple_scalar(self, f, g):
-        """(1/p) sum_j <f_j, g_j> with zeta^h and t^h at component j."""
-        total = self.zero
-        for j, level in self.levels.items():
-            u = self.component_p_coords(f, j)
-            v = self.component_p_coords(g, j)
-            if u is None or v is None:
-                continue
-            h = self.h_of[j]
-            total = total + level.scalar_from_p(u, v, subst=h)
-        return total.scale_cyc(self.field.from_rational(Fraction(1, self.params.p)))
+    # -- stacked Schur coordinates ---------------------------------------------
 
     def stack_schur(self, fun):
-        """Stacked Schur coordinates of a tuple function with Schur
-        components."""
+        """The Schur coordinates of every component, in component order."""
         out = []
         for j in sorted(self.levels):
             comp = fun.component(j)
-            if comp is None:
-                out.extend([self.zero] * self.levels[j].size)
-            elif comp[0] == "schur":
-                out.extend(comp[1])
-            else:
-                raise ValueError(f"cannot stack a {comp[0]!r} component")
+            out.extend([self.zero] * self.levels[j].size if comp is None else comp)
         return out
 
     # -- the coset character table ------------------------------------------------
@@ -626,39 +582,8 @@ class ZCoset:
 # public operations
 
 
-def xj_variables(j, params):
-    """The contracted variables at component j: maps (k, i) to the tuple of
-    (color, index) factors x_i^(color) making up X_i^(k)."""
-    if not 0 <= j < params.p:
-        raise ValueError("component index out of range")
-    h = params.h_of(j)
-    ncols = params.j1_of(j) * params.d
-    out = {}
-    for k in range(ncols):
-        for i in range(params.n):
-            out[(k, i)] = tuple(
-                ((k + s * j * params.d) % params.e, i) for s in range(h)
-            )
-    return out
-
-
 def tuple_schur(z, params, r=2):
     return coset_algebra(params, r).tuple_schur(z)
-
-
-def tuple_powersum(xi, params, r=2):
-    return coset_algebra(params, r).tuple_powersum(xi)
-
-
-def tuple_q_m(z, params, which, r=2):
-    alg = coset_algebra(params, r)
-    if which == "m":
-        return alg.tuple_monomial(z)
-    if which in ("q+", "qplus", "+"):
-        return alg.tuple_q(z, +1)
-    if which in ("q-", "qminus", "-"):
-        return alg.tuple_q(z, -1)
-    raise ValueError(f"unknown tuple family {which!r}")
 
 
 def tuple_hall_littlewood(z, params, r=2, sign=+1):

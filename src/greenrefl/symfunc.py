@@ -8,21 +8,14 @@ index i mix the colours through the root of unity,
 
     p_r^(i) = sum_j zeta^(i*j) p_r(x^(j)),
 
-and every basis is stored by the power-sum coordinates of its elements
-(``Level.basis_matrix``), so no polynomial in x is ever formed:
-
-* Schur: the character table of the level (the coefficients of the Schur
-  functions in the power sums), from the wreath-product character formula:
-  the colour-wise Murnaghan-Nakayama rule.
-* one-row q: the plethystic closed form of the generating series
-  prod_i (1 - t x_i^(k+1) y) / prod_i (1 - x_i^(k) y) (k-1 in place of k+1
-  for the minus sign), a product of such rows for each e-partition.
-* monomial: the dual basis of h, the q rows at t = 0, under the product
-  at t = 0.
-
-``convert`` goes through power-sum coordinates.  The tests hold these
-coordinates against explicit polynomials multiplied out in max(n, 1)
-variables per colour (``tests/polynomial_oracle.py``).
+and a function is stored by its power-sum coordinates, so no polynomial
+in x is ever formed.  The one basis kept here is Schur: its power-sum rows
+(``Level.s_in_p``) come from the character table of the level, built by
+the wreath-product character formula, the colour-wise
+Murnaghan-Nakayama rule.  The tests hold these rows against explicit
+polynomials multiplied out in max(n, 1) variables per colour
+(``tests/polynomial_oracle.py``), which also supplies the monomial,
+power-sum and one-row q bases that the tests need.
 
 Every t-deformed scalar product of two families given by their values on
 the classes is one class sum, ``gram_numerators``: the Schur Gram matrix
@@ -39,49 +32,18 @@ refuses a value that spills past its last slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .combinatorics import enumerate_epartitions, ep_length, partitions
+from .combinatorics import enumerate_epartitions, ep_length
 from .exact_arith import CycField, TPoly, TRat
-from . import linalg
-
-
-@dataclass(frozen=True)
-class BasisExpansion:
-    """Coordinates of a symmetric function in one of the named bases."""
-
-    level: "Level"
-    basis: str                     # schur | monomial | powersum | qplus | qminus
-    coeffs: tuple                  # aligned with level.partitions
-
-    def coeff(self, alpha):
-        return self.coeffs[self.level.pindex[alpha]]
-
-    def support(self):
-        return {
-            self.level.partitions[i]: c
-            for i, c in enumerate(self.coeffs)
-            if not c.is_zero()
-        }
-
-    def to_json(self):
-        from .combinatorics import ep_str
-
-        return {
-            "basis": self.basis,
-            "coeffs": {
-                ep_str(alpha): c.to_json() for alpha, c in sorted(self.support().items())
-            },
-        }
 
 
 class Level:
     """One color structure: ecols colors, a root of unity of that order
     living in an ambient field Q(zeta_E), and a fixed homogeneous degree n.
 
-    The basis matrices in power-sum coordinates are cached here.
+    The character table, the Schur rows and the z-series are cached here.
     """
 
     _cache = {}
@@ -107,8 +69,6 @@ class Level:
         self.partitions = tuple(enumerate_epartitions(n, ecols))
         self.pindex = {alpha: i for i, alpha in enumerate(self.partitions)}
         self.size = len(self.partitions)
-        self._mats = {}
-        self._mat_invs = {}
         self._char = None
         self._s_in_p = None
         self._zser = {}
@@ -126,113 +86,6 @@ class Level:
 
     def zeta_pow(self, k):
         return self.field.zeta((k * self.h) % self.E)
-
-    # -- the named bases in power-sum coordinates ------------------------------
-
-    def basis_matrix(self, basis):
-        """Rows: power-sum coordinates of the basis functions, both indices
-        aligned with partitions."""
-        if basis not in self._mats:
-            if basis == "powersum":
-                rows = [
-                    [self.one if a == b else self.zero_rat for b in range(self.size)]
-                    for a in range(self.size)
-                ]
-            elif basis == "schur":
-                rows = [[TRat.from_cyc(c) for c in row] for row in self.s_in_p()]
-            elif basis == "qplus":
-                rows = self._q_rows(+1)
-            elif basis == "qminus":
-                rows = self._q_rows(-1)
-            elif basis == "monomial":
-                rows = self._monomial_rows()
-            else:
-                raise ValueError(f"unknown basis {basis!r}")
-            self._mats[basis] = rows
-        return self._mats[basis]
-
-    def basis_matrix_inv(self, basis):
-        if basis not in self._mat_invs:
-            self._mat_invs[basis] = linalg.invert(self.basis_matrix(basis))
-        return self._mat_invs[basis]
-
-    def _q_rows(self, sign):
-        """q_alpha = prod over the parts r of each alpha^(k) of q_r^(k); a
-        product of power sums merges their parts per colour index.  Sign 0
-        gives h_alpha, the q rows at t = 0."""
-        one_rows = {}
-        rows = []
-        for alpha in self.partitions:
-            fun = {((),) * self.ecols: TPoly.constant(self.field.one)}
-            for k, comp in enumerate(alpha):
-                for r in comp:
-                    if (r, k) not in one_rows:
-                        one_rows[(r, k)] = self._one_row(r, k, sign)
-                    fun = _multiply(fun, one_rows[(r, k)])
-            row = [self.zero_rat] * self.size
-            for label, poly in fun.items():
-                row[self.pindex[label]] = TRat(poly, reduce=False)
-            rows.append(row)
-        return rows
-
-    def _one_row(self, r, k, sign):
-        """q_r^(k) as {power-sum label: polynomial in t}.  The generating
-        series is exp sum_m (p_m(x^(k)) - t^m p_m(x^(k+sign))) y^m / m, so
-
-            q_r^(k) = sum_(rho |- r) z_rho^(-1)
-                      prod_i (p_(rho_i)(x^(k)) - t^(rho_i) p_(rho_i)(x^(k+sign))),
-
-        and p_m(x^(j)) = (1/ecols) sum_i zeta^(-i*j) p_m^(i) gives the
-        coordinates.  The factors 1/ecols are folded into z_int((rho,)) =
-        ecols^len(rho) z_rho.  Sign 0 drops the t term."""
-        field = self.field
-        kk = (k + sign) % self.ecols
-        empty = ((),) * self.ecols
-        out = {}
-        for rho in partitions(r):
-            scale = field.from_rational(Fraction(1, self.z_int((rho,))))
-            fun = {empty: TPoly.constant(scale)}
-            for m in rho:
-                factor = {}
-                for i in range(self.ecols):
-                    c = TPoly.constant(self.zeta_pow(-i * k))
-                    if sign:
-                        c = c - TPoly.t_power(field, m, self.zeta_pow(-i * kk))
-                    factor[empty[:i] + ((m,),) + empty[i + 1 :]] = c
-                fun = _multiply(fun, factor)
-            for label, poly in fun.items():
-                out[label] = out[label] + poly if label in out else poly
-        return out
-
-    def _monomial_rows(self):
-        """m is dual to h under the product at t = 0, <p_a, p_b> = delta z_a:
-        sum_g h[a][g] conj(m[b][g]) z_g = delta_ab, so m[b][g] is
-        conj(inverse(h)[g][b]) / z_g."""
-        h_inv = linalg.invert(self._q_rows(0))
-        weights = [
-            self.field.from_rational(Fraction(1, self.z_int(beta)))
-            for beta in self.partitions
-        ]
-        return [
-            [h_inv[g][b].conjugate().scale_cyc(weights[g]) for g in range(self.size)]
-            for b in range(self.size)
-        ]
-
-    # -- coordinates and conversion -------------------------------------------
-
-    def p_coords(self, vec, basis):
-        """Power-sum coordinates of sum_g vec[g] B_g for the named basis."""
-        if basis == "powersum":
-            return list(vec)
-        return _row_times(vec, self.basis_matrix(basis), self.zero_rat)
-
-    def convert(self, expansion, basis):
-        if expansion.basis == basis:
-            return expansion
-        coords = self.p_coords(expansion.coeffs, expansion.basis)
-        if basis != "powersum":
-            coords = _row_times(coords, self.basis_matrix_inv(basis), self.zero_rat)
-        return BasisExpansion(self, basis, tuple(coords))
 
     # -- character table and centralizers --------------------------------------
 
@@ -488,43 +341,7 @@ def _sn_character(lam, mu, memo):
     return value
 
 
-def _multiply(f, g):
-    """Product of two functions given as {power-sum label: coefficient}:
-    the labels merge their parts per colour index."""
-    out = {}
-    for lf, cf in f.items():
-        for lg, cg in g.items():
-            label = tuple(
-                tuple(sorted(a + b, reverse=True)) for a, b in zip(lf, lg)
-            )
-            c = cf * cg
-            out[label] = out[label] + c if label in out else c
-    return out
-
-
-def _row_times(vec, rows, zero):
-    """The row vector vec times the matrix rows."""
-    out = [zero] * len(rows[0])
-    for c, row in zip(vec, rows):
-        if c.is_zero():
-            continue
-        for b, w in enumerate(row):
-            if not w.is_zero():
-                out[b] = out[b] + c * w
-    return out
-
-
 def level_for(e, n):
     """Standalone level for G(e,1,n) with zeta = zeta_e."""
     return Level(e, 1, e, n)
-
-
-def scalar_product(f, g):
-    """Sesquilinear product; 0 when degrees (or levels) differ."""
-    if f.level is not g.level:
-        return f.level.zero_rat
-    lv = f.level
-    fp = lv.convert(f, "powersum").coeffs
-    gp = lv.convert(g, "powersum").coeffs
-    return lv.scalar_from_p(fp, gp)
 

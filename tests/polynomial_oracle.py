@@ -18,14 +18,15 @@ and the one-row q-functions come from the generating series
 
 A ``PolyLevel`` builds its polynomials from its ``Level``'s field,
 ``zeta_pow``, ``ecols``, ``n`` and ``partitions`` alone.  It never calls
-``char_table``, ``s_in_p``, ``basis_matrix`` or ``convert``, so a test
-that compares the two shares no basis-change code with the route it
-checks.
+``char_table`` or ``s_in_p``, so a test that compares the two shares no
+basis-change code with the route it checks.  The library keeps only the
+Schur basis; the monomial, power-sum and one-row q bases of the tests
+come from here.
 """
 
 from greenrefl import linalg
 from greenrefl.exact_arith import TPoly, TRat
-from greenrefl.symfunc import BasisExpansion, level_for
+from greenrefl.symfunc import level_for
 
 
 class VarSpace:
@@ -438,17 +439,9 @@ class PolyLevel:
         ]
 
     def expand(self, poly, basis):
-        """Exact coordinates of a homogeneous symmetric polynomial."""
-        coords = self.expand_mcoords(self.m_coords(poly), basis)
-        return BasisExpansion(self.level, basis, tuple(coords))
-
-    def mvec(self, expansion):
-        """Monomial coordinates of a function given in any basis."""
-        mat = self.m_matrix(expansion.basis)
-        return [
-            _dot(expansion.coeffs, [mat[i][j] for i in range(self.size)], self.zero_rat)
-            for j in range(self.size)
-        ]
+        """Exact coordinates of a homogeneous symmetric polynomial in the
+        named basis, aligned with ``partitions``."""
+        return self.expand_mcoords(self.m_coords(poly), basis)
 
 
 def _dot(u, v, zero):

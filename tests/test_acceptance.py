@@ -12,6 +12,7 @@ from itertools import permutations
 
 import pytest
 
+from greenrefl import linalg
 from greenrefl.combinatorics import (
     CharParam,
     GroupParams,
@@ -361,9 +362,8 @@ def test_criterion_8_property_suites():
     for ci, cls in enumerate(data.classes):
         for zi in cls:
             class_of[zi] = ci
-    pp = [lv.p_coords(v, "schur") for v in data.sp]
-    pm = [lv.p_coords(v, "schur") for v in data.sm]
-    qm_p = [lv.p_coords(v, "schur") for v in data.qm]
+    s_rows = [[TRat.from_cyc(c) for c in row] for row in lv.s_in_p()]
+    pp, pm, qm_p = (linalg.mat_mul(rows, s_rows) for rows in (data.sp, data.sm, data.qm))
     for i in range(len(data.order)):
         for j in range(len(data.order)):
             prod = lv.scalar_from_p(pp[i], pm[j])

@@ -24,10 +24,7 @@ from greenrefl.gepn import (
     green_suite,
     kostka_gepn,
     tuple_hall_littlewood,
-    tuple_powersum,
-    tuple_q_m,
     tuple_schur,
-    xj_variables,
     z_coset,
 )
 from greenrefl.oracle import BruteForceGroup
@@ -36,26 +33,52 @@ from greenrefl.symfunc import Level
 from polynomial_oracle import SymPoly, VarSpace, poly_level
 from test_acceptance import GRID
 from test_oracle import conjugated, phi_swapped, table_problems
+from test_symfunc import schur_rows
 
 P = lambda *comps: tuple(tuple(c) for c in comps)
 
 
-# -- the contracted variables --------------------------------------------------
+# -- tuple functions through the polynomial oracle ---------------------------------
 
 
-def test_xj_variables():
-    params = GroupParams(2, 2, 2)
-    m0 = xj_variables(0, params)
-    assert m0[(0, 0)] == ((0, 0),)
-    assert m0[(1, 1)] == ((1, 1),)
-    m1 = xj_variables(1, params)
-    assert set(m1) == {(0, 0), (0, 1)}
-    assert m1[(0, 0)] == ((0, 0), (1, 0))
-    params42 = GroupParams(4, 2, 2)
-    m421 = xj_variables(1, params42)
-    assert m421[(0, 0)] == ((0, 0), (2, 0))
-    assert m421[(1, 0)] == ((1, 0), (3, 0))
-    assert set(k for k, _ in m421) == {0, 1}
+def tuple_powersum(alg, xi):
+    """The tuple power sum of xi: {j: power-sum coordinates of component j},
+    the components c_j(xi) p_(beta[j]) over the power terms of xi."""
+    comps = {}
+    for j, g, coeff in alg._power_terms(xi):
+        comps[j] = [alg.zero] * alg.levels[j].size
+        comps[j][g] = TRat.from_cyc(coeff)
+    return comps
+
+
+def tuple_scalar(alg, f, g):
+    """(1/p) sum_j <f_j, g_j> over components given by power-sum
+    coordinates, with zeta^h and t^h at component j."""
+    total = alg.zero
+    for j in f.keys() & g.keys():
+        total = total + alg.levels[j].scalar_from_p(f[j], g[j], subst=alg.h_of[j])
+    return total.scale_cyc(alg.field.from_rational(Fraction(1, alg.params.p)))
+
+
+def tuple_p_coords(alg, fun):
+    """The power-sum coordinates of a tuple function in Schur coordinates."""
+    return {
+        j: linalg.mat_mul([vec], schur_rows(alg.levels[j]))[0]
+        for j, vec in fun.comps.items()
+    }
+
+
+def orbit_component(alg, z, j, basis_poly):
+    """Component j of sum zeta^k B(theta^i(alpha) truncated at j) over the
+    orbit terms (j, i, a, k) of z, with the basis function B multiplied out
+    by the polynomial oracle; None when z has no term at j."""
+    partitions = alg.levels[j].partitions
+    out = None
+    for jj, _, a, k in alg._orbit_terms(z):
+        if jj == j:
+            term = basis_poly(partitions[a]).scale(TRat.from_cyc(alg.zeta_pow(k)))
+            out = term if out is None else out + term
+    return out
 
 
 # -- tuple Schur and power-sum functions ----------------------------------------
@@ -66,8 +89,7 @@ def test_tuple_schur_p1():
     z = CharParam(P((1,), (1,), ()), 0)
     fun = tuple_schur(z, params)
     assert set(fun.comps) == {0}
-    basis, vec = fun.comps[0]
-    assert basis == "schur"
+    vec = fun.comps[0]
     lv = coset_algebra(params).levels[0]
     assert vec[lv.pindex[z.alpha]].is_one()
     assert sum(0 if v.is_zero() else 1 for v in vec) == 1
@@ -82,7 +104,7 @@ def test_tuple_schur_d_type():
     zm = CharParam(P((1,), (1,)), 1)
     for z, sign in [(zp, 1), (zm, -1)]:
         fun = alg.tuple_schur(z)
-        basis, vec = fun.comps[1]
+        vec = fun.comps[1]
         lv1 = alg.levels[1]
         expected = TRat.rational(sign, params.e)
         assert vec[lv1.pindex[((1,),)]] == expected
@@ -92,7 +114,7 @@ def test_tuple_schur_d_type():
     fun = alg1.tuple_schur(z)
     # orbit size 2 does not divide j = 1: only the j = 0 component survives
     assert set(fun.comps) == {0}
-    basis, vec = fun.comps[0]
+    vec = fun.comps[0]
     lv0 = alg1.levels[0]
     one = alg1.one
     assert vec[lv0.pindex[P((2,), ())]] == one
@@ -104,21 +126,20 @@ def test_tuple_powersum_examples():
     params = GroupParams(2, 2, 4, 0)
     alg = coset_algebra(params)
     xi = ClassParam(P((2, 2), ()), 1)
-    fun = alg.tuple_powersum(xi)
+    fun = tuple_powersum(alg, xi)
     lv0 = alg.levels[0]
-    basis, vec = fun.comps[0]
-    assert basis == "powersum" and vec[lv0.pindex[xi.beta]].is_one()
+    assert fun[0][lv0.pindex[xi.beta]].is_one()
     # degenerate class: component 1 = (-1)^b 2^length p_(beta/2)(X)
-    basis1, vec1 = fun.comps[1]
+    vec1 = fun[1]
     lv1 = alg.levels[1]
     val = vec1[lv1.pindex[((1, 1),)]]
     assert val == TRat.rational(-4, params.e)
     xi0 = ClassParam(P((2, 2), ()), 0)
-    _, vec10 = alg.tuple_powersum(xi0).comps[1]
+    vec10 = tuple_powersum(alg, xi0)[1]
     assert vec10[lv1.pindex[((1, 1),)]] == TRat.rational(4, params.e)
     # non-degenerate: no component 1
     xi_nd = ClassParam(P((3, 1), ()), 0)
-    assert set(alg.tuple_powersum(xi_nd).comps) == {0}
+    assert set(tuple_powersum(alg, xi_nd)) == {0}
 
 
 def test_tuple_powersum_dihedral():
@@ -128,38 +149,40 @@ def test_tuple_powersum_dihedral():
         alg = coset_algebra(params)
         for b in (0, 1):
             xi = ClassParam(((2,),) + ((),) * (e - 1), b)
-            fun = alg.tuple_powersum(xi)
             j = e // 2
-            basis, vec = fun.comps[j]
+            vec = tuple_powersum(alg, xi)[j]
             lv = alg.levels[j]
             target = ((1,),) + ((),) * (e // 2 - 1)
             assert vec[lv.pindex[target]] == TRat.rational(2 * (-1) ** b, e)
 
 
-def test_tuple_q_m_gating():
-    params = GroupParams(3, 3, 3, 0)
-    alg = coset_algebra(params)
-    z3 = CharParam(P((2,), (1,), ()), 0)     # orbit size 3: only j = 0
-    fun = tuple_q_m(z3, params, "q+")
-    assert set(fun.comps) == {0}
-    z1 = CharParam(P((1,), (1,), (1,)), 1)   # theta-fixed: all j
-    fun1 = tuple_q_m(z1, params, "m")
-    assert set(fun1.comps) == {0, 1, 2}
-
-
 def test_tuple_pairing_phi_factors():
     # <q^j_(z,-), m^j_(z')>_j = phi(tau^j) conj(phi'(tau^j)) c delta_(alpha),
-    # with q-basis components at sub-levels with h = 2 and h = 3
+    # with q-basis components at sub-levels with h = 2 and h = 3; the tuple
+    # q and monomial functions are the orbit sums of the oracle's
+    # polynomials, with t^h in the q functions of component j
     for e, p, n in [(2, 2, 2), (3, 3, 3), (4, 2, 2), (4, 4, 2)]:
         params = GroupParams(e, p, n, 0)
         alg = coset_algebra(params)
-        zs = alg.chars
-        for z in zs:
-            fq = alg.tuple_q(z, -1)
-            for w in zs:
-                fm = alg.tuple_monomial(w)
+        q_funs, m_funs = {}, {}
+        for z in alg.chars:
+            q_funs[z], m_funs[z] = {}, {}
+            for j, level in alg.levels.items():
+                oracle = poly_level(level)
+                h = alg.h_of[j]
+                fq = orbit_component(
+                    alg, z, j, lambda a: _poly_subst(oracle.q_product(a, -1), h)
+                )
+                if fq is not None:
+                    q_funs[z][j] = oracle.expand(fq, "powersum")
+                    fm = orbit_component(alg, z, j, oracle.monomial)
+                    m_funs[z][j] = oracle.expand(fm, "powersum")
+        for z in alg.chars:
+            fq = q_funs[z]
+            for w in alg.chars:
+                fm = m_funs[w]
                 # tuple pairing (1/p) sum_j <,>_j must be the Kronecker delta
-                got = alg.tuple_scalar(fq, fm)
+                got = tuple_scalar(alg, fq, fm)
                 want = alg.one if z == w else alg.zero
                 assert got == want, (params, z, w)
                 # component pairing carries the phi factors
@@ -168,9 +191,7 @@ def test_tuple_pairing_phi_factors():
                     for j, level in alg.levels.items():
                         if j % c:
                             continue
-                        u = alg.component_p_coords(fq, j)
-                        v = alg.component_p_coords(fm, j)
-                        pairing = level.scalar_from_p(u, v, subst=alg.h_of[j])
+                        pairing = level.scalar_from_p(fq[j], fm[j], subst=alg.h_of[j])
                         phase = alg.field.zeta((z.phi - w.phi) * params.d * j % params.e)
                         assert pairing == TRat.from_cyc(phase * c), (params, z, w, j)
 
@@ -180,10 +201,10 @@ def test_tuple_powersum_orthogonality():
     for e, p, n, q in [(2, 2, 2, 0), (2, 2, 2, 1), (3, 3, 2, 0), (4, 2, 2, 0)]:
         params = GroupParams(e, p, n, q)
         alg = coset_algebra(params)
-        funs = [alg.tuple_powersum(xi) for xi in alg.class_params]
+        funs = [tuple_powersum(alg, xi) for xi in alg.class_params]
         for i, xi in enumerate(alg.class_params):
             for j in range(len(alg.class_params)):
-                got = alg.tuple_scalar(funs[i], funs[j])
+                got = tuple_scalar(alg, funs[i], funs[j])
                 if i == j:
                     assert got == alg.z_coset_series(xi), xi
                 else:
@@ -272,16 +293,15 @@ def stacked_solve_table(alg):
     exactly; the solve raises unless the system is consistent, i.e. unless
     the tuple Schur functions span every tuple power sum."""
 
-    def stack(fun):
+    def stack(comps, powersum=False):
         out = []
         for j in sorted(alg.levels):
             level = alg.levels[j]
-            comp = fun.component(j)
-            if comp is None:
+            vec = comps.get(j)
+            if vec is None:
                 out.extend([alg.zero] * level.size)
                 continue
-            basis, vec = comp
-            if basis == "powersum":
+            if powersum:
                 chi = level.char_table()
                 vec = [
                     sum((vec[g] * chi[d][g] for g in range(level.size)), alg.zero)
@@ -290,10 +310,14 @@ def stacked_solve_table(alg):
             out.extend(vec)
         return out
 
-    s_cols = [list(col) for col in zip(*(stack(alg.tuple_schur(z)) for z in alg.chars))]
+    s_cols = [
+        list(col) for col in zip(*(stack(alg.tuple_schur(z).comps) for z in alg.chars))
+    ]
     p_cols = [
         list(col)
-        for col in zip(*(stack(alg.tuple_powersum(xi)) for xi in alg.class_params))
+        for col in zip(
+            *(stack(tuple_powersum(alg, xi), powersum=True) for xi in alg.class_params)
+        )
     ]
     xt = linalg.solve(s_cols, p_cols)               # chars x classes
     for row in xt:
@@ -396,10 +420,8 @@ def test_tuple_hl_at_zero_is_schur():
             for sign in (+1, -1):
                 fp = alg.tuple_hall_littlewood(z, sign)
                 assert set(fp.comps) == set(fs.comps)
-                for j in fp.comps:
-                    _, vec = fp.comps[j]
-                    _, svec = fs.comps[j]
-                    for a, b in zip(vec, svec):
+                for j, vec in fp.comps.items():
+                    for a, b in zip(vec, fs.comps[j]):
                         assert TRat.from_cyc(a.eval_zero()) == b
 
 
@@ -411,12 +433,14 @@ def test_tuple_hl_orthogonality():
         for ci, cls in enumerate(alg.char_classes):
             for z in cls:
                 class_of[z] = ci
-        plus = {z: alg.tuple_hall_littlewood(z, +1) for z in alg.chars}
-        minus = {z: alg.tuple_hall_littlewood(z, -1) for z in alg.chars}
+        plus, minus = (
+            {z: tuple_p_coords(alg, alg.tuple_hall_littlewood(z, sign)) for z in alg.chars}
+            for sign in (+1, -1)
+        )
         for z in alg.chars:
             for w in alg.chars:
                 if class_of[z] != class_of[w]:
-                    assert alg.tuple_scalar(plus[z], minus[w]).is_zero(), (z, w)
+                    assert tuple_scalar(alg, plus[z], minus[w]).is_zero(), (z, w)
 
 
 def test_x_matrices_specialize_to_table():
@@ -537,11 +561,9 @@ def test_tuple_cauchy_expansions():
                 # power-sum side: sum over classes of W with |beta| = n
                 rhs = SymPoly.zero(union)
                 for xi in alg.class_params:
-                    fun = alg.tuple_powersum(xi)
-                    comp = fun.component(j)
-                    if comp is None:
+                    vec = tuple_powersum(alg, xi).get(j)
+                    if vec is None:
                         continue
-                    _, vec = comp
                     px = SymPoly.zero(oracle.space)
                     for gi, c in enumerate(vec):
                         if not c.is_zero():
@@ -565,32 +587,18 @@ def test_tuple_cauchy_schur_side():
                 union = VarSpace(oracle.space.m + oracle.space.m)
                 lhs = SymPoly.zero(union)
                 for z in alg.chars:
-                    fq = alg.tuple_q(z, -1)
-                    fm = alg.tuple_monomial(z)
-                    cq = fq.component(j)
-                    cm = fm.component(j)
-                    if cq is None or cm is None:
+                    qpoly = orbit_component(
+                        alg, z, j, lambda a: _poly_subst(oracle.q_product(a, -1), h)
+                    )
+                    if qpoly is None:
                         continue
-                    qpoly = SymPoly.zero(oracle.space)
-                    for gi, c in enumerate(cq[1]):
-                        if not c.is_zero():
-                            qpoly = qpoly + _poly_subst(
-                                oracle.q_product(level.partitions[gi], -1), h
-                            ).scale(c)
-                    mpoly = SymPoly.zero(oracle.space)
-                    for gi, c in enumerate(cm[1]):
-                        if not c.is_zero():
-                            mpoly = mpoly + oracle.monomial(
-                                level.partitions[gi]
-                            ).scale(c)
+                    mpoly = orbit_component(alg, z, j, oracle.monomial)
                     lhs = lhs + qpoly.lift(union, 0) * mpoly.conjugate().lift(union, ec)
                 rhs = SymPoly.zero(union)
                 for xi in alg.class_params:
-                    fun = alg.tuple_powersum(xi)
-                    comp = fun.component(j)
-                    if comp is None:
+                    vec = tuple_powersum(alg, xi).get(j)
+                    if vec is None:
                         continue
-                    _, vec = comp
                     px = SymPoly.zero(oracle.space)
                     for gi, c in enumerate(vec):
                         if not c.is_zero():
@@ -635,6 +643,33 @@ def test_green_block_structure():
                 assert block_of[j] < block_of[i]
             if block_of[i] != block_of[j]:
                 assert suite.lambda_tilde.entries[i][j].is_zero()
+
+
+def test_conjugation_permutation():
+    # q = 0: complex conjugation permutes the table columns, an involution,
+    # which moves some column of the tables with non-real values;
+    # q != 0: the symmetric presentation is LambdaTilde itself
+    for e, p, n, moves in [
+        (2, 2, 3, False), (4, 4, 2, False), (3, 3, 3, True), (6, 3, 2, True), (4, 2, 2, True),
+    ]:
+        alg = coset_algebra(GroupParams(e, p, n, 0))
+        perm = alg.conjugation_permutation()
+        assert sorted(perm) == list(range(len(alg.chars))), (e, p, n)
+        assert all(perm[perm[z]] == z for z in perm), (e, p, n)
+        assert (perm != sorted(perm)) == moves, (e, p, n)
+    for e, p, n, q in [(2, 2, 3, 1), (3, 3, 2, 1), (4, 4, 2, 2), (6, 3, 2, 2)]:
+        suite = green_suite(GroupParams(e, p, n, q))
+        assert suite.lambda_symmetric.entries == suite.lambda_tilde.entries, (e, p, n, q)
+
+
+def test_conjugation_permutation_rejects_a_column_without_conjugate():
+    alg = CosetAlgebra(GroupParams(3, 3, 2, 0))
+    table = [list(row) for row in alg.coset_table()]
+    for row in table:
+        row[0] = row[0] * alg.field.zeta(1)
+    alg._coset_table = table
+    with pytest.raises(ArithmeticError, match="conjugate of column"):
+        alg.conjugation_permutation()
 
 
 def per_term_omega_prime(alg):
@@ -731,18 +766,17 @@ def test_green_suite_json_roundtrip():
 
 
 def test_tuple_functions_p1_reduce_to_base():
+    # for p = 1 the orbit of z is z alone, at the one component j = 0, with
+    # no phase: the tuple functions are those of the level itself
     params = GroupParams(3, 1, 2)
     alg = coset_algebra(params)
     lv = alg.levels[0]
     z = CharParam(P((2,), (), ()), 0)
-    for which, basis in [("q+", "qplus"), ("q-", "qminus"), ("m", "monomial")]:
-        fun = tuple_q_m(z, params, which)
-        assert set(fun.comps) == {0}
-        b, vec = fun.comps[0]
-        assert b == basis
-        assert vec[lv.pindex[z.alpha]].is_one()
-        assert sum(0 if v.is_zero() else 1 for v in vec) == 1
+    assert alg._orbit_terms(z) == [(0, 0, lv.pindex[z.alpha], 0)]
+    fun = tuple_schur(z, params)
+    assert set(fun.comps) == {0}
+    assert fun.comps[0][lv.pindex[z.alpha]].is_one()
+    assert sum(0 if v.is_zero() else 1 for v in fun.comps[0]) == 1
     hl = tuple_hall_littlewood(z, params, 2, -1)
-    from greenrefl.wreath import hl_data as _hl
-    data = _hl(lv, 2)
-    assert hl.comps[0][1] == data.sm[data.index(z.alpha)]
+    data = wreath.hl_data(lv, 2)
+    assert hl.comps[0] == data.sm[data.index(z.alpha)]

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+from greenrefl import linalg
 from greenrefl.combinatorics import CharParam, ClassParam, GroupParams, ep_str, partitions
 from greenrefl.exact_arith import TRat
 from greenrefl.oracle import BruteForceGroup
-from greenrefl.symfunc import Level, level_for, scalar_product
+from greenrefl.symfunc import Level, level_for
 from greenrefl.wreath import (
     char_table,
     hall_littlewood,
@@ -13,7 +14,7 @@ from greenrefl.wreath import (
     z_series,
 )
 
-from test_symfunc import mn_character
+from test_symfunc import mn_character, schur_rows
 
 P = lambda *comps: tuple(tuple(c) for c in comps)
 
@@ -275,8 +276,10 @@ def test_hl_orthogonality_and_duality():
             for zi in cls:
                 class_of[zi] = ci
         size = len(data.order)
-        pp = [lv.p_coords(v, "schur") for v in data.sp]
-        pm = [lv.p_coords(v, "schur") for v in data.sm]
+        s_rows = schur_rows(lv)
+        pp, pm, qm_p, qp_p = (
+            linalg.mat_mul(rows, s_rows) for rows in (data.sp, data.sm, data.qm, data.qp)
+        )
         # <P+_z, P-_z'> = 0 unless similar
         for i in range(size):
             for j in range(size):
@@ -284,8 +287,6 @@ def test_hl_orthogonality_and_duality():
                 if class_of[i] != class_of[j]:
                     assert got.is_zero(), (data.order[i], data.order[j])
         # <P+_z, Q-_z'> = delta and <Q+_z, P-_z'> = delta
-        qm_p = [lv.p_coords(v, "schur") for v in data.qm]
-        qp_p = [lv.p_coords(v, "schur") for v in data.qp]
         for i in range(size):
             for j in range(size):
                 d1 = lv.scalar_from_p(pp[i], qm_p[j])
