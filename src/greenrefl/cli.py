@@ -216,6 +216,13 @@ def cmd_green(args):
         )
         emit(text, args)
         return 0 if suite.residual_zero else 1
+    if suite.lambda_symmetric is None:
+        lambda_lines = [
+            "LambdaTilde: no symmetric presentation for a twisted coset "
+            "(the json and csv formats hold LambdaTilde)"
+        ]
+    else:
+        lambda_lines = ["LambdaTilde (symmetric presentation):", suite.lambda_symmetric.pretty()]
     parts = [
         f"G({params.e},{params.p},{params.n})  coset q={params.q}  r={args.r}",
         "",
@@ -225,8 +232,7 @@ def cmd_green(args):
         "Ktilde+:",
         suite.ktilde_plus.pretty(),
         "",
-        "LambdaTilde (symmetric presentation):",
-        suite.lambda_symmetric.pretty(),
+        *lambda_lines,
         "",
         "OmegaPrime:",
         suite.omega_prime.pretty(),
@@ -288,6 +294,10 @@ def cmd_verify(args):
         return True
 
     check("transition matrices specialize to the table at t=0", direct_kostka_at_zero)
+    check(
+        "every sub-level Hall-Littlewood LDU passes the exact L D U = N certificate",
+        lambda: all(hl_data(level, alg.r).certified() for level in alg.levels.values()),
+    )
 
     check(
         "Kostka assembly equals the direct transition matrix",

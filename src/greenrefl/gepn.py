@@ -155,12 +155,12 @@ class CosetAlgebra:
         Only the untwisted coset is matched.  Complex conjugation maps
         sigma^q W to sigma^(-q) W, so for q != 0 the conjugate of a column
         is a column of the sigma^(-q) W table, whose extensions carry other
-        phases even where that coset is sigma^q W again, and the
-        permutation is the identity by rule.  For q = 0 every column has
-        its conjugate in the table; ArithmeticError if one does not."""
+        phases even where that coset is sigma^q W again, and there is no
+        permutation: None.  For q = 0 every column has its conjugate in the
+        table; ArithmeticError if one does not."""
         k = len(self.chars)
         if self.params.q:
-            return list(range(k))
+            return None
         cols = [tuple(row[z] for row in self.coset_table()) for z in range(k)]
         index = {col: z for z, col in enumerate(cols)}
         perm = []
@@ -499,9 +499,11 @@ class CosetAlgebra:
         )
         labels = [z.label() for z in self.chars]
         # symmetric presentation: columns relabeled by character conjugation
-        # (this is the form the reference tables display)
+        # (this is the form the reference tables display); none for q != 0
         sigma = self.conjugation_permutation()
-        lam_sym = [[lam_tilde[i][sigma[j]] for j in range(k)] for i in range(k)]
+        lam_sym = None if sigma is None else LabeledMatrix(
+            labels, labels, [[lam_tilde[i][s] for s in sigma] for i in range(k)], blocks, blocks
+        )
         return GreenSuite(
             params=self.params,
             r=self.r,
@@ -512,7 +514,7 @@ class CosetAlgebra:
             ktilde_minus=LabeledMatrix(labels, labels, ktilde[-1], blocks, blocks),
             ktilde_plus=LabeledMatrix(labels, labels, ktilde[+1], blocks, blocks),
             lambda_tilde=LabeledMatrix(labels, labels, lam_tilde, blocks, blocks),
-            lambda_symmetric=LabeledMatrix(labels, labels, lam_sym, blocks, blocks),
+            lambda_symmetric=lam_sym,
             omega_prime=LabeledMatrix(labels, labels, omega, blocks, blocks),
             residual_zero=residual_zero,
         )
@@ -531,7 +533,7 @@ class GreenSuite:
     ktilde_minus: LabeledMatrix
     ktilde_plus: LabeledMatrix
     lambda_tilde: LabeledMatrix
-    lambda_symmetric: LabeledMatrix
+    lambda_symmetric: LabeledMatrix     # None for a twisted coset (q != 0)
     omega_prime: LabeledMatrix
     residual_zero: bool
 
@@ -547,7 +549,9 @@ class GreenSuite:
             "ktilde_minus": self.ktilde_minus.to_json(),
             "ktilde_plus": self.ktilde_plus.to_json(),
             "lambda_tilde": self.lambda_tilde.to_json(),
-            "lambda_symmetric": self.lambda_symmetric.to_json(),
+            "lambda_symmetric": (
+                None if self.lambda_symmetric is None else self.lambda_symmetric.to_json()
+            ),
             "omega_prime": self.omega_prime.to_json(),
             "residual_zero": self.residual_zero,
         }

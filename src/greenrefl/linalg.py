@@ -1,4 +1,5 @@
-"""Small exact linear algebra over a field of scalars (CycNum or TRat).
+"""Small exact linear algebra over a field of scalars (CycNum or TRat), or
+over the packed power series TSeries, where every pivot met must be a unit.
 
 Scalars must support +, -, *, /, ``inverse()``, ``is_zero()`` and
 equality.  Matrices are plain lists of lists; everything is deterministic
@@ -112,18 +113,20 @@ def invert_unit_lower(a):
 
 
 def block_ldu(a, blocks):
-    """Two-sided block elimination of the square a over consecutive index
-    blocks of the given sizes.
+    """Block LDU of the square a over consecutive index blocks of the given
+    sizes.
 
-    Returns (e, d, f) with e a f = diag(d): e is block lower and f block
+    Returns (l, d, u) with a = l diag(d) u: l is block lower and u block
     upper unitriangular (identity diagonal blocks), and d lists the
-    diagonal blocks.  Raises ValueError when one of them is singular.
+    diagonal blocks.  Each step solves against the pivot block and updates
+    only the trailing block of a, by its Schur complement.  Raises
+    ValueError when a diagonal block is singular.
     """
     if sum(blocks) != len(a):
         raise ValueError("block sizes do not add up to the matrix size")
     a = [list(row) for row in a]
-    e = _identity(a)
-    ft = [list(row) for row in e]          # f transposed: column ops as row ops
+    l = _identity(a)
+    u = [list(row) for row in l]
     d = []
     start = 0
     for size in blocks:
@@ -133,16 +136,20 @@ def block_ldu(a, blocks):
         dk = [[a[i][j] for j in piv] for i in piv]
         d.append(dk)
         try:
-            # A[rest, piv] D^(-1) and (D^(-1) A[piv, rest])^T
-            lower = _transpose(solve(_transpose(dk), [[a[i][k] for i in rest] for k in piv]))
-            upper_t = _transpose(solve(dk, [[a[k][j] for j in rest] for k in piv]))
+            # L[rest, piv] = A[rest, piv] D^(-1), transposed, and
+            # U[piv, rest] = D^(-1) A[piv, rest]
+            lower_t = solve(_transpose(dk), [[a[i][k] for i in rest] for k in piv])
+            upper = solve(dk, [a[k][start:] for k in piv])
         except ValueError:
             raise ValueError(f"singular diagonal block at index {piv.start}") from None
-        for rows, coeffs in ((a, lower), (e, lower), (ft, upper_t)):
-            update = mat_mul(coeffs, [rows[k] for k in piv])
-            for i, u in zip(rest, update):
-                rows[i] = [x - y for x, y in zip(rows[i], u)]
-    return e, d, _transpose(ft)
+        for k, col, row in zip(piv, lower_t, upper):
+            u[k][start:] = row
+            for i, x in zip(rest, col):
+                l[i][k] = x
+        update = mat_mul(_transpose(lower_t), [a[k][start:] for k in piv])
+        for i, row in zip(rest, update):
+            a[i][start:] = [x - y for x, y in zip(a[i][start:], row)]
+    return l, d, u
 
 
 def _transpose(a):

@@ -10,13 +10,16 @@ on similarity classes (largest a-value first):
 
 Together these make them the unique block LDU of the Schur Gram matrix
 G = (<s_a, s_b>) over the class blocks (the Lusztig-Shoji algorithm):
-e G f = diag(D), the rows of e are P+, the conjugated columns of f are P-,
-and D holds the within-class Gram matrices <P+_z, P-_z'>.  The elimination
-runs on the polynomial numerators N = L G over the common denominator L
-of the z-series: e N f = diag(D_N) with the same e and f, and D = D_N / L.
-The dual families Q+/Q- come from inverting those blocks.  The Kostka
-matrix K(+/-) = M(s, P) is the inverse of the unit lower-triangular
-matrix collecting the P's in Schur coordinates, by forward substitution.
+G = K+ diag(D) conj(K-)^T, where K(+/-) = M(s, P(+/-)) are the Kostka
+matrices, block lower unitriangular, and D holds the within-class Gram
+matrices <P+_z, P-_z'>.  The elimination runs on the polynomial numerators
+N = L G over the common denominator L of the z-series, with the same K(+/-)
+and D_N = L D.  Since N(0) = +-I, it runs in Z[zeta][t]/(t^M) packed into
+integers (Kronecker substitution), with no gcd, and the factors read back
+are kept only after an exact certificate, K+ diag(D_N) conj(K-)^T = N
+multiplied out in Z[zeta][t].  The families themselves, P(+/-) (the rows of
+the inverse Kostka matrices, by forward substitution) and the duals
+Q(+/-), are built from the factors on first use.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .combinatorics import ep_str, partition_similarity_classes
-from .exact_arith import TPoly, TRat
+from .exact_arith import SeriesRing, TPoly, TRat
 from .symfunc import Level, level_for
 
 
@@ -137,13 +141,24 @@ def z_series(alpha, e=None):
 
 @dataclass
 class HLData:
-    """Both Hall-Littlewood families of one level at one symbol shift r.
+    """Both Hall-Littlewood families of one level at one symbol shift r,
+    held as the block LDU factors of the Schur Gram matrix G along the
+    symbol order: G = K+ diag(grams) conj(K-)^T.
 
     order: partitions in the canonical total order (class by class)
     classes: index ranges of the similarity classes
     a_values: one a-value per class
+    kp / km: the Kostka matrices K+/- = M(s, P+/-), rows and columns along
+             ``order``, block lower unitriangular
+    gram_nums / gram_den: the within-class Gram matrices <P+_z, P-_z'>,
+             one per class, as TPoly numerators over one TPoly denominator
+             (that of ``Level.schur_gram``)
+
+    Built on first use:
+    grams: the within-class Gram matrices as canonical TRat
     sp / sm: Schur coordinates of P+ / P- (rows aligned with ``order``,
-             columns aligned with level.partitions)
+             columns aligned with level.partitions), the rows of the
+             inverse Kostka matrices
     qp / qm: Schur coordinates of the dual families Q+ / Q-
     """
 
@@ -152,19 +167,74 @@ class HLData:
     order: list
     classes: list
     a_values: list
-    sp: list
-    sm: list
-    qp: list
-    qm: list
+    kp: list
+    km: list
+    gram_nums: list
+    gram_den: TPoly
 
     def index(self, alpha):
         return self.order.index(alpha)
+
+    @cached_property
+    def grams(self):
+        return [[[TRat(x, self.gram_den) for x in row] for row in g] for g in self.gram_nums]
+
+    def _schur_rows(self, kostka):
+        inv = linalg.invert_unit_lower(kostka)
+        perm = [self.order.index(alpha) for alpha in self.level.partitions]
+        return [[row[j] for j in perm] for row in inv]
+
+    @cached_property
+    def sp(self):
+        return self._schur_rows(self.kp)
+
+    @cached_property
+    def sm(self):
+        return self._schur_rows(self.km)
+
+    @cached_property
+    def _gram_inverses(self):
+        return [linalg.invert(gram) for gram in self.grams]
+
+    @cached_property
+    def qp(self):
+        # Q+ = G^(-1) P+ within a class
+        out = []
+        for cls, ginv in zip(self.classes, self._gram_inverses):
+            out += linalg.mat_mul(ginv, [self.sp[i] for i in cls])
+        return out
+
+    @cached_property
+    def qm(self):
+        # Q- = conj(G^(-T)) P- within a class
+        out = []
+        for cls, ginv in zip(self.classes, self._gram_inverses):
+            out += linalg.mat_mul(
+                [[x.conjugate() for x in col] for col in zip(*ginv)],
+                [self.sm[i] for i in cls],
+            )
+        return out
+
+    def certified(self):
+        """Whether the factors held pass ``_ldu_certified`` against freshly
+        built Gram numerators N: K+ diag(gram_nums) conj(K-)^T = N,
+        multiplied out exactly.  The computation ran the same check; this
+        repeats it on the data held, which may come from the disk cache."""
+        nums, common = self.level.schur_gram(self.order)
+        km_t = [[x.conjugate() for x in col] for col in zip(*self.km)]
+        if common != self.gram_den or not all(
+            x.is_polynomial() for mat in (self.kp, km_t) for row in mat for x in row
+        ):
+            return False
+        l, u = ([[x.num for x in row] for row in mat] for mat in (self.kp, km_t))
+        blocks = [len(c) for c in self.classes]
+        return _ldu_certified(nums, blocks, l, self.gram_nums, u)
 
 
 _HL_CACHE = {}
 
 CACHE_ENV = "GREENREFL_CACHE"
-CACHE_FORMAT = 2          # part of the cache file name; bump when the layout changes
+CACHE_FORMAT = 3          # part of the cache file name; bump when the layout changes
 
 
 def hl_data(level, r):
@@ -198,8 +268,14 @@ def _load_cached_hl(level, r):
         with open(path) as handle:
             raw = json.load(handle)
 
-        def rows(key):
-            return [[TRat.from_json(v) for v in row] for row in raw[key]]
+        def rows(values):
+            return [[TRat.from_json(v) for v in row] for row in values]
+
+        def poly(value):
+            x = TRat.from_json(value)
+            if not x.is_polynomial():
+                raise ValueError("not a polynomial")
+            return x.num
 
         data = HLData(
             level=level,
@@ -207,10 +283,10 @@ def _load_cached_hl(level, r):
             order=[tuple(tuple(c) for c in alpha) for alpha in raw["order"]],
             classes=[list(c) for c in raw["classes"]],
             a_values=list(raw["a_values"]),
-            sp=rows("sp"),
-            sm=rows("sm"),
-            qp=rows("qp"),
-            qm=rows("qm"),
+            kp=rows(raw["kp"]),
+            km=rows(raw["km"]),
+            gram_nums=[[[poly(v) for v in row] for row in g] for g in raw["gram_nums"]],
+            gram_den=poly(raw["gram_den"]),
         )
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
         return None
@@ -218,21 +294,24 @@ def _load_cached_hl(level, r):
 
 
 def _is_valid_hl(data):
-    """Same symbol order as a fresh computation, square rows of the right
-    size, and P+/P- block unitriangular in that order."""
+    """Same symbol order as a fresh computation, K+/K- square of the right
+    size and block lower unitriangular in that order, and one square Gram
+    numerator matrix per class."""
     level = data.level
     order, classes, a_values = _symbol_order(level, data.r)
     if (data.order, data.classes, data.a_values) != (order, classes, a_values):
         return False
     size = len(order)
-    for rows in (data.sp, data.sm, data.qp, data.qm):
+    if [len(g) for g in data.gram_nums] != [len(c) for c in classes]:
+        return False
+    if any(len(row) != len(g) for g in data.gram_nums for row in g):
+        return False
+    class_of = [ci for ci, cls in enumerate(classes) for _ in cls]
+    for rows in (data.kp, data.km):
         if len(rows) != size or any(len(row) != size for row in rows):
             return False
-    class_of = [ci for ci, cls in enumerate(classes) for _ in cls]
-    position = [order.index(alpha) for alpha in level.partitions]
-    for rows in (data.sp, data.sm):
         for i, row in enumerate(rows):
-            for v, j in zip(row, position):
+            for j, v in enumerate(row):
                 if j == i:
                     if v != level.one:
                         return False
@@ -246,14 +325,21 @@ def _store_cached_hl(data):
     if path is None:
         return
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+
+    def rows(values):
+        return [[v.to_json() for v in row] for row in values]
+
+    def poly(x):
+        return TRat(x, reduce=False).to_json()
+
     raw = {
         "order": [[list(c) for c in alpha] for alpha in data.order],
         "classes": [list(c) for c in data.classes],
         "a_values": list(data.a_values),
-        "sp": [[v.to_json() for v in row] for row in data.sp],
-        "sm": [[v.to_json() for v in row] for row in data.sm],
-        "qp": [[v.to_json() for v in row] for row in data.qp],
-        "qm": [[v.to_json() for v in row] for row in data.qm],
+        "kp": rows(data.kp),
+        "km": rows(data.km),
+        "gram_nums": [[[poly(x) for x in row] for row in g] for g in data.gram_nums],
+        "gram_den": poly(data.gram_den),
     }
     tmp = path + ".tmp"
     with open(tmp, "w") as handle:
@@ -274,59 +360,181 @@ def _symbol_order(level, r):
 
 
 def _compute_hl(level, r):
-    order, class_ranges, _ = _symbol_order(level, r)
-    return _hl_from_ldu(
-        level, r, _schur_ldu(level, order, [len(cls) for cls in class_ranges])
-    )
+    """The block LDU of the Schur Gram matrix G along the symbol order.
 
-
-def _schur_ldu(level, order, blocks):
-    """Block LDU (e, grams, f) of the Schur Gram matrix G along ``order``.
-
-    It eliminates on the numerators N = L G of ``Level.schur_gram``, which
-    are polynomials: scaling a matrix by L leaves e and f unchanged and
-    scales its diagonal blocks by L, so only the entries of the diagonal
-    blocks D_N are divided by L, and no intermediate carries L."""
+    It factors the numerators N = L G of ``Level.schur_gram``: scaling a
+    matrix by L leaves the triangular factors unchanged and scales the
+    diagonal blocks by L, so those of N are the Gram numerators over L."""
+    order, classes, a_values = _symbol_order(level, r)
     nums, common = level.schur_gram(order)
-    e, d_nums, f = linalg.block_ldu(
-        [[TRat(x, reduce=False) for x in row] for row in nums], blocks
-    )
-    inv_common = TRat(TPoly.constant(level.field.one), common)
-    grams = [[[x * inv_common for x in row] for row in dk] for dk in d_nums]
-    return e, grams, f
-
-
-def _hl_from_ldu(level, r, ldu):
-    """The HL data of (level, r) from the block LDU e G f = diag(grams)
-    along the symbol order."""
-    order, class_ranges, a_values = _symbol_order(level, r)
-    # the rows of e are P+ and the conjugated columns of f are P-, in Schur
-    # coordinates along ``order``
-    e, grams, f = ldu
-    perm = [order.index(alpha) for alpha in level.partitions]
-    sp = [[row[j] for j in perm] for row in e]
-    sm = [[f[j][i].conjugate() for j in perm] for i in range(len(order))]
-
-    # dual families: Q+ = G^(-1) P+ and Q- = conj(G^(-T)) P- within a class
-    qp, qm = [], []
-    for cls, gram in zip(class_ranges, grams):
-        ginv = linalg.invert(gram)
-        qp += linalg.mat_mul(ginv, [sp[i] for i in cls])
-        qm += linalg.mat_mul(
-            [[x.conjugate() for x in col] for col in zip(*ginv)], [sm[i] for i in cls]
-        )
-
+    l, d_nums, u = _certified_ldu(level.field, nums, [len(cls) for cls in classes])
     return HLData(
         level=level,
         r=r,
         order=order,
-        classes=class_ranges,
+        classes=classes,
         a_values=a_values,
-        sp=sp,
-        sm=sm,
-        qp=qp,
-        qm=qm,
+        kp=[[TRat(x, reduce=False) for x in row] for row in l],
+        km=[[TRat(x.conjugate(), reduce=False) for x in col] for col in zip(*u)],
+        gram_nums=d_nums,
+        gram_den=common,
     )
+
+
+def _certified_ldu(field, nums, blocks):
+    """The block LDU (l, d, u) of a square matrix N over Z[zeta][t] with
+    N(0) = +-I, every factor a matrix of TPoly.
+
+    N(0) = +-I makes every pivot block a unit modulo t, so the elimination
+    runs in a ring of truncated power series with no gcd
+    (``_series_ldu``).  Its factors are kept only if ``_ldu_certified``
+    passes, which makes them the block LDU of N, since that is unique.  The
+    first attempt takes precision M = 2 deg N + 2 and B = 64 bits; after a
+    failed certificate M and B double, and after three attempts
+    ArithmeticError is raised."""
+    sign = nums[0][0].eval_zero()
+    if not (sign.is_one() or (-sign).is_one()) or any(
+        x.eval_zero() != (sign if i == j else field.zero)
+        for i, row in enumerate(nums)
+        for j, x in enumerate(row)
+    ):
+        raise ValueError(
+            "the matrix is not +-I at t = 0, so its pivot blocks need not be "
+            "units modulo t"
+        )
+    prec = 2 * max(x.degree() for row in nums for x in row) + 2
+    bits = 64
+    for _ in range(3):
+        l, d, u = _series_ldu(field, nums, blocks, prec, bits)
+        if _ldu_certified(nums, blocks, l, d, u):
+            return l, d, u
+        prec, bits = 2 * prec, 2 * bits
+    raise ArithmeticError(
+        f"the block LDU failed its certificate at every precision up to "
+        f"t^{prec // 2} with {bits // 2}-bit digits"
+    )
+
+
+def _series_ldu(field, nums, blocks, prec, bits):
+    """``linalg.block_ldu`` of the images of nums in the ring
+    Z[zeta][t]/(t^prec) packed with B = bits (``SeriesRing``), read back
+    as TPoly: exact when every factor has degree below prec and
+    coefficients below 2^(bits-1) in absolute value, unchecked here."""
+    ring = SeriesRing(field, prec, bits)
+    l, d, u = linalg.block_ldu([[ring.encode(x) for x in row] for row in nums], blocks)
+    l, u = ([[ring.decode(x) for x in row] for row in mat] for mat in (l, u))
+    return l, [[[ring.decode(x) for x in row] for row in dk] for dk in d], u
+
+
+def _ldu_certified(nums, blocks, l, d, u):
+    """Whether l diag(d) u = nums exactly, with l block lower and u block
+    upper unitriangular (identity diagonal blocks) and d the diagonal
+    blocks of the given sizes.  Then (l, d, u) is the block LDU of nums,
+    which is unique.  Every entry is a TPoly over Z[zeta].
+
+    The product is multiplied out on packed integers, with no truncation:
+    coordinate m of zeta^m of an entry is one int with a slot of B bits per
+    power of t, and a row of u or of nums is one int with a run of T slots
+    per column, T above every degree involved.  zeta is not reduced inside
+    the product (powers up to 3 phi - 3); a summed row is folded by the
+    power table of the field only at the end and compared with the packed
+    row of nums.  A coefficient of the unfolded product is at most
+    S = sum_b size_b^2 max|l|_1 max|d_b|_1 max|u|_1 (L1 norms of the
+    coefficient vectors), so a folded one is at most S (1 + F), with F the
+    sum of the L1 norms of the folded powers; B - 1 bits hold that plus the
+    largest coefficient of nums, so equal packed rows have equal slots."""
+    size = len(nums)
+    if sum(blocks) != size or [len(dk) for dk in d] != list(blocks):
+        return False
+    if any(len(mat) != size or any(len(row) != size for row in mat) for mat in (nums, l, u)):
+        return False
+    if any(len(row) != len(dk) for dk in d for row in dk):
+        return False
+    block_of = [b for b, s in enumerate(blocks) for _ in range(s)]
+    for i in range(size):
+        for j in range(size):
+            if block_of[i] == block_of[j]:
+                for x in (l[i][j], u[i][j]):
+                    unit = x.is_constant() and x.eval_zero().is_one()
+                    if not (unit if i == j else x.is_zero()):
+                        return False
+            elif not (u if block_of[i] > block_of[j] else l)[i][j].is_zero():
+                return False
+    entries = [x for mat in [nums, l, u] + d for row in mat for x in row]
+    if any(c.den != 1 for x in entries for c in x.coeffs):
+        return False
+
+    field = nums[0][0].field
+    phi, e, powers = field.degree, field.e, field._powers
+
+    def l1(x):
+        return sum(abs(v) for c in x.coeffs for v in c.num)
+
+    def maxima(mats, f):
+        return max(f(x) for mat in mats for row in mat for x in row)
+
+    bound = maxima([l], l1) * maxima([u], l1) * sum(
+        len(dk) ** 2 * maxima([dk], l1) for dk in d
+    )
+    fold = sum(sum(map(abs, powers[m % e])) for m in range(phi, 3 * phi - 2))
+    largest = max(
+        (abs(v) for x in entries[: size * size] for c in x.coeffs for v in c.num), default=0
+    )
+    bits = (bound * (1 + fold) + largest).bit_length() + 1
+    run = bits * (
+        max(
+            maxima([l], TPoly.degree) + maxima(d, TPoly.degree) + maxima([u], TPoly.degree),
+            maxima([nums], TPoly.degree),
+        )
+        + 1
+    )
+
+    def pack(x, shift=0):
+        out = [0] * phi
+        for k, c in enumerate(x.coeffs):
+            for m, v in enumerate(c.num):
+                if v:
+                    out[m] += v << (bits * k + shift)
+        return out
+
+    def pack_row(row):
+        out = [0] * phi
+        for j, x in enumerate(row):
+            for m, v in enumerate(pack(x, run * j)):
+                out[m] += v
+        return out
+
+    u_rows = [pack_row(row) for row in u]
+    d_packed = [[[pack(x) for x in row] for row in dk] for dk in d]
+    starts = [sum(blocks[:b]) for b in range(len(blocks))]
+    for i in range(size):
+        acc = [0] * (3 * phi - 2)
+        for b, start in enumerate(starts):
+            cols = range(start, start + blocks[b])
+            li = [(k - start, pack(l[i][k])) for k in cols if not l[i][k].is_zero()]
+            for c in cols:
+                ld = [0] * (2 * phi - 1)
+                for k, lk in li:
+                    dk = d_packed[b][k][c - start]
+                    for m, x in enumerate(lk):
+                        if x:
+                            for n, y in enumerate(dk):
+                                if y:
+                                    ld[m + n] += x * y
+                for m, x in enumerate(ld):
+                    if x:
+                        for n, y in enumerate(u_rows[c]):
+                            if y:
+                                acc[m + n] += x * y
+        for m in range(phi, 3 * phi - 2):
+            x = acc[m]
+            if x:
+                for j, c in enumerate(powers[m % e]):
+                    if c:
+                        acc[j] += c * x
+        if acc[:phi] != pack_row(nums[i]):
+            return False
+    return True
 
 
 @dataclass
@@ -364,14 +572,10 @@ def hall_littlewood(e, n, r, sign=+1):
 
 def kostka_matrix(level, r, sign):
     """K = M(s, P): rows/cols in the canonical symbol order; block lower
-    triangular with identity diagonal blocks."""
+    triangular with identity diagonal blocks.  These are the factors of the
+    Schur Gram matrix, read as they are."""
     data = hl_data(level, r)
-    size = len(data.order)
-    # U[z][beta-coordinate] -> reorder coordinate columns into symbol order
-    perm = [level.pindex[alpha] for alpha in data.order]
-    rows = data.sp if sign > 0 else data.sm
-    u = [[rows[i][perm[j]] for j in range(size)] for i in range(size)]
-    k = linalg.invert_unit_lower(u)
+    k = data.kp if sign > 0 else data.km
     labels = [ep_str(alpha) for alpha in data.order]
     blocks = [len(c) for c in data.classes]
     return LabeledMatrix(labels, labels, k, blocks, blocks)

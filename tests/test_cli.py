@@ -43,6 +43,21 @@ def test_green_pretty_table1(capsys):
     assert "residual" in out and "0 (exact)" in out
 
 
+def test_green_twisted_coset_has_no_symmetric_presentation(capsys):
+    heading = "LambdaTilde (symmetric presentation):"
+    note = "LambdaTilde: no symmetric presentation for a twisted coset"
+    code, out = run(capsys, "green", "--e", "2", "--p", "2", "--n", "2", "--q", "1")
+    assert code == 0
+    assert note in out and heading not in out
+    code, out = run(
+        capsys, "green", "--e", "2", "--p", "2", "--n", "2", "--q", "1", "--format", "json"
+    )
+    data = json.loads(out)
+    assert data["lambda_symmetric"] is None and data["lambda_tilde"]["entries"]
+    code, out = run(capsys, "green", "--e", "2", "--p", "2", "--n", "2")
+    assert heading in out and note not in out
+
+
 def test_green_json_roundtrip(capsys):
     code, out = run(
         capsys, "green", "--e", "2", "--p", "2", "--n", "2", "--format", "json"
@@ -124,6 +139,25 @@ def test_verify_skips_the_oracle_table_for_a_twisted_coset(capsys, monkeypatch):
     assert f"[skip] {line}" in out
     assert f"[skip] {centralizers}" in out
     assert f"[  ok] {fake}" in out
+
+
+def test_verify_reports_the_ldu_certificate(capsys, monkeypatch):
+    from greenrefl import wreath
+    from greenrefl.symfunc import level_for
+
+    line = "every sub-level Hall-Littlewood LDU passes the exact L D U = N certificate"
+    code, out = run(capsys, "verify", "--e", "3", "--p", "3", "--n", "2")
+    assert code == 0
+    assert f"[  ok] {line}" in out
+    # one strictly lower entry of K+ altered in the data hl_data hands out
+    monkeypatch.setattr(wreath, "_HL_CACHE", {})
+    data = wreath.hl_data(level_for(3, 2), 2)
+    i, j = next((i, j) for i, row in enumerate(data.kp) for j in range(i)
+                if not row[j].is_zero())
+    data.kp[i][j] = data.kp[i][j] + data.level.one
+    code, out = run(capsys, "verify", "--e", "3", "--p", "3", "--n", "2")
+    assert code == 1
+    assert f"[FAIL] {line}" in out
 
 
 def test_verify_on_a_trivial_group(capsys):

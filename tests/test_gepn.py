@@ -648,7 +648,7 @@ def test_green_block_structure():
 def test_conjugation_permutation():
     # q = 0: complex conjugation permutes the table columns, an involution,
     # which moves some column of the tables with non-real values;
-    # q != 0: the symmetric presentation is LambdaTilde itself
+    # q != 0: there is no permutation and no symmetric presentation
     for e, p, n, moves in [
         (2, 2, 3, False), (4, 4, 2, False), (3, 3, 3, True), (6, 3, 2, True), (4, 2, 2, True),
     ]:
@@ -658,8 +658,11 @@ def test_conjugation_permutation():
         assert all(perm[perm[z]] == z for z in perm), (e, p, n)
         assert (perm != sorted(perm)) == moves, (e, p, n)
     for e, p, n, q in [(2, 2, 3, 1), (3, 3, 2, 1), (4, 4, 2, 2), (6, 3, 2, 2)]:
+        assert coset_algebra(GroupParams(e, p, n, q)).conjugation_permutation() is None
         suite = green_suite(GroupParams(e, p, n, q))
-        assert suite.lambda_symmetric.entries == suite.lambda_tilde.entries, (e, p, n, q)
+        assert suite.lambda_symmetric is None, (e, p, n, q)
+        assert suite.to_json()["lambda_symmetric"] is None
+        assert suite.to_json()["lambda_tilde"] == suite.lambda_tilde.to_json()
 
 
 def test_conjugation_permutation_rejects_a_column_without_conjugate():

@@ -1,4 +1,7 @@
+import dataclasses
 from fractions import Fraction
+
+import pytest
 
 from greenrefl import linalg
 from greenrefl.combinatorics import CharParam, ClassParam, GroupParams, ep_str, partitions
@@ -439,11 +442,10 @@ def test_hl_cache_recomputes_a_file_not_block_unitriangular(tmp_path, monkeypatc
     assert len(fresh.classes) > 1
     text = path.read_text()
     raw = json.loads(text)
-    # first function of the first class, coefficient of the last partition
-    # in the order: above the diagonal blocks, so zero in valid data
-    col = lv.pindex[fresh.order[-1]]
-    assert fresh.sm[0][col].is_zero()
-    raw["sm"][0][col] = TRat.t(lv.field).to_json()
+    # K- in the symbol order, first row, last column: above the diagonal
+    # blocks, so zero in valid data
+    assert fresh.km[0][-1].is_zero()
+    raw["km"][0][-1] = TRat.t(lv.field).to_json()
     path.write_text(json.dumps(raw))
     assert wreath_mod._load_cached_hl(lv, 2) is None
     assert _same_hl(hl_data(lv, 2), fresh)
@@ -451,28 +453,216 @@ def test_hl_cache_recomputes_a_file_not_block_unitriangular(tmp_path, monkeypatc
 
 
 def test_hl_data_matches_ldu_of_normalised_gram():
-    # production eliminates on the numerators N = L G; the reference
-    # eliminates on the Gram matrix itself, every entry a canonical TRat
+    # production factors the numerators N = L G in a packed power-series
+    # ring and certifies the factors; the reference is the generic
+    # elimination of the Gram matrix G = l diag(d) u itself, every entry a
+    # canonical TRat, with K+ = l and K- = conj(u)^T
     import greenrefl.wreath as wreath_mod
-    from greenrefl import linalg
     from greenrefl.gepn import coset_algebra
     from test_acceptance import GRID
 
     levels = []
-    for e, p, n, q in GRID:
+    # G(6,6,2) q=2 has a sub-level with h = 2; G(4,4,3) q=2 has k = 40
+    for e, p, n, q in GRID + [(6, 6, 2, 2), (4, 4, 3, 2)]:
         for lv in coset_algebra(GroupParams(e, p, n, q)).levels.values():
             if lv not in levels:
                 levels.append(lv)
-    levels += [level_for(2, 4), level_for(5, 2), level_for(1, 5)]
+    # phi(e) = 4 for level_for(5, 2) and level_for(12, 1)
+    levels += [level_for(2, 4), level_for(5, 2), level_for(12, 1), level_for(1, 5)]
     for lv in levels:
-        order, classes, _ = wreath_mod._symbol_order(lv, 2)
-        blocks = [len(cls) for cls in classes]
-        nums, common = lv.schur_gram(order)
-        gram = [[TRat(num, common) for num in row] for row in nums]
-        ref = linalg.block_ldu(gram, blocks)
-        e, grams, f = wreath_mod._schur_ldu(lv, order, blocks)
-        assert (e, f) == (ref[0], ref[2]), lv
-        assert grams == ref[1], lv
-        got, want = hl_data(lv, 2), wreath_mod._hl_from_ldu(lv, 2, ref)
-        for name in ("sp", "sm", "qp", "qm"):
-            assert getattr(got, name) == getattr(want, name), (lv, name)
+        for r in (1, 2, 3):
+            order, classes, _ = wreath_mod._symbol_order(lv, r)
+            blocks = [len(cls) for cls in classes]
+            nums, common = lv.schur_gram(order)
+            gram = [[TRat(num, common) for num in row] for row in nums]
+            l, d, u = linalg.block_ldu(gram, blocks)
+            got = hl_data(lv, r)
+            assert got.kp == l, (lv, r)
+            assert got.km == [[x.conjugate() for x in col] for col in zip(*u)], (lv, r)
+            assert got.grams == d, (lv, r)
+
+
+# -- the certificate of the packed elimination -------------------------------------
+
+
+def _synthetic_ldu(e, blocks, seed):
+    """Random block unitriangular l, u equal to I at t = 0, diagonal blocks
+    d = I + t R over Z[zeta_e][t], every coordinate in the power basis
+    nonzero, and N = l diag(d) u.  The Gram numerators of every level tried
+    are rational, so only a matrix like this one puts zeta through the
+    packed ring."""
+    import random
+
+    from greenrefl.exact_arith import CycField, TPoly
+
+    rng = random.Random(seed)
+    field = CycField(e)
+    size = sum(blocks)
+    block_of = [b for b, s in enumerate(blocks) for _ in range(s)]
+    zero, one = TPoly(field, ()), TPoly.constant(field.one)
+
+    def poly(low):
+        # three coefficients from t^low on
+        coeffs = [field.make([rng.choice([-2, -1, 1, 2]) for _ in range(field.degree)], 1)
+                  for _ in range(3)]
+        return TPoly(field, [field.zero] * low + coeffs)
+
+    def unitri(lower):
+        return [
+            [(one if i == j else zero) if block_of[i] == block_of[j]
+             else poly(1) if (block_of[i] > block_of[j]) == lower else zero
+             for j in range(size)]
+            for i in range(size)
+        ]
+
+    l, u = unitri(True), unitri(False)
+    d = [[[(one if i == j else zero) + poly(1) for j in range(s)] for i in range(s)]
+         for s in blocks]
+    diag = [[zero] * size for _ in range(size)]
+    start = 0
+    for dk in d:
+        for i, row in enumerate(dk):
+            diag[start + i][start : start + len(dk)] = row
+        start += len(dk)
+    nums = linalg.mat_mul(linalg.mat_mul(l, diag), u)
+    return field, nums, (l, d, u)
+
+
+def _certificate_case(lv, r=2):
+    import greenrefl.wreath as wreath_mod
+
+    order, classes, _ = wreath_mod._symbol_order(lv, r)
+    blocks = [len(cls) for cls in classes]
+    nums, _ = lv.schur_gram(order)
+    return nums, blocks, wreath_mod._certified_ldu(lv.field, nums, blocks)
+
+
+def test_certified_ldu_recovers_synthetic_factors():
+    import greenrefl.wreath as wreath_mod
+
+    for e, blocks in [(3, [2, 1, 3]), (5, [1, 2, 2]), (12, [2, 2])]:
+        field, nums, factors = _synthetic_ldu(e, blocks, seed=e)
+        assert wreath_mod._certified_ldu(field, nums, blocks) == factors, e
+
+
+def test_ldu_certificate_rejects_an_altered_factor():
+    import greenrefl.wreath as wreath_mod
+    from greenrefl.exact_arith import TPoly
+
+    lv = level_for(3, 3)
+    nums, blocks, (l, d, u) = _certificate_case(lv)
+    assert wreath_mod._ldu_certified(nums, blocks, l, d, u)
+    size = len(nums)
+    i, j = next((i, j) for i in range(size) for j in range(i) if not l[i][j].is_zero())
+
+    def altered(mat, a, b, value=TPoly.t_power(lv.field, 1)):
+        out = [row[:] for row in mat]
+        out[a][b] = out[a][b] + value
+        return out
+
+    certified = wreath_mod._ldu_certified
+    assert not certified(nums, blocks, altered(l, i, j), d, u)
+    assert not certified(nums, blocks, l, d, altered(u, j, i))
+    assert not certified(nums, blocks, l, d[:-1] + [altered(d[-1], 0, 0)], u)
+    # the structure is checked too: a unit in a strictly upper entry of l
+    assert not certified(nums, blocks, altered(l, j, i, TPoly.constant(lv.field.one)), d, u)
+
+
+def test_ldu_certificate_rejects_a_precision_below_the_output_degree():
+    import greenrefl.wreath as wreath_mod
+
+    for lv in (level_for(2, 3), level_for(3, 2)):
+        nums, blocks, factors = _certificate_case(lv)
+        top = max(x.degree() for mat in [factors[0], factors[2]] + factors[1]
+                  for row in mat for x in row)
+        low = wreath_mod._series_ldu(lv.field, nums, blocks, top, 64)
+        assert low != factors
+        assert not wreath_mod._ldu_certified(nums, blocks, *low), lv
+        assert wreath_mod._series_ldu(lv.field, nums, blocks, top + 1, 64) == factors
+
+
+def test_certified_ldu_retries_at_a_higher_precision(monkeypatch):
+    import greenrefl.wreath as wreath_mod
+
+    lv = level_for(3, 2)
+    nums, blocks, factors = _certificate_case(lv)
+    real = wreath_mod.SeriesRing
+    attempts = []
+
+    def ring(field, prec, bits):
+        # the first attempt truncates everything above t^1
+        attempts.append((prec, bits))
+        return real(field, 2 if len(attempts) == 1 else prec, bits)
+
+    monkeypatch.setattr(wreath_mod, "SeriesRing", ring)
+    assert wreath_mod._certified_ldu(lv.field, nums, blocks) == factors
+    (prec, bits), second = attempts
+    assert second == (2 * prec, 2 * bits)
+
+
+def test_ldu_certificate_catches_a_zeta_reduction_mutant(monkeypatch):
+    # A ring that reduces zeta^m by the power table of another cyclotomic
+    # field of the same degree stays a ring, so its pivots keep a unit norm
+    # and the elimination runs through; the certificate must reject what it
+    # returns.  A ring that folds with the wrong sign loses the unit norms.
+    import greenrefl.wreath as wreath_mod
+    from greenrefl.exact_arith import CycField, SeriesRing
+
+    real_init = SeriesRing.__init__
+
+    def other_field(self, field, prec, bits):
+        real_init(self, CycField({3: 6, 5: 10}[field.e]), prec, bits)
+
+    def wrong_sign(self, field, prec, bits):
+        real_init(self, field, prec, bits)
+        self.fold = [[(i, -c) for i, c in pairs] for pairs in self.fold]
+
+    # phi(3) = 2 and phi(5) = 4
+    for e, blocks in [(3, [2, 1, 3]), (5, [1, 2, 2])]:
+        field, nums, factors = _synthetic_ldu(e, blocks, seed=e)
+        prec = 2 * max(x.degree() for row in nums for x in row) + 2
+        assert wreath_mod._series_ldu(field, nums, blocks, prec, 64) == factors
+        monkeypatch.setattr(SeriesRing, "__init__", other_field)
+        mutant = wreath_mod._series_ldu(field, nums, blocks, prec, 64)
+        assert not wreath_mod._ldu_certified(nums, blocks, *mutant), e
+        with pytest.raises(ArithmeticError, match="failed its certificate"):
+            wreath_mod._certified_ldu(field, nums, blocks)
+        monkeypatch.setattr(SeriesRing, "__init__", wrong_sign)
+        with pytest.raises(ArithmeticError, match="not a unit"):
+            wreath_mod._certified_ldu(field, nums, blocks)
+        monkeypatch.setattr(SeriesRing, "__init__", real_init)
+
+
+def test_certified_ldu_rejects_a_matrix_not_unit_at_zero():
+    import greenrefl.wreath as wreath_mod
+    from greenrefl.exact_arith import CycField, TPoly
+
+    field = CycField(3)
+    one, t = TPoly.constant(field.one), TPoly.t_power(field, 1)
+    three = TPoly.constant(field.from_rational(3))
+    zero = TPoly(field, ())
+    for nums in (
+        [[one, zero], [zero, three]],           # an odd pivot, not a unit
+        [[one + one, t], [t, one]],             # an even pivot
+        [[one, one], [zero, one]],              # unitriangular, not I
+        [[t, one], [one, t]],                   # no pivot at t = 0 at all
+        [[one, zero], [zero, -one]],            # mixed signs
+    ):
+        with pytest.raises(ValueError, match="not \\+-I at t = 0"):
+            wreath_mod._certified_ldu(field, nums, [1, 1])
+    half = TPoly.constant(field.from_rational(Fraction(1, 2)))
+    with pytest.raises(ValueError, match="not integral"):
+        wreath_mod._certified_ldu(field, [[one, half * t], [zero, one]], [1, 1])
+
+
+def test_hl_data_certified_sees_altered_data():
+    import greenrefl.wreath as wreath_mod
+
+    lv = level_for(2, 3)
+    data = wreath_mod._compute_hl(lv, 2)
+    assert data.certified()
+    size = len(data.order)
+    i, j = next((i, j) for i in range(size) for j in range(i) if not data.kp[i][j].is_zero())
+    kp = [row[:] for row in data.kp]
+    kp[i][j] = kp[i][j] + lv.one
+    assert not dataclasses.replace(data, kp=kp).certified()
