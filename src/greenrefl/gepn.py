@@ -27,11 +27,18 @@ Green-function suite packages
                   Ktilde-^(-1) OmegaPrime tr(Ktilde+)^(-1),
 
 and checks the factorization Ktilde- LambdaTilde tr(Ktilde+) = OmegaPrime
-exactly: the residual vanishes iff the off-diagonal blocks of the solved
-Lambda do, which ties the sub-level Kostka data to the coset table.
-OmegaPrime and the fake degrees are class sums over the columns of X(0),
-computed over one common denominator by ``symfunc.weighted_gram``, the
-kernel shared with the Schur Gram matrix of a level.
+exactly, which holds iff the off-diagonal blocks of Lambda vanish and ties
+the sub-level Kostka data to the coset table.  OmegaPrime and the fake
+degrees are class sums over the columns of X(0), computed over one common
+denominator by ``symfunc.gram_numerators``, the kernel shared with the
+Schur Gram matrix of a level.  None of these steps needs a gcd or a linear
+solve: Ktilde is a coefficient reversal of K, LambdaTilde is read off one
+packed integer product of the inverse Kostka matrices (unit lower-
+triangular, by forward substitution) with the numerators of OmegaPrime,
+and the factorization is certified by another packed product
+(``linalg.PackedProduct``), multiplied out on the printed Ktilde(+/-) and
+LambdaTilde against those numerators.  Only the printed entries are put in
+canonical TRat form.
 
 The coset phase of a character lives in ``CosetAlgebra._orbit_terms``:
 the tuple functions, X(0) and the Kostka assembly all read it, and
@@ -59,7 +66,7 @@ from .combinatorics import (
 )
 from .exact_arith import CycField, TPoly, TRat
 from . import wreath
-from .symfunc import Level, weighted_gram
+from .symfunc import Level, gram_numerators, weighted_gram
 from .wreath import LabeledMatrix, hl_data, kostka_matrix
 
 _ALGEBRAS = {}
@@ -138,6 +145,7 @@ class CosetAlgebra:
         self._coset_table = None
         self._kostka = {}
         self._omega = None
+        self._omega_nums = None
         self._green = None
         self._lambda = None
 
@@ -390,27 +398,76 @@ class CosetAlgebra:
     # -- Lambda and the Green suite ----------------------------------------------------
 
     def ktilde(self, sign):
-        """Ktilde(sign) = K(sign)(t^(-1)) T with T = diag(t^(a(z)))."""
+        """Ktilde(sign) = K(sign)(t^(-1)) T with T = diag(t^(a(z))).
+
+        Entry (i, j) is a coefficient reversal and a shift, with no gcd: for
+        K[i][j] = sum_(v <= m <= d) c_m t^m with c_v, c_d nonzero, the
+        reversal c_d + ... + c_v t^(d-v) times t^(a_j - d), or over
+        t^(d - a_j) when d > a_j, where c_d != 0 keeps the fraction
+        canonical."""
         key = ("tilde", sign)
         if key not in self._kostka:
+            field = self.field
+
+            def tilde(v, a):
+                d = v.num.degree()
+                rev = TPoly(field, v.num.coeffs[_valuation(v.num):][::-1], trusted=True)
+                if d <= a:
+                    return TRat(_times_t_power(rev, a - d), reduce=False)
+                return TRat(rev, TPoly.t_power(field, d - a), reduce=False)
+
             a_diag = [self.a_of[z] for z in self.chars]
             self._kostka[key] = [
-                [
-                    v if v.is_zero()
-                    else v.subst_tinv() * TRat(TPoly.t_power(self.field, a), reduce=False)
-                    for v, a in zip(row, a_diag)
-                ]
+                [v if v.is_zero() else tilde(v, a) for v, a in zip(row, a_diag)]
                 for row in self.kostka_assembled(sign)
             ]
         return self._kostka[key]
 
     def lambda_matrix(self):
-        """Ktilde-^(-1) OmegaPrime tr(Ktilde+)^(-1), off-diagonal blocks
-        included."""
+        """LambdaTilde: the similarity-class diagonal blocks of
+        Ktilde-^(-1) OmegaPrime tr(Ktilde+)^(-1), zero off them.
+
+        Ktilde^(-1) = T^(-1) P(1/t) with P = K^(-1), unit lower-triangular
+        and polynomial like K (``linalg.invert_unit_lower``).  With
+        R = t^D P(1/t), D the largest degree in P(+/-), and
+        OmegaPrime = N / L,
+
+          Lambda[i][j] = (R- N tr(R+))[i][j] / (L t^(2 D + a_i + a_j)),
+
+        one ``linalg.PackedProduct``, of which only the diagonal blocks are
+        read back; each is put in canonical form on its own."""
         if self._lambda is None:
-            w = linalg.solve(self.ktilde(-1), self.omega_prime())  # Lambda tr(Ktilde+)
-            lam_t = linalg.solve(self.ktilde(+1), [list(col) for col in zip(*w)])
-            self._lambda = [list(row) for row in zip(*lam_t)]
+            self.omega_prime()
+            nums, common = self._omega_nums
+            field = self.field
+            inverses = [linalg.invert_unit_lower(self.kostka_assembled(s)) for s in (-1, +1)]
+            top = max(x.num.degree() for mat in inverses for row in mat for x in row)
+            rev = [
+                [[_times_t_power(TPoly(field, x.num.coeffs[::-1]), top - x.num.degree())
+                  for x in row] for row in mat]
+                for mat in inverses
+            ]
+            product = linalg.PackedProduct(rev[0], nums, [list(col) for col in zip(*rev[1])])
+            k = len(self.chars)
+            a_diag = [self.a_of[z] for z in self.chars]
+            lam = [[self.zero] * k for _ in range(k)]
+            start = 0
+            for cls in self.char_classes:
+                block = range(start, start + len(cls))
+                start += len(cls)
+                for i in block:
+                    for j in block:
+                        num = product.entry(i, j)
+                        if num.is_zero():
+                            continue
+                        shift = 2 * top + a_diag[i] + a_diag[j]
+                        low = min(shift, _valuation(num))
+                        lam[i][j] = TRat(
+                            TPoly(field, num.coeffs[low:], trusted=True),
+                            _times_t_power(common, shift - low),
+                            reduce=common.degree() > 0,
+                        )
+            self._lambda = lam
         return self._lambda
 
     def n_star(self):
@@ -452,10 +509,19 @@ class CosetAlgebra:
         ]
 
     def omega_prime(self):
-        """O'[z,z'] = G(t) sum_xi X[xi,z] conj(X[xi,z']) / (z_xi det_xi)."""
+        """O'[z,z'] = G(t) sum_xi X[xi,z] conj(X[xi,z']) / (z_xi det_xi).
+
+        The numerators N and their common denominator L of the class sum
+        (``gram_numerators``) are kept for Lambda and for the certificate of
+        the factorization; the canonical fractions are built only here."""
         if self._omega is None:
             cols = list(zip(*self.coset_table()))
-            self._omega = weighted_gram(cols, cols, self._class_weights(self.g_poly()))
+            nums, common = gram_numerators(cols, cols, self._class_weights(self.g_poly()))
+            self._omega_nums = (nums, common)
+            # over the constant 1 every numerator is already canonical
+            self._omega = [
+                [TRat(num, common, reduce=common.degree() > 0) for num in row] for row in nums
+            ]
         return self._omega
 
     def fake_degrees(self):
@@ -476,27 +542,56 @@ class CosetAlgebra:
             self._green = self._compute_green()
         return self._green
 
+    def factorization_certified(self, km, lam, kp):
+        """Whether km lam tr(kp) = OmegaPrime exactly, for k x k matrices of
+        TRat: the printed Ktilde-, LambdaTilde and Ktilde+.
+
+        Every side is brought to polynomials and multiplied out on packed
+        integers against the numerators N of OmegaPrime = N / L
+        (``linalg.PackedProduct``): km and kp times the powers t^s(+/-) of t
+        that clear their denominators, lam times E = L t^m, with m the
+        largest t-valuation of its denominators, so that both sides are
+        t^(s- + s+ + m) L times the two sides of the identity.  False as soon
+        as a denominator of km or kp is not a power of t, or one of lam does
+        not divide E."""
+        self.omega_prime()
+        nums, common = self._omega_nums
+        lifted, shift = [], 0
+        for mat in (km, kp):
+            if any(_valuation(x.den) != x.den.degree() for row in mat for x in row):
+                return False
+            s = max(x.den.degree() for row in mat for x in row)
+            lifted.append(
+                [[_times_t_power(x.num, s - x.den.degree()) for x in row] for row in mat]
+            )
+            shift += s
+        m = max(_valuation(x.den) for row in lam for x in row)
+        big = _times_t_power(common, m)
+        lam_nums = []
+        for row in lam:
+            out = []
+            for x in row:
+                if x.is_zero():
+                    out.append(x.num)
+                    continue
+                quot, rem = big.divmod(x.den)
+                if not rem.is_zero():
+                    return False
+                out.append(x.num * quot)
+            lam_nums.append(out)
+        target = [[_times_t_power(x, shift + m) for x in row] for row in nums]
+        return linalg.PackedProduct(
+            lifted[0], lam_nums, [list(col) for col in zip(*lifted[1])], target
+        ).matches()
+
     def _compute_green(self):
         k = len(self.chars)
         a_diag = [self.a_of[z] for z in self.chars]
         ktilde = {s: self.ktilde(s) for s in (+1, -1)}
         blocks = [len(cls) for cls in self.char_classes]
-        class_of = [ci for ci, cls in enumerate(self.char_classes) for _ in cls]
         omega = self.omega_prime()
-        # LambdaTilde keeps the similarity-class diagonal blocks; anything
-        # off them leaves a nonzero residual below
-        lam = self.lambda_matrix()
-        lam_tilde = [
-            [lam[i][j] if class_of[i] == class_of[j] else self.zero for j in range(k)]
-            for i in range(k)
-        ]
-        product = linalg.mat_mul(
-            linalg.mat_mul(ktilde[-1], lam_tilde),
-            [list(col) for col in zip(*ktilde[+1])],
-        )
-        residual_zero = all(
-            (product[i][j] - omega[i][j]).is_zero() for i in range(k) for j in range(k)
-        )
+        lam_tilde = self.lambda_matrix()
+        residual_zero = self.factorization_certified(ktilde[-1], lam_tilde, ktilde[+1])
         labels = [z.label() for z in self.chars]
         # symmetric presentation: columns relabeled by character conjugation
         # (this is the form the reference tables display); none for q != 0
@@ -518,6 +613,18 @@ class CosetAlgebra:
             omega_prime=LabeledMatrix(labels, labels, omega, blocks, blocks),
             residual_zero=residual_zero,
         )
+
+
+def _valuation(poly):
+    """The exponent of the lowest power of t in a nonzero TPoly."""
+    return next(m for m, c in enumerate(poly.coeffs) if not c.is_zero())
+
+
+def _times_t_power(poly, k):
+    """t^k poly, by a shift of the coefficients."""
+    if not k or poly.is_zero():
+        return poly
+    return TPoly(poly.field, (poly.field.zero,) * k + poly.coeffs, trusted=True)
 
 
 @dataclass

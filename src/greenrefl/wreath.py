@@ -430,19 +430,8 @@ def _ldu_certified(nums, blocks, l, d, u):
     """Whether l diag(d) u = nums exactly, with l block lower and u block
     upper unitriangular (identity diagonal blocks) and d the diagonal
     blocks of the given sizes.  Then (l, d, u) is the block LDU of nums,
-    which is unique.  Every entry is a TPoly over Z[zeta].
-
-    The product is multiplied out on packed integers, with no truncation:
-    coordinate m of zeta^m of an entry is one int with a slot of B bits per
-    power of t, and a row of u or of nums is one int with a run of T slots
-    per column, T above every degree involved.  zeta is not reduced inside
-    the product (powers up to 3 phi - 3); a summed row is folded by the
-    power table of the field only at the end and compared with the packed
-    row of nums.  A coefficient of the unfolded product is at most
-    S = sum_b size_b^2 max|l|_1 max|d_b|_1 max|u|_1 (L1 norms of the
-    coefficient vectors), so a folded one is at most S (1 + F), with F the
-    sum of the L1 norms of the folded powers; B - 1 bits hold that plus the
-    largest coefficient of nums, so equal packed rows have equal slots."""
+    which is unique.  Every entry is a TPoly over Q(zeta); the product is
+    multiplied out on packed integers by ``linalg.PackedProduct``."""
     size = len(nums)
     if sum(blocks) != size or [len(dk) for dk in d] != list(blocks):
         return False
@@ -460,81 +449,14 @@ def _ldu_certified(nums, blocks, l, d, u):
                         return False
             elif not (u if block_of[i] > block_of[j] else l)[i][j].is_zero():
                 return False
-    entries = [x for mat in [nums, l, u] + d for row in mat for x in row]
-    if any(c.den != 1 for x in entries for c in x.coeffs):
-        return False
-
-    field = nums[0][0].field
-    phi, e, powers = field.degree, field.e, field._powers
-
-    def l1(x):
-        return sum(abs(v) for c in x.coeffs for v in c.num)
-
-    def maxima(mats, f):
-        return max(f(x) for mat in mats for row in mat for x in row)
-
-    bound = maxima([l], l1) * maxima([u], l1) * sum(
-        len(dk) ** 2 * maxima([dk], l1) for dk in d
-    )
-    fold = sum(sum(map(abs, powers[m % e])) for m in range(phi, 3 * phi - 2))
-    largest = max(
-        (abs(v) for x in entries[: size * size] for c in x.coeffs for v in c.num), default=0
-    )
-    bits = (bound * (1 + fold) + largest).bit_length() + 1
-    run = bits * (
-        max(
-            maxima([l], TPoly.degree) + maxima(d, TPoly.degree) + maxima([u], TPoly.degree),
-            maxima([nums], TPoly.degree),
-        )
-        + 1
-    )
-
-    def pack(x, shift=0):
-        out = [0] * phi
-        for k, c in enumerate(x.coeffs):
-            for m, v in enumerate(c.num):
-                if v:
-                    out[m] += v << (bits * k + shift)
-        return out
-
-    def pack_row(row):
-        out = [0] * phi
-        for j, x in enumerate(row):
-            for m, v in enumerate(pack(x, run * j)):
-                out[m] += v
-        return out
-
-    u_rows = [pack_row(row) for row in u]
-    d_packed = [[[pack(x) for x in row] for row in dk] for dk in d]
-    starts = [sum(blocks[:b]) for b in range(len(blocks))]
-    for i in range(size):
-        acc = [0] * (3 * phi - 2)
-        for b, start in enumerate(starts):
-            cols = range(start, start + blocks[b])
-            li = [(k - start, pack(l[i][k])) for k in cols if not l[i][k].is_zero()]
-            for c in cols:
-                ld = [0] * (2 * phi - 1)
-                for k, lk in li:
-                    dk = d_packed[b][k][c - start]
-                    for m, x in enumerate(lk):
-                        if x:
-                            for n, y in enumerate(dk):
-                                if y:
-                                    ld[m + n] += x * y
-                for m, x in enumerate(ld):
-                    if x:
-                        for n, y in enumerate(u_rows[c]):
-                            if y:
-                                acc[m + n] += x * y
-        for m in range(phi, 3 * phi - 2):
-            x = acc[m]
-            if x:
-                for j, c in enumerate(powers[m % e]):
-                    if c:
-                        acc[j] += c * x
-        if acc[:phi] != pack_row(nums[i]):
-            return False
-    return True
+    zero = TPoly(nums[0][0].field, ())
+    diag = [[zero] * size for _ in range(size)]
+    start = 0
+    for dk in d:
+        for i, row in enumerate(dk):
+            diag[start + i][start : start + len(dk)] = row
+        start += len(dk)
+    return linalg.PackedProduct(l, diag, u, nums).matches()
 
 
 @dataclass

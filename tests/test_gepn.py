@@ -783,3 +783,183 @@ def test_tuple_functions_p1_reduce_to_base():
     hl = tuple_hall_littlewood(z, params, 2, -1)
     data = wreath.hl_data(lv, 2)
     assert hl.comps[0] == data.sm[data.index(z.alpha)]
+
+
+# -- LambdaTilde and the factorization certificate against the TRat route ----------
+
+
+def _transpose(mat):
+    return [list(col) for col in zip(*mat)]
+
+
+def trat_route(alg):
+    """(LambdaTilde, residual_zero) by the TRat route: Lambda from two
+    linalg.solve calls against Ktilde-/+, its diagonal blocks kept, and the
+    residual Ktilde- LambdaTilde tr(Ktilde+) - OmegaPrime multiplied out
+    with linalg.mat_mul."""
+    km, kp, omega = alg.ktilde(-1), alg.ktilde(+1), alg.omega_prime()
+    lam = _transpose(linalg.solve(kp, _transpose(linalg.solve(km, omega))))
+    class_of = [ci for ci, cls in enumerate(alg.char_classes) for _ in cls]
+    k = len(alg.chars)
+    lam_tilde = [
+        [lam[i][j] if class_of[i] == class_of[j] else alg.zero for j in range(k)]
+        for i in range(k)
+    ]
+    product = linalg.mat_mul(linalg.mat_mul(km, lam_tilde), _transpose(kp))
+    residual_zero = all(
+        (product[i][j] - omega[i][j]).is_zero() for i in range(k) for j in range(k)
+    )
+    return lam_tilde, residual_zero
+
+
+def gcd_ktilde(alg, sign):
+    """Ktilde by TRat arithmetic: K(1/t) (subst_tinv) times t^(a_j)."""
+    a_diag = [alg.a_of[z] for z in alg.chars]
+    return [
+        [v if v.is_zero() else v.subst_tinv() * TRat.t(alg.field, a) for v, a in zip(row, a_diag)]
+        for row in alg.kostka_assembled(sign)
+    ]
+
+
+# G(3,3,2) q=1, G(6,3,2) q=2 and G(6,6,2) q=2 fail the factorization
+DIFFERENTIAL_SETS = GRID + [
+    (2, 2, 5, 0), (4, 4, 3, 2), (3, 3, 2, 1), (6, 3, 2, 2), (6, 6, 2, 2),
+]
+
+
+def test_lambda_and_certificate_match_the_trat_route():
+    # the packed product and certificate against the TRat solve and residual
+    verdicts = {}
+    for e, p, n, q in DIFFERENTIAL_SETS:
+        for r in (1, 2, 3):
+            alg = CosetAlgebra(GroupParams(e, p, n, q), r)
+            for sign in (+1, -1):
+                assert alg.ktilde(sign) == gcd_ktilde(alg, sign), (e, p, n, q, r, sign)
+            lam_tilde, residual_zero = trat_route(alg)
+            suite = alg.green()
+            assert suite.lambda_tilde.entries == lam_tilde, (e, p, n, q, r)
+            assert suite.residual_zero == residual_zero, (e, p, n, q, r)
+            verdicts[(e, p, n, q, r)] = residual_zero
+    assert [key for key, ok in verdicts.items() if not ok] == [
+        (e, p, n, q, r) for e, p, n, q in [(3, 3, 2, 1), (6, 3, 2, 2), (6, 6, 2, 2)]
+        for r in (1, 2, 3)
+    ]
+
+
+def test_ktilde_of_a_degree_above_the_a_value():
+    # K[i][j] of degree d > a_j gives Ktilde[i][j] over t^(d - a_j); an entry
+    # with a t-valuation reverses to a lower degree
+    alg = CosetAlgebra(GroupParams(2, 2, 3, 0))
+    field, t = alg.field, TRat.t(alg.field)
+    kmat = [row[:] for row in alg.kostka_assembled(-1)]
+    k = len(kmat)
+    a_first = alg.a_of[alg.chars[0]]
+    kmat[k - 1][0] = t * t * (t + alg.one + alg.one) * TRat.t(field, a_first)
+    kmat[k - 1][1] = t * t
+    alg._kostka[("assembled", -1)] = kmat
+    tilde = alg.ktilde(-1)
+    assert tilde == gcd_ktilde(alg, -1)
+    assert not tilde[k - 1][0].is_polynomial()
+
+
+def _projected_algebra(params):
+    """A fresh algebra of params whose OmegaPrime is replaced by
+    Ktilde- LambdaTilde tr(Ktilde+), all three of params itself, kept as
+    numerators over their lcm denominator.  The factorization holds there
+    by construction, also on a set where it fails for the true OmegaPrime,
+    so the certificate meets a true identity carrying zeta."""
+    alg = CosetAlgebra(params)
+    km, kp = alg.ktilde(-1), alg.ktilde(+1)
+    omega = linalg.mat_mul(linalg.mat_mul(km, alg.lambda_matrix()), _transpose(kp))
+    common = TPoly.constant(alg.field.one)
+    for row in omega:
+        for x in row:
+            common = common * x.den.divmod(common.gcd(x.den))[0]
+    nums = [[x.num * common.divmod(x.den)[0] for x in row] for row in omega]
+    fresh = CosetAlgebra(params)
+    for sign in (+1, -1):
+        fresh._kostka[("assembled", sign)] = alg.kostka_assembled(sign)
+        fresh.ktilde(sign)
+    fresh._omega, fresh._omega_nums = omega, (nums, common)
+    return fresh
+
+
+def test_certificate_rejects_an_altered_factor():
+    # G(3,3,3) and the projected G(3,3,2) q=1, whose LambdaTilde has a
+    # denominator other than a power of t
+    t = TRat.t(CycField(3))
+    for alg in [CosetAlgebra(GroupParams(3, 3, 3, 0)),
+                _projected_algebra(GroupParams(3, 3, 2, 1))]:
+        km, kp, lam = alg.ktilde(-1), alg.ktilde(+1), alg.lambda_matrix()
+        assert alg.factorization_certified(km, lam, kp), alg.params
+        k = len(km)
+        i = len(alg.char_classes[0])            # first row of the second class
+        j = next(j for j in range(i) if not km[i][j].is_zero())
+
+        def altered(mat, a, b):
+            out = [row[:] for row in mat]
+            out[a][b] = out[a][b] + t
+            return out
+
+        assert not alg.factorization_certified(km, altered(lam, k - 1, k - 1), kp)
+        assert not alg.factorization_certified(altered(km, i, j), lam, kp)
+        nums, common = alg._omega_nums
+        alg._omega_nums = ([row[:] for row in nums], common)
+        alg._omega_nums[0][0][k - 1] = nums[0][k - 1] + TPoly.t_power(alg.field, 1)
+        assert not alg.factorization_certified(km, lam, kp)
+        assert alg.green().residual_zero is False
+
+
+def test_certificate_catches_a_zeta_fold_mutant(monkeypatch):
+    # On the projected algebras of G(3,3,2) q=1 (phi = 2) and G(5,5,2) q=1
+    # (phi = 4) the factorization holds with zeta in Ktilde+-, LambdaTilde and
+    # OmegaPrime.  A packed product that folds zeta^m by the power table of
+    # another cyclotomic field of the same degree gives another LambdaTilde,
+    # which fails the certificate, and as the certificate it rejects the
+    # true LambdaTilde.
+    real = linalg.PackedProduct
+
+    def folding_by(e):
+        class Mutant(real):
+            def __init__(self, left, *args):
+                field = left[0][0].field
+                saved, field._powers = field._powers, CycField(e)._powers
+                try:
+                    super().__init__(left, *args)
+                finally:
+                    field._powers = saved
+        return Mutant
+
+    for params, other in [(GroupParams(3, 3, 2, 1), 6), (GroupParams(5, 5, 2, 1), 10)]:
+        alg = _projected_algebra(params)
+        km, kp, lam = alg.ktilde(-1), alg.ktilde(+1), alg.lambda_matrix()
+        assert alg.green().residual_zero, params
+        assert any(any(c.num[1:]) for row in lam for x in row for c in x.num.coeffs)
+        mutant = _projected_algebra(params)
+        monkeypatch.setattr(linalg, "PackedProduct", folding_by(other))
+        wrong = mutant.lambda_matrix()
+        assert not alg.factorization_certified(km, lam, kp), params
+        monkeypatch.setattr(linalg, "PackedProduct", real)
+        assert wrong != lam, params
+        assert mutant.green().residual_zero is False, params
+
+
+def test_lambda_rejects_a_kostka_matrix_not_unit_lower(monkeypatch):
+    alg = CosetAlgebra(GroupParams(2, 2, 3, 0))
+    # both Kostka matrices are built, by an elimination that solves, before
+    # linalg.solve is patched
+    good = alg.kostka_assembled(+1)
+    alg.kostka_assembled(-1)
+    two_on_diagonal = [row[:] for row in good]
+    two_on_diagonal[2][2] = alg.one + alg.one
+    above = [row[:] for row in good]
+    above[3][4] = TRat.t(alg.field)
+
+    def no_solve(*args):
+        raise AssertionError("fell back to linalg.solve")
+
+    monkeypatch.setattr(linalg, "solve", no_solve)
+    for row, kmat in [(2, two_on_diagonal), (3, above)]:
+        alg._kostka[("assembled", +1)] = kmat
+        with pytest.raises(ValueError, match=f"not unit lower-triangular at row {row}$"):
+            alg.lambda_matrix()
