@@ -112,6 +112,17 @@ class CycField:
         """zeta_e^k as a field element."""
         return CycNum(self, self._powers[k % self.e], 1)
 
+    def from_ring(self, vec, den=1):
+        """sum_m vec[m] zeta^m / den reduced into the power basis, for an
+        integer vector vec of length at most max(e, 2*degree): an element of
+        the group ring Z[C_e], or the convolution of two coordinate vectors."""
+        d = self.degree
+        out = list(vec[:d]) + [0] * (d - min(d, len(vec)))
+        for k in range(d, len(vec)):
+            if vec[k]:
+                out = [x + vec[k] * y for x, y in zip(out, self._powers[k])]
+        return self.make(out, den)
+
     def make(self, nums, den):
         """Normalized element from integer numerators and a denominator."""
         if den < 0:
@@ -127,19 +138,6 @@ class CycField:
             nums = [x // g for x in nums]
             den //= g
         return CycNum(self, tuple(nums), den)
-
-    def _reduce(self, conv):
-        """Reduce an integer convolution (length <= 2*degree-1) into the
-        power basis."""
-        d = self.degree
-        out = list(conv[:d]) + [0] * (d - min(d, len(conv)))
-        for k in range(d, len(conv)):
-            c = conv[k]
-            if c:
-                row = self._powers[k]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return out
 
 
 class CycNum:
@@ -255,11 +253,7 @@ class CycNum:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        den = self.den * other.den
-        red = self.field._reduce(conv)
-        if den == 1:
-            return CycNum(self.field, tuple(red), 1)
-        return self.field.make(red, den)
+        return self.field.from_ring(conv, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -371,7 +365,9 @@ class CycNum:
         return f"Cyc({self.field.e}: {self})"
 
     def to_json(self):
-        return {"e": self.field.e, "coeffs": [str(c) for c in self.coeffs]}
+        # str(Fraction(n, den)) of every coordinate, without the Fraction
+        pairs = [(n // g, self.den // g) for n in self.num for g in (gcd(n, self.den),)]
+        return {"e": self.field.e, "coeffs": [f"{n}/{d}" if d > 1 else str(n) for n, d in pairs]}
 
     @staticmethod
     def from_json(data):

@@ -14,9 +14,11 @@ all computations reduce to the wreath-product machinery plus bookkeeping.
 The production route reads everything off the sub-levels G(e',1,n').  The
 coset character table X(0), the transition matrix from tuple power sums to
 tuple Schur functions, is X(0)[xi][z] = <p_xi, s_z>: a sum of sub-level
-character-table entries with roots of unity.  The Kostka matrices come
-from the block assembly out of sub-level Kostka matrices, which is the
-paper's theorem.  The paper's definition is the independent check:
+character-table entries with roots of unity, summed in the group ring
+Z[C_e] of those tables (a root of unity is a rotation) and reduced into
+Q(zeta_e) once per entry.  The Kostka matrices come from the block
+assembly out of sub-level Kostka matrices, which is the paper's
+theorem.  The paper's definition is the independent check:
 ``kostka_direct`` solves for the Kostka matrices as the transition matrix
 between the stacked tuple Schur and tuple Hall-Littlewood functions.  The
 Green-function suite packages
@@ -198,19 +200,17 @@ class CosetAlgebra:
         ]
 
     def _power_terms(self, xi):
-        """The class side: one (j, g, c_j(xi)) per sub-level j where beta
+        """The class side: one (j, g, u, s) per sub-level j where beta
         divides, with g the partition index of beta[j] and
-        c_j(xi) = h^len zeta^(-(delta+b) j d)."""
+        c_j(xi) = s zeta^u, s = h^len and u = -(delta+b) j d."""
         params = self.params
         terms = []
         for j, level in self.levels.items():
             divided = alpha_divide(xi.beta, j, params)
             if divided is None:
                 continue
-            coeff = self.zeta_pow(-(delta(xi.beta) + xi.b) * j * params.d) * (
-                self.h_of[j] ** ep_length(divided)
-            )
-            terms.append((j, level.pindex[divided], coeff))
+            u = -(delta(xi.beta) + xi.b) * j * params.d
+            terms.append((j, level.pindex[divided], u, self.h_of[j] ** ep_length(divided)))
         return terms
 
     # -- tuple functions ------------------------------------------------------
@@ -266,32 +266,30 @@ class CosetAlgebra:
         The tuple Schur functions are orthonormal at t = 0 and
         <p_gamma, s_delta> = chi_j[delta][gamma] on the sub-level at j, so
         over the orbit terms (j, i, a, k) of z and the power terms
-        (j, g, c_j(xi)) of xi at a common j
+        (j, g, u, s) of xi at a common j
 
-          X(0)[xi][z] = (1/p) sum c_j(xi) zeta^(-k) chi_j[a][g].
+          X(0)[xi][z] = (1/p) sum s zeta^(u-k) chi_j[a][g].
 
-        Rows are class params, columns char params."""
-        chi = {
-            j: [[v.to_cyc() for v in row] for row in level.char_table()]
-            for j, level in self.levels.items()
-        }
-        # per char: (j, row of chi_j, zeta^(-k))
+        Summed in the group ring Z[C_e] of ``Level.char_table``: a term
+        rotates chi_j[a][g] by u - k and scales it by s.  Rows are class
+        params, columns char params."""
+        e, p = self.params.e, self.params.p
+        chi = {j: level.char_table() for j, level in self.levels.items()}
         schur_terms = [
-            [(j, a, self.zeta_pow(-k)) for j, _, a, k in self._orbit_terms(z)]
-            for z in self.chars
+            [(j, a, k) for j, _, a, k in self._orbit_terms(z)] for z in self.chars
         ]
-        inv_p = Fraction(1, self.params.p)
         table = []
         for xi in self.class_params:
-            power = {j: (g, cval) for j, g, cval in self._power_terms(xi)}
+            power = {j: (g, u, s) for j, g, u, s in self._power_terms(xi)}
             row = []
             for terms in schur_terms:
-                acc = self.field.zero
-                for j, a, w in terms:
+                acc = [0] * e
+                for j, a, k in terms:
                     if j in power:
-                        g, cval = power[j]
-                        acc = acc + cval * w * chi[j][a][g]
-                row.append(acc * inv_p)
+                        g, u, s = power[j]
+                        for x, c in enumerate(chi[j][a][g]):
+                            acc[(x + u - k) % e] += s * c
+                row.append(self.field.from_ring(acc, p))
             table.append(row)
         return table
 

@@ -12,10 +12,13 @@ and a function is stored by its power-sum coordinates, so no polynomial
 in x is ever formed.  The one basis kept here is Schur: its power-sum rows
 (``Level.s_in_p``) come from the character table of the level, built by
 the wreath-product character formula, the colour-wise
-Murnaghan-Nakayama rule.  The tests hold these rows against explicit
-polynomials multiplied out in max(n, 1) variables per colour
-(``tests/polynomial_oracle.py``), which also supplies the monomial,
-power-sum and one-row q bases that the tests need.
+Murnaghan-Nakayama rule.  That formula multiplies roots of unity by
+integers only, so the table lives in the group ring Z[C_E], an integer
+vector over the exponents of zeta_E per entry, reduced into the power
+basis of Q(zeta_E) once where it is read.  The tests hold these rows
+against explicit polynomials multiplied out in max(n, 1) variables per
+colour (``tests/polynomial_oracle.py``), which also supplies the
+monomial, power-sum and one-row q bases that the tests need.
 
 Every t-deformed scalar product of two families given by their values on
 the classes is one class sum, ``gram_numerators``: the Schur Gram matrix
@@ -33,7 +36,7 @@ refuses a value that spills past its last slot.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .combinatorics import enumerate_epartitions, ep_length
 from .exact_arith import CycField, TPoly, TRat
@@ -90,54 +93,53 @@ class Level:
     # -- character table and centralizers --------------------------------------
 
     def char_table(self):
-        """Matrix chi[alpha][beta]: coefficient of s_alpha in p_beta.
+        """Matrix chi[alpha][beta]: coefficient of s_alpha in p_beta, in the
+        group ring Z[C_E]: a tuple of E integers, entry m the coefficient of
+        zeta_E^m (``CycField.from_ring`` reduces it, once, where it is read).
 
         Computed by the wreath-product character formula (Macdonald, ch. I,
         appendix B): expanding p_r^(i) = sum_j zeta^(i*j) p_r(x^(j)) sends
         every part r of colour index i to one colour j with weight
-        zeta^(i*j), so p_beta is a weighted sum of products
-        prod_j p_(rho^(j))(x^(j)), and
+        zeta^(i*j) = zeta_E^(h*i*j), so p_beta is a sum of products
+        zeta_E^m prod_j p_(rho^(j))(x^(j)), and
 
-            chi[alpha][beta] = sum_rho weight(rho) prod_j chi^(alpha^(j))(rho^(j))
+            chi[alpha][beta] = sum_(rho,m) zeta_E^m prod_j chi^(alpha^(j))(rho^(j))
 
-        with S_n characters from the Murnaghan-Nakayama rule.  Only rho
-        with |rho^(j)| = |alpha^(j)| for every j contribute."""
+        with S_n characters from the Murnaghan-Nakayama rule, plain ints.
+        Only rho with |rho^(j)| = |alpha^(j)| for every j contribute."""
         if self._char is None:
-            memo = {}
+            memo, young = {}, {}
             by_sizes = {}
             for a, alpha in enumerate(self.partitions):
                 by_sizes.setdefault(tuple(map(sum, alpha)), []).append(a)
-            chi = [[None] * self.size for _ in range(self.size)]
-            for b, beta in enumerate(self.partitions):
-                acc = [self.field.zero] * self.size
-                for rho, weight in self._colour_distributions(beta).items():
-                    for a in by_sizes.get(tuple(map(sum, rho)), ()):
-                        value = 1
-                        for lam, mu in zip(self.partitions[a], rho):
-                            value *= _sn_character(lam, mu, memo)
-                            if not value:
-                                break
-                        if value:
-                            acc[a] = acc[a] + weight * value
-                for a, c in enumerate(acc):
-                    chi[a][b] = TRat.from_cyc(c)
-            self._char = chi
+            cols = []
+            for beta in self.partitions:
+                acc = [[0] * self.E for _ in range(self.size)]
+                for (rho, m), count in self._colour_distributions(beta).items():
+                    if rho not in young:      # the nonzero products, per rho
+                        young[rho] = [
+                            (a, v) for a in by_sizes.get(tuple(map(sum, rho)), ())
+                            if (v := prod(_sn_character(lam, mu, memo)
+                                          for lam, mu in zip(self.partitions[a], rho)))
+                        ]
+                    for a, v in young[rho]:
+                        acc[a][m] += v * count
+                cols.append(acc)
+            self._char = [[tuple(v) for v in row] for row in zip(*cols)]
         return self._char
 
     def _colour_distributions(self, beta):
-        """p_beta as {(rho^(0), ..., rho^(ecols-1)): weight}, the weighted
-        products prod_j p_(rho^(j))(x^(j)) with equal rho grouped."""
-        zetas = [self.zeta_pow(k) for k in range(self.ecols)]
-        dists = {((),) * self.ecols: self.field.one}
+        """p_beta as {(rho, m): count}, rho = (rho^(0), ..., rho^(ecols-1)):
+        the products zeta_E^m prod_j p_(rho^(j))(x^(j)), equal ones grouped."""
+        dists = {(((),) * self.ecols, 0): 1}
         for i, comp in enumerate(beta):
             for r in comp:
                 nxt = {}
-                for rho, weight in dists.items():
+                for (rho, m), count in dists.items():
                     for j in range(self.ecols):
                         part = tuple(sorted(rho[j] + (r,), reverse=True))
-                        key = rho[:j] + (part,) + rho[j + 1 :]
-                        w = weight * zetas[i * j % self.ecols]
-                        nxt[key] = nxt[key] + w if key in nxt else w
+                        key = (rho[:j] + (part,) + rho[j + 1 :], (m + self.h * i * j) % self.E)
+                        nxt[key] = nxt.get(key, 0) + count
                 dists = nxt
         return dists
 
@@ -174,15 +176,12 @@ class Level:
     def s_in_p(self):
         """Rows: powersum coordinates of the Schur functions (constants)."""
         if self._s_in_p is None:
-            chi = self.char_table()
-            rows = []
-            for a in range(self.size):
-                row = []
-                for b, beta in enumerate(self.partitions):
-                    c = chi[a][b].to_cyc().conjugate()
-                    row.append(c * Fraction(1, self.z_int(beta)))
-                rows.append(row)
-            self._s_in_p = rows
+            # conjugation sends zeta_E^m to zeta_E^(-m)
+            z = [self.z_int(beta) for beta in self.partitions]
+            self._s_in_p = [
+                [self.field.from_ring(v[:1] + v[:0:-1], zb) for v, zb in zip(row, z)]
+                for row in self.char_table()
+            ]
         return self._s_in_p
 
     def schur_gram(self, order):
@@ -211,7 +210,8 @@ def weighted_gram(left, right, weights):
     """M[a][b] = sum_i left[a][i] conj(right[b][i]) weights[i], each entry
     a canonical TRat: the numerators of ``gram_numerators`` over L."""
     nums, common = gram_numerators(left, right, weights)
-    return [[TRat(num, common) for num in row] for row in nums]
+    # over the constant 1 every numerator is already canonical
+    return [[TRat(num, common, reduce=common.degree() > 0) for num in row] for row in nums]
 
 
 def gram_numerators(left, right, weights):

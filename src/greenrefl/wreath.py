@@ -122,7 +122,8 @@ def char_table(e, n):
 
 
 def level_char_table(level):
-    chi = level.char_table()
+    from_ring = level.field.from_ring
+    chi = [[TRat.from_cyc(from_ring(v)) for v in row] for row in level.char_table()]
     labels = [ep_str(alpha) for alpha in level.partitions]
     mat = LabeledMatrix(labels, labels, chi)
     return CharTable(level, mat)

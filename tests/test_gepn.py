@@ -45,9 +45,9 @@ def tuple_powersum(alg, xi):
     """The tuple power sum of xi: {j: power-sum coordinates of component j},
     the components c_j(xi) p_(beta[j]) over the power terms of xi."""
     comps = {}
-    for j, g, coeff in alg._power_terms(xi):
+    for j, g, u, s in alg._power_terms(xi):
         comps[j] = [alg.zero] * alg.levels[j].size
-        comps[j][g] = TRat.from_cyc(coeff)
+        comps[j][g] = TRat.from_cyc(alg.zeta_pow(u) * s)
     return comps
 
 
@@ -302,7 +302,7 @@ def stacked_solve_table(alg):
                 out.extend([alg.zero] * level.size)
                 continue
             if powersum:
-                chi = level.char_table()
+                chi = wreath.level_char_table(level).matrix.entries
                 vec = [
                     sum((vec[g] * chi[d][g] for g in range(level.size)), alg.zero)
                     for d in range(level.size)

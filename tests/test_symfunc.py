@@ -13,6 +13,7 @@ from greenrefl.combinatorics import (
 from greenrefl.exact_arith import CycField, TPoly, TRat
 from greenrefl.gepn import coset_algebra
 from greenrefl.symfunc import Level, level_for, weighted_gram
+from greenrefl.wreath import level_char_table
 
 from polynomial_oracle import SymPoly, cauchy_truncated, poly_level, poly_level_for
 from test_acceptance import GRID
@@ -236,8 +237,9 @@ def test_expand_matches_mn_rule():
 
 def test_char_table_matches_expansion():
     # every sub-level of the acceptance grid and of the three chartable
-    # benchmark groups, and every G(e,1,n) with e*n <= 10 whose expansion
-    # stays cheap
+    # benchmark groups, every G(e,1,n) with e*n <= 10 whose expansion stays
+    # cheap, and levels with zeta = zeta_E^h, h > 1, and several colours,
+    # where a group-ring weight zeta^m sits at the exponent m*h of zeta_E
     levels = {}
     for e, p, n, q in GRID + [(3, 3, 4, 0), (2, 2, 5, 0), (6, 2, 3, 0)]:
         for lv in coset_algebra(GroupParams(e, p, n, q)).levels.values():
@@ -246,8 +248,10 @@ def test_char_table_matches_expansion():
         for n in range(1, 10 // e + 1):
             if (e, n) not in ((1, 9), (1, 10)):
                 levels[(e, 1, e, n)] = level_for(e, n)
+    for key in [(4, 2, 2, 2), (6, 2, 3, 2), (6, 3, 2, 2), (12, 4, 3, 2), (6, 2, 3, 3)]:
+        levels[key] = Level(*key)
     for key, lv in levels.items():
-        assert lv.char_table() == expansion_char_table(lv), key
+        assert level_char_table(lv).matrix.entries == expansion_char_table(lv), key
 
 
 def test_char_table_of_symmetric_groups():
@@ -255,7 +259,7 @@ def test_char_table_of_symmetric_groups():
     # against the test-side Murnaghan-Nakayama oracle
     for n in (9, 10):
         lv = level_for(1, n)
-        chi = lv.char_table()
+        chi = level_char_table(lv).matrix.entries
         for a, (lam,) in enumerate(lv.partitions):
             for b, (mu,) in enumerate(lv.partitions):
                 assert chi[a][b] == TRat.rational(mn_character(lam, mu), 1), (lam, mu)

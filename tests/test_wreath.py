@@ -14,6 +14,7 @@ from greenrefl.wreath import (
     hl_data,
     kostka,
     kostka_matrix,
+    level_char_table,
     z_series,
 )
 
@@ -146,7 +147,7 @@ def test_char_table_orthogonality():
     ]
     levels.append(Level(6, 2, 3, 2))
     for lv in levels:
-        chi = [[v.to_cyc() for v in row] for row in lv.char_table()]
+        chi = [[v.to_cyc() for v in row] for row in level_char_table(lv).matrix.entries]
         cols = [list(col) for col in zip(*chi)]
         field = lv.field
         z = [lv.z_int(beta) for beta in lv.partitions]
