@@ -14,9 +14,10 @@ functions) is built on the two scalar types defined here:
 
 One more scalar type serves the Hall-Littlewood elimination:
 
-* ``TSeries``  -- a truncated power series in Z[zeta][t]/(t^M), packed into
-                  integers by t -> 2^B (``SeriesRing``).  Its values are
-                  read back into TPoly and must be checked independently.
+* ``TSeries``  -- a truncated power series in Z[t]/(t^M), packed into one
+                  integer by t -> 2^B (``SeriesRing``; why Z suffices is in
+                  ``wreath._certified_ldu``).  Its values are read back
+                  into TPoly and must be checked independently.
 
 All values are immutable.
 """
@@ -812,76 +813,58 @@ class TRat:
 
 
 # ---------------------------------------------------------------------------
-# truncated power series over Z[zeta], packed into integers
+# truncated power series over Z, packed into integers
 
 
 class SeriesRing:
-    """Z[zeta][t]/(t^M) carried into (Z/2^(B M))[zeta] by t -> 2^B
-    (Kronecker substitution).  An element is phi(e) Python ints modulo
-    2^(B M), one per power-basis coordinate, so +, - and * are integer
-    operations and a mask, and zeta^m with m >= phi(e) is folded back by the
-    power table of the field.
+    """Z[t]/(t^M) carried into Z/2^(B M) by t -> 2^B (Kronecker
+    substitution).  An element is one Python int modulo 2^(B M), so +, -
+    and * are integer operations and a mask, and the units are the odd
+    ints.  The Hall-Littlewood numerators lie in Z[t] (the Molien argument
+    of ``wreath._certified_ldu``); ``encode`` refuses any other coefficient.
 
     The map is a ring homomorphism, so an elimination whose pivots are units
-    (odd norm) runs in the image, and a polynomial of degree below M whose
-    integer coefficients lie below 2^(B-1) in absolute value is read back
-    exactly by ``decode``, in balanced base-2^B digits.  Nothing here can
-    tell whether a result meets that bound: a result must be checked."""
+    runs in the image, and a polynomial of degree below M whose coefficients
+    lie below 2^(B-1) in absolute value is read back exactly by ``decode``,
+    in balanced base-2^B digits, as a TPoly over ``field``.  Nothing here
+    can tell whether a result meets that bound: a result must be checked."""
 
     def __init__(self, field, prec, bits):
         self.field = field
-        self.prec = prec
         self.bits = bits
         self.modulus = 1 << (bits * prec)
         self.mask = self.modulus - 1
-        d = field.degree
-        # zeta^(d + k) as (coordinate, coefficient) pairs, k < d - 1
-        self.fold = [
-            [(i, c) for i, c in enumerate(field._powers[m]) if c]
-            for m in range(d, 2 * d - 1)
-        ]
-        self.one = TSeries(self, (1,) + (0,) * (d - 1))
 
     def encode(self, poly):
-        """The image of a TPoly with coefficients in Z[zeta]."""
-        comps = [0] * self.field.degree
-        for k, c in enumerate(poly.coeffs[: self.prec]):
-            if c.den != 1:
-                raise ValueError(f"coefficient {c} of {poly} is not integral")
-            for m, x in enumerate(c.num):
-                if x:
-                    comps[m] += x << (self.bits * k)
-        return TSeries(self, tuple(x & self.mask for x in comps))
+        """The image of a TPoly with rational integer coefficients.  Raises
+        ValueError naming the first coefficient that is not one."""
+        v = 0
+        for k, c in enumerate(poly.coeffs):
+            if c.den != 1 or any(c.num[1:]):
+                raise ValueError(f"coefficient {c} of {poly} is not integral or not rational")
+            v += c.num[0] << (self.bits * k)
+        return TSeries(self, v & self.mask)
 
     def decode(self, x):
-        """The TPoly of degree < M with coefficients below 2^(B-1) in
-        absolute value whose image is x."""
-        bits, modulus = self.bits, self.modulus
+        """The TPoly of degree < M with integer coefficients below 2^(B-1)
+        in absolute value whose image is x."""
+        bits, v = self.bits, x.c
+        if v >= self.modulus >> 1:
+            v -= self.modulus
         half = 1 << (bits - 1)
         digit = (1 << bits) - 1
-        comps = []
-        for v in x.c:
-            if v >= modulus >> 1:
-                v -= modulus
-            digits = []
-            while v:
-                c = ((v + half) & digit) - half
-                digits.append(c)
-                v = (v - c) >> bits
-            comps.append(digits)
         field = self.field
-        return TPoly(
-            field,
-            [
-                CycNum(field, tuple(ds[k] if k < len(ds) else 0 for ds in comps), 1)
-                for k in range(max(map(len, comps)))
-            ],
-        )
+        pad = (0,) * (field.degree - 1)
+        coeffs = []
+        while v:
+            c = ((v + half) & digit) - half
+            coeffs.append(CycNum(field, (c,) + pad, 1))
+            v = (v - c) >> bits
+        return TPoly(field, tuple(coeffs), trusted=True)
 
 
 class TSeries:
-    """An element of a ``SeriesRing``: ``c`` holds its phi(e) packed
-    coordinates, each reduced modulo 2^(B M)."""
+    """An element of a ``SeriesRing``: ``c`` is one int modulo 2^(B M)."""
 
     __slots__ = ("ring", "c")
 
@@ -890,64 +873,22 @@ class TSeries:
         self.c = c
 
     def is_zero(self):
-        return not any(self.c)
+        return not self.c
 
     def __add__(self, other):
-        mask = self.ring.mask
-        return TSeries(self.ring, tuple((a + b) & mask for a, b in zip(self.c, other.c)))
+        return TSeries(self.ring, (self.c + other.c) & self.ring.mask)
 
     def __sub__(self, other):
-        mask = self.ring.mask
-        return TSeries(self.ring, tuple((a - b) & mask for a, b in zip(self.c, other.c)))
+        return TSeries(self.ring, (self.c - other.c) & self.ring.mask)
 
     def __mul__(self, other):
-        ring = self.ring
-        a, b = self.c, other.c
-        mask = ring.mask
-        if len(a) == 1:
-            return TSeries(ring, ((a[0] * b[0]) & mask,))
-        d = len(a)
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        for m, pairs in enumerate(ring.fold, d):
-            x = conv[m]
-            if x:
-                for i, c in pairs:
-                    conv[i] += x if c == 1 else -x if c == -1 else c * x
-        return TSeries(ring, tuple(x & mask for x in conv[:d]))
-
-    def galois(self, k):
-        """The automorphism sigma_k: zeta -> zeta^k, for k prime to e."""
-        field = self.ring.field
-        out = [0] * field.degree
-        for i, x in enumerate(self.c):
-            if x:
-                for j, c in enumerate(field._powers[i * k % field.e]):
-                    if c:
-                        out[j] += c * x
-        mask = self.ring.mask
-        return TSeries(self.ring, tuple(x & mask for x in out))
+        return TSeries(self.ring, (self.c * other.c) & self.ring.mask)
 
     def inverse(self):
-        """The product of the other Galois conjugates over the norm, whose
-        inverse modulo 2^(B M) exists exactly when the norm is odd.  Raises
-        ArithmeticError for a non-unit."""
-        ring = self.ring
-        e = ring.field.e
-        others = ring.one
-        for k in range(2, e):
-            if gcd(k, e) == 1:
-                others = others * self.galois(k)
-        norm = (self * others).c
-        if any(norm[1:]) or not norm[0] & 1:
+        """The inverse modulo 2^(B M); ArithmeticError for an even int."""
+        if not self.c & 1:
             raise ArithmeticError("not a unit of the truncated power series ring")
-        inv = pow(norm[0], -1, ring.modulus)
-        mask = ring.mask
-        return TSeries(ring, tuple((x * inv) & mask for x in others.c))
+        return TSeries(self.ring, pow(self.c, -1, self.ring.modulus))
 
     def __truediv__(self, other):
         return self * other.inverse()

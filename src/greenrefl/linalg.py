@@ -1,5 +1,6 @@
 """Small exact linear algebra over a field of scalars (CycNum or TRat), or
-over the packed power series TSeries, where every pivot met must be a unit.
+over TSeries, Z[t]/(t^M) packed into one int (why Z suffices is in
+``wreath._certified_ldu``), where every pivot met must be a unit.
 
 Scalars must support +, -, *, /, ``inverse()``, ``is_zero()`` and
 equality.  Matrices are plain lists of lists; everything is deterministic

@@ -14,12 +14,13 @@ G = K+ diag(D) conj(K-)^T, where K(+/-) = M(s, P(+/-)) are the Kostka
 matrices, block lower unitriangular, and D holds the within-class Gram
 matrices <P+_z, P-_z'>.  The elimination runs on the polynomial numerators
 N = L G over the common denominator L of the z-series, with the same K(+/-)
-and D_N = L D.  Since N(0) = +-I, it runs in Z[zeta][t]/(t^M) packed into
-integers (Kronecker substitution), with no gcd, and the factors read back
-are kept only after an exact certificate, K+ diag(D_N) conj(K-)^T = N
-multiplied out in Z[zeta][t].  The families themselves, P(+/-) (the rows of
-the inverse Kostka matrices, by forward substitution) and the duals
-Q(+/-), are built from the factors on first use.
+and D_N = L D.  N lies in Z[t] (``_certified_ldu``) and N(0) = +-I, so it
+runs in Z[t]/(t^M) packed into one integer per entry (Kronecker
+substitution), with no gcd, and the factors read back are kept only after
+an exact certificate, K+ diag(D_N) conj(K-)^T = N multiplied out in Z[t].
+The families themselves, P(+/-) (the rows of the inverse Kostka matrices,
+by forward substitution) and the duals Q(+/-), are built from the factors
+on first use.
 """
 
 from __future__ import annotations
@@ -383,9 +384,14 @@ def _compute_hl(level, r):
 
 
 def _certified_ldu(field, nums, blocks):
-    """The block LDU (l, d, u) of a square matrix N over Z[zeta][t] with
+    """The block LDU (l, d, u) of a square matrix N over Z[t] with
     N(0) = +-I, every factor a matrix of TPoly.
 
+    The Schur Gram numerators lie in Z[t], with no zeta: <s_a, s_b> =
+    |W|^-1 sum_w chi_a(w) conj(chi_b(w)) / det(1 - t w) is a Molien series
+    with natural-number coefficients, and the lcm L of the z-series
+    denominators is Galois-stable, so N = L G is rational with integer
+    coefficients.  ``SeriesRing.encode`` raises ValueError for any other N.
     N(0) = +-I makes every pivot block a unit modulo t, so the elimination
     runs in a ring of truncated power series with no gcd
     (``_series_ldu``).  Its factors are kept only if ``_ldu_certified``
@@ -418,7 +424,7 @@ def _certified_ldu(field, nums, blocks):
 
 def _series_ldu(field, nums, blocks, prec, bits):
     """``linalg.block_ldu`` of the images of nums in the ring
-    Z[zeta][t]/(t^prec) packed with B = bits (``SeriesRing``), read back
+    Z[t]/(t^prec) packed with B = bits (``SeriesRing``), read back
     as TPoly: exact when every factor has degree below prec and
     coefficients below 2^(bits-1) in absolute value, unchecked here."""
     ring = SeriesRing(field, prec, bits)

@@ -7,6 +7,7 @@ import pytest
 from greenrefl.exact_arith import (
     CycField,
     CycNum,
+    SeriesRing,
     TPoly,
     TRat,
     cyc_make,
@@ -241,3 +242,22 @@ def test_tpoly_str():
     assert str(p) == "2*t^2+1"
     f = TRat(TPoly(field, [field.one]), TPoly(field, [-field.one, field.one]))
     assert str(f) == "1/(t-1)"
+
+
+def test_series_ring_is_z_t_mod_t_m():
+    # one int per element; decode reads balanced digits back, products and
+    # inverses are those of Z[t]/(t^M), and the units are the odd ints
+    field = CycField(5)
+    ring = SeriesRing(field, 4, 16)
+    a, b = tp(field, 1, -3, 0, 7), tp(field, -1, 2, -5)
+    x, y = ring.encode(a), ring.encode(b)
+    assert isinstance(x.c, int)
+    assert ring.decode(x) == a and ring.decode(y) == b
+    assert ring.decode(x * y) == TPoly(field, (a * b).coeffs[:4])
+    assert ring.decode(x - x).is_zero() and (x - x).is_zero()
+    assert ring.decode((x * y) / y) == a
+    assert ring.decode(x * x.inverse()) == tp(field, 1)
+    with pytest.raises(ArithmeticError, match="not a unit"):
+        ring.encode(tp(field, 2, 1)).inverse()
+    with pytest.raises(ValueError, match="not integral"):
+        ring.encode(TPoly(field, [field.one, field.zeta()]))

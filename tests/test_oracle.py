@@ -139,8 +139,9 @@ def test_trivial_group_character_table():
 
 
 def test_table_problems_sees_values_and_labels():
-    # a conjugated table has the right rows under the wrong labels
-    for e, p, n in [(3, 3, 3), (6, 2, 2)]:
+    # a conjugated table has the right rows under the wrong labels; G(5,1,2)
+    # and G(8,4,2) have phi(e) = 4
+    for e, p, n in [(3, 3, 3), (6, 2, 2), (5, 1, 2), (8, 4, 2)]:
         table = coset_char_table(GroupParams(e, p, n))
         assert table_problems(table) == [], (e, p, n)
         changed = [row[:] for row in table.entries]

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -488,10 +489,8 @@ def test_hl_data_matches_ldu_of_normalised_gram():
 
 def _synthetic_ldu(e, blocks, seed):
     """Random block unitriangular l, u equal to I at t = 0, diagonal blocks
-    d = I + t R over Z[zeta_e][t], every coordinate in the power basis
-    nonzero, and N = l diag(d) u.  The Gram numerators of every level tried
-    are rational, so only a matrix like this one puts zeta through the
-    packed ring."""
+    d = I + t R over Z[t], as TPoly over Q(zeta_e), and N = l diag(d) u:
+    rational integer coefficients, like the Gram numerators of a level."""
     import random
 
     from greenrefl.exact_arith import CycField, TPoly
@@ -504,8 +503,7 @@ def _synthetic_ldu(e, blocks, seed):
 
     def poly(low):
         # three coefficients from t^low on
-        coeffs = [field.make([rng.choice([-2, -1, 1, 2]) for _ in range(field.degree)], 1)
-                  for _ in range(3)]
+        coeffs = [field.from_rational(rng.choice([-2, -1, 1, 2])) for _ in range(3)]
         return TPoly(field, [field.zero] * low + coeffs)
 
     def unitri(lower):
@@ -601,37 +599,45 @@ def test_certified_ldu_retries_at_a_higher_precision(monkeypatch):
     assert second == (2 * prec, 2 * bits)
 
 
-def test_ldu_certificate_catches_a_zeta_reduction_mutant(monkeypatch):
-    # A ring that reduces zeta^m by the power table of another cyclotomic
-    # field of the same degree stays a ring, so its pivots keep a unit norm
-    # and the elimination runs through; the certificate must reject what it
-    # returns.  A ring that folds with the wrong sign loses the unit norms.
+def test_ldu_certificate_catches_an_unsigned_digit_mutant(monkeypatch):
+    # A ring that reads each base-2^B digit as unsigned turns every negative
+    # coefficient c into 2^B + c, so its factors are wrong at every
+    # precision: the certificate must reject each attempt, and
+    # _certified_ldu must raise after its retries.
     import greenrefl.wreath as wreath_mod
-    from greenrefl.exact_arith import CycField, SeriesRing
+    from greenrefl.exact_arith import SeriesRing, TPoly
 
-    real_init = SeriesRing.__init__
+    attempts = []
 
-    def other_field(self, field, prec, bits):
-        real_init(self, CycField({3: 6, 5: 10}[field.e]), prec, bits)
+    class Unsigned(SeriesRing):
+        def __init__(self, field, prec, bits):
+            attempts.append((prec, bits))
+            super().__init__(field, prec, bits)
 
-    def wrong_sign(self, field, prec, bits):
-        real_init(self, field, prec, bits)
-        self.fold = [[(i, -c) for i, c in pairs] for pairs in self.fold]
+        def decode(self, x):
+            digit, v, coeffs = (1 << self.bits) - 1, x.c, []
+            while v:
+                coeffs.append(self.field.from_rational(v & digit))
+                v >>= self.bits
+            return TPoly(self.field, coeffs)
 
-    # phi(3) = 2 and phi(5) = 4
-    for e, blocks in [(3, [2, 1, 3]), (5, [1, 2, 2])]:
-        field, nums, factors = _synthetic_ldu(e, blocks, seed=e)
+    cases = [_synthetic_ldu(e, blocks, seed=e) + (blocks,)
+             for e, blocks in [(3, [2, 1, 3]), (5, [1, 2, 2])]]
+    lv = level_for(3, 2)
+    nums, blocks, factors = _certificate_case(lv)
+    cases.append((lv.field, nums, factors, blocks))
+    for field, nums, factors, blocks in cases:
         prec = 2 * max(x.degree() for row in nums for x in row) + 2
         assert wreath_mod._series_ldu(field, nums, blocks, prec, 64) == factors
-        monkeypatch.setattr(SeriesRing, "__init__", other_field)
+        monkeypatch.setattr(wreath_mod, "SeriesRing", Unsigned)
         mutant = wreath_mod._series_ldu(field, nums, blocks, prec, 64)
-        assert not wreath_mod._ldu_certified(nums, blocks, *mutant), e
+        assert mutant != factors
+        assert not wreath_mod._ldu_certified(nums, blocks, *mutant), field.e
+        attempts.clear()
         with pytest.raises(ArithmeticError, match="failed its certificate"):
             wreath_mod._certified_ldu(field, nums, blocks)
-        monkeypatch.setattr(SeriesRing, "__init__", wrong_sign)
-        with pytest.raises(ArithmeticError, match="not a unit"):
-            wreath_mod._certified_ldu(field, nums, blocks)
-        monkeypatch.setattr(SeriesRing, "__init__", real_init)
+        assert attempts == [(prec, 64), (2 * prec, 128), (4 * prec, 256)]
+        monkeypatch.undo()
 
 
 def test_certified_ldu_rejects_a_matrix_not_unit_at_zero():
@@ -654,6 +660,11 @@ def test_certified_ldu_rejects_a_matrix_not_unit_at_zero():
     half = TPoly.constant(field.from_rational(Fraction(1, 2)))
     with pytest.raises(ValueError, match="not integral"):
         wreath_mod._certified_ldu(field, [[one, half * t], [zero, one]], [1, 1])
+    # zeta is integral but not rational: the ring holds Z[t] only, and the
+    # error names the coefficient
+    zeta, name = TPoly.constant(field.zeta()), re.escape(str(field.zeta()))
+    with pytest.raises(ValueError, match=f"coefficient {name} .*not integral"):
+        wreath_mod._certified_ldu(field, [[one, zeta * t], [zero, one]], [1, 1])
 
 
 def test_hl_data_certified_sees_altered_data():
