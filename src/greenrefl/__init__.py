@@ -54,10 +54,8 @@ from .oracle import BruteForceGroup, GroupReport, brute_force_oracle
 from .symfunc import Level, level_for
 from .wreath import (
     CharTable,
-    HLBasis,
     LabeledMatrix,
     char_table,
-    hall_littlewood,
     hl_data,
     kostka,
     z_series,
@@ -66,13 +64,13 @@ from .wreath import (
 __all__ = [
     "BruteForceGroup", "CharParam", "CharTable", "ClassParam", "CosetTable",
     "CycField", "CycNum", "GreenSuite", "GroupParams", "GroupReport",
-    "HLBasis", "LabeledMatrix", "Level", "SimilarityPartition", "Symbol",
+    "LabeledMatrix", "Level", "SimilarityPartition", "Symbol",
     "TPoly", "TRat", "TupleFun", "ZCoset", "a_value", "alpha_divide",
     "alpha_truncate", "brute_force_oracle", "char_table", "clear_caches",
     "coset_algebra", "coset_char_table", "cyc_make",
     "cyclotomic_polynomial", "delta", "enumerate_char_params",
     "enumerate_class_params", "enumerate_epartitions", "ep_str",
-    "f_invariant", "fake_degrees", "green_suite", "hall_littlewood",
+    "f_invariant", "fake_degrees", "green_suite",
     "hl_data", "kostka", "kostka_gepn", "level_for", "make_symbol",
     "orbit_data", "similarity_order", "theta", "tuple_hall_littlewood",
     "tuple_schur", "z_coset", "z_series",

@@ -19,6 +19,29 @@ One more scalar type serves the Hall-Littlewood elimination:
                   ``wreath._certified_ldu``).  Its values are read back
                   into TPoly and must be checked independently.
 
+Every exact kernel that multiplies polynomials in t, the Hall-Littlewood
+elimination (``SeriesRing``), the class sums (``symfunc.gram_numerators``)
+and the triple products (``linalg.PackedProduct``), runs on integers
+packed at t = 2^B (Kronecker substitution; Harvey, J. Symb. Comp. 44,
+2009), through one codec:
+
+* ``kron_pack``     -- integer coefficients evaluated at t = 2^B (Horner);
+* ``kron_digits``   -- the balanced base-2^B digits of an int, each in
+                       [-2^(B-1), 2^(B-1)): the coefficients read back;
+* ``convolve_into`` -- the product of two coordinate vectors over the
+                       powers of zeta, left unreduced;
+* ``CycField.fold`` -- such a vector reduced into the power basis by the
+                       integer power table of the field.
+
+A value in Z[zeta][t] is packed as one int per coordinate of zeta^m, or
+with zeta^m as a slot of its own where zeta stays unreduced through a
+product; products run on the packed ints and are folded at the end.  The
+digits read back exactly when every coefficient of the result lies below
+2^(B-1) in absolute value, so B comes from L1 norms: no coefficient of a
+sum of products exceeds the sum of the products of the L1 norms of the
+integer coefficient vectors, and B - 1 bits hold that bound.  Only
+integers are packed; a fractional coefficient is refused by name.
+
 All values are immutable.
 """
 
@@ -113,16 +136,28 @@ class CycField:
         """zeta_e^k as a field element."""
         return CycNum(self, self._powers[k % self.e], 1)
 
-    def from_ring(self, vec, den=1):
-        """sum_m vec[m] zeta^m / den reduced into the power basis, for an
-        integer vector vec of length at most max(e, 2*degree): an element of
-        the group ring Z[C_e], or the convolution of two coordinate vectors."""
-        d = self.degree
+    def fold(self, vec):
+        """The power-basis coordinates of sum_m vec[m] zeta^m, not
+        normalised, for an integer vector vec: an element of the group ring
+        Z[C_e], or an unreduced product of coordinate vectors."""
+        d, e, powers = self.degree, self.e, self._powers
         out = list(vec[:d]) + [0] * (d - min(d, len(vec)))
-        for k in range(d, len(vec)):
-            if vec[k]:
-                out = [x + vec[k] * y for x, y in zip(out, self._powers[k])]
-        return self.make(out, den)
+        for m in range(d, len(vec)):
+            c = vec[m]
+            if c:
+                out = [x + c * y for x, y in zip(out, powers[m % e])]
+        return out
+
+    def fold_growth(self, length):
+        """1 plus the L1 norms of the powers that ``fold`` reduces in a
+        vector of the given length: no folded coordinate exceeds this times
+        the largest entry of the vector in absolute value."""
+        d, e = self.degree, self.e
+        return 1 + sum(sum(map(abs, self._powers[m % e])) for m in range(d, length))
+
+    def from_ring(self, vec, den=1):
+        """sum_m vec[m] zeta^m / den as a field element (``fold``)."""
+        return self.make(self.fold(vec), den)
 
     def make(self, nums, den):
         """Normalized element from integer numerators and a denominator."""
@@ -249,11 +284,7 @@ class CycNum:
                 return self.field.zero
             return self.field.make([c * x for x in a], self.den * other.den)
         conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
+        convolve_into(conv, a, b)
         return self.field.from_ring(conv, self.den * other.den)
 
     __rmul__ = __mul__
@@ -287,16 +318,13 @@ class CycNum:
 
     def galois(self, k):
         """The automorphism sigma_k: zeta -> zeta^k, for k prime to e."""
-        e, d = self.field.e, self.field.degree
+        e = self.field.e
         if gcd(k, e) != 1:
             raise ValueError(f"zeta -> zeta^{k} is not an automorphism of Q(zeta_{e})")
-        out = [0] * d
+        vec = [0] * e
         for i, c in enumerate(self.num):
-            if c:
-                row = self.field._powers[i * k % e]
-                for j in range(d):
-                    out[j] += c * row[j]
-        return CycNum(self.field, tuple(out), self.den)
+            vec[i * k % e] = c
+        return CycNum(self.field, tuple(self.field.fold(vec)), self.den)
 
     def conjugate(self):
         """The automorphism zeta -> zeta^(-1) (complex conjugation)."""
@@ -310,15 +338,11 @@ class CycNum:
         """Image under Q(zeta_e) -> Q(zeta_e2), zeta_e -> zeta_e2^(e2/e)."""
         if e2 % self.field.e != 0:
             raise ValueError("no embedding: order does not divide target order")
-        target = CycField(e2)
         step = e2 // self.field.e
-        out = [0] * target.degree
+        vec = [0] * e2
         for i, c in enumerate(self.num):
-            if c:
-                row = target._powers[(i * step) % max(e2, 1)]
-                for k in range(target.degree):
-                    out[k] += c * row[k]
-        return target.make(out, self.den)
+            vec[i * step] = c
+        return CycField(e2).from_ring(vec, self.den)
 
     # -- comparison / hashing ------------------------------------------------
 
@@ -813,7 +837,42 @@ class TRat:
 
 
 # ---------------------------------------------------------------------------
-# truncated power series over Z, packed into integers
+# the Kronecker codec (see the module docstring) and truncated power series
+# over Z, packed into integers
+
+
+def kron_pack(coeffs, bits):
+    """sum_k coeffs[k] 2^(bits k) for integers coeffs, by Horner."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << bits) + c
+    return v
+
+
+def kron_digits(v, bits):
+    """The balanced base-2^bits digits of v, lowest first, each in
+    [-2^(bits-1), 2^(bits-1)), up to the last nonzero one: the coefficients
+    c with kron_pack(c, bits) = v when every one lies in that range."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    while v:
+        c = v & mask
+        v >>= bits
+        if c >= half:
+            c -= mask + 1
+            v += 1
+        out.append(c)
+    return out
+
+
+def convolve_into(acc, a, b):
+    """acc += a * b for coordinate vectors over the powers of zeta,
+    unreduced: acc[m + n] += a[m] b[n]."""
+    for m, x in enumerate(a):
+        if x:
+            for n, y in enumerate(b):
+                if y:
+                    acc[m + n] += x * y
 
 
 class SeriesRing:
@@ -838,29 +897,21 @@ class SeriesRing:
     def encode(self, poly):
         """The image of a TPoly with rational integer coefficients.  Raises
         ValueError naming the first coefficient that is not one."""
-        v = 0
-        for k, c in enumerate(poly.coeffs):
+        for c in poly.coeffs:
             if c.den != 1 or any(c.num[1:]):
                 raise ValueError(f"coefficient {c} of {poly} is not integral or not rational")
-            v += c.num[0] << (self.bits * k)
-        return TSeries(self, v & self.mask)
+        return TSeries(self, kron_pack([c.num[0] for c in poly.coeffs], self.bits) & self.mask)
 
     def decode(self, x):
         """The TPoly of degree < M with integer coefficients below 2^(B-1)
         in absolute value whose image is x."""
-        bits, v = self.bits, x.c
+        v = x.c
         if v >= self.modulus >> 1:
             v -= self.modulus
-        half = 1 << (bits - 1)
-        digit = (1 << bits) - 1
         field = self.field
         pad = (0,) * (field.degree - 1)
-        coeffs = []
-        while v:
-            c = ((v + half) & digit) - half
-            coeffs.append(CycNum(field, (c,) + pad, 1))
-            v = (v - c) >> bits
-        return TPoly(field, tuple(coeffs), trusted=True)
+        coeffs = tuple(CycNum(field, (c,) + pad, 1) for c in kron_digits(v, self.bits))
+        return TPoly(field, coeffs, trusted=True)
 
 
 class TSeries:

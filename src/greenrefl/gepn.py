@@ -551,7 +551,7 @@ class CosetAlgebra:
         largest t-valuation of its denominators, so that both sides are
         t^(s- + s+ + m) L times the two sides of the identity.  False as soon
         as a denominator of km or kp is not a power of t, or one of lam does
-        not divide E."""
+        not divide E; ValueError when a side so cleared is not over Z[zeta]."""
         self.omega_prime()
         nums, common = self._omega_nums
         lifted, shift = [], 0

@@ -7,17 +7,18 @@ equality.  Matrices are plain lists of lists; everything is deterministic
 (first nonzero pivot).
 
 ``PackedProduct`` is the one exception: a triple product of TPoly matrices
-over Q(zeta), multiplied out on packed integers with no gcd and no
-truncation.  It gives the entries of Lambda in the coset layer and the two
-exact certificates, L D U = N of the Hall-Littlewood elimination and
-Ktilde- LambdaTilde tr(Ktilde+) = OmegaPrime of the Green functions.
+over Z[zeta], multiplied out on integers packed by the codec described in
+``exact_arith``, with no gcd and no truncation.  It gives the entries of
+Lambda in the coset layer and the two exact certificates, L D U = N of the
+Hall-Littlewood elimination and Ktilde- LambdaTilde tr(Ktilde+) =
+OmegaPrime of the Green functions.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from itertools import zip_longest
 
-from .exact_arith import TPoly
+from .exact_arith import TPoly, convolve_into, kron_digits, kron_pack
 
 
 def mat_mul(a, b):
@@ -168,129 +169,91 @@ def _transpose(a):
 
 
 class PackedProduct:
-    """The product left mid right of matrices of TPoly over Q(zeta),
-    multiplied out exactly on packed integers (Kronecker substitution);
-    ``entry`` reads one entry back, and with a target given, ``matches``
-    says whether the product equals it.
+    """The product left mid right of matrices of TPoly over Z[zeta],
+    multiplied out exactly on packed integers (the codec of
+    ``exact_arith``); ``entry`` reads one entry back, and with a target
+    given, ``matches`` says whether the product equals it.  A coefficient
+    that is not integral raises ValueError, which names it.
 
-    Each matrix is brought to Z[zeta][t] by the lcm of its coefficient
-    denominators, and the rows hold ``scale``, the product of the three,
-    times the product.  Coordinate m of zeta^m of an entry is one int with
-    a slot of B bits per power of t, and a row of right is one int with a
-    run of T slots per column, T above every degree involved.  zeta is not
-    reduced inside the product (powers up to 3 phi - 3); a summed row is
-    folded by the power table of the field only at the end.  A coefficient
-    of the unfolded product is at most S = max|left|_1 sum|mid|_1
-    max|right|_1 (L1 norms of the integer coefficient vectors, the sum over
-    every entry of mid), so a folded one is at most S (1 + F), with F the
-    sum of the L1 norms of the folded powers.  B - 1 bits hold that, scaled
-    by the target's denominator, plus ``scale`` times the largest integer
-    coefficient of the target, so every slot reads back as one signed digit
-    and equal packed rows have equal slots.  Zero entries are skipped: a
-    block-diagonal mid costs only its blocks."""
+    Coordinate m of zeta^m of an entry is one int at t = 2^B, and a row of
+    right one int with a run of T slots of B bits per column, T above every
+    degree involved.  zeta is not reduced inside the product (powers up to
+    3 phi - 3); a summed row is folded by the power table only at the end.
+    A coefficient of the unfolded product is at most S = max|left|_1
+    sum|mid|_1 max|right|_1 (L1 norms of the integer coefficient vectors,
+    the sum over every entry of mid), so a folded one is at most S (1 + F),
+    with F the sum of the L1 norms of the folded powers.  B - 1 bits hold
+    that and the largest coefficient of the target, so every slot reads
+    back as one balanced digit and equal packed rows have equal slots.
+    Zero entries are skipped: a block-diagonal mid costs only its blocks."""
 
     def __init__(self, left, mid, right, target=None):
         self.field = field = left[0][0].field
         mats = [left, mid, right] + ([] if target is None else [target])
-        dens = [lcm(1, *(c.den for row in mat for x in row for c in x.coeffs)) for mat in mats]
-        self.scale = dens[0] * dens[1] * dens[2]
-        phi, e, powers = field.degree, field.e, field._powers
+        for x in (x for mat in mats for row in mat for x in row):
+            bad = next((c for c in x.coeffs if c.den != 1), None)
+            if bad is not None:
+                raise ValueError(f"coefficient {bad} of {x} is not integral")
+        phi = field.degree
 
-        def coefficients(x, s):
-            return [abs(v) * (s // c.den) for c in x.coeffs for v in c.num]
-
-        def l1_norms(mat, s):
-            return [sum(coefficients(x, s)) for row in mat for x in row]
+        def l1_norms(mat):
+            return [sum(abs(v) for c in x.coeffs for v in c.num) for row in mat for x in row]
 
         def degree(mat):
             return max(0, max(x.degree() for row in mat for x in row))
 
-        top = (max(l1_norms(left, dens[0])) * sum(l1_norms(mid, dens[1]))
-               * max(l1_norms(right, dens[2])))
-        top *= 1 + sum(sum(map(abs, powers[m % e])) for m in range(phi, 3 * phi - 2))
+        top = max(l1_norms(left)) * sum(l1_norms(mid)) * max(l1_norms(right))
+        top *= field.fold_growth(3 * phi - 2)
         deg = degree(left) + degree(mid) + degree(right)
         if target is not None:
-            largest = max(max(coefficients(x, dens[3]), default=0) for row in target for x in row)
-            top = dens[3] * top + self.scale * largest
+            coeffs = (v for row in target for x in row for c in x.coeffs for v in c.num)
+            top = max(top, max(map(abs, coeffs), default=0))
             deg = max(deg, degree(target))
         self.bits = bits = top.bit_length() + 1
         self.run = run = bits * (deg + 1)
 
-        def pack(x, s, shift=0):
-            out = [0] * phi
-            for k, c in enumerate(x.coeffs):
-                f = s // c.den
-                for m, v in enumerate(c.num):
-                    if v:
-                        out[m] += v * f << (bits * k + shift)
-            return out
+        def pack(x):
+            coords = zip(*(c.num for c in x.coeffs))
+            return [kron_pack(coord, bits) for coord in coords] or [0] * phi
 
-        def pack_row(row, s):
-            out = [0] * phi
-            for j, x in enumerate(row):
-                if not x.is_zero():
-                    for m, v in enumerate(pack(x, s, run * j)):
-                        out[m] += v
-            return out
+        def pack_row(row):
+            return [kron_pack(coord, run) for coord in zip(*map(pack, row))]
 
-        right_rows = [pack_row(row, dens[2]) for row in right]
+        right_rows = [pack_row(row) for row in right]
         mid_cols = [
-            [(k, pack(row[c], dens[1])) for k, row in enumerate(mid) if not row[c].is_zero()]
+            [(k, pack(row[c])) for k, row in enumerate(mid) if not row[c].is_zero()]
             for c in range(len(right))
         ]
         self.rows = []
         for row in left:
-            li = {k: pack(x, dens[0]) for k, x in enumerate(row) if not x.is_zero()}
+            li = {k: pack(x) for k, x in enumerate(row) if not x.is_zero()}
             acc = [0] * (3 * phi - 2)
             for col, r_row in zip(mid_cols, right_rows):
                 ld = [0] * (2 * phi - 1)
                 for k, y in col:
                     if k in li:
-                        _convolve_into(ld, li[k], y)
-                _convolve_into(acc, ld, r_row)
-            for m in range(phi, 3 * phi - 2):
-                if acc[m]:
-                    for j, c in enumerate(powers[m % e]):
-                        if c:
-                            acc[j] += c * acc[m]
-            self.rows.append(acc[:phi])
+                        convolve_into(ld, li[k], y)
+                convolve_into(acc, ld, r_row)
+            self.rows.append(field.fold(acc))
         if target is not None:
-            self._target = [pack_row(row, dens[3]) for row in target]
-            self._target_den = dens[3]
+            self._target = [pack_row(row) for row in target]
 
     def matches(self):
         """Whether left mid right equals the target, slot for slot."""
-        s, d = self.scale, self._target_den
-        return all(
-            [d * x for x in row] == [s * y for y in want]
-            for row, want in zip(self.rows, self._target)
-        )
+        return self.rows == self._target
 
     def entry(self, i, j):
-        """Entry (i, j) of left mid right as a TPoly."""
-        bits, run = self.bits, self.run
-        half, mask = 1 << (bits - 1), (1 << bits) - 1
-        comps = []
+        """Entry (i, j) of left mid right as a TPoly: column j of row i,
+        isolated as the balanced residue modulo 2^run, read digit by
+        digit."""
+        run, shift = self.run, self.run * j
+        half, mask = 1 << (run - 1), (1 << run) - 1
+        coords = []
         for v in self.rows[i]:
-            x = v >> (run * j)
-            # the slots below column j leave a borrow of 0 or -1, the sign
-            # of their sum, which sits in the bit below the column
-            if j and (v >> (run * j - 1)) & 1:
-                x += 1
-            digits = []
-            for _ in range(run // bits):
-                c = ((x + half) & mask) - half
-                digits.append(c)
-                x = (x - c) >> bits
-            comps.append(digits)
+            if shift:
+                # the columns below j add up to less than 2^(shift-1) in
+                # absolute value, so rounding drops them with no borrow
+                v = (v + (1 << (shift - 1))) >> shift
+            coords.append(kron_digits(((v + half) & mask) - half, self.bits))
         field = self.field
-        return TPoly(field, [field.make(list(ds), self.scale) for ds in zip(*comps)])
-
-
-def _convolve_into(acc, a, b):
-    """acc += a * b for coordinate vectors of powers of zeta, unreduced."""
-    for m, x in enumerate(a):
-        if x:
-            for n, y in enumerate(b):
-                if y:
-                    acc[m + n] += x * y
+        return TPoly(field, [field.make(ds, 1) for ds in zip_longest(*coords, fillvalue=0)])

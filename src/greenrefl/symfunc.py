@@ -26,20 +26,20 @@ of a level here, and (wrapped as canonical fractions by
 ``weighted_gram``) Omega' and the fake degrees of the coset layer.  It
 returns the numerators over the lcm L of the weight denominators.  Every
 value is scaled to Z[zeta][t] and packed into one Python int, a slot of B
-bits per monomial t^d zeta^m (Kronecker substitution), so the k^3 scalar
-products are big-integer products.  B is safe because it comes from the
-L1 norms: no coefficient of a sum can exceed sum_i max|X|_1 max|Y|_1
-|W|_1 in absolute value, and B - 1 bits hold that bound; the unpacking
-refuses a value that spills past its last slot.
+bits per monomial t^d zeta^m, so the k^3 scalar products are big-integer
+products; the packing, and why B from L1 norms is safe, are described
+once, in ``exact_arith``.  The unpacking refuses a value that spills past
+its last slot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm, prod
 
 from .combinatorics import enumerate_epartitions, ep_length
-from .exact_arith import CycField, TPoly, TRat
+from .exact_arith import CycField, TPoly, TRat, kron_digits, kron_pack
 
 
 class Level:
@@ -223,14 +223,17 @@ def gram_numerators(left, right, weights):
     and conj(right) over their lcm denominators, W the primitive integer
     part of weights[i] * L, and one rational factor per class, brought to
     the common denominator D, is folded into W.  Every X, Y and W is packed
-    into one int (Kronecker substitution), a slot of B bits per monomial
-    t^d zeta^m, 3 phi(e) - 2 zeta-slots per power of t: a product X Y W has
-    zeta-degree at most 3 (phi(e) - 1), so its slots never collide, and the
-    k^3 products are integer products.  A slot of the sum holds a
-    coefficient of absolute value at most S = sum_i max|X|_1 max|Y|_1 |W|_1
-    (L1 norms of the coefficient vectors), and B = bitlength(S) + 1 keeps
-    it below 2^(B-1), so signed digits read it back exactly.  zeta^m with
-    m >= phi(e) is then reduced by the power table of the field."""
+    into one int by the codec of ``exact_arith``: a run of T slots of B
+    bits per power zeta^m, a slot per power of t, T above the t-degree of
+    every W.  A product X Y W has zeta-degree at most 3 (phi(e) - 1), so it
+    fills at most 3 phi(e) - 2 runs and the k^3 products are integer
+    products.  A sum read back in balanced runs is a vector over the powers
+    of zeta, which ``CycField.fold`` reduces on the packed ints; a run past
+    the last raises ArithmeticError.  A coefficient of the sum is at most
+    S = sum_i max|X|_1 max|Y|_1 |W|_1 in absolute value, and a folded one at
+    most S (1 + F), with F the sum of the L1 norms of the folded powers;
+    B = bitlength(S (1 + F)) + 1 keeps both below 2^(B-1), so the balanced
+    digits read them back exactly."""
     field = weights[0].field
     common = TPoly.constant(field.one)
     for w in weights:
@@ -256,50 +259,31 @@ def gram_numerators(left, right, weights):
     def l1(vec):
         return sum(abs(x) for x in vec)
 
+    stride = 3 * field.degree - 2
     bound = 0
     for (_, xs), (_, ys), w in zip(left_cols, right_cols, w_ints):
         bound += max(map(l1, xs)) * max(map(l1, ys)) * sum(map(l1, w))
-    bits = bound.bit_length() + 1
-    phi = field.degree
-    stride = 3 * phi - 2
-    slots = stride * max(len(w) for w in w_ints)
+    bits = (bound * field.fold_growth(stride)).bit_length() + 1
+    run = bits * max(len(w) for w in w_ints)
 
-    def pack(num, offset=0):
-        out = 0
-        for c in reversed(num):
-            out = (out << bits) + c
-        return out << (bits * offset)
-
-    packed_w = [sum(pack(num, d * stride) for d, num in enumerate(w)) for w in w_ints]
-    packed_y = list(zip(*([pack(y) for y in ys] for _, ys in right_cols)))
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    bias = half * (((1 << (bits * slots)) - 1) // mask)
-    powers, e = field._powers, field.e
+    packed_w = [kron_pack([kron_pack(coord, bits) for coord in zip(*w)], run) for w in w_ints]
+    packed_y = list(zip(*([kron_pack(y, run) for y in ys] for _, ys in right_cols)))
     nums = []
     for xs in zip(*(xs for _, xs in left_cols)):
-        xw_row = [pack(x) * pw for x, pw in zip(xs, packed_w)]
+        xw_row = [kron_pack(x, run) * pw for x, pw in zip(xs, packed_w)]
         out = []
         for ys in packed_y:
-            value = bias
+            value = 0
             for xw, y in zip(xw_row, ys):
                 if xw and y:
                     value += xw * y
-            digits = []
-            for _ in range(slots):
-                digits.append((value & mask) - half)
-                value >>= bits
-            if value:
+            slots = kron_digits(value, run)
+            if len(slots) > stride:
                 raise ArithmeticError("packed class sum overflows its slots")
-            coeffs = []
-            for d in range(0, slots, stride):
-                red = digits[d : d + phi]
-                for m in range(phi, stride):
-                    c = digits[d + m]
-                    if c:
-                        red = [a + c * b for a, b in zip(red, powers[m % e])]
-                coeffs.append(field.make(red, den))
-            out.append(TPoly(field, coeffs))
+            coords = [kron_digits(v, bits) for v in field.fold(slots)]
+            out.append(TPoly(field, [
+                field.make(ds, den) for ds in zip_longest(*coords, fillvalue=0)
+            ]))
         nums.append(out)
     return nums, common
 

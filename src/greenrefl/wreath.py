@@ -437,8 +437,9 @@ def _ldu_certified(nums, blocks, l, d, u):
     """Whether l diag(d) u = nums exactly, with l block lower and u block
     upper unitriangular (identity diagonal blocks) and d the diagonal
     blocks of the given sizes.  Then (l, d, u) is the block LDU of nums,
-    which is unique.  Every entry is a TPoly over Q(zeta); the product is
-    multiplied out on packed integers by ``linalg.PackedProduct``."""
+    which is unique.  Every entry is a TPoly over Z[zeta]; the product is
+    multiplied out on packed integers by ``linalg.PackedProduct``, which
+    raises ValueError on any other coefficient."""
     size = len(nums)
     if sum(blocks) != size or [len(dk) for dk in d] != list(blocks):
         return False
@@ -464,39 +465,6 @@ def _ldu_certified(nums, blocks, l, d, u):
             diag[start + i][start : start + len(dk)] = row
         start += len(dk)
     return linalg.PackedProduct(l, diag, u, nums).matches()
-
-
-@dataclass
-class HLBasis:
-    """Public view of one sign's Hall-Littlewood family."""
-
-    sign: int
-    r: int
-    functions: dict      # partition -> dict partition -> TRat (Schur coords of P)
-    duals: dict          # same for Q
-
-    def p_function(self, alpha):
-        return self.functions[alpha]
-
-    def q_function(self, alpha):
-        return self.duals[alpha]
-
-
-def hall_littlewood(e, n, r, sign=+1):
-    """The P/Q family of G(e,1,n) for one sign, in Schur coordinates."""
-    level = level_for(e, n)
-    data = hl_data(level, r)
-    s_rows = data.sp if sign > 0 else data.sm
-    q_rows = data.qp if sign > 0 else data.qm
-    funcs, duals = {}, {}
-    for i, alpha in enumerate(data.order):
-        funcs[alpha] = {
-            level.partitions[c]: v for c, v in enumerate(s_rows[i]) if not v.is_zero()
-        }
-        duals[alpha] = {
-            level.partitions[c]: v for c, v in enumerate(q_rows[i]) if not v.is_zero()
-        }
-    return HLBasis(1 if sign > 0 else -1, r, funcs, duals)
 
 
 def kostka_matrix(level, r, sign):

@@ -116,7 +116,17 @@ def test_verify_passes(capsys):
     code, out = run(capsys, "verify", "--e", "2", "--p", "2", "--n", "2", "--q", "1")
     assert code == 0
     assert "FAIL" not in out
-    assert "Kostka entries are polynomial" in out
+    assert "nonzero Kostka entries lie in Z>=0[t]" in out
+
+
+@pytest.mark.parametrize("e, p, n, q, count", [
+    (3, 3, 3, 0, "80/80"),
+    (2, 2, 3, 1, "24/30"),     # the twisted coset: t^2 - t, t^3 - t^2 + t, ...
+])
+def test_verify_counts_the_kostka_entries_with_natural_coefficients(capsys, e, p, n, q, count):
+    code, out = run(capsys, "verify", "--e", str(e), "--p", str(p), "--n", str(n), "--q", str(q))
+    assert code == 0
+    assert out.splitlines()[-1] == f"[info] {count} nonzero Kostka entries lie in Z>=0[t]"
 
 
 def test_verify_skips_the_oracle_table_for_a_twisted_coset(capsys, monkeypatch):

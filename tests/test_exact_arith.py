@@ -12,7 +12,10 @@ from greenrefl.exact_arith import (
     TRat,
     cyc_make,
     cyclotomic_polynomial,
+    kron_digits,
+    kron_pack,
 )
+from greenrefl.linalg import PackedProduct
 
 
 def tp(field, *ints):
@@ -261,3 +264,74 @@ def test_series_ring_is_z_t_mod_t_m():
         ring.encode(tp(field, 2, 1)).inverse()
     with pytest.raises(ValueError, match="not integral"):
         ring.encode(TPoly(field, [field.one, field.zeta()]))
+
+
+def test_kron_digits_read_back_kron_pack():
+    # balanced digits read back every coefficient in [-2^(B-1), 2^(B-1)),
+    # the extremes, inner zeros and a negative top coefficient included,
+    # and stop at the last nonzero one, so trailing zeros are dropped
+    rng = random.Random(20261018)
+    for bits in (2, 3, 8, 61, 64):
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        fixed = [hi, 0, 0, lo, -hi, 0, lo, -1]
+        assert kron_digits(kron_pack(fixed + [0, 0], bits), bits) == fixed
+        for _ in range(30):
+            coeffs = [rng.choice([lo, -hi, hi, 0, rng.randint(lo, hi)])
+                      for _ in range(rng.randint(1, 12))]
+            coeffs[-1] = rng.choice([lo, -hi, -1])
+            assert kron_digits(kron_pack(coeffs + [0] * rng.randint(0, 3), bits), bits) == coeffs
+    assert kron_pack([], 8) == 0 and kron_digits(0, 8) == []
+
+
+def test_fold_commutes_with_packing():
+    # fold is Z-linear, so folding packed coordinates equals packing the
+    # folded coefficients of each power of t; and fold agrees with the
+    # field arithmetic
+    rng = random.Random(20261019)
+    bits, degree = 40, 5
+    for e in (1, 3, 5, 8, 12):
+        field = CycField(e)
+        length = 3 * field.degree - 2
+        digits = [[rng.randint(-99, 99) for _ in range(degree)] for _ in range(length)]
+        by_power = [field.fold([row[d] for row in digits]) for d in range(degree)]
+        assert field.fold([kron_pack(row, bits) for row in digits]) == [
+            kron_pack([coeffs[j] for coeffs in by_power], bits) for j in range(field.degree)
+        ]
+        vec = [row[0] for row in digits]
+        expect = field.zero
+        for m, c in enumerate(vec):
+            expect = expect + field.zeta(m) * c
+        assert field.from_ring(vec, 3) == expect * Fraction(1, 3)
+
+
+def test_packed_product_matches_the_tpoly_product():
+    rng = random.Random(20261020)
+    for e in (1, 3, 5):
+        field = CycField(e)
+
+        def entry():
+            if rng.random() < 0.3:
+                return TPoly(field, ())
+            return TPoly(field, [
+                field.make([rng.randint(-9, 9) for _ in range(field.degree)], 1)
+                for _ in range(rng.randint(1, 4))
+            ])
+
+        left, mid, right = ([[entry() for _ in range(3)] for _ in range(3)] for _ in range(3))
+        want = [[sum((left[i][k] * mid[k][l] * right[l][j] for k in range(3) for l in range(3)),
+                     TPoly(field, ())) for j in range(3)] for i in range(3)]
+        product = PackedProduct(left, mid, right, want)
+        assert product.matches()
+        assert [[product.entry(i, j) for j in range(3)] for i in range(3)] == want
+        want[2][1] = want[2][1] + TPoly.t_power(field, 1)
+        assert not PackedProduct(left, mid, right, want).matches()
+
+
+def test_packed_product_refuses_a_fractional_coefficient():
+    field = CycField(3)
+    one = tp(field, 1)
+    half = TPoly(field, [field.one, field.from_rational(Fraction(1, 2))])
+    with pytest.raises(ValueError, match="coefficient 1/2 of .* not integral"):
+        PackedProduct([[one]], [[half]], [[one]])
+    with pytest.raises(ValueError, match="coefficient 1/2 of .* not integral"):
+        PackedProduct([[one]], [[one]], [[one]], [[half]])

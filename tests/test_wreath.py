@@ -11,7 +11,6 @@ from greenrefl.oracle import BruteForceGroup
 from greenrefl.symfunc import Level, level_for
 from greenrefl.wreath import (
     char_table,
-    hall_littlewood,
     hl_data,
     kostka,
     kostka_matrix,
@@ -340,12 +339,6 @@ def test_kostka_diagonal_blocks():
                     assert v.is_zero()
                 elif not v.is_zero():
                     assert class_of[j] < class_of[i]
-
-
-def test_hall_littlewood_public():
-    basis = hall_littlewood(2, 2, 2, +1)
-    alpha = P((2,), ())
-    assert basis.p_function(alpha)[alpha] == level_for(2, 2).one
 
 
 def test_dual_cauchy_identity():
