@@ -304,11 +304,23 @@ def cmd_verify(args):
         lambda: all(alg.kostka_direct(s) == alg.kostka_assembled(s) for s in (+1, -1)),
     )
 
+    suite = None
+
     def green_ok():
+        nonlocal suite
         suite = alg.green()
         return suite.residual_zero
 
     check("Green factorization holds exactly", green_ok)
+
+    # the paper's assembly theorem, which green runs only as its fallback,
+    # checks the LDU route from outside it
+    check(
+        "Ktilde+- and LambdaTilde from the OmegaPrime LDU equal the Kostka assembly",
+        lambda: (suite.ktilde_minus.entries, suite.lambda_tilde.entries, suite.ktilde_plus.entries)
+        == (alg.ktilde(-1), alg.lambda_matrix(), alg.ktilde(+1)),
+        suite is not None and suite.route.startswith("block LDU"),
+    )
 
     def natural(f):
         """Whether the TRat f lies in Z>=0[t]."""
@@ -359,6 +371,8 @@ def cmd_verify(args):
         ok_all = ok_all and ok is not False
         suffix = f"  ({msg})" if msg else ""
         lines.append(f"[{status:>4}] {name}{suffix}")
+    if suite is not None:
+        lines.append(f"[info] green's Ktilde+- and LambdaTilde: {suite.route}")
     lines.append(
         f"[info] {sum(map(natural, entries))}/{len(entries)} nonzero Kostka entries lie in Z>=0[t]"
     )

@@ -11,36 +11,41 @@ Hall-Littlewood functions are kept here, each component as its Schur
 coordinate vector over the partitions of the corresponding sub-level, so
 all computations reduce to the wreath-product machinery plus bookkeeping.
 
-The production route reads everything off the sub-levels G(e',1,n').  The
-coset character table X(0), the transition matrix from tuple power sums to
-tuple Schur functions, is X(0)[xi][z] = <p_xi, s_z>: a sum of sub-level
-character-table entries with roots of unity, summed in the group ring
-Z[C_e] of those tables (a root of unity is a rotation) and reduced into
-Q(zeta_e) once per entry.  The Kostka matrices come from the block
-assembly out of sub-level Kostka matrices, which is the paper's
-theorem.  The paper's definition is the independent check:
-``kostka_direct`` solves for the Kostka matrices as the transition matrix
-between the stacked tuple Schur and tuple Hall-Littlewood functions.  The
-Green-function suite packages
+The coset character table X(0), the transition matrix from tuple power
+sums to tuple Schur functions, is read off the sub-levels G(e',1,n'):
+X(0)[xi][z] = <p_xi, s_z> is a sum of sub-level character-table entries
+with roots of unity, summed in the group ring Z[C_e] of those tables (a
+root of unity is a rotation) and reduced into Q(zeta_e) once per entry.
+OmegaPrime and the fake degrees are class sums over the columns of X(0),
+computed over one common denominator by ``symfunc.gram_numerators``, the
+kernel shared with the Schur Gram matrix of a level.  The Green-function
+suite packages
 
     Ktilde(+/-) = K(+/-)(t^(-1)) T,      T = diag(t^(a(z))),
     OmegaPrime  = G(t) sum_xi X(0)-row outer products / (z_xi det(t id - w_xi)),
     LambdaTilde = the similarity-class diagonal blocks of
                   Ktilde-^(-1) OmegaPrime tr(Ktilde+)^(-1),
 
-and checks the factorization Ktilde- LambdaTilde tr(Ktilde+) = OmegaPrime
-exactly, which holds iff the off-diagonal blocks of Lambda vanish and ties
-the sub-level Kostka data to the coset table.  OmegaPrime and the fake
-degrees are class sums over the columns of X(0), computed over one common
-denominator by ``symfunc.gram_numerators``, the kernel shared with the
-Schur Gram matrix of a level.  None of these steps needs a gcd or a linear
-solve: Ktilde is a coefficient reversal of K, LambdaTilde is read off one
-packed integer product of the inverse Kostka matrices (unit lower-
-triangular, by forward substitution) with the numerators of OmegaPrime,
-and the factorization is certified by another packed product
-(``linalg.PackedProduct``), multiplied out on the printed Ktilde(+/-) and
-LambdaTilde against those numerators.  Only the printed entries are put in
-canonical TRat form.
+the unique block LDU OmegaPrime = Ktilde- LambdaTilde tr(Ktilde+) along
+the similarity classes (Shoji, J. Algebra 245, 2001).  Where OmegaPrime
+is over Z[t], ``green`` reads all three off one exact elimination of the
+k x k OmegaPrime at the Kronecker point 1/t = 2^B, where every factor is
+an integer (``CosetAlgebra._ldu_factors``), and keeps them only after the
+exact certificate of the factorization, multiplied out on packed integers
+(``linalg.PackedProduct``) against the numerators of OmegaPrime.
+
+The Kostka assembly is the paper's theorem: the Kostka matrices come from
+the block assembly out of sub-level Kostka matrices (``hl_data``).  It
+answers ``kostka``, checks the LDU route in ``verify``, and is the
+fallback of ``green`` where OmegaPrime carries zeta or the LDU fails its
+certificate.  That fallback needs no gcd or linear solve: Ktilde is a
+coefficient reversal of K, LambdaTilde is read off one packed integer
+product of the inverse Kostka matrices (unit lower-triangular, by forward
+substitution) with the numerators of OmegaPrime, and the same certificate
+gives the residual.  The paper's definition checks the assembly in turn:
+``kostka_direct`` solves for the Kostka matrices as the transition matrix
+between the stacked tuple Schur and tuple Hall-Littlewood functions.  Only
+the printed entries are put in canonical TRat form.
 
 The coset phase of a character lives in ``CosetAlgebra._orbit_terms``:
 the tuple functions, X(0) and the Kostka assembly all read it, and
@@ -66,12 +71,14 @@ from .combinatorics import (
     orbit_data,
     similarity_order,
 )
-from .exact_arith import CycField, TPoly, TRat
+from .exact_arith import CycField, TPoly, TRat, kron_digits, kron_pack
 from . import wreath
 from .symfunc import Level, gram_numerators, weighted_gram
 from .wreath import LabeledMatrix, hl_data, kostka_matrix
 
 _ALGEBRAS = {}
+
+LDU_BITS = 64       # B of the first attempt at the block LDU of OmegaPrime
 
 
 def coset_algebra(params, r=2):
@@ -582,14 +589,86 @@ class CosetAlgebra:
             lifted[0], lam_nums, [list(col) for col in zip(*lifted[1])], target
         ).matches()
 
+    def _ldu_factors(self):
+        """((Ktilde-, LambdaTilde, Ktilde+), route) read off the block LDU of
+        OmegaPrime, or (None, route) when the Kostka assembly must answer:
+        the production route of ``green``, with a line that names it.
+
+        It applies when OmegaPrime = N / L has L = 1 and N over Z[t], of
+        degree at most m.  In u = 1/t, A(u) = u^m N(1/u) lies in Z[u] and,
+        as Ktilde(+/-)(1/u) = K(+/-)(u) T(1/u), its block LDU along the
+        similarity classes is
+
+          A = K-(u) D(u) tr(K+(u)),   D = u^m T(1/u) LambdaTilde(1/u) T(1/u).
+
+        Where the Kostka matrices have integer coefficients, so do their
+        unitriangular inverses, and D = K-^(-1) A tr(K+)^(-1) is over Z[u]
+        too.  So at u = 2^B every factor is an integer, and
+        ``linalg.integer_block_ldu`` finds them with exact divisions only;
+        a remainder shows that some factor is not over Z[u], and ends the
+        route.  The balanced digits of each factor (``_laurent``) give
+        Ktilde-[i][j] from l[i][j] with top power t^(a_j), Ktilde+[j][i]
+        from upper[i][j] with top power t^(a_i), and LambdaTilde[i][j] from
+        d with top power t^(m - a_i - a_j).  The read-back fixes the shape, block
+        unitriangular times T and block diagonal, so when
+        ``factorization_certified`` passes these are the block LDU of
+        OmegaPrime, which is unique; digits too wide for B fail it.  Then,
+        or when a pivot block is singular at that point, B doubles, at most
+        twice."""
+        self.omega_prime()
+        nums, common = self._omega_nums
+        if not (common.is_constant() and common.coeffs[0].is_one()) or any(
+            c.den != 1 or not c.is_rational() for row in nums for x in row for c in x.coeffs
+        ):
+            return None, "Kostka assembly (OmegaPrime is not over Z[t])"
+        field = self.field
+        top = max(x.degree() for row in nums for x in row)
+        a_diag = [self.a_of[z] for z in self.chars]
+        bits = LDU_BITS
+        for attempt in range(1, 4):
+            try:
+                l, d, upper = linalg.integer_block_ldu(
+                    [[_at_u(x, top, bits) for x in row] for row in nums],
+                    [len(cls) for cls in self.char_classes],
+                )
+            except ValueError:              # a pivot block singular at u = 2^B
+                bits *= 2
+                continue
+            except ArithmeticError:
+                return None, (
+                    f"Kostka assembly (a factor of the LDU of OmegaPrime is not "
+                    f"integral at u = 2^{bits})"
+                )
+            km = [[_laurent(field, v, a, bits) for v, a in zip(row, a_diag)] for row in l]
+            kp = [[_laurent(field, v, a, bits) for v, a in zip(col, a_diag)]
+                  for col in zip(*upper)]
+            lam = [[self.zero] * len(l) for _ in l]
+            start = 0
+            for dk in d:
+                for i, row in enumerate(dk, start):
+                    for j, v in enumerate(row, start):
+                        lam[i][j] = _laurent(field, v, top - a_diag[i] - a_diag[j], bits)
+                start += len(dk)
+            if self.factorization_certified(km, lam, kp):
+                route = f"block LDU of OmegaPrime at u = 1/t = 2^{bits} (attempt {attempt} of 3)"
+                return (km, lam, kp), route
+            bits *= 2
+        return None, (
+            f"Kostka assembly (the LDU of OmegaPrime failed at every u = 2^B up to "
+            f"B = {bits // 2})"
+        )
+
     def _compute_green(self):
         k = len(self.chars)
         a_diag = [self.a_of[z] for z in self.chars]
-        ktilde = {s: self.ktilde(s) for s in (+1, -1)}
         blocks = [len(cls) for cls in self.char_classes]
         omega = self.omega_prime()
-        lam_tilde = self.lambda_matrix()
-        residual_zero = self.factorization_certified(ktilde[-1], lam_tilde, ktilde[+1])
+        factors, route = self._ldu_factors()
+        if factors is None:
+            km, lam_tilde, kp = self.ktilde(-1), self.lambda_matrix(), self.ktilde(+1)
+            residual_zero = self.factorization_certified(km, lam_tilde, kp)
+        else:
+            (km, lam_tilde, kp), residual_zero = factors, True
         labels = [z.label() for z in self.chars]
         # symmetric presentation: columns relabeled by character conjugation
         # (this is the form the reference tables display); none for q != 0
@@ -604,12 +683,13 @@ class CosetAlgebra:
             labels=labels,
             blocks=blocks,
             a_diag=a_diag,
-            ktilde_minus=LabeledMatrix(labels, labels, ktilde[-1], blocks, blocks),
-            ktilde_plus=LabeledMatrix(labels, labels, ktilde[+1], blocks, blocks),
+            ktilde_minus=LabeledMatrix(labels, labels, km, blocks, blocks),
+            ktilde_plus=LabeledMatrix(labels, labels, kp, blocks, blocks),
             lambda_tilde=LabeledMatrix(labels, labels, lam_tilde, blocks, blocks),
             lambda_symmetric=lam_sym,
             omega_prime=LabeledMatrix(labels, labels, omega, blocks, blocks),
             residual_zero=residual_zero,
+            route=route,
         )
 
 
@@ -623,6 +703,26 @@ def _times_t_power(poly, k):
     if not k or poly.is_zero():
         return poly
     return TPoly(poly.field, (poly.field.zero,) * k + poly.coeffs, trusted=True)
+
+
+def _at_u(poly, top, bits):
+    """u^top poly(1/u) at u = 2^bits (``kron_pack``), for a TPoly over Z of
+    degree at most top."""
+    value = kron_pack([c.num[0] for c in reversed(poly.coeffs)], bits)
+    return value << (bits * (top - poly.degree()))
+
+
+def _laurent(field, value, top, bits):
+    """The Laurent polynomial f in t with u^top f(1/u) = value at u = 2^bits,
+    as a canonical TRat: sum_m c_m t^(top - m) over the balanced digits c
+    of value (``kron_digits``).  Exact when u^top f(1/u) lies in Z[u] with
+    every coefficient below 2^(bits-1) in absolute value."""
+    digits = kron_digits(value, bits)
+    num = TPoly(field, [field.from_rational(c) for c in reversed(digits)])
+    low = top - len(digits) + 1
+    if low >= 0 or num.is_zero():
+        return TRat(_times_t_power(num, low), reduce=False)
+    return TRat(num, TPoly.t_power(field, -low), reduce=False)
 
 
 @dataclass
@@ -641,6 +741,7 @@ class GreenSuite:
     lambda_symmetric: LabeledMatrix     # None for a twisted coset (q != 0)
     omega_prime: LabeledMatrix
     residual_zero: bool
+    route: str          # which route gave Ktilde+- and LambdaTilde; not in the JSON
 
     def to_json(self):
         return {

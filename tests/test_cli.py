@@ -4,6 +4,7 @@ import pytest
 
 from greenrefl import cli, gepn
 from greenrefl.cli import main
+from greenrefl.combinatorics import GroupParams
 from greenrefl.exact_arith import TRat
 
 from test_oracle import conjugated, phi_swapped
@@ -168,6 +169,34 @@ def test_verify_reports_the_ldu_certificate(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--e", "3", "--p", "3", "--n", "2")
     assert code == 1
     assert f"[FAIL] {line}" in out
+
+
+def test_verify_names_the_green_route_and_checks_it_against_the_assembly(capsys, monkeypatch):
+    line = "Ktilde+- and LambdaTilde from the OmegaPrime LDU equal the Kostka assembly"
+    route = "[info] green's Ktilde+- and LambdaTilde: "
+    monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+    code, out = run(capsys, "verify", "--e", "3", "--p", "3", "--n", "3")
+    assert code == 0
+    assert f"[  ok] {line}" in out
+    assert out.splitlines()[-2] == (
+        route + "block LDU of OmegaPrime at u = 1/t = 2^64 (attempt 1 of 3)"
+    )
+    # the fallback is named, and leaves nothing to compare
+    code, out = run(capsys, "verify", "--e", "3", "--p", "3", "--n", "2", "--q", "1")
+    assert code == 1
+    assert f"[skip] {line}" in out
+    assert out.splitlines()[-2] == route + "Kostka assembly (OmegaPrime is not over Z[t])"
+    # one strictly lower Kostka entry of the assembly altered: the LDU, which
+    # green prints, no longer equals it
+    gepn._ALGEBRAS.clear()
+    alg = gepn.coset_algebra(GroupParams(2, 2, 3, 0))
+    kmat = alg.kostka_assembled(-1)
+    i, j = next((i, j) for i, row in enumerate(kmat) for j in range(i) if not row[j].is_zero())
+    kmat[i][j] = kmat[i][j] + alg.one
+    code, out = run(capsys, "verify", "--e", "2", "--p", "2", "--n", "3")
+    assert code == 1
+    assert f"[FAIL] {line}" in out
+    assert "[  ok] Green factorization holds exactly" in out
 
 
 def test_verify_on_a_trivial_group(capsys):

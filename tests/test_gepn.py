@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -963,3 +964,111 @@ def test_lambda_rejects_a_kostka_matrix_not_unit_lower(monkeypatch):
         alg._kostka[("assembled", +1)] = kmat
         with pytest.raises(ValueError, match=f"not unit lower-triangular at row {row}$"):
             alg.lambda_matrix()
+
+
+# -- the block LDU of OmegaPrime against the Kostka assembly ------------------------
+
+LDU_SETS = [
+    (3, 3, 3, 0), (2, 2, 4, 0), (4, 2, 2, 0), (3, 1, 2, 0), (1, 1, 4, 0), (6, 2, 2, 0),
+    (5, 5, 2, 0), (2, 2, 3, 1), (2, 2, 2, 1), (4, 4, 3, 2),
+]
+
+
+def test_ldu_route_equals_the_assembly():
+    # green reads Ktilde+- and LambdaTilde off the LDU on its first attempt;
+    # the assembly, the paper's theorem, gives them entry for entry
+    for e, p, n, q in LDU_SETS:
+        for r in (1, 2, 3):
+            alg = CosetAlgebra(GroupParams(e, p, n, q), r)
+            suite = alg.green()
+            key = (e, p, n, q, r)
+            assert suite.route == (
+                "block LDU of OmegaPrime at u = 1/t = 2^64 (attempt 1 of 3)"
+            ), key
+            assert suite.residual_zero, key
+            assert suite.ktilde_minus.entries == alg.ktilde(-1), key
+            assert suite.ktilde_plus.entries == alg.ktilde(+1), key
+            assert suite.lambda_tilde.entries == alg.lambda_matrix(), key
+
+
+def test_zeta_carrying_omega_prime_takes_the_assembly_route():
+    for e, p, n, q in [(3, 3, 2, 1), (6, 6, 2, 2)]:
+        alg = CosetAlgebra(GroupParams(e, p, n, q))
+        suite = alg.green()
+        assert suite.route == "Kostka assembly (OmegaPrime is not over Z[t])", (e, p, n, q)
+        assert suite.ktilde_minus.entries == alg.ktilde(-1)
+        assert suite.lambda_tilde.entries == alg.lambda_matrix()
+        assert suite.residual_zero is False
+
+
+def test_laurent_entries_round_trip_through_the_codec():
+    # f = num / t^s, packed as u^top f(1/u) at u = 2^B and read back: negative
+    # exponents, negative top coefficients, a top above the highest power of
+    # f (leading zero digits) and zero entries
+    field = CycField(3)
+    rng = random.Random(20261019)
+
+    def laurent(coeffs, s):
+        """sum_m coeffs[m] t^(m - s), in canonical form."""
+        return TRat(TPoly(field, [field.from_rational(c) for c in coeffs]), TPoly.t_power(field, s))
+
+    fixed = [laurent([], 0), laurent([0] * 5 + [-1], 0), laurent([-1], 3),
+             laurent([-3, 1, 0, 0, -2], 2), laurent([0, 2, 0, 1], 5)]
+    for bits in (3, 8, 64):
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        cases = [(f, extra) for f in fixed for extra in (0, 2)]
+        for _ in range(30):
+            coeffs = [rng.choice([lo, hi, 0, rng.randint(lo, hi)]) for _ in range(rng.randint(1, 8))]
+            coeffs[0] = coeffs[0] or lo
+            coeffs[-1] = rng.choice([lo, -hi, -1, 1])
+            cases.append((laurent(coeffs, rng.randint(0, 6)), rng.randint(0, 3)))
+        for f, extra in cases:
+            s = f.den.degree()
+            top = max(f.num.degree() - s, 0) + extra
+            value = gepn._at_u(f.num, top + s, bits)
+            assert gepn._laurent(field, value, top, bits) == f, (bits, str(f), top)
+
+
+def test_a_read_back_with_too_few_bits_falls_back_to_the_assembly(capsys, monkeypatch):
+    # the mutant reads the digits of a value packed at 2^B with B - 1 bits: the
+    # certificate fails at B = 64, 128 and 256, and green prints what the
+    # assembly gives, byte for byte
+    from greenrefl.cli import main
+    from greenrefl.exact_arith import kron_digits
+
+    argv = ["green", "--e", "3", "--p", "3", "--n", "3", "--format", "json"]
+    monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    gepn._ALGEBRAS.clear()
+    verdicts = []
+    real = CosetAlgebra.factorization_certified
+
+    def spy(self, *factors):
+        verdicts.append(real(self, *factors))
+        return verdicts[-1]
+
+    monkeypatch.setattr(CosetAlgebra, "factorization_certified", spy)
+    monkeypatch.setattr(gepn, "kron_digits", lambda v, bits: kron_digits(v, bits - 1))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert verdicts == [False, False, False, True]
+    assert coset_algebra(GroupParams(3, 3, 3, 0)).green().route == (
+        "Kostka assembly (the LDU of OmegaPrime failed at every u = 2^B up to B = 256)"
+    )
+
+
+def test_ldu_route_ends_on_a_factor_that_is_not_integral():
+    # OmegaPrime with one entry altered has no block LDU over Z[1/t]: the
+    # elimination meets a remainder, and the assembly answers
+    alg = CosetAlgebra(GroupParams(3, 3, 3, 0))
+    alg.omega_prime()
+    nums, common = alg._omega_nums
+    k = len(nums)
+    altered = [row[:] for row in nums]
+    altered[0][k - 1] = nums[0][k - 1] + TPoly.t_power(alg.field, 1)
+    alg._omega_nums = (altered, common)
+    assert alg._ldu_factors() == (
+        None, "Kostka assembly (a factor of the LDU of OmegaPrime is not integral at u = 2^64)"
+    )
+    assert alg.green().residual_zero is False
