@@ -18,6 +18,7 @@ from .combinatorics import (
     make_symbol,
     similarity_order,
 )
+from .exact_arith import CycNum, TRat
 from .gepn import coset_algebra, coset_char_table, fake_degrees, green_suite, kostka_gepn, z_coset
 from .oracle import SIZE_CAP, BruteForceGroup
 from .symfunc import level_for
@@ -98,8 +99,41 @@ def emit(text, args):
         sys.stdout.write(text)
 
 
+def raw(x):
+    """An exact entry left as it is, for ``jdump`` to write."""
+    return x
+
+
 def jdump(data):
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    """The canonical JSON text of data with one trailing newline: what
+    json.dumps(data, sort_keys=True, separators=(",", ":")) gives once every
+    TRat leaf is replaced by its to_json() dict.  A bare CycNum leaf (a coset
+    table's entry) stands for its constant function of t, TRat.from_cyc(v).
+
+    Every such document is written here.  Each distinct CycNum is rendered
+    once per call, from its integer coordinates; no dict is built for it."""
+    memo = {}
+
+    def cyc(v):
+        key = v.key()
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = v.json_text()
+        return text
+
+    def write(x):
+        if isinstance(x, TRat):
+            return TRat.coeffs_json_text(x.num.coeffs, x.den.coeffs, cyc)
+        if isinstance(x, CycNum):
+            return TRat.coeffs_json_text(() if x.is_zero() else (x,), (x.field.one,), cyc)
+        if isinstance(x, dict):
+            return "{%s}" % ",".join(
+                json.dumps(k) + ":" + write(v) for k, v in sorted(x.items()))
+        if isinstance(x, (list, tuple)):
+            return "[%s]" % ",".join(map(write, x))
+        return json.dumps(x)
+
+    return write(data) + "\n"
 
 
 def cmd_symbols(args):
@@ -143,7 +177,7 @@ def cmd_symbols(args):
 
 def _emit_matrix(mat, args, heading=None):
     if args.format == "json":
-        emit(jdump(mat.to_json()), args)
+        emit(jdump(mat.to_json(raw)), args)
     elif args.format == "csv":
         emit(mat.to_csv(), args)
     else:
@@ -161,6 +195,10 @@ def cmd_chartable(args):
 def cmd_coset_chartable(args):
     params = resolve_params(args)
     table = coset_char_table(params, args.r)
+    if args.format == "json":
+        # jdump writes the CycNum entries as constant functions of t, no TRat built
+        emit(jdump(table.matrix(raw).to_json(raw)), args)
+        return 0
     return _emit_matrix(
         table.matrix(),
         args,
@@ -181,7 +219,7 @@ def cmd_hall_littlewood(args):
     pmat = LabeledMatrix(labels, cols, rows, blocks, None)
     qmat = LabeledMatrix(labels, cols, qrows, blocks, None)
     if args.format == "json":
-        emit(jdump({"P": pmat.to_json(), "Q": qmat.to_json()}), args)
+        emit(jdump({"P": pmat.to_json(raw), "Q": qmat.to_json(raw)}), args)
         return 0
     if args.format == "csv":
         emit(pmat.to_csv() + "\n" + qmat.to_csv(), args)
@@ -205,7 +243,7 @@ def cmd_green(args):
     params = resolve_params(args)
     suite = green_suite(params, args.r)
     if args.format == "json":
-        emit(jdump(suite.to_json()), args)
+        emit(jdump(suite.to_json(raw)), args)
         return 0 if suite.residual_zero else 1
     if args.format == "csv":
         text = (
@@ -250,7 +288,7 @@ def cmd_fake_degrees(args):
     alg = coset_algebra(params, args.r)
     if args.format == "json":
         emit(
-            jdump({z.label(): degs[z].to_json() for z in alg.chars}),
+            jdump({z.label(): degs[z] for z in alg.chars}),
             args,
         )
         return 0

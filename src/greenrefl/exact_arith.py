@@ -357,9 +357,14 @@ class CycNum:
             and self.num == other.num
         )
 
+    def key(self):
+        """A plain tuple that is equal exactly when the values are (fields
+        are interned): the hash key, and a cheaper dict key than self."""
+        return (self.field.e, self.num, self.den)
+
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field.e, self.num, self.den))
+            self._hash = hash(self.key())
         return self._hash
 
     # -- presentation --------------------------------------------------------
@@ -389,10 +394,23 @@ class CycNum:
     def __repr__(self):
         return f"Cyc({self.field.e}: {self})"
 
+    def coordinate_texts(self):
+        """str(Fraction(n, den)) of every coordinate, without the Fraction:
+        "n", or "n/d" in lowest terms.  The one rule for JSON coordinates."""
+        den = self.den
+        out = []
+        for n in self.num:
+            g = gcd(n, den)
+            out.append(f"{n // g}/{den // g}" if den > g else str(n // g))
+        return out
+
     def to_json(self):
-        # str(Fraction(n, den)) of every coordinate, without the Fraction
-        pairs = [(n // g, self.den // g) for n in self.num for g in (gcd(n, self.den),)]
-        return {"e": self.field.e, "coeffs": [f"{n}/{d}" if d > 1 else str(n) for n, d in pairs]}
+        return {"e": self.field.e, "coeffs": self.coordinate_texts()}
+
+    def json_text(self):
+        """to_json() as json.dumps(..., sort_keys=True, separators=(",", ":"))
+        writes it, without the dict."""
+        return '{"coeffs":["%s"],"e":%d}' % ('","'.join(self.coordinate_texts()), self.field.e)
 
     @staticmethod
     def from_json(data):
@@ -824,6 +842,14 @@ class TRat:
             "num": [c.to_json() for c in self.num.coeffs],
             "den": [c.to_json() for c in self.den.coeffs],
         }
+
+    @staticmethod
+    def coeffs_json_text(num, den, coeff_text=CycNum.json_text):
+        """to_json() of the TRat with these numerator and denominator
+        coefficients as json.dumps(..., sort_keys=True, separators=(",", ":"))
+        writes it, each coefficient written by coeff_text; no TRat is built."""
+        return '{"den":[%s],"num":[%s]}' % (
+            ",".join(map(coeff_text, den)), ",".join(map(coeff_text, num)))
 
     @staticmethod
     def from_json(data):

@@ -743,7 +743,8 @@ class GreenSuite:
     residual_zero: bool
     route: str          # which route gave Ktilde+- and LambdaTilde; not in the JSON
 
-    def to_json(self):
+    def to_json(self, entry=lambda x: x.to_json()):
+        """Plain JSON data, each matrix entry as entry(x) (``LabeledMatrix.to_json``)."""
         return {
             "e": self.params.e,
             "p": self.params.p,
@@ -752,13 +753,13 @@ class GreenSuite:
             "r": self.r,
             "blocks": self.blocks,
             "a_values": self.a_diag,
-            "ktilde_minus": self.ktilde_minus.to_json(),
-            "ktilde_plus": self.ktilde_plus.to_json(),
-            "lambda_tilde": self.lambda_tilde.to_json(),
+            "ktilde_minus": self.ktilde_minus.to_json(entry),
+            "ktilde_plus": self.ktilde_plus.to_json(entry),
+            "lambda_tilde": self.lambda_tilde.to_json(entry),
             "lambda_symmetric": (
-                None if self.lambda_symmetric is None else self.lambda_symmetric.to_json()
+                None if self.lambda_symmetric is None else self.lambda_symmetric.to_json(entry)
             ),
-            "omega_prime": self.omega_prime.to_json(),
+            "omega_prime": self.omega_prime.to_json(entry),
             "residual_zero": self.residual_zero,
         }
 
@@ -772,11 +773,13 @@ class CosetTable:
     cols: list             # ClassParam
     entries: list          # CycNum, entries[char][class]
 
-    def matrix(self):
+    def matrix(self, entry=TRat.from_cyc):
+        """The table with labels, each entry as entry(v): by default the
+        constant function of t."""
         return LabeledMatrix(
             [z.label() for z in self.rows],
             [xi.label() for xi in self.cols],
-            [[TRat.from_cyc(v) for v in row] for row in self.entries],
+            [[entry(v) for v in row] for row in self.entries],
         )
 
 

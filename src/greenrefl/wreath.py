@@ -42,20 +42,22 @@ class LabeledMatrix:
 
     row_labels: list
     col_labels: list
-    entries: list                 # list of rows of TRat
+    entries: list                 # list of rows of TRat (CycNum in a raw coset table)
     row_blocks: list = None       # sizes of the similarity-class blocks
     col_blocks: list = None
 
     def entry(self, i, j):
         return self.entries[i][j]
 
-    def to_json(self):
+    def to_json(self, entry=lambda x: x.to_json()):
+        """The matrix as plain JSON data, each entry as entry(x); the CLI
+        passes the entries through unchanged for ``cli.jdump`` to write."""
         return {
             "rows": [str(l) for l in self.row_labels],
             "cols": [str(l) for l in self.col_labels],
             "row_blocks": self.row_blocks,
             "col_blocks": self.col_blocks,
-            "entries": [[x.to_json() for x in row] for row in self.entries],
+            "entries": [[entry(x) for x in row] for row in self.entries],
         }
 
     def to_csv(self):

@@ -4,8 +4,10 @@ import pytest
 
 from greenrefl import cli, gepn
 from greenrefl.cli import main
-from greenrefl.combinatorics import GroupParams
-from greenrefl.exact_arith import TRat
+from greenrefl.combinatorics import GroupParams, ep_str
+from greenrefl.exact_arith import CycField, TPoly, TRat
+from greenrefl.symfunc import level_for
+from greenrefl.wreath import LabeledMatrix, hl_data, level_char_table
 
 from test_oracle import conjugated, phi_swapped
 
@@ -253,3 +255,67 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(target.read_text())
     assert data["rows"] == ["(1;)", "(;1)"]
+
+
+def reference_text(data):
+    """The JSON text of plain to_json() data, as json.dumps writes it."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _hall_littlewood_json(e, n, r, sign):
+    level = level_for(e, n)
+    data = hl_data(level, r)
+    labels = [ep_str(alpha) for alpha in data.order]
+    cols = [ep_str(alpha) for alpha in level.partitions]
+    blocks = [len(c) for c in data.classes]
+    pq = (data.sp, data.qp) if sign > 0 else (data.sm, data.qm)
+    return {key: LabeledMatrix(labels, cols, rows, blocks, None).to_json()
+            for key, rows in zip("PQ", pq)}
+
+
+def _fake_degrees_json(params):
+    degs = gepn.fake_degrees(params)
+    return {z.label(): degs[z].to_json() for z in gepn.coset_algebra(params).chars}
+
+
+G = GroupParams
+
+
+@pytest.mark.parametrize("argv, reference, code", [
+    ("green --e 3 --p 3 --n 3", lambda: gepn.green_suite(G(3, 3, 3, 0)).to_json(), 0),
+    ("green --e 2 --p 2 --n 3 --q 1", lambda: gepn.green_suite(G(2, 2, 3, 1)).to_json(), 0),
+    ("green --e 6 --p 2 --n 2", lambda: gepn.green_suite(G(6, 2, 2, 0)).to_json(), 0),
+    # the Kostka assembly answers, with a nonzero residual
+    ("green --e 3 --p 3 --n 2 --q 1", lambda: gepn.green_suite(G(3, 3, 2, 1)).to_json(), 1),
+    ("kostka --e 3 --p 3 --n 2 --q 1 --sign +",
+     lambda: gepn.kostka_gepn(G(3, 3, 2, 1), 2, +1).to_json(), 0),
+    ("kostka --e 3 --p 3 --n 2 --q 1 --sign -",
+     lambda: gepn.kostka_gepn(G(3, 3, 2, 1), 2, -1).to_json(), 0),
+    ("coset-chartable --e 6 --p 2 --n 3",
+     lambda: gepn.coset_char_table(G(6, 2, 3, 0)).matrix().to_json(), 0),
+    # row_blocks and col_blocks are null
+    ("chartable --e 1 --n 1", lambda: level_char_table(level_for(1, 1)).matrix.to_json(), 0),
+    ("hall-littlewood --e 2 --n 2 --sign +", lambda: _hall_littlewood_json(2, 2, 2, +1), 0),
+    ("hall-littlewood --e 3 --n 2 --sign -", lambda: _hall_littlewood_json(3, 2, 2, -1), 0),
+    ("fake-degrees --e 3 --p 3 --n 2 --q 1", lambda: _fake_degrees_json(G(3, 3, 2, 1)), 0),
+])
+def test_json_writer_matches_json_dumps_of_the_dicts(capsys, argv, reference, code):
+    got, out = run(capsys, *argv.split(), "--format", "json")
+    assert got == code
+    assert out == reference_text(reference())
+
+
+def test_json_writer_on_fractional_coordinates():
+    field = CycField(5)
+    half = field.make([2, -3, 0, 20], 4)       # 1/2, -3/4, 0, 5
+    zero = TRat(TPoly(field, ()))
+    f = TRat(TPoly(field, [half, field.zero, field.one]), TPoly(field, [half, field.one]))
+    # the same numerators over another denominator, and 1 in two fields of degree 2
+    others = [field.make([2, -3, 0, 20], 1), CycField(3).one, CycField(6).one]
+    data = {"b": [zero, f, None, True, *map(TRat.from_cyc, others)], "a": (3, "x\u00e9")}
+    plain = {"b": [zero.to_json(), f.to_json(), None, True,
+                   *(TRat.from_cyc(v).to_json() for v in others)], "a": [3, "x\u00e9"]}
+    assert cli.jdump(data) == reference_text(plain)
+    # a bare CycNum (a coset table's entry) is written as its constant function of t
+    bare = [half, field.zero, field.zeta(), *others]
+    assert cli.jdump(bare) == reference_text([TRat.from_cyc(v).to_json() for v in bare])

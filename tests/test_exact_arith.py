@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -135,6 +136,24 @@ def test_cyc_embed():
 def test_cyc_json_roundtrip():
     a = cyc_make(6, [(0, Fraction(1, 2)), (1, -3)])
     assert CycNum.from_json(a.to_json()) == a
+
+
+def test_cyc_json_coordinates_in_lowest_terms():
+    field = CycField(5)
+    a = field.make([2, -3, 0, 20], 4)
+    assert a.den == 4
+    assert a.coordinate_texts() == ["1/2", "-3/4", "0", "5"]
+    assert a.coordinate_texts() == [str(c) for c in a.coeffs]
+    assert a.to_json() == {"e": 5, "coeffs": ["1/2", "-3/4", "0", "5"]}
+    assert CycNum.from_json(a.to_json()) == a
+    assert field.make([-6, 0, 3, 0], 1).coordinate_texts() == ["-6", "0", "3", "0"]
+    zero = TRat(TPoly(field, ()))
+    assert zero.to_json() == {"num": [], "den": [{"e": 5, "coeffs": ["1", "0", "0", "0"]}]}
+    assert TRat.from_json(zero.to_json()) == zero
+    assert a.json_text() == json.dumps(a.to_json(), sort_keys=True, separators=(",", ":"))
+    for x in (zero, TRat(TPoly(field, [field.zero, a]), TPoly(field, [a, field.one]))):
+        assert TRat.coeffs_json_text(x.num.coeffs, x.den.coeffs) == json.dumps(
+            x.to_json(), sort_keys=True, separators=(",", ":"))
 
 
 def test_trat_normalize_examples():
