@@ -38,7 +38,6 @@ from .exact_arith import (
 from .gepn import (
     CosetTable,
     GreenSuite,
-    TupleFun,
     ZCoset,
     clear_caches,
     coset_algebra,
@@ -46,8 +45,6 @@ from .gepn import (
     fake_degrees,
     green_suite,
     kostka_gepn,
-    tuple_hall_littlewood,
-    tuple_schur,
     z_coset,
 )
 from .oracle import BruteForceGroup, GroupReport, brute_force_oracle
@@ -65,13 +62,12 @@ __all__ = [
     "BruteForceGroup", "CharParam", "CharTable", "ClassParam", "CosetTable",
     "CycField", "CycNum", "GreenSuite", "GroupParams", "GroupReport",
     "LabeledMatrix", "Level", "SimilarityPartition", "Symbol",
-    "TPoly", "TRat", "TupleFun", "ZCoset", "a_value", "alpha_divide",
+    "TPoly", "TRat", "ZCoset", "a_value", "alpha_divide",
     "alpha_truncate", "brute_force_oracle", "char_table", "clear_caches",
     "coset_algebra", "coset_char_table", "cyc_make",
     "cyclotomic_polynomial", "delta", "enumerate_char_params",
     "enumerate_class_params", "enumerate_epartitions", "ep_str",
     "f_invariant", "fake_degrees", "green_suite",
     "hl_data", "kostka", "kostka_gepn", "level_for", "make_symbol",
-    "orbit_data", "similarity_order", "theta", "tuple_hall_littlewood",
-    "tuple_schur", "z_coset", "z_series",
+    "orbit_data", "similarity_order", "theta", "z_coset", "z_series",
 ]

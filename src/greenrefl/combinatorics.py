@@ -55,10 +55,6 @@ def enumerate_epartitions(n, e):
     return tuple(sorted(build(n, e), reverse=True))
 
 
-def ep_size(alpha):
-    return sum(sum(comp) for comp in alpha)
-
-
 def ep_length(alpha):
     return sum(len(comp) for comp in alpha)
 
@@ -326,13 +322,6 @@ def a_value(sym):
     """a-function: pairwise-minimum statistic normalized by the staircase."""
     base = tuple(x for row in staircase(sym.m, sym.r) for x in row)
     return _pair_min_sum(sym.entries()) - _pair_min_sum(base)
-
-
-def partition_a_value(alpha, r, n=None):
-    """a-value of the symbol of alpha with all row lengths max(n, parts)."""
-    m = n if n is not None else ep_size(alpha)
-    m = max(m, max((len(c) for c in alpha), default=0), 1)
-    return a_value(make_symbol(alpha, (m,) * len(alpha), r))
 
 
 @dataclass(frozen=True)

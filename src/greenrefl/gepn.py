@@ -6,10 +6,13 @@ component lives in the contracted variables
     X_i^(k) = x_i^(k) x_i^(k+jd) ... x_i^(k+(h-1)jd),   0 <= k < j1*d,
 
 (h the order of j mod p, j1 = gcd(j, p)), carries the root of unity
-zeta^h and the deformation parameter t^h.  The tuple Schur and
-Hall-Littlewood functions are kept here, each component as its Schur
-coordinate vector over the partitions of the corresponding sub-level, so
-all computations reduce to the wreath-product machinery plus bookkeeping.
+zeta^h and the deformation parameter t^h.  The paper defines the Kostka
+matrices as the transition matrix between the tuple Schur and tuple
+Hall-Littlewood functions.  No tuple function is built here: every
+quantity is read off the sub-level data through the orbit terms of a
+character, so all computations reduce to the wreath-product machinery plus
+bookkeeping.  The tuple functions stay in the tests
+(``tests/tuple_oracle.py``) as the reference of the Kostka assembly.
 
 The coset character table X(0), the transition matrix from tuple power
 sums to tuple Schur functions, is read off the sub-levels G(e',1,n'):
@@ -42,13 +45,11 @@ certificate.  That fallback needs no gcd or linear solve: Ktilde is a
 coefficient reversal of K, LambdaTilde is read off one packed integer
 product of the inverse Kostka matrices (unit lower-triangular, by forward
 substitution) with the numerators of OmegaPrime, and the same certificate
-gives the residual.  The paper's definition checks the assembly in turn:
-``kostka_direct`` solves for the Kostka matrices as the transition matrix
-between the stacked tuple Schur and tuple Hall-Littlewood functions.  Only
-the printed entries are put in canonical TRat form.
+gives the residual.  Only the printed entries are put in canonical TRat
+form.
 
 The coset phase of a character lives in ``CosetAlgebra._orbit_terms``:
-the tuple functions, X(0) and the Kostka assembly all read it, and
+X(0) and the Kostka assembly both read it, and
 ``_power_terms``, the tuple power sum of a class, is its counterpart on
 the class side.
 """
@@ -102,21 +103,6 @@ def clear_caches():
     _ALGEBRAS.clear()
     Level._cache.clear()
     wreath._HL_CACHE.clear()
-
-
-@dataclass(frozen=True)
-class TupleFun:
-    """A p-tuple of sub-level symmetric functions in coordinate form.
-
-    comps maps a component index j to its Schur coordinates, a vector over
-    the partitions of the sub-level at j.
-    """
-
-    params: GroupParams
-    comps: dict
-
-    def component(self, j):
-        return self.comps.get(j)
 
 
 class CosetAlgebra:
@@ -197,7 +183,10 @@ class CosetAlgebra:
 
         One term (j, i, a, k) per sub-level j that is a multiple of the orbit
         size c and per orbit step i < c: a is the partition index of
-        theta^i(alpha) truncated at j, and zeta^k = phi(tau^j) zeta^(q i d)."""
+        theta^i(alpha) truncated at j, and zeta^k = phi(tau^j) zeta^(q i d).
+        Component j of a tuple function of z is the sum of zeta^k times the
+        sub-level function of partition a over these terms; ``_x_matrix``
+        and ``kostka_assembled`` read the terms without building it."""
         params = self.params
         orbit, c = orbit_data(z.alpha, params.p)
         return [
@@ -219,51 +208,6 @@ class CosetAlgebra:
             u = -(delta(xi.beta) + xi.b) * j * params.d
             terms.append((j, level.pindex[divided], u, self.h_of[j] ** ep_length(divided)))
         return terms
-
-    # -- tuple functions ------------------------------------------------------
-
-    def tuple_schur(self, z):
-        return self._orbit_tuple(z, lambda j, a: [(a, self.one)])
-
-    def _orbit_tuple(self, z, entries):
-        """Components sum zeta^k B_j(theta^i(alpha) truncated at j) over the
-        orbit terms (j, i, a, k) of z; entries(j, a) lists the Schur
-        coordinates of B_j of the partition with index a as (index,
-        coefficient) pairs."""
-        comps = {}
-        for j, _, a, k in self._orbit_terms(z):
-            vec = comps.setdefault(j, [self.zero] * self.levels[j].size)
-            w = self.zeta_pow(k)
-            for idx, val in entries(j, a):
-                vec[idx] = vec[idx] + val.scale_cyc(w)
-        return TupleFun(self.params, comps)
-
-    def tuple_hall_littlewood(self, z, sign):
-        """Assembled from sub-level Hall-Littlewood functions, with the
-        deformation parameter t^h in component j."""
-
-        def entries(j, a):
-            level = self.levels[j]
-            data = hl_data(level, self.r)
-            row = (data.sp if sign > 0 else data.sm)[data.index(level.partitions[a])]
-            h = self.h_of[j]
-            return [
-                (idx, val if h == 1 else val.subst_power(h))
-                for idx, val in enumerate(row)
-                if not val.is_zero()
-            ]
-
-        return self._orbit_tuple(z, entries)
-
-    # -- stacked Schur coordinates ---------------------------------------------
-
-    def stack_schur(self, fun):
-        """The Schur coordinates of every component, in component order."""
-        out = []
-        for j in sorted(self.levels):
-            comp = fun.component(j)
-            out.extend([self.zero] * self.levels[j].size if comp is None else comp)
-        return out
 
     # -- the coset character table ------------------------------------------------
 
@@ -341,21 +285,6 @@ class CosetAlgebra:
         return True
 
     # -- Kostka matrices -------------------------------------------------------------
-
-    def kostka_direct(self, sign):
-        """M(Bs, BP(sign)) by the stacked linear solve."""
-        key = ("direct", sign)
-        if key not in self._kostka:
-            basis_rows = [
-                self.stack_schur(self.tuple_hall_littlewood(z, sign))
-                for z in self.chars
-            ]
-            s_rows = [self.stack_schur(self.tuple_schur(z)) for z in self.chars]
-            a_mat = [list(col) for col in zip(*basis_rows)]
-            b_mat = [list(col) for col in zip(*s_rows)]
-            kt = linalg.solve(a_mat, b_mat)
-            self._kostka[key] = [list(row) for row in zip(*kt)]
-        return self._kostka[key]
 
     def kostka_assembled(self, sign):
         """The block assembly from sub-level Kostka matrices: for z with
@@ -793,14 +722,6 @@ class ZCoset:
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def tuple_schur(z, params, r=2):
-    return coset_algebra(params, r).tuple_schur(z)
-
-
-def tuple_hall_littlewood(z, params, r=2, sign=+1):
-    return coset_algebra(params, r).tuple_hall_littlewood(z, sign)
 
 
 def coset_char_table(params, r=2):

@@ -201,6 +201,44 @@ def test_verify_names_the_green_route_and_checks_it_against_the_assembly(capsys,
     assert "[  ok] Green factorization holds exactly" in out
 
 
+def plus_t_off_the_diagonal(alg, mat):
+    """The last row's first entry plus t: below the diagonal blocks."""
+    mat[-1][0] = mat[-1][0] + TRat.t(alg.field)
+
+
+def plus_one_on_the_diagonal(alg, mat):
+    mat[0][0] = mat[0][0] + alg.one
+
+
+@pytest.mark.parametrize("argv", [
+    ("--e", "3", "--p", "3", "--n", "3"),
+    ("--e", "2", "--p", "2", "--n", "3", "--q", "1"),
+])
+@pytest.mark.parametrize("mutate, fallback, line", [
+    (plus_t_off_the_diagonal, False,
+     "Ktilde+- and LambdaTilde from the OmegaPrime LDU equal the Kostka assembly"),
+    # the certificate reads LambdaTilde only off the diagonal blocks, so a
+    # wrong K cannot pass it
+    (plus_t_off_the_diagonal, True, "Green factorization holds exactly"),
+    (plus_one_on_the_diagonal, False, "transition matrices specialize to the table at t=0"),
+])
+def test_verify_fails_on_a_wrong_kostka_assembly(capsys, monkeypatch, argv, mutate, fallback, line):
+    assembled = gepn.CosetAlgebra.kostka_assembled
+
+    def wrong(self, sign):
+        mat = [list(row) for row in assembled(self, sign)]
+        mutate(self, mat)
+        return mat
+
+    monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+    monkeypatch.setattr(gepn.CosetAlgebra, "kostka_assembled", wrong)
+    if fallback:
+        monkeypatch.setattr(gepn.CosetAlgebra, "_ldu_factors", lambda self: (None, "forced"))
+    code, out = run(capsys, "verify", *argv)
+    assert code == 1
+    assert f"[FAIL] {line}" in out.splitlines()
+
+
 def test_verify_on_a_trivial_group(capsys):
     # G(3,3,1) has one element, so its Dixon table is [[1]] over Q
     code, out = run(capsys, "verify", "--e", "3", "--p", "3", "--n", "1")
@@ -239,6 +277,18 @@ def test_invalid_parameters(capsys, tmp_path):
     with pytest.raises(SystemExit) as info:
         run(capsys, "chartable", "--e", "2", "--n", "2", "--out", str(target))
     assert str(info.value) == f"cannot write {target}: No such file or directory"
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("verify", "json"), ("verify", "csv"), ("symbols", "csv"), ("fake-degrees", "csv"),
+])
+def test_format_offers_only_what_the_command_writes(capsys, command, fmt):
+    # no silent fallback to pretty text: argparse names the error, exit 2
+    with pytest.raises(SystemExit) as info:
+        main([command, "--e", "2", "--p", "2", "--n", "2", "--format", fmt])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --format: invalid choice: '{fmt}'" in err
 
 
 def test_size_guard(capsys):

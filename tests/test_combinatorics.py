@@ -18,7 +18,6 @@ from greenrefl.combinatorics import (
     f_invariant,
     make_symbol,
     orbit_data,
-    partition_a_value,
     partition_similarity_classes,
     partitions,
     similarity_order,
@@ -26,6 +25,12 @@ from greenrefl.combinatorics import (
 )
 
 P = lambda *comps: tuple(tuple(c) for c in comps)
+
+
+def partition_a_value(alpha, r, n):
+    """a-value of the symbol of alpha with all row lengths max(n, parts)."""
+    m = max(n, max((len(c) for c in alpha), default=0), 1)
+    return a_value(make_symbol(alpha, (m,) * len(alpha), r))
 
 
 def test_partitions():

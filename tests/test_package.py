@@ -1,7 +1,8 @@
-"""Package hygiene: the public names resolve, and no module keeps an import
-it never uses."""
+"""Package hygiene: the public names resolve, no module keeps an import it
+never uses, and no module-level function or class goes unused."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import greenrefl
@@ -46,3 +47,59 @@ def test_no_module_keeps_an_unused_import():
         if unused:
             found[path.name] = unused
     assert found == {}
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def read_names(tree):
+    """Every name an expression of ``tree`` reads, as a variable or as an
+    attribute, with one entry per reading."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def unreferenced_definitions(sources, readers, public):
+    """(module, name) of every module-level function and class of
+    ``sources`` (module name -> source text) that is not in ``public``, is
+    read nowhere in ``sources`` outside its own definition, and is not read
+    by ``readers`` (source texts, which may also name it in a dotted
+    string, as ``perfbench/tracer.py`` does)."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = Counter(name for tree in trees.values() for name in read_names(tree))
+    outside = set()
+    for text in readers:
+        tree = ast.parse(text)
+        outside.update(read_names(tree))
+        outside.update(part for node in ast.walk(tree)
+                       if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                       for part in node.value.split("."))
+    found = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = Counter(read_names(node))[node.name]
+            if node.name not in public and read[node.name] == own and node.name not in outside:
+                found.append((module, node.name))
+    return found
+
+
+def test_unreferenced_definitions_are_found():
+    sources = {
+        "a": "def used():\n    pass\n\ndef dead():\n    return dead()\n\nclass Traced:\n    pass\n",
+        "b": "from a import used\n\ndef public():\n    return used()\n",
+    }
+    reader = "WRAPS = [('a', 'Traced.method')]\n"
+    assert unreferenced_definitions(sources, [reader], {"public"}) == [("a", "dead")]
+    assert unreferenced_definitions(sources, [], {"public"}) == [("a", "dead"), ("a", "Traced")]
+
+
+def test_every_definition_is_public_used_or_read_by_perfbench():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
+    assert readers
+    assert unreferenced_definitions(sources, readers, set(greenrefl.__all__)) == []
