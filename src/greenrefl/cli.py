@@ -352,11 +352,22 @@ def cmd_verify(args):
     check("Green factorization holds exactly", green_ok)
 
     # the paper's assembly theorem, which green runs only as its fallback,
-    # checks the LDU route from outside it
+    # checks the LDU route from outside it.  K+- = Ktilde+-(1/t) T comes back
+    # by TRat arithmetic, not by the coefficient reversal that both the route
+    # and CosetAlgebra.ktilde read Ktilde with.
+    def ldu_equals_assembly():
+        powers = [TRat.t(alg.field, a) for a in suite.a_diag]
+
+        def kostka(mat):
+            return [[x.subst_tinv() * tp for x, tp in zip(row, powers)] for row in mat.entries]
+
+        return (kostka(suite.ktilde_minus), suite.lambda_tilde.entries,
+                kostka(suite.ktilde_plus)) == (
+            alg.kostka_assembled(-1), alg.lambda_matrix(), alg.kostka_assembled(+1))
+
     check(
         "Ktilde+- and LambdaTilde from the OmegaPrime LDU equal the Kostka assembly",
-        lambda: (suite.ktilde_minus.entries, suite.lambda_tilde.entries, suite.ktilde_plus.entries)
-        == (alg.ktilde(-1), alg.lambda_matrix(), alg.ktilde(+1)),
+        ldu_equals_assembly,
         suite is not None and suite.route.startswith("block LDU"),
     )
 

@@ -12,14 +12,15 @@ functions) is built on the two scalar types defined here:
 * ``TRat``     -- a quotient of two TPoly, kept gcd-reduced with a monic
                   denominator, so equality is structural.
 
-One more scalar type serves the Hall-Littlewood elimination:
+One more scalar type serves the one block LDU elimination
+(``wreath.certified_ldu``), of the Hall-Littlewood data and of the Green
+functions alike:
 
 * ``TSeries``  -- a truncated power series in Z[t]/(t^M), packed into one
-                  integer by t -> 2^B (``SeriesRing``; why Z suffices is in
-                  ``wreath._certified_ldu``).  Its values are read back
-                  into TPoly and must be checked independently.
+                  integer by t -> 2^B (``SeriesRing``).  Its values are
+                  read back into TPoly and must be checked independently.
 
-Every exact kernel that multiplies polynomials in t, the Hall-Littlewood
+Every exact kernel that multiplies polynomials in t, the block LDU
 elimination (``SeriesRing``), the class sums (``symfunc.gram_numerators``)
 and the triple products (``linalg.PackedProduct``), runs on integers
 packed at t = 2^B (Kronecker substitution; Harvey, J. Symb. Comp. 44,
@@ -906,7 +907,9 @@ class SeriesRing:
     substitution).  An element is one Python int modulo 2^(B M), so +, -
     and * are integer operations and a mask, and the units are the odd
     ints.  The Hall-Littlewood numerators lie in Z[t] (the Molien argument
-    of ``wreath._certified_ldu``); ``encode`` refuses any other coefficient.
+    of ``wreath._compute_hl``), and so does the OmegaPrime that the Green
+    functions factor where they take this route; ``encode`` refuses any
+    other coefficient.
 
     The map is a ring homomorphism, so an elimination whose pivots are units
     runs in the image, and a polynomial of degree below M whose coefficients

@@ -31,11 +31,12 @@ suite packages
 
 the unique block LDU OmegaPrime = Ktilde- LambdaTilde tr(Ktilde+) along
 the similarity classes (Shoji, J. Algebra 245, 2001).  Where OmegaPrime
-is over Z[t], ``green`` reads all three off one exact elimination of the
-k x k OmegaPrime at the Kronecker point 1/t = 2^B, where every factor is
-an integer (``CosetAlgebra._ldu_factors``), and keeps them only after the
-exact certificate of the factorization, multiplied out on packed integers
-(``linalg.PackedProduct``) against the numerators of OmegaPrime.
+is over Z[t], ``green`` reads all three off one block LDU of the k x k
+OmegaPrime in u = 1/t (``CosetAlgebra._ldu_factors``), by the elimination
+in truncated power series over Z that also gives the Hall-Littlewood data
+(``wreath.certified_ldu``, on ``exact_arith.SeriesRing``), kept only after
+its exact certificate, multiplied out on packed integers
+(``linalg.PackedProduct``).
 
 The Kostka assembly is the paper's theorem: the Kostka matrices come from
 the block assembly out of sub-level Kostka matrices (``hl_data``).  It
@@ -72,14 +73,12 @@ from .combinatorics import (
     orbit_data,
     similarity_order,
 )
-from .exact_arith import CycField, TPoly, TRat, kron_digits, kron_pack
+from .exact_arith import CycField, TPoly, TRat
 from . import wreath
 from .symfunc import Level, gram_numerators, weighted_gram
 from .wreath import LabeledMatrix, hl_data, kostka_matrix
 
 _ALGEBRAS = {}
-
-LDU_BITS = 64       # B of the first attempt at the block LDU of OmegaPrime
 
 
 def coset_algebra(params, r=2):
@@ -332,27 +331,14 @@ class CosetAlgebra:
     # -- Lambda and the Green suite ----------------------------------------------------
 
     def ktilde(self, sign):
-        """Ktilde(sign) = K(sign)(t^(-1)) T with T = diag(t^(a(z))).
-
-        Entry (i, j) is a coefficient reversal and a shift, with no gcd: for
-        K[i][j] = sum_(v <= m <= d) c_m t^m with c_v, c_d nonzero, the
-        reversal c_d + ... + c_v t^(d-v) times t^(a_j - d), or over
-        t^(d - a_j) when d > a_j, where c_d != 0 keeps the fraction
-        canonical."""
+        """Ktilde(sign) = K(sign)(t^(-1)) T with T = diag(t^(a(z))): entry
+        (i, j) is the coefficient reversal ``_reversal`` of K[i][j] with top
+        power t^(a_j), with no gcd."""
         key = ("tilde", sign)
         if key not in self._kostka:
-            field = self.field
-
-            def tilde(v, a):
-                d = v.num.degree()
-                rev = TPoly(field, v.num.coeffs[_valuation(v.num):][::-1], trusted=True)
-                if d <= a:
-                    return TRat(_times_t_power(rev, a - d), reduce=False)
-                return TRat(rev, TPoly.t_power(field, d - a), reduce=False)
-
             a_diag = [self.a_of[z] for z in self.chars]
             self._kostka[key] = [
-                [v if v.is_zero() else tilde(v, a) for v, a in zip(row, a_diag)]
+                [_reversal(v.num, a) for v, a in zip(row, a_diag)]
                 for row in self.kostka_assembled(sign)
             ]
         return self._kostka[key]
@@ -530,62 +516,47 @@ class CosetAlgebra:
 
           A = K-(u) D(u) tr(K+(u)),   D = u^m T(1/u) LambdaTilde(1/u) T(1/u).
 
-        Where the Kostka matrices have integer coefficients, so do their
-        unitriangular inverses, and D = K-^(-1) A tr(K+)^(-1) is over Z[u]
-        too.  So at u = 2^B every factor is an integer, and
-        ``linalg.integer_block_ldu`` finds them with exact divisions only;
-        a remainder shows that some factor is not over Z[u], and ends the
-        route.  The balanced digits of each factor (``_laurent``) give
-        Ktilde-[i][j] from l[i][j] with top power t^(a_j), Ktilde+[j][i]
-        from upper[i][j] with top power t^(a_i), and LambdaTilde[i][j] from
-        d with top power t^(m - a_i - a_j).  The read-back fixes the shape, block
-        unitriangular times T and block diagonal, so when
-        ``factorization_certified`` passes these are the block LDU of
-        OmegaPrime, which is unique; digits too wide for B fail it.  Then,
-        or when a pivot block is singular at that point, B doubles, at most
-        twice."""
+        Where A(0) = +-I, ``wreath.certified_ldu`` finds it by the
+        elimination of the Hall-Littlewood data, starting at precision
+        m + 1 (above the degree of every factor on each set tried, while
+        deg A + 1 is below that of d on all of them), and keeps it only
+        after its exact certificate l diag(d) u = A.  Substituting u = 1/t
+        maps l, diag(d) and u one to one onto Ktilde- T^(-1),
+        t^(-m) T LambdaTilde T and T^(-1) tr(Ktilde+), whose product is
+        t^(-m) N, so the certificate on A is that of the factorization of
+        OmegaPrime.  The coefficient
+        reversal ``_reversal`` reads Ktilde-[i][j] off l[i][j] with top power
+        t^(a_j), Ktilde+[j][i] off u[i][j] with top power t^(a_i), and
+        LambdaTilde[i][j] off d with top power t^(m - a_i - a_j); A is built
+        apart from it, by ``TPoly.reversed_coeffs``, so a fault of the
+        read-back reaches the printed matrices, where ``verify`` compares
+        them with the assembly.  A coefficient with zeta, A(0) != +-I or
+        three failed certificates end the route, and the error names the
+        cause."""
         self.omega_prime()
         nums, common = self._omega_nums
-        if not (common.is_constant() and common.coeffs[0].is_one()) or any(
-            c.den != 1 or not c.is_rational() for row in nums for x in row for c in x.coeffs
-        ):
+        if not (common.is_constant() and common.coeffs[0].is_one()):
             return None, "Kostka assembly (OmegaPrime is not over Z[t])"
-        field = self.field
         top = max(x.degree() for row in nums for x in row)
+        a_u = [[_times_t_power(x.reversed_coeffs(), top - x.degree()) for x in row]
+               for row in nums]
+        try:
+            l, d, upper = wreath.certified_ldu(
+                self.field, a_u, [len(cls) for cls in self.char_classes], top + 1
+            )
+        except (ValueError, ArithmeticError) as exc:
+            return None, f"Kostka assembly ({exc})"
         a_diag = [self.a_of[z] for z in self.chars]
-        bits = LDU_BITS
-        for attempt in range(1, 4):
-            try:
-                l, d, upper = linalg.integer_block_ldu(
-                    [[_at_u(x, top, bits) for x in row] for row in nums],
-                    [len(cls) for cls in self.char_classes],
-                )
-            except ValueError:              # a pivot block singular at u = 2^B
-                bits *= 2
-                continue
-            except ArithmeticError:
-                return None, (
-                    f"Kostka assembly (a factor of the LDU of OmegaPrime is not "
-                    f"integral at u = 2^{bits})"
-                )
-            km = [[_laurent(field, v, a, bits) for v, a in zip(row, a_diag)] for row in l]
-            kp = [[_laurent(field, v, a, bits) for v, a in zip(col, a_diag)]
-                  for col in zip(*upper)]
-            lam = [[self.zero] * len(l) for _ in l]
-            start = 0
-            for dk in d:
-                for i, row in enumerate(dk, start):
-                    for j, v in enumerate(row, start):
-                        lam[i][j] = _laurent(field, v, top - a_diag[i] - a_diag[j], bits)
-                start += len(dk)
-            if self.factorization_certified(km, lam, kp):
-                route = f"block LDU of OmegaPrime at u = 1/t = 2^{bits} (attempt {attempt} of 3)"
-                return (km, lam, kp), route
-            bits *= 2
-        return None, (
-            f"Kostka assembly (the LDU of OmegaPrime failed at every u = 2^B up to "
-            f"B = {bits // 2})"
-        )
+        km = [[_reversal(v, a) for v, a in zip(row, a_diag)] for row in l]
+        kp = [[_reversal(v, a) for v, a in zip(col, a_diag)] for col in zip(*upper)]
+        lam = [[self.zero] * len(l) for _ in l]
+        start = 0
+        for dk in d:
+            for i, row in enumerate(dk, start):
+                for j, v in enumerate(row, start):
+                    lam[i][j] = _reversal(v, top - a_diag[i] - a_diag[j])
+            start += len(dk)
+        return (km, lam, kp), "block LDU of u^m OmegaPrime(1/u) over Z[u], certified"
 
     def _compute_green(self):
         k = len(self.chars)
@@ -634,24 +605,20 @@ def _times_t_power(poly, k):
     return TPoly(poly.field, (poly.field.zero,) * k + poly.coeffs, trusted=True)
 
 
-def _at_u(poly, top, bits):
-    """u^top poly(1/u) at u = 2^bits (``kron_pack``), for a TPoly over Z of
-    degree at most top."""
-    value = kron_pack([c.num[0] for c in reversed(poly.coeffs)], bits)
-    return value << (bits * (top - poly.degree()))
-
-
-def _laurent(field, value, top, bits):
-    """The Laurent polynomial f in t with u^top f(1/u) = value at u = 2^bits,
-    as a canonical TRat: sum_m c_m t^(top - m) over the balanced digits c
-    of value (``kron_digits``).  Exact when u^top f(1/u) lies in Z[u] with
-    every coefficient below 2^(bits-1) in absolute value."""
-    digits = kron_digits(value, bits)
-    num = TPoly(field, [field.from_rational(c) for c in reversed(digits)])
-    low = top - len(digits) + 1
-    if low >= 0 or num.is_zero():
-        return TRat(_times_t_power(num, low), reduce=False)
-    return TRat(num, TPoly.t_power(field, -low), reduce=False)
+def _reversal(poly, top):
+    """sum_m c_m t^(top - m) for poly = sum_m c_m t^m, as a canonical TRat,
+    with no gcd: for c_v, c_d the lowest and highest nonzero coefficients,
+    the reversal c_d + ... + c_v t^(d-v) times t^(top - d), or over
+    t^(d - top) when d > top, where c_d != 0 keeps the fraction canonical.
+    ``ktilde`` reads Ktilde off K by it, and ``_ldu_factors`` reads all
+    three factors off the LDU in u = 1/t."""
+    if poly.is_zero():
+        return TRat(poly, reduce=False)
+    field, d = poly.field, poly.degree()
+    rev = TPoly(field, poly.coeffs[_valuation(poly):][::-1], trusted=True)
+    if d <= top:
+        return TRat(_times_t_power(rev, top - d), reduce=False)
+    return TRat(rev, TPoly.t_power(field, d - top), reduce=False)
 
 
 @dataclass

@@ -1,20 +1,18 @@
 """Small exact linear algebra over a field of scalars (CycNum or TRat), or
-over TSeries, Z[t]/(t^M) packed into one int (why Z suffices is in
-``wreath._certified_ldu``), where every pivot met must be a unit.
+over TSeries, Z[t]/(t^M) packed into one int, where every pivot met must
+be a unit: the block LDU of the Hall-Littlewood data and of the Green
+functions (``wreath.certified_ldu``).
 
 Scalars must support +, -, *, /, ``inverse()``, ``is_zero()`` and
 equality.  Matrices are plain lists of lists; everything is deterministic
 (first nonzero pivot).
 
-Two functions work on integers instead.  ``integer_block_ldu`` is the
-block LDU of a matrix of Python ints whose factors are integral too (the
-Green functions at a Kronecker point), with exact integer divisions only.
 ``PackedProduct`` is a triple product of TPoly matrices over Z[zeta],
 multiplied out on integers packed by the codec described in
 ``exact_arith``, with no gcd and no truncation.  It gives the entries of
 Lambda in the coset layer and the two exact certificates, L D U = N of the
-Hall-Littlewood elimination and Ktilde- LambdaTilde tr(Ktilde+) =
-OmegaPrime of the Green functions.
+block LDU and Ktilde- LambdaTilde tr(Ktilde+) = OmegaPrime of the Green
+functions on the Kostka assembly.
 """
 
 from __future__ import annotations
@@ -165,81 +163,6 @@ def block_ldu(a, blocks):
         for i, row in zip(rest, update):
             a[i][start:] = [x - y for x, y in zip(a[i][start:], row)]
     return l, d, u
-
-
-def integer_block_ldu(a, blocks):
-    """``block_ldu`` of a square matrix of Python ints whose factors are
-    integral too, by integer-preserving elimination: nothing is divided but
-    exactly.  A pivot block P enters as (Q, delta) with P Q = delta I
-    (``_scaled_inverse``), so each factor entry is an integer quotient by
-    delta.  Raises ArithmeticError when one leaves a remainder, which shows
-    that some factor is not integral, and ValueError when a diagonal block
-    is singular."""
-    size = len(a)
-    if sum(blocks) != size:
-        raise ValueError("block sizes do not add up to the matrix size")
-    a = [list(row) for row in a]
-    l = [[int(i == j) for j in range(size)] for i in range(size)]
-    u = [list(row) for row in l]
-    d = []
-    start = 0
-    for width in blocks:
-        piv = range(start, start + width)
-        start += width
-        dk = [a[i][piv.start:start] for i in piv]
-        d.append(dk)
-        try:
-            inv, delta = _scaled_inverse(dk)
-        except ZeroDivisionError:
-            raise ValueError(f"singular diagonal block at index {piv.start}") from None
-        for i in range(start, size):
-            row = a[i][piv.start:start]
-            l[i][piv.start:start] = [
-                _exact(sum(x * y for x, y in zip(row, col)), delta) for col in zip(*inv)
-            ]
-        for j in range(start, size):
-            col = [a[m][j] for m in piv]
-            for m, inv_row in zip(piv, inv):
-                u[m][j] = _exact(sum(x * y for x, y in zip(inv_row, col)), delta)
-        # the trailing block becomes its Schur complement
-        for i in range(start, size):
-            row = a[i]
-            for m, x in zip(piv, l[i][piv.start:start]):
-                if x:
-                    pivot_row = a[m]
-                    for j in range(start, size):
-                        row[j] -= x * pivot_row[j]
-    return l, d, u
-
-
-def _scaled_inverse(p):
-    """(Q, delta) with p Q = delta I for a square integer matrix p, delta =
-    +-det(p), by fraction-free Gauss-Jordan elimination (Bareiss, Math.
-    Comp. 22, 1968), whose every division is exact.  ZeroDivisionError when
-    p is singular."""
-    size = len(p)
-    m = [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(p)]
-    prev = 1
-    for c in range(size):
-        r = next((r for r in range(c, size) if m[r][c]), None)
-        if r is None:
-            raise ZeroDivisionError("singular matrix")
-        m[c], m[r] = m[r], m[c]
-        pivot = m[c]
-        for i in range(size):
-            if i != c:
-                f = m[i][c]
-                m[i] = [(pivot[c] * x - f * y) // prev for x, y in zip(m[i], pivot)]
-        prev = pivot[c]
-    return [row[size:] for row in m], prev
-
-
-def _exact(x, delta):
-    """x / delta, which must be an integer."""
-    q, r = divmod(x, delta)
-    if r:
-        raise ArithmeticError("a factor of the block LDU is not integral")
-    return q
 
 
 def _transpose(a):

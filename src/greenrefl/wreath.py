@@ -14,10 +14,11 @@ G = K+ diag(D) conj(K-)^T, where K(+/-) = M(s, P(+/-)) are the Kostka
 matrices, block lower unitriangular, and D holds the within-class Gram
 matrices <P+_z, P-_z'>.  The elimination runs on the polynomial numerators
 N = L G over the common denominator L of the z-series, with the same K(+/-)
-and D_N = L D.  N lies in Z[t] (``_certified_ldu``) and N(0) = +-I, so it
+and D_N = L D.  N lies in Z[t] (``_compute_hl``) and N(0) = +-I, so it
 runs in Z[t]/(t^M) packed into one integer per entry (Kronecker
 substitution), with no gcd, and the factors read back are kept only after
-an exact certificate, K+ diag(D_N) conj(K-)^T = N multiplied out in Z[t].
+an exact certificate, K+ diag(D_N) conj(K-)^T = N multiplied out in Z[t]
+(``certified_ldu``, which also factors the Green functions of a coset).
 The families themselves, P(+/-) (the rows of the inverse Kostka matrices,
 by forward substitution) and the duals Q(+/-), are built from the factors
 on first use.
@@ -368,10 +369,17 @@ def _compute_hl(level, r):
 
     It factors the numerators N = L G of ``Level.schur_gram``: scaling a
     matrix by L leaves the triangular factors unchanged and scales the
-    diagonal blocks by L, so those of N are the Gram numerators over L."""
+    diagonal blocks by L, so those of N are the Gram numerators over L.
+    N lies in Z[t], with no zeta: <s_a, s_b> = |W|^-1 sum_w chi_a(w)
+    conj(chi_b(w)) / det(1 - t w) is a Molien series with natural-number
+    coefficients, and the lcm L of the z-series denominators is
+    Galois-stable, so N = L G is rational with integer coefficients.  The
+    first precision is 2 deg N + 2: at deg N + 1 the first certificate
+    failed on every level tried."""
     order, classes, a_values = _symbol_order(level, r)
     nums, common = level.schur_gram(order)
-    l, d_nums, u = _certified_ldu(level.field, nums, [len(cls) for cls in classes])
+    prec = 2 * max(x.degree() for row in nums for x in row) + 2
+    l, d_nums, u = certified_ldu(level.field, nums, [len(cls) for cls in classes], prec)
     return HLData(
         level=level,
         r=r,
@@ -385,22 +393,20 @@ def _compute_hl(level, r):
     )
 
 
-def _certified_ldu(field, nums, blocks):
+def certified_ldu(field, nums, blocks, prec):
     """The block LDU (l, d, u) of a square matrix N over Z[t] with
-    N(0) = +-I, every factor a matrix of TPoly.
+    N(0) = +-I, every factor a matrix of TPoly: the one elimination of the
+    Hall-Littlewood data (``_compute_hl``) and of the Green functions of a
+    coset (``gepn.CosetAlgebra._ldu_factors``).
 
-    The Schur Gram numerators lie in Z[t], with no zeta: <s_a, s_b> =
-    |W|^-1 sum_w chi_a(w) conj(chi_b(w)) / det(1 - t w) is a Molien series
-    with natural-number coefficients, and the lcm L of the z-series
-    denominators is Galois-stable, so N = L G is rational with integer
-    coefficients.  ``SeriesRing.encode`` raises ValueError for any other N.
-    N(0) = +-I makes every pivot block a unit modulo t, so the elimination
-    runs in a ring of truncated power series with no gcd
+    ``SeriesRing.encode`` raises ValueError, naming the coefficient, for an
+    N not over Z[t].  N(0) = +-I makes every pivot block a unit modulo t,
+    so the elimination runs in a ring of truncated power series with no gcd
     (``_series_ldu``).  Its factors are kept only if ``_ldu_certified``
     passes, which makes them the block LDU of N, since that is unique.  The
-    first attempt takes precision M = 2 deg N + 2 and B = 64 bits; after a
-    failed certificate M and B double, and after three attempts
-    ArithmeticError is raised."""
+    first attempt takes the caller's precision M = prec and B = 64 bits;
+    after a failed certificate M and B double, and after three attempts
+    ArithmeticError is raised.  ValueError when N(0) is not +-I."""
     sign = nums[0][0].eval_zero()
     if not (sign.is_one() or (-sign).is_one()) or any(
         x.eval_zero() != (sign if i == j else field.zero)
@@ -411,7 +417,6 @@ def _certified_ldu(field, nums, blocks):
             "the matrix is not +-I at t = 0, so its pivot blocks need not be "
             "units modulo t"
         )
-    prec = 2 * max(x.degree() for row in nums for x in row) + 2
     bits = 64
     for _ in range(3):
         l, d, u = _series_ldu(field, nums, blocks, prec, bits)

@@ -181,7 +181,7 @@ def test_verify_names_the_green_route_and_checks_it_against_the_assembly(capsys,
     assert code == 0
     assert f"[  ok] {line}" in out
     assert out.splitlines()[-2] == (
-        route + "block LDU of OmegaPrime at u = 1/t = 2^64 (attempt 1 of 3)"
+        route + "block LDU of u^m OmegaPrime(1/u) over Z[u], certified"
     )
     # the fallback is named, and leaves nothing to compare
     code, out = run(capsys, "verify", "--e", "3", "--p", "3", "--n", "2", "--q", "1")
@@ -199,6 +199,32 @@ def test_verify_names_the_green_route_and_checks_it_against_the_assembly(capsys,
     assert code == 1
     assert f"[FAIL] {line}" in out
     assert "[  ok] Green factorization holds exactly" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("--e", "3", "--p", "3", "--n", "3"),
+    ("--e", "2", "--p", "2", "--n", "3", "--q", "1"),
+])
+@pytest.mark.parametrize("lambda_agrees", [False, True])
+def test_verify_fails_on_a_reversal_that_shifts_lambda(capsys, monkeypatch, argv, lambda_agrees):
+    # The certificate of the LDU route checks u^m OmegaPrime(1/u), not the
+    # printed matrices, which the reversal reads off its factors.  A reversal
+    # one power of t too high shifts the printed LambdaTilde and Ktilde+- by
+    # t, and the comparison with the assembly must see that.  With the
+    # assembly's LambdaTilde made to agree, Ktilde+- alone must show it: the
+    # check brings K+- back without the reversal that CosetAlgebra.ktilde
+    # shares with the route.
+    reversal = gepn._reversal
+    monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+    monkeypatch.setattr(gepn, "_reversal", lambda poly, top: reversal(poly, top + 1))
+    if lambda_agrees:
+        monkeypatch.setattr(gepn.CosetAlgebra, "lambda_matrix",
+                            lambda self: self.green().lambda_tilde.entries)
+    code, out = run(capsys, "verify", *argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert "[FAIL] Ktilde+- and LambdaTilde from the OmegaPrime LDU equal the Kostka assembly" in lines
+    assert "[  ok] Green factorization holds exactly" in lines
 
 
 def plus_t_off_the_diagonal(alg, mat):

@@ -970,25 +970,36 @@ def test_lambda_rejects_a_kostka_matrix_not_unit_lower(monkeypatch):
 
 LDU_SETS = [
     (3, 3, 3, 0), (2, 2, 4, 0), (4, 2, 2, 0), (3, 1, 2, 0), (1, 1, 4, 0), (6, 2, 2, 0),
-    (5, 5, 2, 0), (2, 2, 3, 1), (2, 2, 2, 1), (4, 4, 3, 2),
+    (5, 5, 2, 0), (2, 2, 3, 1), (2, 2, 2, 1), (4, 4, 3, 2), (8, 4, 2, 0),
 ]
 
 
-def test_ldu_route_equals_the_assembly():
-    # green reads Ktilde+- and LambdaTilde off the LDU on its first attempt;
-    # the assembly, the paper's theorem, gives them entry for entry
-    for e, p, n, q in LDU_SETS:
-        for r in (1, 2, 3):
-            alg = CosetAlgebra(GroupParams(e, p, n, q), r)
-            suite = alg.green()
-            key = (e, p, n, q, r)
-            assert suite.route == (
-                "block LDU of OmegaPrime at u = 1/t = 2^64 (attempt 1 of 3)"
-            ), key
-            assert suite.residual_zero, key
-            assert suite.ktilde_minus.entries == alg.ktilde(-1), key
-            assert suite.ktilde_plus.entries == alg.ktilde(+1), key
-            assert suite.lambda_tilde.entries == alg.lambda_matrix(), key
+def test_ldu_route_equals_the_assembly(monkeypatch):
+    # green reads Ktilde+- and LambdaTilde off the LDU, whose first
+    # certificate passes; the assembly, the paper's theorem, gives them entry
+    # for entry.  A lost +-I at u = 0 would fall back silently, so the route
+    # is pinned, on G(6,2,3) too, whose assembly is too slow to compare here.
+    verdicts = []
+    real = wreath._ldu_certified
+
+    def spy(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(wreath, "_ldu_certified", spy)
+    for e, p, n, q, r in [s + (r,) for s in LDU_SETS for r in (1, 2, 3)] + [(6, 2, 3, 0, 2)]:
+        alg = CosetAlgebra(GroupParams(e, p, n, q), r)
+        verdicts.clear()
+        suite = alg.green()
+        key = (e, p, n, q, r)
+        assert suite.route == "block LDU of u^m OmegaPrime(1/u) over Z[u], certified", key
+        assert verdicts == [True], key
+        assert suite.residual_zero, key
+        if e == 6 and n == 3:
+            continue
+        assert suite.ktilde_minus.entries == alg.ktilde(-1), key
+        assert suite.ktilde_plus.entries == alg.ktilde(+1), key
+        assert suite.lambda_tilde.entries == alg.lambda_matrix(), key
 
 
 def test_zeta_carrying_omega_prime_takes_the_assembly_route():
@@ -1002,9 +1013,12 @@ def test_zeta_carrying_omega_prime_takes_the_assembly_route():
 
 
 def test_laurent_entries_round_trip_through_the_codec():
-    # f = num / t^s, packed as u^top f(1/u) at u = 2^B and read back: negative
-    # exponents, negative top coefficients, a top above the highest power of
-    # f (leading zero digits) and zero entries
+    # f = num / t^s, written as u^top f(1/u) in Z[u], packed in Z[u]/(u^M)
+    # at u = 2^B and read back by SeriesRing, then turned back into f by the
+    # reversal: negative exponents, negative top coefficients, a top above
+    # the highest power of f (low zero coefficients in u) and zero entries
+    from greenrefl.exact_arith import SeriesRing
+
     field = CycField(3)
     rng = random.Random(20261019)
 
@@ -1012,63 +1026,93 @@ def test_laurent_entries_round_trip_through_the_codec():
         """sum_m coeffs[m] t^(m - s), in canonical form."""
         return TRat(TPoly(field, [field.from_rational(c) for c in coeffs]), TPoly.t_power(field, s))
 
-    fixed = [laurent([], 0), laurent([0] * 5 + [-1], 0), laurent([-1], 3),
-             laurent([-3, 1, 0, 0, -2], 2), laurent([0, 2, 0, 1], 5)]
+    def in_u(coeffs, s, top):
+        """u^top f(1/u) = sum_m coeffs[m] u^(top + s - m), as a TPoly."""
+        out = [0] * (top + s + 1)
+        for m, c in enumerate(coeffs):
+            out[top + s - m] = c
+        return TPoly(field, [field.from_rational(c) for c in out])
+
+    fixed = [([], 0), ([0] * 5 + [-1], 0), ([-1], 3), ([-3, 1, 0, 0, -2], 2), ([0, 2, 0, 1], 5)]
     for bits in (3, 8, 64):
-        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-        cases = [(f, extra) for f in fixed for extra in (0, 2)]
+        # every coefficient below 2^(B-1) in absolute value reads back
+        hi = (1 << (bits - 1)) - 1
+        lo = -hi
+        cases = [(coeffs, s, extra) for coeffs, s in fixed for extra in (0, 2)]
         for _ in range(30):
             coeffs = [rng.choice([lo, hi, 0, rng.randint(lo, hi)]) for _ in range(rng.randint(1, 8))]
             coeffs[0] = coeffs[0] or lo
             coeffs[-1] = rng.choice([lo, -hi, -1, 1])
-            cases.append((laurent(coeffs, rng.randint(0, 6)), rng.randint(0, 3)))
-        for f, extra in cases:
-            s = f.den.degree()
-            top = max(f.num.degree() - s, 0) + extra
-            value = gepn._at_u(f.num, top + s, bits)
-            assert gepn._laurent(field, value, top, bits) == f, (bits, str(f), top)
+            cases.append((coeffs, rng.randint(0, 6), rng.randint(0, 3)))
+        for coeffs, s, extra in cases:
+            f = laurent(coeffs, s)
+            top = max(len(coeffs) - 1 - s, 0) + extra
+            poly = in_u(coeffs, s, top)
+            ring = SeriesRing(field, top + s + 1, bits)
+            back = ring.decode(ring.encode(poly))
+            assert back == poly, (bits, str(f), top)
+            assert gepn._reversal(back, top) == f, (bits, str(f), top)
 
 
 def test_a_read_back_with_too_few_bits_falls_back_to_the_assembly(capsys, monkeypatch):
-    # the mutant reads the digits of a value packed at 2^B with B - 1 bits: the
-    # certificate fails at B = 64, 128 and 256, and green prints what the
-    # assembly gives, byte for byte
+    # the mutant reads the digits of a series packed at 2^B with B - 1 bits:
+    # the certificate on u^m OmegaPrime(1/u) fails at B = 64, 128 and 256, and
+    # green prints what the assembly gives, byte for byte.  The assembly's
+    # Hall-Littlewood data is built before the mutant, which would spoil it too.
+    from greenrefl import exact_arith
     from greenrefl.cli import main
-    from greenrefl.exact_arith import kron_digits
 
     argv = ["green", "--e", "3", "--p", "3", "--n", "3", "--format", "json"]
     monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+    monkeypatch.setattr(wreath, "_HL_CACHE", {})
     assert main(argv) == 0
     want = capsys.readouterr().out
+    coset_algebra(GroupParams(3, 3, 3, 0)).lambda_matrix()
     gepn._ALGEBRAS.clear()
-    verdicts = []
-    real = CosetAlgebra.factorization_certified
+    verdicts = {"ldu": [], "factorization": []}
 
-    def spy(self, *factors):
-        verdicts.append(real(self, *factors))
-        return verdicts[-1]
+    def spy(name, real):
+        def wrapped(*args):
+            verdicts[name].append(real(*args))
+            return verdicts[name][-1]
+        return wrapped
 
-    monkeypatch.setattr(CosetAlgebra, "factorization_certified", spy)
-    monkeypatch.setattr(gepn, "kron_digits", lambda v, bits: kron_digits(v, bits - 1))
+    monkeypatch.setattr(wreath, "_ldu_certified", spy("ldu", wreath._ldu_certified))
+    monkeypatch.setattr(CosetAlgebra, "factorization_certified",
+                        spy("factorization", CosetAlgebra.factorization_certified))
+    digits = exact_arith.kron_digits
+    monkeypatch.setattr(exact_arith, "kron_digits", lambda v, bits: digits(v, bits - 1))
     assert main(argv) == 0
     assert capsys.readouterr().out == want
-    assert verdicts == [False, False, False, True]
-    assert coset_algebra(GroupParams(3, 3, 3, 0)).green().route == (
-        "Kostka assembly (the LDU of OmegaPrime failed at every u = 2^B up to B = 256)"
-    )
+    assert verdicts == {"ldu": [False, False, False], "factorization": [True]}
+    route = coset_algebra(GroupParams(3, 3, 3, 0)).green().route
+    assert route.startswith("Kostka assembly (the block LDU failed its certificate"), route
+    assert route.endswith("with 256-bit digits)"), route
 
 
 def test_ldu_route_ends_on_a_factor_that_is_not_integral():
-    # OmegaPrime with one entry altered has no block LDU over Z[1/t]: the
-    # elimination meets a remainder, and the assembly answers
-    alg = CosetAlgebra(GroupParams(3, 3, 3, 0))
-    alg.omega_prime()
-    nums, common = alg._omega_nums
-    k = len(nums)
-    altered = [row[:] for row in nums]
-    altered[0][k - 1] = nums[0][k - 1] + TPoly.t_power(alg.field, 1)
-    alg._omega_nums = (altered, common)
-    assert alg._ldu_factors() == (
-        None, "Kostka assembly (a factor of the LDU of OmegaPrime is not integral at u = 2^64)"
-    )
-    assert alg.green().residual_zero is False
+    # OmegaPrime with one entry altered: plus t, it has no block LDU over
+    # Z[1/t], and no certificate passes; plus t^m, u^m OmegaPrime(1/u) is
+    # not +-I at u = 0; plus zeta t, a coefficient is not in Z.  Each time
+    # the error names the cause and the assembly answers.
+    zeta = CycField(3).zeta()
+    for change, cause in [
+        (lambda alg, top: TPoly.t_power(alg.field, 1),
+         "the block LDU failed its certificate at every precision up to t^"),
+        (lambda alg, top: TPoly.t_power(alg.field, top),
+         "the matrix is not +-I at t = 0, so its pivot blocks need not be units modulo t"),
+        (lambda alg, top: TPoly.t_power(alg.field, 1, alg.field.zeta()),
+         f"coefficient {zeta} of "),
+    ]:
+        alg = CosetAlgebra(GroupParams(3, 3, 3, 0))
+        alg.omega_prime()
+        nums, common = alg._omega_nums
+        k = len(nums)
+        top = max(x.degree() for row in nums for x in row)
+        altered = [row[:] for row in nums]
+        altered[0][k - 1] = nums[0][k - 1] + change(alg, top)
+        alg._omega_nums = (altered, common)
+        factors, route = alg._ldu_factors()
+        assert factors is None
+        assert route.startswith("Kostka assembly (" + cause), route
+        assert alg.green().residual_zero is False

@@ -1,14 +1,10 @@
 import random
-from itertools import permutations
-from math import prod
 
 import pytest
 
 from greenrefl.exact_arith import CycField, TPoly, TRat
 from greenrefl.linalg import (
-    _scaled_inverse,
     block_ldu,
-    integer_block_ldu,
     invert,
     invert_unit_lower,
     mat_mul,
@@ -140,74 +136,6 @@ def test_block_ldu_rejects_wrong_block_sizes():
     a = [[field.one, field.zero], [field.zero, field.one]]
     with pytest.raises(ValueError):
         block_ldu(a, [1])
-
-
-def test_scaled_inverse_is_exact():
-    # p q = delta I with |delta| = |det p|, row exchanges included; a
-    # singular p raises
-    rng = random.Random(13)
-    for size in range(1, 6):
-        for trial in range(20):
-            p = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
-            if trial % 2:
-                p[0][0] = 0
-            if trial % 5 == 0 and size > 1:
-                p[-1] = [2 * x for x in p[0]]
-            det = sum(
-                (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])
-                * prod(p[i][j] for i, j in enumerate(perm))
-                for perm in permutations(range(size))
-            )
-            if det == 0:
-                with pytest.raises(ZeroDivisionError):
-                    _scaled_inverse(p)
-                continue
-            q, delta = _scaled_inverse(p)
-            assert abs(delta) == abs(det)
-            assert mat_mul_int(p, q) == [[delta * (i == j) for j in range(size)]
-                                         for i in range(size)]
-
-
-def mat_mul_int(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def test_integer_block_ldu_recovers_integral_factors():
-    rng = random.Random(17)
-    for blocks in ([1, 2, 2], [3, 1], [2, 2, 1, 1], [1]):
-        n = sum(blocks)
-        block_of = _block_of(blocks)
-        big = 1 << 70
-
-        def unitri(lower):
-            return [[int(i == j) if block_of[i] == block_of[j]
-                     else rng.randint(-big, big) if (block_of[i] > block_of[j]) == lower else 0
-                     for j in range(n)] for i in range(n)]
-
-        low, up = unitri(True), unitri(False)
-        diag = [[rng.randint(-big, big) if block_of[i] == block_of[j] else 0 for j in range(n)]
-                for i in range(n)]
-        a = mat_mul_int(mat_mul_int(low, diag), up)
-        l, d, u = integer_block_ldu(a, blocks)
-        assert (l, u) == (low, up), blocks
-        starts = [sum(blocks[:b]) for b in range(len(blocks))]
-        assert d == [[row[s:s + size] for row in diag[s:s + size]]
-                     for s, size in zip(starts, blocks)]
-
-
-def test_integer_block_ldu_refuses_what_it_cannot_do():
-    # a factor 1/2 leaves a remainder; a zero 1 x 1 pivot is singular, while
-    # the same entries as one 2 x 2 block are not
-    with pytest.raises(ArithmeticError, match="not integral"):
-        integer_block_ldu([[2, 1], [1, 1]], [1, 1])
-    with pytest.raises(ValueError, match="singular diagonal block at index 0"):
-        integer_block_ldu([[0, 1], [1, 0]], [1, 1])
-    with pytest.raises(ValueError, match="singular diagonal block at index 1"):
-        integer_block_ldu([[1, 2, 1], [2, 4, 2], [0, 1, 1]], [1, 2])
-    assert integer_block_ldu([[0, 1], [1, 0]], [2]) == ([[1, 0], [0, 1]], [[[0, 1], [1, 0]]],
-                                                         [[1, 0], [0, 1]])
-    with pytest.raises(ValueError, match="block sizes"):
-        integer_block_ldu([[1]], [2])
 
 
 def test_invert_unit_lower_matches_invert():

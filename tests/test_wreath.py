@@ -526,7 +526,12 @@ def _certificate_case(lv, r=2):
     order, classes, _ = wreath_mod._symbol_order(lv, r)
     blocks = [len(cls) for cls in classes]
     nums, _ = lv.schur_gram(order)
-    return nums, blocks, wreath_mod._certified_ldu(lv.field, nums, blocks)
+    return nums, blocks, wreath_mod.certified_ldu(lv.field, nums, blocks, _first_prec(nums))
+
+
+def _first_prec(nums):
+    """The first precision that hl_data passes: 2 deg N + 2."""
+    return 2 * max(x.degree() for row in nums for x in row) + 2
 
 
 def test_certified_ldu_recovers_synthetic_factors():
@@ -534,7 +539,7 @@ def test_certified_ldu_recovers_synthetic_factors():
 
     for e, blocks in [(3, [2, 1, 3]), (5, [1, 2, 2]), (12, [2, 2])]:
         field, nums, factors = _synthetic_ldu(e, blocks, seed=e)
-        assert wreath_mod._certified_ldu(field, nums, blocks) == factors, e
+        assert wreath_mod.certified_ldu(field, nums, blocks, _first_prec(nums)) == factors, e
 
 
 def test_ldu_certificate_rejects_an_altered_factor():
@@ -587,7 +592,7 @@ def test_certified_ldu_retries_at_a_higher_precision(monkeypatch):
         return real(field, 2 if len(attempts) == 1 else prec, bits)
 
     monkeypatch.setattr(wreath_mod, "SeriesRing", ring)
-    assert wreath_mod._certified_ldu(lv.field, nums, blocks) == factors
+    assert wreath_mod.certified_ldu(lv.field, nums, blocks, _first_prec(nums)) == factors
     (prec, bits), second = attempts
     assert second == (2 * prec, 2 * bits)
 
@@ -596,7 +601,7 @@ def test_ldu_certificate_catches_an_unsigned_digit_mutant(monkeypatch):
     # A ring that reads each base-2^B digit as unsigned turns every negative
     # coefficient c into 2^B + c, so its factors are wrong at every
     # precision: the certificate must reject each attempt, and
-    # _certified_ldu must raise after its retries.
+    # certified_ldu must raise after its retries.
     import greenrefl.wreath as wreath_mod
     from greenrefl.exact_arith import SeriesRing, TPoly
 
@@ -620,7 +625,7 @@ def test_ldu_certificate_catches_an_unsigned_digit_mutant(monkeypatch):
     nums, blocks, factors = _certificate_case(lv)
     cases.append((lv.field, nums, factors, blocks))
     for field, nums, factors, blocks in cases:
-        prec = 2 * max(x.degree() for row in nums for x in row) + 2
+        prec = _first_prec(nums)
         assert wreath_mod._series_ldu(field, nums, blocks, prec, 64) == factors
         monkeypatch.setattr(wreath_mod, "SeriesRing", Unsigned)
         mutant = wreath_mod._series_ldu(field, nums, blocks, prec, 64)
@@ -628,7 +633,7 @@ def test_ldu_certificate_catches_an_unsigned_digit_mutant(monkeypatch):
         assert not wreath_mod._ldu_certified(nums, blocks, *mutant), field.e
         attempts.clear()
         with pytest.raises(ArithmeticError, match="failed its certificate"):
-            wreath_mod._certified_ldu(field, nums, blocks)
+            wreath_mod.certified_ldu(field, nums, blocks, prec)
         assert attempts == [(prec, 64), (2 * prec, 128), (4 * prec, 256)]
         monkeypatch.undo()
 
@@ -649,15 +654,15 @@ def test_certified_ldu_rejects_a_matrix_not_unit_at_zero():
         [[one, zero], [zero, -one]],            # mixed signs
     ):
         with pytest.raises(ValueError, match="not \\+-I at t = 0"):
-            wreath_mod._certified_ldu(field, nums, [1, 1])
+            wreath_mod.certified_ldu(field, nums, [1, 1], 4)
     half = TPoly.constant(field.from_rational(Fraction(1, 2)))
     with pytest.raises(ValueError, match="not integral"):
-        wreath_mod._certified_ldu(field, [[one, half * t], [zero, one]], [1, 1])
+        wreath_mod.certified_ldu(field, [[one, half * t], [zero, one]], [1, 1], 4)
     # zeta is integral but not rational: the ring holds Z[t] only, and the
     # error names the coefficient
     zeta, name = TPoly.constant(field.zeta()), re.escape(str(field.zeta()))
     with pytest.raises(ValueError, match=f"coefficient {name} .*not integral"):
-        wreath_mod._certified_ldu(field, [[one, zeta * t], [zero, one]], [1, 1])
+        wreath_mod.certified_ldu(field, [[one, zeta * t], [zero, one]], [1, 1], 4)
 
 
 def test_hl_data_certified_sees_altered_data():
