@@ -352,18 +352,29 @@ def cmd_verify(args):
     check("Green factorization holds exactly", green_ok)
 
     # the paper's assembly theorem, which green runs only as its fallback,
-    # checks the LDU route from outside it.  K+- = Ktilde+-(1/t) T comes back
-    # by TRat arithmetic, not by the coefficient reversal that both the route
-    # and CosetAlgebra.ktilde read Ktilde with.
+    # checks the LDU route from outside it.  K+- = Ktilde+-(1/t) T and
+    # D(t) = t^m T(1/t) LambdaTilde(1/t) T(1/t) (L = 1 on this route), the
+    # factors that the assembly hands in, come back by TRat arithmetic, not
+    # by the coefficient reversal that green reads all three with.
     def ldu_equals_assembly():
-        powers = [TRat.t(alg.field, a) for a in suite.a_diag]
+        field = alg.field
+        powers = [TRat.t(field, a) for a in suite.a_diag]
+        t_m = TRat.t(field, max(x.num.degree() for row in suite.omega_prime.entries for x in row))
 
         def kostka(mat):
             return [[x.subst_tinv() * tp for x, tp in zip(row, powers)] for row in mat.entries]
 
-        return (kostka(suite.ktilde_minus), suite.lambda_tilde.entries,
-                kostka(suite.ktilde_plus)) == (
-            alg.kostka_assembled(-1), alg.lambda_matrix(), alg.kostka_assembled(+1))
+        diag = [[x.subst_tinv() * t_m / (ti * tj) for x, tj in zip(row, powers)]
+                for row, ti in zip(suite.lambda_tilde.entries, powers)]
+        _, d, _ = alg.assembly_ldu()
+        want = [[alg.zero] * len(diag) for _ in diag]
+        start = 0
+        for dk in d:
+            for i, row in enumerate(dk, start):
+                want[i][start : start + len(dk)] = [TRat(v, reduce=False) for v in row]
+            start += len(dk)
+        return (kostka(suite.ktilde_minus), diag, kostka(suite.ktilde_plus)) == (
+            alg.kostka_assembled(-1), want, alg.kostka_assembled(+1))
 
     check(
         "Ktilde+- and LambdaTilde from the OmegaPrime LDU equal the Kostka assembly",

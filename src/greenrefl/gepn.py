@@ -30,24 +30,26 @@ suite packages
                   Ktilde-^(-1) OmegaPrime tr(Ktilde+)^(-1),
 
 the unique block LDU OmegaPrime = Ktilde- LambdaTilde tr(Ktilde+) along
-the similarity classes (Shoji, J. Algebra 245, 2001).  Where OmegaPrime
-is over Z[t], ``green`` reads all three off one block LDU of the k x k
-OmegaPrime in u = 1/t (``CosetAlgebra._ldu_factors``), by the elimination
-in truncated power series over Z that also gives the Hall-Littlewood data
-(``wreath.certified_ldu``, on ``exact_arith.SeriesRing``), kept only after
-its exact certificate, multiplied out on packed integers
-(``linalg.PackedProduct``).
+the similarity classes (Shoji, J. Algebra 245, 2001).  ``green`` reads
+all three off one block LDU (l, d, u) of the k x k OmegaPrime in u = 1/t,
+A(u) = u^m N(1/u) for OmegaPrime = N / L (``CosetAlgebra._ldu_factors``).
+Where OmegaPrime is over Z[t], the factors come from the elimination in
+truncated power series over Z that also gives the Hall-Littlewood data
+(``wreath.certified_ldu``, on ``exact_arith.SeriesRing``).
 
 The Kostka assembly is the paper's theorem: the Kostka matrices come from
 the block assembly out of sub-level Kostka matrices (``hl_data``).  It
 answers ``kostka``, checks the LDU route in ``verify``, and is the
-fallback of ``green`` where OmegaPrime carries zeta or the LDU fails its
-certificate.  That fallback needs no gcd or linear solve: Ktilde is a
-coefficient reversal of K, LambdaTilde is read off one packed integer
+fallback of ``green`` where OmegaPrime carries zeta or the elimination
+fails its certificate.  It is then a second source of the same three
+factors (``CosetAlgebra.assembly_ldu``), with no gcd or linear solve: l
+and u are K- and tr(K+) in u, and d is read off one packed integer
 product of the inverse Kostka matrices (unit lower-triangular, by forward
-substitution) with the numerators of OmegaPrime, and the same certificate
-gives the residual.  Only the printed entries are put in canonical TRat
-form.
+substitution) with A.  Whichever route gives them, one certificate
+l diag(d) u = A, multiplied out on packed integers
+(``wreath.ldu_certified`` on ``linalg.PackedProduct``), gives the residual,
+and one coefficient reversal per entry (``CosetAlgebra._read_back``)
+gives the printed matrices.  Only those are put in canonical TRat form.
 
 The coset phase of a character lives in ``CosetAlgebra._orbit_terms``:
 X(0) and the Kostka assembly both read it, and
@@ -75,7 +77,7 @@ from .combinatorics import (
 )
 from .exact_arith import CycField, TPoly, TRat
 from . import wreath
-from .symfunc import Level, gram_numerators, weighted_gram
+from .symfunc import Level, as_fractions, gram_numerators
 from .wreath import LabeledMatrix, hl_data, kostka_matrix
 
 _ALGEBRAS = {}
@@ -141,7 +143,7 @@ class CosetAlgebra:
         self._omega = None
         self._omega_nums = None
         self._green = None
-        self._lambda = None
+        self._assembly = None
 
     # -- roots of unity -------------------------------------------------------
 
@@ -328,67 +330,7 @@ class CosetAlgebra:
             self._kostka[key] = out
         return self._kostka[key]
 
-    # -- Lambda and the Green suite ----------------------------------------------------
-
-    def ktilde(self, sign):
-        """Ktilde(sign) = K(sign)(t^(-1)) T with T = diag(t^(a(z))): entry
-        (i, j) is the coefficient reversal ``_reversal`` of K[i][j] with top
-        power t^(a_j), with no gcd."""
-        key = ("tilde", sign)
-        if key not in self._kostka:
-            a_diag = [self.a_of[z] for z in self.chars]
-            self._kostka[key] = [
-                [_reversal(v.num, a) for v, a in zip(row, a_diag)]
-                for row in self.kostka_assembled(sign)
-            ]
-        return self._kostka[key]
-
-    def lambda_matrix(self):
-        """LambdaTilde: the similarity-class diagonal blocks of
-        Ktilde-^(-1) OmegaPrime tr(Ktilde+)^(-1), zero off them.
-
-        Ktilde^(-1) = T^(-1) P(1/t) with P = K^(-1), unit lower-triangular
-        and polynomial like K (``linalg.invert_unit_lower``).  With
-        R = t^D P(1/t), D the largest degree in P(+/-), and
-        OmegaPrime = N / L,
-
-          Lambda[i][j] = (R- N tr(R+))[i][j] / (L t^(2 D + a_i + a_j)),
-
-        one ``linalg.PackedProduct``, of which only the diagonal blocks are
-        read back; each is put in canonical form on its own."""
-        if self._lambda is None:
-            self.omega_prime()
-            nums, common = self._omega_nums
-            field = self.field
-            inverses = [linalg.invert_unit_lower(self.kostka_assembled(s)) for s in (-1, +1)]
-            top = max(x.num.degree() for mat in inverses for row in mat for x in row)
-            rev = [
-                [[_times_t_power(TPoly(field, x.num.coeffs[::-1]), top - x.num.degree())
-                  for x in row] for row in mat]
-                for mat in inverses
-            ]
-            product = linalg.PackedProduct(rev[0], nums, [list(col) for col in zip(*rev[1])])
-            k = len(self.chars)
-            a_diag = [self.a_of[z] for z in self.chars]
-            lam = [[self.zero] * k for _ in range(k)]
-            start = 0
-            for cls in self.char_classes:
-                block = range(start, start + len(cls))
-                start += len(cls)
-                for i in block:
-                    for j in block:
-                        num = product.entry(i, j)
-                        if num.is_zero():
-                            continue
-                        shift = 2 * top + a_diag[i] + a_diag[j]
-                        low = min(shift, _valuation(num))
-                        lam[i][j] = TRat(
-                            TPoly(field, num.coeffs[low:], trusted=True),
-                            _times_t_power(common, shift - low),
-                            reduce=common.degree() > 0,
-                        )
-            self._lambda = lam
-        return self._lambda
+    # -- the Green suite ---------------------------------------------------------------
 
     def n_star(self):
         params = self.params
@@ -432,16 +374,12 @@ class CosetAlgebra:
         """O'[z,z'] = G(t) sum_xi X[xi,z] conj(X[xi,z']) / (z_xi det_xi).
 
         The numerators N and their common denominator L of the class sum
-        (``gram_numerators``) are kept for Lambda and for the certificate of
-        the factorization; the canonical fractions are built only here."""
+        (``gram_numerators``) are kept for the block LDU and its
+        certificate; the canonical fractions are built only here."""
         if self._omega is None:
             cols = list(zip(*self.coset_table()))
-            nums, common = gram_numerators(cols, cols, self._class_weights(self.g_poly()))
-            self._omega_nums = (nums, common)
-            # over the constant 1 every numerator is already canonical
-            self._omega = [
-                [TRat(num, common, reduce=common.degree() > 0) for num in row] for row in nums
-            ]
+            self._omega_nums = gram_numerators(cols, cols, self._class_weights(self.g_poly()))
+            self._omega = as_fractions(*self._omega_nums)
         return self._omega
 
     def fake_degrees(self):
@@ -450,11 +388,11 @@ class CosetAlgebra:
           (zeta^(qd) t^(dn) - 1) prod_(i<n) (t^(ei) - 1)
               sum_xi det_M(w_xi) X[xi,z] / (z_xi det_xi),
 
-        a polynomial for q = 0; one column of ``weighted_gram``."""
+        a polynomial for q = 0; one column of ``gram_numerators``."""
         cols = list(zip(*self.coset_table()))
         dets = [[self.det_of_class(xi.beta).conjugate() for xi in self.class_params]]
         weights = self._class_weights(self._degree_product())
-        column = weighted_gram(cols, dets, weights)
+        column = as_fractions(*gram_numerators(cols, dets, weights))
         return {z: row[0] for z, row in zip(self.chars, column)}
 
     def green(self):
@@ -462,113 +400,112 @@ class CosetAlgebra:
             self._green = self._compute_green()
         return self._green
 
-    def factorization_certified(self, km, lam, kp):
-        """Whether km lam tr(kp) = OmegaPrime exactly, for k x k matrices of
-        TRat: the printed Ktilde-, LambdaTilde and Ktilde+.
-
-        Every side is brought to polynomials and multiplied out on packed
-        integers against the numerators N of OmegaPrime = N / L
-        (``linalg.PackedProduct``): km and kp times the powers t^s(+/-) of t
-        that clear their denominators, lam times E = L t^m, with m the
-        largest t-valuation of its denominators, so that both sides are
-        t^(s- + s+ + m) L times the two sides of the identity.  False as soon
-        as a denominator of km or kp is not a power of t, or one of lam does
-        not divide E; ValueError when a side so cleared is not over Z[zeta]."""
+    def _omega_in_u(self):
+        """(A, m): A(u) = u^m N(1/u) for OmegaPrime = N / L, with m the
+        largest degree in N, built by ``TPoly.reversed_coeffs``, apart from
+        the read-back ``_reversal``."""
         self.omega_prime()
-        nums, common = self._omega_nums
-        lifted, shift = [], 0
-        for mat in (km, kp):
-            if any(_valuation(x.den) != x.den.degree() for row in mat for x in row):
-                return False
-            s = max(x.den.degree() for row in mat for x in row)
-            lifted.append(
-                [[_times_t_power(x.num, s - x.den.degree()) for x in row] for row in mat]
-            )
-            shift += s
-        m = max(_valuation(x.den) for row in lam for x in row)
-        big = _times_t_power(common, m)
-        lam_nums = []
-        for row in lam:
-            out = []
-            for x in row:
-                if x.is_zero():
-                    out.append(x.num)
-                    continue
-                quot, rem = big.divmod(x.den)
-                if not rem.is_zero():
-                    return False
-                out.append(x.num * quot)
-            lam_nums.append(out)
-        target = [[_times_t_power(x, shift + m) for x in row] for row in nums]
-        return linalg.PackedProduct(
-            lifted[0], lam_nums, [list(col) for col in zip(*lifted[1])], target
-        ).matches()
+        nums, _ = self._omega_nums
+        m = max(x.degree() for row in nums for x in row)
+        return [[_times_t_power(x.reversed_coeffs(), m - x.degree()) for x in row]
+                for row in nums], m
+
+    def assembly_ldu(self):
+        """The block LDU (l, d, u) of A(u) = u^m N(1/u) (``_omega_in_u``)
+        that the Kostka assembly hands in, where the elimination of
+        ``_ldu_factors`` does not apply.  As Ktilde(+/-)(1/u) = K(+/-)(u) T(1/u),
+
+          A = K-(u) D(u) tr(K+(u)),   D = u^m L(1/u) T(1/u) LambdaTilde(1/u) T(1/u),
+
+        so l and u are K- and tr(K+) (``kostka_assembled``) with t renamed
+        u, and d the diagonal blocks of P-(u) A tr(P+(u)), P = K^(-1) unit
+        lower-triangular and polynomial like K (``linalg.invert_unit_lower``):
+        one ``linalg.PackedProduct``, read back on the diagonal blocks only.
+        That the other blocks vanish is for ``wreath.ldu_certified`` to
+        check."""
+        if self._assembly is None:
+            a_u, _ = self._omega_in_u()
+            km, kp = (self.kostka_assembled(s) for s in (-1, +1))
+            pm, pp = ([[x.num for x in row] for row in linalg.invert_unit_lower(k)]
+                      for k in (km, kp))
+            product = linalg.PackedProduct(pm, a_u, [list(col) for col in zip(*pp)])
+            d, start = [], 0
+            for cls in self.char_classes:
+                block = range(start, start + len(cls))
+                start += len(cls)
+                d.append([[product.entry(i, j) for j in block] for i in block])
+            self._assembly = ([[x.num for x in row] for row in km], d,
+                              [[x.num for x in col] for col in zip(*kp)])
+        return self._assembly
+
+    def lambda_matrix(self):
+        """LambdaTilde read back (``_read_back``) off the factors of the
+        Kostka assembly (``assembly_ldu``)."""
+        return self._read_back(*self.assembly_ldu(), self._omega_in_u()[1])[1]
 
     def _ldu_factors(self):
-        """((Ktilde-, LambdaTilde, Ktilde+), route) read off the block LDU of
-        OmegaPrime, or (None, route) when the Kostka assembly must answer:
-        the production route of ``green``, with a line that names it.
+        """((l, d, u, m), certified, route): the block LDU of
+        A(u) = u^m N(1/u) (``_omega_in_u``) along the similarity classes,
+        whether l diag(d) u = A holds exactly, and a line naming the route.
 
-        It applies when OmegaPrime = N / L has L = 1 and N over Z[t], of
-        degree at most m.  In u = 1/t, A(u) = u^m N(1/u) lies in Z[u] and,
-        as Ktilde(+/-)(1/u) = K(+/-)(u) T(1/u), its block LDU along the
-        similarity classes is
-
-          A = K-(u) D(u) tr(K+(u)),   D = u^m T(1/u) LambdaTilde(1/u) T(1/u).
-
-        Where A(0) = +-I, ``wreath.certified_ldu`` finds it by the
-        elimination of the Hall-Littlewood data, starting at precision
-        m + 1 (above the degree of every factor on each set tried, while
-        deg A + 1 is below that of d on all of them), and keeps it only
-        after its exact certificate l diag(d) u = A.  Substituting u = 1/t
+        Where L = 1 and A(0) = +-I, the elimination of the Hall-Littlewood
+        data (``wreath.certified_ldu``) finds it from precision m + 1 (above
+        the degree of every factor on each set tried; deg A + 1 is below
+        that of d on all of them).  A coefficient with zeta, A(0) != +-I or
+        three failed certificates end that route, named in the route line,
+        and the Kostka assembly hands in its factors (``assembly_ldu``),
+        judged by the same ``wreath.ldu_certified``.  Substituting u = 1/t
         maps l, diag(d) and u one to one onto Ktilde- T^(-1),
-        t^(-m) T LambdaTilde T and T^(-1) tr(Ktilde+), whose product is
+        t^(-m) L T LambdaTilde T and T^(-1) tr(Ktilde+), whose product is
         t^(-m) N, so the certificate on A is that of the factorization of
-        OmegaPrime.  The coefficient
-        reversal ``_reversal`` reads Ktilde-[i][j] off l[i][j] with top power
-        t^(a_j), Ktilde+[j][i] off u[i][j] with top power t^(a_i), and
-        LambdaTilde[i][j] off d with top power t^(m - a_i - a_j); A is built
-        apart from it, by ``TPoly.reversed_coeffs``, so a fault of the
-        read-back reaches the printed matrices, where ``verify`` compares
-        them with the assembly.  A coefficient with zeta, A(0) != +-I or
-        three failed certificates end the route, and the error names the
-        cause."""
-        self.omega_prime()
-        nums, common = self._omega_nums
+        OmegaPrime."""
+        a_u, m = self._omega_in_u()
+        blocks = [len(cls) for cls in self.char_classes]
+        common = self._omega_nums[1]
         if not (common.is_constant() and common.coeffs[0].is_one()):
-            return None, "Kostka assembly (OmegaPrime is not over Z[t])"
-        top = max(x.degree() for row in nums for x in row)
-        a_u = [[_times_t_power(x.reversed_coeffs(), top - x.degree()) for x in row]
-               for row in nums]
-        try:
-            l, d, upper = wreath.certified_ldu(
-                self.field, a_u, [len(cls) for cls in self.char_classes], top + 1
-            )
-        except (ValueError, ArithmeticError) as exc:
-            return None, f"Kostka assembly ({exc})"
+            cause = "OmegaPrime is not over Z[t]"
+        else:
+            try:
+                l, d, u = wreath.certified_ldu(self.field, a_u, blocks, m + 1)
+                return (l, d, u, m), True, "block LDU of u^m OmegaPrime(1/u) over Z[u], certified"
+            except (ValueError, ArithmeticError) as exc:
+                cause = str(exc)
+        l, d, u = self.assembly_ldu()
+        certified = wreath.ldu_certified(a_u, blocks, l, d, u)
+        return (l, d, u, m), certified, f"Kostka assembly ({cause})"
+
+    def _read_back(self, l, d, u, m):
+        """(Ktilde-, LambdaTilde, Ktilde+) off a block LDU (l, d, u) of
+        A(u) = u^m N(1/u), OmegaPrime = N / L, whichever route gave it.
+
+        By the substitution of ``_ldu_factors``, ``_reversal`` reads
+        Ktilde-[i][j] off l[i][j] with top power t^(a_j), Ktilde+[j][i] off
+        u[i][j] with top power t^(a_i), and L LambdaTilde[i][j] off d with
+        top power t^(m - a_i - a_j); the last are cleared of powers of t by
+        t^s (s = 0 on every set tried) and put over t^s L in canonical form.
+        A is built apart from the read-back, so a fault of it reaches the
+        printed matrices, where ``verify`` compares them with the assembly."""
         a_diag = [self.a_of[z] for z in self.chars]
         km = [[_reversal(v, a) for v, a in zip(row, a_diag)] for row in l]
-        kp = [[_reversal(v, a) for v, a in zip(col, a_diag)] for col in zip(*upper)]
+        kp = [[_reversal(v, a) for v, a in zip(col, a_diag)] for col in zip(*u)]
         lam = [[self.zero] * len(l) for _ in l]
         start = 0
         for dk in d:
             for i, row in enumerate(dk, start):
                 for j, v in enumerate(row, start):
-                    lam[i][j] = _reversal(v, top - a_diag[i] - a_diag[j])
+                    lam[i][j] = _reversal(v, m - a_diag[i] - a_diag[j])
             start += len(dk)
-        return (km, lam, kp), "block LDU of u^m OmegaPrime(1/u) over Z[u], certified"
+        s = max(x.den.degree() for row in lam for x in row)
+        nums = [[_times_t_power(x.num, s - x.den.degree()) for x in row] for row in lam]
+        return km, as_fractions(nums, _times_t_power(self._omega_nums[1], s)), kp
 
     def _compute_green(self):
         k = len(self.chars)
         a_diag = [self.a_of[z] for z in self.chars]
         blocks = [len(cls) for cls in self.char_classes]
         omega = self.omega_prime()
-        factors, route = self._ldu_factors()
-        if factors is None:
-            km, lam_tilde, kp = self.ktilde(-1), self.lambda_matrix(), self.ktilde(+1)
-            residual_zero = self.factorization_certified(km, lam_tilde, kp)
-        else:
-            (km, lam_tilde, kp), residual_zero = factors, True
+        factors, residual_zero, route = self._ldu_factors()
+        km, lam_tilde, kp = self._read_back(*factors)
         labels = [z.label() for z in self.chars]
         # symmetric presentation: columns relabeled by character conjugation
         # (this is the form the reference tables display); none for q != 0
@@ -610,8 +547,7 @@ def _reversal(poly, top):
     with no gcd: for c_v, c_d the lowest and highest nonzero coefficients,
     the reversal c_d + ... + c_v t^(d-v) times t^(top - d), or over
     t^(d - top) when d > top, where c_d != 0 keeps the fraction canonical.
-    ``ktilde`` reads Ktilde off K by it, and ``_ldu_factors`` reads all
-    three factors off the LDU in u = 1/t."""
+    ``_read_back`` reads all three factors off the LDU in u = 1/t by it."""
     if poly.is_zero():
         return TRat(poly, reduce=False)
     field, d = poly.field, poly.degree()

@@ -9,10 +9,10 @@ equality.  Matrices are plain lists of lists; everything is deterministic
 
 ``PackedProduct`` is a triple product of TPoly matrices over Z[zeta],
 multiplied out on integers packed by the codec described in
-``exact_arith``, with no gcd and no truncation.  It gives the entries of
-Lambda in the coset layer and the two exact certificates, L D U = N of the
-block LDU and Ktilde- LambdaTilde tr(Ktilde+) = OmegaPrime of the Green
-functions on the Kostka assembly.
+``exact_arith``, with no gcd and no truncation.  It gives the diagonal
+blocks d that the Kostka assembly hands in for the Green functions of a
+coset, and the one exact certificate L D U = N of every block LDU
+(``wreath.ldu_certified``).
 """
 
 from __future__ import annotations
@@ -172,9 +172,11 @@ def _transpose(a):
 class PackedProduct:
     """The product left mid right of matrices of TPoly over Z[zeta],
     multiplied out exactly on packed integers (the codec of
-    ``exact_arith``); ``entry`` reads one entry back, and with a target
-    given, ``matches`` says whether the product equals it.  A coefficient
-    that is not integral raises ValueError, which names it.
+    ``exact_arith``); ``entry`` reads one entry back (the d of
+    ``gepn.CosetAlgebra.assembly_ldu``), and with a target given,
+    ``matches`` says whether the product equals it (the one certificate,
+    ``wreath.ldu_certified``).  A coefficient that is not integral raises
+    ValueError, which names it.
 
     Coordinate m of zeta^m of an entry is one int at t = 2^B, and a row of
     right one int with a run of T slots of B bits per column, T above every

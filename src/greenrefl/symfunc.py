@@ -22,14 +22,14 @@ monomial, power-sum and one-row q bases that the tests need.
 
 Every t-deformed scalar product of two families given by their values on
 the classes is one class sum, ``gram_numerators``: the Schur Gram matrix
-of a level here, and (wrapped as canonical fractions by
-``weighted_gram``) Omega' and the fake degrees of the coset layer.  It
-returns the numerators over the lcm L of the weight denominators.  Every
-value is scaled to Z[zeta][t] and packed into one Python int, a slot of B
-bits per monomial t^d zeta^m, so the k^3 scalar products are big-integer
-products; the packing, and why B from L1 norms is safe, are described
-once, in ``exact_arith``.  The unpacking refuses a value that spills past
-its last slot.
+of a level here, and Omega' and the fake degrees of the coset layer,
+made canonical fractions by ``as_fractions``.  It returns the numerators
+over the lcm L of the weight denominators.  Every value is scaled to
+Z[zeta][t] and packed into one Python int, a slot of B bits per monomial
+t^d zeta^m, so the k^3 scalar products are big-integer products; the
+packing, and why B from L1 norms is safe, are described once, in
+``exact_arith``.  The unpacking refuses a value that spills past its last
+slot.
 """
 
 from __future__ import annotations
@@ -206,12 +206,13 @@ class Level:
         return acc
 
 
-def weighted_gram(left, right, weights):
-    """M[a][b] = sum_i left[a][i] conj(right[b][i]) weights[i], each entry
-    a canonical TRat: the numerators of ``gram_numerators`` over L."""
-    nums, common = gram_numerators(left, right, weights)
-    # over the constant 1 every numerator is already canonical
-    return [[TRat(num, common, reduce=common.degree() > 0) for num in row] for row in nums]
+def as_fractions(nums, common):
+    """The matrix nums / common as canonical TRat, for numerators nums and
+    their common denominator, both TPoly (``gram_numerators`` returns such a
+    pair).  Over the constant 1 every numerator is already canonical, so
+    the gcd is taken only where common has positive degree."""
+    reduce = common.degree() > 0
+    return [[TRat(num, common, reduce=reduce) for num in row] for row in nums]
 
 
 def gram_numerators(left, right, weights):

@@ -221,7 +221,7 @@ class HLData:
         return out
 
     def certified(self):
-        """Whether the factors held pass ``_ldu_certified`` against freshly
+        """Whether the factors held pass ``ldu_certified`` against freshly
         built Gram numerators N: K+ diag(gram_nums) conj(K-)^T = N,
         multiplied out exactly.  The computation ran the same check; this
         repeats it on the data held, which may come from the disk cache."""
@@ -233,7 +233,7 @@ class HLData:
             return False
         l, u = ([[x.num for x in row] for row in mat] for mat in (self.kp, km_t))
         blocks = [len(c) for c in self.classes]
-        return _ldu_certified(nums, blocks, l, self.gram_nums, u)
+        return ldu_certified(nums, blocks, l, self.gram_nums, u)
 
 
 _HL_CACHE = {}
@@ -397,12 +397,15 @@ def certified_ldu(field, nums, blocks, prec):
     """The block LDU (l, d, u) of a square matrix N over Z[t] with
     N(0) = +-I, every factor a matrix of TPoly: the one elimination of the
     Hall-Littlewood data (``_compute_hl``) and of the Green functions of a
-    coset (``gepn.CosetAlgebra._ldu_factors``).
+    coset (``gepn.CosetAlgebra._ldu_factors``).  Its certificate
+    ``ldu_certified`` is the only one of both: it also judges the factors
+    that the Kostka assembly hands in where this elimination does not
+    apply (``gepn.CosetAlgebra.assembly_ldu``).
 
     ``SeriesRing.encode`` raises ValueError, naming the coefficient, for an
     N not over Z[t].  N(0) = +-I makes every pivot block a unit modulo t,
     so the elimination runs in a ring of truncated power series with no gcd
-    (``_series_ldu``).  Its factors are kept only if ``_ldu_certified``
+    (``_series_ldu``).  Its factors are kept only if ``ldu_certified``
     passes, which makes them the block LDU of N, since that is unique.  The
     first attempt takes the caller's precision M = prec and B = 64 bits;
     after a failed certificate M and B double, and after three attempts
@@ -420,7 +423,7 @@ def certified_ldu(field, nums, blocks, prec):
     bits = 64
     for _ in range(3):
         l, d, u = _series_ldu(field, nums, blocks, prec, bits)
-        if _ldu_certified(nums, blocks, l, d, u):
+        if ldu_certified(nums, blocks, l, d, u):
             return l, d, u
         prec, bits = 2 * prec, 2 * bits
     raise ArithmeticError(
@@ -440,11 +443,13 @@ def _series_ldu(field, nums, blocks, prec, bits):
     return l, [[[ring.decode(x) for x in row] for row in dk] for dk in d], u
 
 
-def _ldu_certified(nums, blocks, l, d, u):
+def ldu_certified(nums, blocks, l, d, u):
     """Whether l diag(d) u = nums exactly, with l block lower and u block
     upper unitriangular (identity diagonal blocks) and d the diagonal
     blocks of the given sizes.  Then (l, d, u) is the block LDU of nums,
-    which is unique.  Every entry is a TPoly over Z[zeta]; the product is
+    which is unique.  The certificate of ``certified_ldu``, of
+    ``HLData.certified`` and of the Kostka assembly's factors of a coset's
+    Green functions.  Every entry is a TPoly over Z[zeta]; the product is
     multiplied out on packed integers by ``linalg.PackedProduct``, which
     raises ValueError on any other coefficient."""
     size = len(nums)

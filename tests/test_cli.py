@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from greenrefl import cli, gepn
+from greenrefl import cli, gepn, wreath
 from greenrefl.cli import main
 from greenrefl.combinatorics import GroupParams, ep_str
 from greenrefl.exact_arith import CycField, TPoly, TRat
@@ -205,21 +205,28 @@ def test_verify_names_the_green_route_and_checks_it_against_the_assembly(capsys,
     ("--e", "3", "--p", "3", "--n", "3"),
     ("--e", "2", "--p", "2", "--n", "3", "--q", "1"),
 ])
-@pytest.mark.parametrize("lambda_agrees", [False, True])
-def test_verify_fails_on_a_reversal_that_shifts_lambda(capsys, monkeypatch, argv, lambda_agrees):
+@pytest.mark.parametrize("only_lambda", [False, True])
+def test_verify_fails_on_a_reversal_that_shifts_lambda(capsys, monkeypatch, argv, only_lambda):
     # The certificate of the LDU route checks u^m OmegaPrime(1/u), not the
-    # printed matrices, which the reversal reads off its factors.  A reversal
-    # one power of t too high shifts the printed LambdaTilde and Ktilde+- by
-    # t, and the comparison with the assembly must see that.  With the
-    # assembly's LambdaTilde made to agree, Ktilde+- alone must show it: the
-    # check brings K+- back without the reversal that CosetAlgebra.ktilde
-    # shares with the route.
-    reversal = gepn._reversal
+    # printed matrices, which the read-back takes off its factors.  A
+    # reversal one power of t too high shifts the printed LambdaTilde and
+    # Ktilde+- by t, and the comparison with the assembly must see that.  A
+    # read-back that shifts LambdaTilde alone must be seen as well: the check
+    # brings D back from LambdaTilde without the read-back, which the
+    # assembly's LambdaTilde shares with the route.
     monkeypatch.setattr(gepn, "_ALGEBRAS", {})
-    monkeypatch.setattr(gepn, "_reversal", lambda poly, top: reversal(poly, top + 1))
-    if lambda_agrees:
-        monkeypatch.setattr(gepn.CosetAlgebra, "lambda_matrix",
-                            lambda self: self.green().lambda_tilde.entries)
+    if only_lambda:
+        read_back = gepn.CosetAlgebra._read_back
+
+        def shifted(self, *factors):
+            km, lam, kp = read_back(self, *factors)
+            t = TRat.t(self.field)
+            return km, [[x * t for x in row] for row in lam], kp
+
+        monkeypatch.setattr(gepn.CosetAlgebra, "_read_back", shifted)
+    else:
+        reversal = gepn._reversal
+        monkeypatch.setattr(gepn, "_reversal", lambda poly, top: reversal(poly, top + 1))
     code, out = run(capsys, "verify", *argv)
     assert code == 1
     lines = out.splitlines()
@@ -259,7 +266,14 @@ def test_verify_fails_on_a_wrong_kostka_assembly(capsys, monkeypatch, argv, muta
     monkeypatch.setattr(gepn, "_ALGEBRAS", {})
     monkeypatch.setattr(gepn.CosetAlgebra, "kostka_assembled", wrong)
     if fallback:
-        monkeypatch.setattr(gepn.CosetAlgebra, "_ldu_factors", lambda self: (None, "forced"))
+        def forced(self):
+            # the factors that the assembly hands in, under the one certificate
+            a_u, m = self._omega_in_u()
+            factors = self.assembly_ldu()
+            blocks = [len(cls) for cls in self.char_classes]
+            return (*factors, m), wreath.ldu_certified(a_u, blocks, *factors), "forced"
+
+        monkeypatch.setattr(gepn.CosetAlgebra, "_ldu_factors", forced)
     code, out = run(capsys, "verify", *argv)
     assert code == 1
     assert f"[FAIL] {line}" in out.splitlines()

@@ -708,7 +708,7 @@ def per_character_fake_degrees(alg):
 
 
 def test_class_sum_kernel_equals_per_term_sums():
-    # OmegaPrime and the fake degrees share symfunc.weighted_gram with the
+    # OmegaPrime and the fake degrees share symfunc.gram_numerators with the
     # Schur Gram matrix; here both are summed term by term instead.  In
     # Q(zeta_5) and Q(zeta_8) (phi = 4) a product of three field elements
     # reaches zeta^9, past the power table's 2 phi entries
@@ -798,7 +798,7 @@ def trat_route(alg):
     linalg.solve calls against Ktilde-/+, its diagonal blocks kept, and the
     residual Ktilde- LambdaTilde tr(Ktilde+) - OmegaPrime multiplied out
     with linalg.mat_mul."""
-    km, kp, omega = alg.ktilde(-1), alg.ktilde(+1), alg.omega_prime()
+    km, kp, omega = gcd_ktilde(alg, -1), gcd_ktilde(alg, +1), alg.omega_prime()
     lam = _transpose(linalg.solve(kp, _transpose(linalg.solve(km, omega))))
     class_of = [ci for ci, cls in enumerate(alg.char_classes) for _ in cls]
     k = len(alg.chars)
@@ -822,6 +822,16 @@ def gcd_ktilde(alg, sign):
     ]
 
 
+def assembly_read_back(alg):
+    """(Ktilde-, LambdaTilde, Ktilde+) read back off the factors that the
+    Kostka assembly hands in, with the certificate on them: what green
+    prints where the assembly answers."""
+    a_u, m = alg._omega_in_u()
+    factors = alg.assembly_ldu()
+    blocks = [len(cls) for cls in alg.char_classes]
+    return alg._read_back(*factors, m), wreath.ldu_certified(a_u, blocks, *factors)
+
+
 # G(3,3,2) q=1, G(6,3,2) q=2 and G(6,6,2) q=2 fail the factorization
 DIFFERENTIAL_SETS = GRID + [
     (2, 2, 5, 0), (4, 4, 3, 2), (3, 3, 2, 1), (6, 3, 2, 2), (6, 6, 2, 2),
@@ -834,12 +844,15 @@ def test_lambda_and_certificate_match_the_trat_route():
     for e, p, n, q in DIFFERENTIAL_SETS:
         for r in (1, 2, 3):
             alg = CosetAlgebra(GroupParams(e, p, n, q), r)
-            for sign in (+1, -1):
-                assert alg.ktilde(sign) == gcd_ktilde(alg, sign), (e, p, n, q, r, sign)
+            key = (e, p, n, q, r)
             lam_tilde, residual_zero = trat_route(alg)
+            # the assembly's factors, read back and certified, on every set
+            (km, lam, kp), certified = assembly_read_back(alg)
+            assert (km, kp) == (gcd_ktilde(alg, -1), gcd_ktilde(alg, +1)), key
+            assert (lam, certified) == (lam_tilde, residual_zero), key
             suite = alg.green()
-            assert suite.lambda_tilde.entries == lam_tilde, (e, p, n, q, r)
-            assert suite.residual_zero == residual_zero, (e, p, n, q, r)
+            assert suite.lambda_tilde.entries == lam_tilde, key
+            assert suite.residual_zero == residual_zero, key
             verdicts[(e, p, n, q, r)] = residual_zero
     assert [key for key, ok in verdicts.items() if not ok] == [
         (e, p, n, q, r) for e, p, n, q in [(3, 3, 2, 1), (6, 3, 2, 2), (6, 6, 2, 2)]
@@ -858,20 +871,21 @@ def test_ktilde_of_a_degree_above_the_a_value():
     kmat[k - 1][0] = t * t * (t + alg.one + alg.one) * TRat.t(field, a_first)
     kmat[k - 1][1] = t * t
     alg._kostka[("assembled", -1)] = kmat
-    tilde = alg.ktilde(-1)
+    tilde = assembly_read_back(alg)[0][0]
     assert tilde == gcd_ktilde(alg, -1)
     assert not tilde[k - 1][0].is_polynomial()
 
 
 def _projected_algebra(params):
     """A fresh algebra of params whose OmegaPrime is replaced by
-    Ktilde- LambdaTilde tr(Ktilde+), all three of params itself, kept as
-    numerators over their lcm denominator.  The factorization holds there
-    by construction, also on a set where it fails for the true OmegaPrime,
-    so the certificate meets a true identity carrying zeta."""
+    Ktilde- LambdaTilde tr(Ktilde+), all three read back off the factors
+    that the Kostka assembly of params itself hands in, kept as numerators
+    over their lcm denominator.  The factorization holds there by
+    construction, also on a set where it fails for the true OmegaPrime, so
+    the certificate meets a true identity carrying zeta."""
     alg = CosetAlgebra(params)
-    km, kp = alg.ktilde(-1), alg.ktilde(+1)
-    omega = linalg.mat_mul(linalg.mat_mul(km, alg.lambda_matrix()), _transpose(kp))
+    (km, lam, kp), _ = assembly_read_back(alg)
+    omega = linalg.mat_mul(linalg.mat_mul(km, lam), _transpose(kp))
     common = TPoly.constant(alg.field.one)
     for row in omega:
         for x in row:
@@ -880,34 +894,38 @@ def _projected_algebra(params):
     fresh = CosetAlgebra(params)
     for sign in (+1, -1):
         fresh._kostka[("assembled", sign)] = alg.kostka_assembled(sign)
-        fresh.ktilde(sign)
     fresh._omega, fresh._omega_nums = omega, (nums, common)
     return fresh
 
 
 def test_certificate_rejects_an_altered_factor():
-    # G(3,3,3) and the projected G(3,3,2) q=1, whose LambdaTilde has a
-    # denominator other than a power of t
-    t = TRat.t(CycField(3))
+    # the one certificate, on the factors that the assembly hands in for
+    # G(3,3,3) and for the projected G(3,3,2) q=1, whose LambdaTilde has a
+    # denominator other than a power of t: an altered d block, an altered l
+    # entry below the diagonal blocks and an altered entry of A each fail it
     for alg in [CosetAlgebra(GroupParams(3, 3, 3, 0)),
                 _projected_algebra(GroupParams(3, 3, 2, 1))]:
-        km, kp, lam = alg.ktilde(-1), alg.ktilde(+1), alg.lambda_matrix()
-        assert alg.factorization_certified(km, lam, kp), alg.params
-        k = len(km)
+        t = TPoly.t_power(alg.field, 1)
+        a_u, _ = alg._omega_in_u()
+        l, d, u = alg.assembly_ldu()
+        blocks = [len(cls) for cls in alg.char_classes]
+        assert wreath.ldu_certified(a_u, blocks, l, d, u), alg.params
+        k = len(l)
         i = len(alg.char_classes[0])            # first row of the second class
-        j = next(j for j in range(i) if not km[i][j].is_zero())
+        j = next(j for j in range(i) if not l[i][j].is_zero())
 
         def altered(mat, a, b):
             out = [row[:] for row in mat]
             out[a][b] = out[a][b] + t
             return out
 
-        assert not alg.factorization_certified(km, altered(lam, k - 1, k - 1), kp)
-        assert not alg.factorization_certified(altered(km, i, j), lam, kp)
+        last = len(d[-1]) - 1
+        assert not wreath.ldu_certified(a_u, blocks, l, d[:-1] + [altered(d[-1], last, last)], u)
+        assert not wreath.ldu_certified(a_u, blocks, altered(l, i, j), d, u)
+        assert not wreath.ldu_certified(altered(a_u, 0, k - 1), blocks, l, d, u)
         nums, common = alg._omega_nums
         alg._omega_nums = ([row[:] for row in nums], common)
-        alg._omega_nums[0][0][k - 1] = nums[0][k - 1] + TPoly.t_power(alg.field, 1)
-        assert not alg.factorization_certified(km, lam, kp)
+        alg._omega_nums[0][0][k - 1] = nums[0][k - 1] + t
         assert alg.green().residual_zero is False
 
 
@@ -915,9 +933,9 @@ def test_certificate_catches_a_zeta_fold_mutant(monkeypatch):
     # On the projected algebras of G(3,3,2) q=1 (phi = 2) and G(5,5,2) q=1
     # (phi = 4) the factorization holds with zeta in Ktilde+-, LambdaTilde and
     # OmegaPrime.  A packed product that folds zeta^m by the power table of
-    # another cyclotomic field of the same degree gives another LambdaTilde,
-    # which fails the certificate, and as the certificate it rejects the
-    # true LambdaTilde.
+    # another cyclotomic field of the same degree gives other d blocks, and
+    # so another LambdaTilde, which fails the certificate; as the
+    # certificate it rejects the true factors.
     real = linalg.PackedProduct
 
     def folding_by(e):
@@ -933,15 +951,17 @@ def test_certificate_catches_a_zeta_fold_mutant(monkeypatch):
 
     for params, other in [(GroupParams(3, 3, 2, 1), 6), (GroupParams(5, 5, 2, 1), 10)]:
         alg = _projected_algebra(params)
-        km, kp, lam = alg.ktilde(-1), alg.ktilde(+1), alg.lambda_matrix()
+        lam = alg.lambda_matrix()
         assert alg.green().residual_zero, params
         assert any(any(c.num[1:]) for row in lam for x in row for c in x.num.coeffs)
+        a_u, _ = alg._omega_in_u()
+        blocks = [len(cls) for cls in alg.char_classes]
         mutant = _projected_algebra(params)
         monkeypatch.setattr(linalg, "PackedProduct", folding_by(other))
-        wrong = mutant.lambda_matrix()
-        assert not alg.factorization_certified(km, lam, kp), params
+        mutant.assembly_ldu()
+        assert not wreath.ldu_certified(a_u, blocks, *alg.assembly_ldu()), params
         monkeypatch.setattr(linalg, "PackedProduct", real)
-        assert wrong != lam, params
+        assert mutant.lambda_matrix() != lam, params
         assert mutant.green().residual_zero is False, params
 
 
@@ -980,13 +1000,13 @@ def test_ldu_route_equals_the_assembly(monkeypatch):
     # for entry.  A lost +-I at u = 0 would fall back silently, so the route
     # is pinned, on G(6,2,3) too, whose assembly is too slow to compare here.
     verdicts = []
-    real = wreath._ldu_certified
+    real = wreath.ldu_certified
 
     def spy(*args):
         verdicts.append(real(*args))
         return verdicts[-1]
 
-    monkeypatch.setattr(wreath, "_ldu_certified", spy)
+    monkeypatch.setattr(wreath, "ldu_certified", spy)
     for e, p, n, q, r in [s + (r,) for s in LDU_SETS for r in (1, 2, 3)] + [(6, 2, 3, 0, 2)]:
         alg = CosetAlgebra(GroupParams(e, p, n, q), r)
         verdicts.clear()
@@ -997,8 +1017,8 @@ def test_ldu_route_equals_the_assembly(monkeypatch):
         assert suite.residual_zero, key
         if e == 6 and n == 3:
             continue
-        assert suite.ktilde_minus.entries == alg.ktilde(-1), key
-        assert suite.ktilde_plus.entries == alg.ktilde(+1), key
+        assert suite.ktilde_minus.entries == gcd_ktilde(alg, -1), key
+        assert suite.ktilde_plus.entries == gcd_ktilde(alg, +1), key
         assert suite.lambda_tilde.entries == alg.lambda_matrix(), key
 
 
@@ -1007,9 +1027,9 @@ def test_zeta_carrying_omega_prime_takes_the_assembly_route():
         alg = CosetAlgebra(GroupParams(e, p, n, q))
         suite = alg.green()
         assert suite.route == "Kostka assembly (OmegaPrime is not over Z[t])", (e, p, n, q)
-        assert suite.ktilde_minus.entries == alg.ktilde(-1)
-        assert suite.lambda_tilde.entries == alg.lambda_matrix()
-        assert suite.residual_zero is False
+        assert suite.ktilde_minus.entries == gcd_ktilde(alg, -1)
+        assert suite.ktilde_plus.entries == gcd_ktilde(alg, +1)
+        assert (suite.lambda_tilde.entries, suite.residual_zero) == (trat_route(alg)[0], False)
 
 
 def test_laurent_entries_round_trip_through_the_codec():
@@ -1067,24 +1087,23 @@ def test_a_read_back_with_too_few_bits_falls_back_to_the_assembly(capsys, monkey
     monkeypatch.setattr(wreath, "_HL_CACHE", {})
     assert main(argv) == 0
     want = capsys.readouterr().out
-    coset_algebra(GroupParams(3, 3, 3, 0)).lambda_matrix()
+    coset_algebra(GroupParams(3, 3, 3, 0)).assembly_ldu()
     gepn._ALGEBRAS.clear()
-    verdicts = {"ldu": [], "factorization": []}
+    verdicts = []
+    real = wreath.ldu_certified
 
-    def spy(name, real):
-        def wrapped(*args):
-            verdicts[name].append(real(*args))
-            return verdicts[name][-1]
-        return wrapped
+    def spy(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
 
-    monkeypatch.setattr(wreath, "_ldu_certified", spy("ldu", wreath._ldu_certified))
-    monkeypatch.setattr(CosetAlgebra, "factorization_certified",
-                        spy("factorization", CosetAlgebra.factorization_certified))
+    # the one certificate: three elimination attempts, then the assembly's
+    # factors
+    monkeypatch.setattr(wreath, "ldu_certified", spy)
     digits = exact_arith.kron_digits
     monkeypatch.setattr(exact_arith, "kron_digits", lambda v, bits: digits(v, bits - 1))
     assert main(argv) == 0
     assert capsys.readouterr().out == want
-    assert verdicts == {"ldu": [False, False, False], "factorization": [True]}
+    assert verdicts == [False, False, False, True]
     route = coset_algebra(GroupParams(3, 3, 3, 0)).green().route
     assert route.startswith("Kostka assembly (the block LDU failed its certificate"), route
     assert route.endswith("with 256-bit digits)"), route
@@ -1112,7 +1131,8 @@ def test_ldu_route_ends_on_a_factor_that_is_not_integral():
         altered = [row[:] for row in nums]
         altered[0][k - 1] = nums[0][k - 1] + change(alg, top)
         alg._omega_nums = (altered, common)
-        factors, route = alg._ldu_factors()
-        assert factors is None
+        (*factors, _), certified, route = alg._ldu_factors()
+        assert factors == list(alg.assembly_ldu())
+        assert certified is False
         assert route.startswith("Kostka assembly (" + cause), route
         assert alg.green().residual_zero is False

@@ -12,7 +12,7 @@ from greenrefl.combinatorics import (
 )
 from greenrefl.exact_arith import CycField, TPoly, TRat
 from greenrefl.gepn import coset_algebra
-from greenrefl.symfunc import Level, level_for, weighted_gram
+from greenrefl.symfunc import Level, as_fractions, gram_numerators, level_for
 from greenrefl.wreath import level_char_table
 
 from polynomial_oracle import SymPoly, cauchy_truncated, poly_level, poly_level_for
@@ -373,7 +373,7 @@ def test_packed_class_sum_at_its_bound():
     c = field.from_rational
     rows = [[c(1), c(1)], [c(2), c(3)]]
     weights = [TRat(TPoly.t_power(field, 2, c(-5))), TRat(TPoly.t_power(field, 2, c(-7)))]
-    gram = weighted_gram(rows, rows, weights)
+    gram = as_fractions(*gram_numerators(rows, rows, weights))
     for a in range(2):
         for b in range(2):
             want = TRat(TPoly(field, ()))

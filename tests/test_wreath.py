@@ -548,7 +548,7 @@ def test_ldu_certificate_rejects_an_altered_factor():
 
     lv = level_for(3, 3)
     nums, blocks, (l, d, u) = _certificate_case(lv)
-    assert wreath_mod._ldu_certified(nums, blocks, l, d, u)
+    assert wreath_mod.ldu_certified(nums, blocks, l, d, u)
     size = len(nums)
     i, j = next((i, j) for i in range(size) for j in range(i) if not l[i][j].is_zero())
 
@@ -557,7 +557,7 @@ def test_ldu_certificate_rejects_an_altered_factor():
         out[a][b] = out[a][b] + value
         return out
 
-    certified = wreath_mod._ldu_certified
+    certified = wreath_mod.ldu_certified
     assert not certified(nums, blocks, altered(l, i, j), d, u)
     assert not certified(nums, blocks, l, d, altered(u, j, i))
     assert not certified(nums, blocks, l, d[:-1] + [altered(d[-1], 0, 0)], u)
@@ -574,7 +574,7 @@ def test_ldu_certificate_rejects_a_precision_below_the_output_degree():
                   for row in mat for x in row)
         low = wreath_mod._series_ldu(lv.field, nums, blocks, top, 64)
         assert low != factors
-        assert not wreath_mod._ldu_certified(nums, blocks, *low), lv
+        assert not wreath_mod.ldu_certified(nums, blocks, *low), lv
         assert wreath_mod._series_ldu(lv.field, nums, blocks, top + 1, 64) == factors
 
 
@@ -630,7 +630,7 @@ def test_ldu_certificate_catches_an_unsigned_digit_mutant(monkeypatch):
         monkeypatch.setattr(wreath_mod, "SeriesRing", Unsigned)
         mutant = wreath_mod._series_ldu(field, nums, blocks, prec, 64)
         assert mutant != factors
-        assert not wreath_mod._ldu_certified(nums, blocks, *mutant), field.e
+        assert not wreath_mod.ldu_certified(nums, blocks, *mutant), field.e
         attempts.clear()
         with pytest.raises(ArithmeticError, match="failed its certificate"):
             wreath_mod.certified_ldu(field, nums, blocks, prec)
