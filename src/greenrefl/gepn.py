@@ -122,6 +122,10 @@ class CosetAlgebra:
         for cls, a in zip(sim.classes, sim.a_values):
             for z in cls:
                 self.a_of[z] = a
+        # the block layout of every matrix indexed by the characters
+        self.blocks = [len(cls) for cls in sim.classes]
+        self.a_diag = [self.a_of[z] for z in self.chars]
+        self.labels = [z.label() for z in self.chars]
         self.class_params = enumerate_class_params(params)
         self.class_index = {xi: i for i, xi in enumerate(self.class_params)}
         if len(self.chars) != len(self.class_params):
@@ -430,9 +434,9 @@ class CosetAlgebra:
                       for k in (km, kp))
             product = linalg.PackedProduct(pm, a_u, [list(col) for col in zip(*pp)])
             d, start = [], 0
-            for cls in self.char_classes:
-                block = range(start, start + len(cls))
-                start += len(cls)
+            for size in self.blocks:
+                block = range(start, start + size)
+                start += size
                 d.append([[product.entry(i, j) for j in block] for i in block])
             self._assembly = ([[x.num for x in row] for row in km], d,
                               [[x.num for x in col] for col in zip(*kp)])
@@ -460,18 +464,17 @@ class CosetAlgebra:
         t^(-m) N, so the certificate on A is that of the factorization of
         OmegaPrime."""
         a_u, m = self._omega_in_u()
-        blocks = [len(cls) for cls in self.char_classes]
         common = self._omega_nums[1]
         if not (common.is_constant() and common.coeffs[0].is_one()):
             cause = "OmegaPrime is not over Z[t]"
         else:
             try:
-                l, d, u = wreath.certified_ldu(self.field, a_u, blocks, m + 1)
+                l, d, u = wreath.certified_ldu(self.field, a_u, self.blocks, m + 1)
                 return (l, d, u, m), True, "block LDU of u^m OmegaPrime(1/u) over Z[u], certified"
             except (ValueError, ArithmeticError) as exc:
                 cause = str(exc)
         l, d, u = self.assembly_ldu()
-        certified = wreath.ldu_certified(a_u, blocks, l, d, u)
+        certified = wreath.ldu_certified(a_u, self.blocks, l, d, u)
         return (l, d, u, m), certified, f"Kostka assembly ({cause})"
 
     def _read_back(self, l, d, u, m):
@@ -485,7 +488,7 @@ class CosetAlgebra:
         t^s (s = 0 on every set tried) and put over t^s L in canonical form.
         A is built apart from the read-back, so a fault of it reaches the
         printed matrices, where ``verify`` compares them with the assembly."""
-        a_diag = [self.a_of[z] for z in self.chars]
+        a_diag = self.a_diag
         km = [[_reversal(v, a) for v, a in zip(row, a_diag)] for row in l]
         kp = [[_reversal(v, a) for v, a in zip(col, a_diag)] for col in zip(*u)]
         lam = [[self.zero] * len(l) for _ in l]
@@ -501,12 +504,10 @@ class CosetAlgebra:
 
     def _compute_green(self):
         k = len(self.chars)
-        a_diag = [self.a_of[z] for z in self.chars]
-        blocks = [len(cls) for cls in self.char_classes]
+        labels, blocks = self.labels, self.blocks
         omega = self.omega_prime()
         factors, residual_zero, route = self._ldu_factors()
         km, lam_tilde, kp = self._read_back(*factors)
-        labels = [z.label() for z in self.chars]
         # symmetric presentation: columns relabeled by character conjugation
         # (this is the form the reference tables display); none for q != 0
         sigma = self.conjugation_permutation()
@@ -519,7 +520,7 @@ class CosetAlgebra:
             char_params=list(self.chars),
             labels=labels,
             blocks=blocks,
-            a_diag=a_diag,
+            a_diag=self.a_diag,
             ktilde_minus=LabeledMatrix(labels, labels, km, blocks, blocks),
             ktilde_plus=LabeledMatrix(labels, labels, kp, blocks, blocks),
             lambda_tilde=LabeledMatrix(labels, labels, lam_tilde, blocks, blocks),
@@ -647,9 +648,7 @@ def z_coset(xi, params, r=2):
 def kostka_gepn(params, r=2, sign=-1):
     alg = coset_algebra(params, r)
     mat = alg.kostka_assembled(sign)
-    labels = [z.label() for z in alg.chars]
-    blocks = [len(cls) for cls in alg.char_classes]
-    return LabeledMatrix(labels, labels, mat, blocks, blocks)
+    return LabeledMatrix(alg.labels, alg.labels, mat, alg.blocks, alg.blocks)
 
 
 def green_suite(params, r=2):

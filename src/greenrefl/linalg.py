@@ -175,8 +175,9 @@ class PackedProduct:
     ``exact_arith``); ``entry`` reads one entry back (the d of
     ``gepn.CosetAlgebra.assembly_ldu``), and with a target given,
     ``matches`` says whether the product equals it (the one certificate,
-    ``wreath.ldu_certified``).  A coefficient that is not integral raises
-    ValueError, which names it.
+    ``wreath.ldu_certified``).  A coefficient that is not integral, or
+    not in the field of left[0][0] (whose other coordinates the packing
+    would drop), raises ValueError, which names it.
 
     Coordinate m of zeta^m of an entry is one int at t = 2^B, and a row of
     right one int with a run of T slots of B bits per column, T above every
@@ -194,9 +195,9 @@ class PackedProduct:
         self.field = field = left[0][0].field
         mats = [left, mid, right] + ([] if target is None else [target])
         for x in (x for mat in mats for row in mat for x in row):
-            bad = next((c for c in x.coeffs if c.den != 1), None)
+            bad = next((c for c in x.coeffs if c.den != 1 or c.field is not field), None)
             if bad is not None:
-                raise ValueError(f"coefficient {bad} of {x} is not integral")
+                raise ValueError(f"coefficient {bad} of {x} is not integral in Q(zeta_{field.e})")
         phi = field.degree
 
         def l1_norms(mat):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -222,9 +223,12 @@ class HLData:
 
     def certified(self):
         """Whether the factors held pass ``ldu_certified`` against freshly
-        built Gram numerators N: K+ diag(gram_nums) conj(K-)^T = N,
-        multiplied out exactly.  The computation ran the same check; this
-        repeats it on the data held, which may come from the disk cache."""
+        built Gram numerators N in ``order``: gram_den is their common
+        denominator, K+/K- are polynomial and block lower unitriangular
+        along ``classes``, and K+ diag(gram_nums) conj(K-)^T = N, multiplied
+        out exactly.  The computation ran the same check; this repeats it
+        on the data held.  It is the gate of a file read from the disk
+        cache (``_load_cached_hl``) and a check of ``verify``."""
         nums, common = self.level.schur_gram(self.order)
         km_t = [[x.conjugate() for x in col] for col in zip(*self.km)]
         if common != self.gram_den or not all(
@@ -243,6 +247,10 @@ CACHE_FORMAT = 3          # part of the cache file name; bump when the layout ch
 
 
 def hl_data(level, r):
+    """The HLData of (level, r), held for the process.  With GREENREFL_CACHE
+    set, a file of the disk cache is handed out only if ``_load_cached_hl``
+    accepts it, that is after the exact certificate; otherwise the data
+    are computed (``_compute_hl``, certified as well) and the file written."""
     key = (level, r)
     if key not in _HL_CACHE:
         data = _load_cached_hl(level, r)
@@ -264,8 +272,11 @@ def _cache_path(level, r):
 
 
 def _load_cached_hl(level, r):
-    """The cached data of (level, r); None when the file is missing, cannot
-    be parsed, or fails ``_is_valid_hl``."""
+    """The cached data of (level, r), or None: when the file is missing,
+    cannot be parsed, is not in the symbol order of a fresh computation, or
+    fails ``HLData.certified``, the exact certificate that computed data
+    passes.  The order is compared apart: a file consistent with itself in
+    another order factors along other blocks and would pass the certificate."""
     path = _cache_path(level, r)
     if path is None or not os.path.exists(path):
         return None
@@ -293,43 +304,18 @@ def _load_cached_hl(level, r):
             gram_nums=[[[poly(v) for v in row] for row in g] for g in raw["gram_nums"]],
             gram_den=poly(raw["gram_den"]),
         )
+        ordered = (data.order, data.classes, data.a_values) == _symbol_order(level, r)
+        return data if ordered and data.certified() else None
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
         return None
-    return data if _is_valid_hl(data) else None
-
-
-def _is_valid_hl(data):
-    """Same symbol order as a fresh computation, K+/K- square of the right
-    size and block lower unitriangular in that order, and one square Gram
-    numerator matrix per class."""
-    level = data.level
-    order, classes, a_values = _symbol_order(level, data.r)
-    if (data.order, data.classes, data.a_values) != (order, classes, a_values):
-        return False
-    size = len(order)
-    if [len(g) for g in data.gram_nums] != [len(c) for c in classes]:
-        return False
-    if any(len(row) != len(g) for g in data.gram_nums for row in g):
-        return False
-    class_of = [ci for ci, cls in enumerate(classes) for _ in cls]
-    for rows in (data.kp, data.km):
-        if len(rows) != size or any(len(row) != size for row in rows):
-            return False
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if j == i:
-                    if v != level.one:
-                        return False
-                elif class_of[j] >= class_of[i] and not v.is_zero():
-                    return False
-    return True
 
 
 def _store_cached_hl(data):
     path = _cache_path(data.level, data.r)
     if path is None:
         return
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    root = os.path.dirname(path)
+    os.makedirs(root, exist_ok=True)
 
     def rows(values):
         return [[v.to_json() for v in row] for row in values]
@@ -346,10 +332,15 @@ def _store_cached_hl(data):
         "gram_nums": [[[poly(x) for x in row] for row in g] for g in data.gram_nums],
         "gram_den": poly(data.gram_den),
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(raw, handle)
-    os.replace(tmp, path)
+    # a temporary file of its own, so that no other writer can replace it
+    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(raw, handle)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _symbol_order(level, r):

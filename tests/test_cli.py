@@ -6,7 +6,7 @@ from greenrefl import cli, gepn, wreath
 from greenrefl.cli import main
 from greenrefl.combinatorics import GroupParams, ep_str
 from greenrefl.exact_arith import CycField, TPoly, TRat
-from greenrefl.symfunc import level_for
+from greenrefl.symfunc import Level, level_for
 from greenrefl.wreath import LabeledMatrix, hl_data, level_char_table
 
 from test_oracle import conjugated, phi_swapped
@@ -98,6 +98,35 @@ def test_kostka_base_and_coset(capsys):
     )
     assert code == 0
     assert "(1;1)'" in out
+
+
+def test_kostka_recomputes_a_cache_file_with_a_wrong_value(capsys, monkeypatch, tmp_path):
+    # the file of the top sub-level, with one K- value below the diagonal
+    # blocks set to 7t, is refused and recomputed: the output is that of a
+    # run with no cache
+    from test_wreath import below_the_blocks, seven_t_entry
+
+    argv = ("kostka", "--e", "2", "--p", "2", "--n", "3")
+
+    def fresh_run():
+        monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+        monkeypatch.setattr(wreath, "_HL_CACHE", {})
+        return run(capsys, *argv)
+
+    monkeypatch.delenv(wreath.CACHE_ENV, raising=False)
+    cacheless = fresh_run()
+    assert cacheless[0] == 0
+    monkeypatch.setenv(wreath.CACHE_ENV, str(tmp_path))
+    assert fresh_run() == cacheless
+    lv = Level(2, 1, 2, 3)
+    path = wreath._cache_path(lv, 2)
+    with open(path) as handle:
+        raw = json.load(handle)
+    i, j = below_the_blocks(hl_data(lv, 2))
+    raw["km"][i][j] = seven_t_entry(raw["km"][i][j], lv.field)
+    with open(path, "w") as handle:
+        json.dump(raw, handle)
+    assert fresh_run() == cacheless
 
 
 def test_hall_littlewood_output(capsys):

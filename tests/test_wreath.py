@@ -6,7 +6,7 @@ import pytest
 
 from greenrefl import linalg
 from greenrefl.combinatorics import CharParam, ClassParam, GroupParams, ep_str, partitions
-from greenrefl.exact_arith import TRat
+from greenrefl.exact_arith import TPoly, TRat
 from greenrefl.oracle import BruteForceGroup
 from greenrefl.symfunc import Level, level_for
 from greenrefl.wreath import (
@@ -445,6 +445,110 @@ def test_hl_cache_recomputes_a_file_not_block_unitriangular(tmp_path, monkeypatc
     assert wreath_mod._load_cached_hl(lv, 2) is None
     assert _same_hl(hl_data(lv, 2), fresh)
     assert path.read_text() == text
+
+
+def below_the_blocks(data):
+    """(i, j) of the first nonzero K- entry below the diagonal blocks."""
+    class_of = [ci for ci, cls in enumerate(data.classes) for _ in cls]
+    return next((i, j) for i, row in enumerate(data.km) for j, v in enumerate(row)
+                if class_of[j] < class_of[i] and not v.is_zero())
+
+
+def _assert_recomputed(lv, r, fresh, path, text):
+    """The file is refused, hl_data recomputes the data and rewrites the
+    file with the fresh bytes."""
+    import greenrefl.wreath as wreath_mod
+
+    assert wreath_mod._load_cached_hl(lv, r) is None
+    assert _same_hl(hl_data(lv, r), fresh)
+    assert path.read_text() == text
+
+
+def seven_t_entry(entry, field):
+    # a wrong value with the structure intact: shape, blocks and unit
+    # diagonal are those of valid data
+    return TRat(TPoly.t_power(field, 1, field.from_rational(7))).to_json()
+
+
+def other_field_entry(entry, field):
+    # sum c_k t^k rewritten over Q(zeta_3) as sum (c_k + 5 + 5 zeta) t^k,
+    # whose conjugate has zeta-free coordinate c_k: packed in the one
+    # coordinate of Q(zeta_2), the product would match
+    return {
+        "num": [{"e": 3, "coeffs": [str(Fraction(c["coeffs"][0]) + 5), "5"]}
+                for c in entry["num"]],
+        "den": [{"e": 3, "coeffs": ["1", "0"]}],
+    }
+
+
+@pytest.mark.parametrize("alter", [seven_t_entry, other_field_entry])
+def test_hl_cache_recomputes_a_file_with_a_wrong_value(tmp_path, monkeypatch, alter):
+    # one K- entry below the diagonal blocks altered; only the exact
+    # certificate sees it
+    import json
+
+    lv = Level(2, 1, 2, 3)          # the top sub-level of G(2,2,3)
+    fresh, path = _cached_file(tmp_path, monkeypatch, lv, 2)
+    text = path.read_text()
+    raw = json.loads(text)
+    i, j = below_the_blocks(fresh)
+    raw["km"][i][j] = alter(raw["km"][i][j], lv.field)
+    path.write_text(json.dumps(raw))
+    _assert_recomputed(lv, 2, fresh, path, text)
+
+
+def test_hl_cache_recomputes_a_file_in_another_symbol_order(tmp_path, monkeypatch):
+    # the data of the classes in reverse order, consistent with itself: it
+    # passes the certificate, which cannot see the order, so the order is
+    # compared apart
+    import greenrefl.wreath as wreath_mod
+
+    lv = level_for(2, 2)
+    fresh, path = _cached_file(tmp_path, monkeypatch, lv, 2)
+    text = path.read_text()
+    symbol_order = wreath_mod._symbol_order
+
+    def reversed_order(level, r):
+        order, classes, a_values = symbol_order(level, r)
+        new_order = [order[i] for cls in classes[::-1] for i in cls]
+        new_classes, start = [], 0
+        for cls in classes[::-1]:
+            new_classes.append(list(range(start, start + len(cls))))
+            start += len(cls)
+        return new_order, new_classes, a_values[::-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(wreath_mod, "_symbol_order", reversed_order)
+        other = wreath_mod._compute_hl(lv, 2)
+    assert other.order != fresh.order and other.certified()
+    wreath_mod._store_cached_hl(other)
+    assert path.read_text() != text
+    _assert_recomputed(lv, 2, fresh, path, text)
+
+
+def test_hl_cache_store_survives_a_nested_store(tmp_path, monkeypatch):
+    # a second writer stores the same file while the first one writes it
+    import json
+
+    import greenrefl.wreath as wreath_mod
+
+    monkeypatch.setenv(wreath_mod.CACHE_ENV, str(tmp_path))
+    lv = level_for(2, 2)
+    fresh = wreath_mod._compute_hl(lv, 2)
+    dump, calls = json.dump, []
+
+    def nested(raw, handle):
+        calls.append(handle)
+        if len(calls) == 1:
+            wreath_mod._store_cached_hl(fresh)
+        dump(raw, handle)
+
+    with monkeypatch.context() as m:
+        m.setattr(json, "dump", nested)
+        wreath_mod._store_cached_hl(fresh)
+    assert len(calls) == 2
+    (path,) = tmp_path.iterdir()        # no temporary file is left
+    assert _same_hl(wreath_mod._load_cached_hl(lv, 2), fresh)
 
 
 def test_hl_data_matches_ldu_of_normalised_gram():
