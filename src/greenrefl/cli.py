@@ -351,8 +351,8 @@ def cmd_verify(args):
 
     check("Green factorization holds exactly", green_ok)
 
-    # the paper's assembly theorem, which green runs only as its fallback,
-    # checks the LDU route from outside it.  K+- = Ktilde+-(1/t) T and
+    # the paper's assembly theorem, which green and kostka run only as their
+    # fallback, checks the LDU route from outside it.  K+- = Ktilde+-(1/t) T and
     # D(t) = t^m T(1/t) LambdaTilde(1/t) T(1/t) (L = 1 on this route), the
     # factors that the assembly hands in, come back by TRat arithmetic, not
     # by the coefficient reversal that green reads all three with.

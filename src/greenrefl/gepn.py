@@ -31,18 +31,19 @@ suite packages
 
 the unique block LDU OmegaPrime = Ktilde- LambdaTilde tr(Ktilde+) along
 the similarity classes (Shoji, J. Algebra 245, 2001).  ``green`` reads
-all three off one block LDU (l, d, u) of the k x k OmegaPrime in u = 1/t,
-A(u) = u^m N(1/u) for OmegaPrime = N / L (``CosetAlgebra._ldu_factors``).
-Where OmegaPrime is over Z[t], the factors come from the elimination in
+all three off one block LDU (l, d, u) of OmegaPrime in u = 1/t, A(u) =
+u^m N(1/u) for OmegaPrime = N / L (``CosetAlgebra._ldu_factors``), and
+``kostka`` prints l = K-(u) and tr(u) = K+(u) with u renamed t.  Where
+OmegaPrime is over Z[t], the factors come from the elimination in
 truncated power series over Z that also gives the Hall-Littlewood data
 (``wreath.certified_ldu``, on ``exact_arith.SeriesRing``).
 
 The Kostka assembly is the paper's theorem: the Kostka matrices come from
 the block assembly out of sub-level Kostka matrices (``hl_data``).  It
-answers ``kostka``, checks the LDU route in ``verify``, and is the
-fallback of ``green`` where OmegaPrime carries zeta or the elimination
-fails its certificate.  It is then a second source of the same three
-factors (``CosetAlgebra.assembly_ldu``), with no gcd or linear solve: l
+checks the LDU route in ``verify``, and is the fallback of ``green`` and
+``kostka`` where OmegaPrime carries zeta or the elimination fails its
+certificate.  It is then a second source of the same three factors
+(``CosetAlgebra.assembly_ldu``), with no gcd or linear solve: l
 and u are K- and tr(K+) in u, and d is read off one packed integer
 product of the inverse Kostka matrices (unit lower-triangular, by forward
 substitution) with A.  Whichever route gives them, one certificate
@@ -78,7 +79,7 @@ from .combinatorics import (
 from .exact_arith import CycField, TPoly, TRat
 from . import wreath
 from .symfunc import Level, as_fractions, gram_numerators
-from .wreath import LabeledMatrix, hl_data, kostka_matrix
+from .wreath import LabeledMatrix
 
 _ALGEBRAS = {}
 
@@ -148,6 +149,7 @@ class CosetAlgebra:
         self._omega_nums = None
         self._green = None
         self._assembly = None
+        self._factors = None
 
     # -- roots of unity -------------------------------------------------------
 
@@ -300,13 +302,12 @@ class CosetAlgebra:
 
         with the sub-level matrix indexed by partition and taken at the
         parameter t^h."""
-        key = ("assembled", sign)
-        if key not in self._kostka:
+        if sign not in self._kostka:
             base = {}
             for j, level in self.levels.items():
-                kmat = kostka_matrix(level, self.r, sign).entries
-                order = hl_data(level, self.r).order
-                pos = [order.index(alpha) for alpha in level.partitions]
+                data = wreath.hl_data(level, self.r)
+                kmat = data.kp if sign > 0 else data.km
+                pos = [data.order.index(alpha) for alpha in level.partitions]
                 h = self.h_of[j]
                 base[j] = [
                     [kmat[x][y] if h == 1 or kmat[x][y].is_zero()
@@ -331,8 +332,8 @@ class CosetAlgebra:
                         if not entry.is_zero():
                             acc = acc + entry.scale_cyc(self.zeta_pow(k - kw))
                     out[zi][wi] = acc.scale_cyc(scale)
-            self._kostka[key] = out
-        return self._kostka[key]
+            self._kostka[sign] = out
+        return self._kostka[sign]
 
     # -- the Green suite ---------------------------------------------------------------
 
@@ -462,20 +463,21 @@ class CosetAlgebra:
         maps l, diag(d) and u one to one onto Ktilde- T^(-1),
         t^(-m) L T LambdaTilde T and T^(-1) tr(Ktilde+), whose product is
         t^(-m) N, so the certificate on A is that of the factorization of
-        OmegaPrime."""
-        a_u, m = self._omega_in_u()
-        common = self._omega_nums[1]
-        if not (common.is_constant() and common.coeffs[0].is_one()):
-            cause = "OmegaPrime is not over Z[t]"
-        else:
+        OmegaPrime.  Kept for ``green`` and ``kostka_gepn``."""
+        if self._factors is None:
+            a_u, m = self._omega_in_u()
+            common = self._omega_nums[1]
             try:
-                l, d, u = wreath.certified_ldu(self.field, a_u, self.blocks, m + 1)
-                return (l, d, u, m), True, "block LDU of u^m OmegaPrime(1/u) over Z[u], certified"
+                if not (common.is_constant() and common.coeffs[0].is_one()):
+                    raise ValueError("OmegaPrime is not over Z[t]")
+                factors = wreath.certified_ldu(self.field, a_u, self.blocks, m + 1)
+                certified, route = True, "block LDU of u^m OmegaPrime(1/u) over Z[u], certified"
             except (ValueError, ArithmeticError) as exc:
-                cause = str(exc)
-        l, d, u = self.assembly_ldu()
-        certified = wreath.ldu_certified(a_u, self.blocks, l, d, u)
-        return (l, d, u, m), certified, f"Kostka assembly ({cause})"
+                factors = self.assembly_ldu()
+                certified = wreath.ldu_certified(a_u, self.blocks, *factors)
+                route = f"Kostka assembly ({exc})"
+            self._factors = (*factors, m), certified, route
+        return self._factors
 
     def _read_back(self, l, d, u, m):
         """(Ktilde-, LambdaTilde, Ktilde+) off a block LDU (l, d, u) of
@@ -647,8 +649,9 @@ def z_coset(xi, params, r=2):
 
 def kostka_gepn(params, r=2, sign=-1):
     alg = coset_algebra(params, r)
-    mat = alg.kostka_assembled(sign)
-    return LabeledMatrix(alg.labels, alg.labels, mat, alg.blocks, alg.blocks)
+    (l, _, u, _), _, _ = alg._ldu_factors()
+    entries = [[TRat(x, reduce=False) for x in row] for row in (l if sign < 0 else zip(*u))]
+    return LabeledMatrix(alg.labels, alg.labels, entries, alg.blocks, alg.blocks)
 
 
 def green_suite(params, r=2):

@@ -48,9 +48,6 @@ class LabeledMatrix:
     row_blocks: list = None       # sizes of the similarity-class blocks
     col_blocks: list = None
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
     def to_json(self, entry=lambda x: x.to_json()):
         """The matrix as plain JSON data, each entry as entry(x); the CLI
         passes the entries through unchanged for ``cli.jdump`` to write."""

@@ -100,13 +100,13 @@ def test_kostka_base_and_coset(capsys):
     assert "(1;1)'" in out
 
 
-def test_kostka_recomputes_a_cache_file_with_a_wrong_value(capsys, monkeypatch, tmp_path):
-    # the file of the top sub-level, with one K- value below the diagonal
-    # blocks set to 7t, is refused and recomputed: the output is that of a
-    # run with no cache
+def test_hall_littlewood_recomputes_a_cache_file_with_a_wrong_value(capsys, monkeypatch, tmp_path):
+    # the file of the level, with one K- value below the diagonal blocks set
+    # to 7t, is refused and recomputed: the output is that of a run with no
+    # cache
     from test_wreath import below_the_blocks, seven_t_entry
 
-    argv = ("kostka", "--e", "2", "--p", "2", "--n", "3")
+    argv = ("hall-littlewood", "--e", "2", "--n", "3")
 
     def fresh_run():
         monkeypatch.setattr(gepn, "_ALGEBRAS", {})
@@ -127,6 +127,27 @@ def test_kostka_recomputes_a_cache_file_with_a_wrong_value(capsys, monkeypatch, 
     with open(path, "w") as handle:
         json.dump(raw, handle)
     assert fresh_run() == cacheless
+
+
+def test_kostka_reads_the_green_factors_and_no_hall_littlewood_data(capsys, monkeypatch):
+    # on the LDU route kostka prints two of green's factors and builds no
+    # sub-level Hall-Littlewood data; G(3,3,2) q=1 falls back to the assembly
+    calls = []
+    real = wreath.hl_data
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+    monkeypatch.setattr(wreath, "hl_data", spy)
+    for sign in "+-":
+        code, _ = run(capsys, "kostka", "--e", "3", "--p", "3", "--n", "4", "--sign", sign)
+        assert code == 0
+    assert calls == []
+    code, _ = run(capsys, "kostka", "--e", "3", "--p", "3", "--n", "2", "--q", "1")
+    assert code == 0
+    assert calls
 
 
 def test_hall_littlewood_output(capsys):

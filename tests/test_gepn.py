@@ -870,7 +870,7 @@ def test_ktilde_of_a_degree_above_the_a_value():
     a_first = alg.a_of[alg.chars[0]]
     kmat[k - 1][0] = t * t * (t + alg.one + alg.one) * TRat.t(field, a_first)
     kmat[k - 1][1] = t * t
-    alg._kostka[("assembled", -1)] = kmat
+    alg._kostka[-1] = kmat
     tilde = assembly_read_back(alg)[0][0]
     assert tilde == gcd_ktilde(alg, -1)
     assert not tilde[k - 1][0].is_polynomial()
@@ -893,7 +893,7 @@ def _projected_algebra(params):
     nums = [[x.num * common.divmod(x.den)[0] for x in row] for row in omega]
     fresh = CosetAlgebra(params)
     for sign in (+1, -1):
-        fresh._kostka[("assembled", sign)] = alg.kostka_assembled(sign)
+        fresh._kostka[sign] = alg.kostka_assembled(sign)
     fresh._omega, fresh._omega_nums = omega, (nums, common)
     return fresh
 
@@ -981,7 +981,7 @@ def test_lambda_rejects_a_kostka_matrix_not_unit_lower(monkeypatch):
 
     monkeypatch.setattr(linalg, "solve", no_solve)
     for row, kmat in [(2, two_on_diagonal), (3, above)]:
-        alg._kostka[("assembled", +1)] = kmat
+        alg._kostka[+1] = kmat
         with pytest.raises(ValueError, match=f"not unit lower-triangular at row {row}$"):
             alg.lambda_matrix()
 
@@ -1020,9 +1020,13 @@ def test_ldu_route_equals_the_assembly(monkeypatch):
         assert suite.ktilde_minus.entries == gcd_ktilde(alg, -1), key
         assert suite.ktilde_plus.entries == gcd_ktilde(alg, +1), key
         assert suite.lambda_tilde.entries == alg.lambda_matrix(), key
+        # kostka prints K+- off the same factors, kept on the algebra
+        monkeypatch.setitem(gepn._ALGEBRAS, (alg.params, r), alg)
+        assert [kostka_gepn(alg.params, r, s).entries for s in (-1, +1)] == [
+            alg.kostka_assembled(s) for s in (-1, +1)], key
 
 
-def test_zeta_carrying_omega_prime_takes_the_assembly_route():
+def test_zeta_carrying_omega_prime_takes_the_assembly_route(monkeypatch):
     for e, p, n, q in [(3, 3, 2, 1), (6, 6, 2, 2)]:
         alg = CosetAlgebra(GroupParams(e, p, n, q))
         suite = alg.green()
@@ -1030,6 +1034,10 @@ def test_zeta_carrying_omega_prime_takes_the_assembly_route():
         assert suite.ktilde_minus.entries == gcd_ktilde(alg, -1)
         assert suite.ktilde_plus.entries == gcd_ktilde(alg, +1)
         assert (suite.lambda_tilde.entries, suite.residual_zero) == (trat_route(alg)[0], False)
+        # kostka prints K+- off the factors that the assembly hands in
+        monkeypatch.setitem(gepn._ALGEBRAS, (alg.params, 2), alg)
+        assert [kostka_gepn(alg.params, 2, s).entries for s in (-1, +1)] == [
+            alg.kostka_assembled(s) for s in (-1, +1)], (e, p, n, q)
 
 
 def test_laurent_entries_round_trip_through_the_codec():
