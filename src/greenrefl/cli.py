@@ -29,48 +29,81 @@ from .wreath import LabeledMatrix, hl_data, level_char_table
 SYMBOLIC_CAP = 24
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="greenrefl",
-        description=(
-            "Exact character tables, Hall-Littlewood functions, Kostka "
-            "matrices and Green functions for the groups G(e,p,n) and "
-            "their twisted cosets"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+DESCRIPTION = (
+    "Exact character tables, Hall-Littlewood functions, Kostka "
+    "matrices and Green functions for the groups G(e,p,n) and "
+    "their twisted cosets"
+)
 
-    def common(p, with_p=True, with_q=True, with_r=True, with_sign=False,
+# command -> (help text, keyword arguments of add_common)
+SUBCOMMANDS = {
+    "symbols": ("symbols, a-values, similarity classes",
+                {"formats": ("pretty", "json")}),
+    "chartable": ("character table of G(e,1,n)",
+                  {"with_p": False, "with_q": False, "with_r": False}),
+    "coset-chartable": ("character table of the coset", {}),
+    "hall-littlewood": ("Hall-Littlewood functions of G(e,1,n) in Schur coordinates",
+                        {"with_p": False, "with_q": False, "with_sign": True}),
+    "kostka": ("Kostka matrix (base level when p=1)", {"with_sign": True}),
+    "green": ("Green-function suite with the exactness residual", {}),
+    "fake-degrees": ("graded multiplicities in the coinvariant algebra",
+                     {"formats": ("pretty", "json")}),
+    "verify": ("run the invariant suite; nonzero exit on failure",
+               {"formats": ("pretty",)}),
+}
+
+
+def add_common(p, with_p=True, with_q=True, with_r=True, with_sign=False,
                formats=("pretty", "csv", "json")):
-        p.add_argument("--e", type=int, required=True)
-        if with_p:
-            p.add_argument("--p", type=int, default=None)
-        p.add_argument("--n", type=int, required=True)
-        if with_q:
-            p.add_argument("--q", type=int, default=0)
-        if with_r:
-            p.add_argument("--r", type=int, default=2)
-        if with_sign:
-            p.add_argument("--sign", choices=["+", "-"], default="-")
-        # only the formats the command writes
-        p.add_argument("--format", choices=formats, default="pretty")
-        p.add_argument("--out", default=None)
+    p.add_argument("--e", type=int, required=True)
+    if with_p:
+        p.add_argument("--p", type=int, default=None)
+    p.add_argument("--n", type=int, required=True)
+    if with_q:
+        p.add_argument("--q", type=int, default=0)
+    if with_r:
+        p.add_argument("--r", type=int, default=2)
+    if with_sign:
+        p.add_argument("--sign", choices=["+", "-"], default="-")
+    # only the formats the command writes
+    p.add_argument("--format", choices=formats, default="pretty")
+    p.add_argument("--out", default=None)
 
-    common(sub.add_parser("symbols", help="symbols, a-values, similarity classes"),
-           formats=("pretty", "json"))
-    common(sub.add_parser("chartable", help="character table of G(e,1,n)"),
-           with_p=False, with_q=False, with_r=False)
-    common(sub.add_parser("coset-chartable", help="character table of the coset"))
-    common(sub.add_parser("hall-littlewood",
-                          help="Hall-Littlewood functions of G(e,1,n) in Schur coordinates"),
-           with_p=False, with_q=False, with_sign=True)
-    common(sub.add_parser("kostka", help="Kostka matrix (base level when p=1)"),
-           with_sign=True)
-    common(sub.add_parser("green", help="Green-function suite with the exactness residual"))
-    common(sub.add_parser("fake-degrees", help="graded multiplicities in the coinvariant algebra"),
-           formats=("pretty", "json"))
-    common(sub.add_parser("verify", help="run the invariant suite; nonzero exit on failure"),
-           formats=("pretty",))
+
+class _LazyParser(argparse.ArgumentParser):
+    """A sub-parser that adds its ``add_common`` arguments the first time
+    it parses or formats its usage or help.  The top-level parser names
+    every command and its help text without them, so a call adds the
+    arguments of the one command it runs, and prints what an eager parser
+    prints."""
+
+    def __init__(self, *args, common=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._common = common
+
+    def _fill(self):
+        if self._common is not None:
+            common, self._common = self._common, None
+            add_common(self, **common)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._fill()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self):
+        self._fill()
+        return super().format_usage()
+
+    def format_help(self):
+        self._fill()
+        return super().format_help()
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(prog="greenrefl", description=DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_LazyParser)
+    for name, (text, common) in SUBCOMMANDS.items():
+        sub.add_parser(name, help=text, common=common)
     return parser
 
 

@@ -18,7 +18,8 @@ The coset character table X(0), the transition matrix from tuple power
 sums to tuple Schur functions, is read off the sub-levels G(e',1,n'):
 X(0)[xi][z] = <p_xi, s_z> is a sum of sub-level character-table entries
 with roots of unity, summed in the group ring Z[C_e] of those tables (a
-root of unity is a rotation) and reduced into Q(zeta_e) once per entry.
+root of unity is a rotation) over only the table columns that are class
+parameters of the coset, and reduced into Q(zeta_e) once per distinct sum.
 OmegaPrime and the fake degrees are class sums over the columns of X(0),
 computed over one common denominator by ``symfunc.gram_numerators``, the
 kernel shared with the Schur Gram matrix of a level.  The Green-function
@@ -229,25 +230,37 @@ class CosetAlgebra:
           X(0)[xi][z] = (1/p) sum s zeta^(u-k) chi_j[a][g].
 
         Summed in the group ring Z[C_e] of ``Level.char_table``: a term
-        rotates chi_j[a][g] by u - k and scales it by s.  Rows are class
-        params, columns char params."""
+        rotates chi_j[a][g] by u - k and scales it by s.  Only the columns
+        g that the power terms name are asked of each level (on G(6,2,3),
+        49 of the 98 columns at j = 0), and each distinct group-ring sum is
+        reduced into Q(zeta_e) once, so equal entries share one CycNum.
+        Rows are class params, columns char params."""
         e, p = self.params.e, self.params.p
-        chi = {j: level.char_table() for j, level in self.levels.items()}
+        power_terms = [self._power_terms(xi) for xi in self.class_params]
+        chi = {}
+        for j, level in self.levels.items():
+            cols = sorted({g for terms in power_terms for jj, g, _, _ in terms if jj == j})
+            chi[j] = dict(zip(cols, level.char_table(cols)))
         schur_terms = [
             [(j, a, k) for j, _, a, k in self._orbit_terms(z)] for z in self.chars
         ]
+        reduced = {}
         table = []
-        for xi in self.class_params:
-            power = {j: (g, u, s) for j, g, u, s in self._power_terms(xi)}
+        for terms_xi in power_terms:
+            power = {j: (chi[j][g], u, s) for j, g, u, s in terms_xi}
             row = []
             for terms in schur_terms:
                 acc = [0] * e
                 for j, a, k in terms:
                     if j in power:
-                        g, u, s = power[j]
-                        for x, c in enumerate(chi[j][a][g]):
+                        col, u, s = power[j]
+                        for x, c in enumerate(col[a]):
                             acc[(x + u - k) % e] += s * c
-                row.append(self.field.from_ring(acc, p))
+                key = tuple(acc)
+                value = reduced.get(key)
+                if value is None:
+                    value = reduced[key] = self.field.from_ring(acc, p)
+                row.append(value)
             table.append(row)
         return table
 

@@ -15,10 +15,11 @@ the wreath-product character formula, the colour-wise
 Murnaghan-Nakayama rule.  That formula multiplies roots of unity by
 integers only, so the table lives in the group ring Z[C_E], an integer
 vector over the exponents of zeta_E per entry, reduced into the power
-basis of Q(zeta_E) once where it is read.  The tests hold these rows
-against explicit polynomials multiplied out in max(n, 1) variables per
-colour (``tests/polynomial_oracle.py``), which also supplies the
-monomial, power-sum and one-row q bases that the tests need.
+basis of Q(zeta_E) once where it is read; it is built one column at a
+time, on demand.  The tests hold these rows against explicit polynomials
+multiplied out in max(n, 1) variables per colour
+(``tests/polynomial_oracle.py``), which also supplies the monomial,
+power-sum and one-row q bases that the tests need.
 
 Every t-deformed scalar product of two families given by their values on
 the classes is one class sum, ``gram_numerators``: the Schur Gram matrix
@@ -73,6 +74,14 @@ class Level:
         self.pindex = {alpha: i for i, alpha in enumerate(self.partitions)}
         self.size = len(self.partitions)
         self._char = None
+        # the columns built so far, and what building them keeps: S_n
+        # characters, the nonzero products per rho, partitions by colour sizes
+        self._cols = {}
+        self._sn_memo = {}
+        self._young = {}
+        self._by_sizes = {}
+        for a, alpha in enumerate(self.partitions):
+            self._by_sizes.setdefault(tuple(map(sum, alpha)), []).append(a)
         self._s_in_p = None
         self._zser = {}
         self.one = TRat.from_cyc(field.one)
@@ -92,10 +101,13 @@ class Level:
 
     # -- character table and centralizers --------------------------------------
 
-    def char_table(self):
+    def char_table(self, columns=None):
         """Matrix chi[alpha][beta]: coefficient of s_alpha in p_beta, in the
         group ring Z[C_E]: a tuple of E integers, entry m the coefficient of
         zeta_E^m (``CycField.from_ring`` reduces it, once, where it is read).
+        With ``columns``, a sequence of indices b into ``partitions``, only
+        those columns, in that order: column b is the list of chi[alpha][b]
+        over alpha.
 
         Computed by the wreath-product character formula (Macdonald, ch. I,
         appendix B): expanding p_r^(i) = sum_j zeta^(i*j) p_r(x^(j)) sends
@@ -106,27 +118,37 @@ class Level:
             chi[alpha][beta] = sum_(rho,m) zeta_E^m prod_j chi^(alpha^(j))(rho^(j))
 
         with S_n characters from the Murnaghan-Nakayama rule, plain ints.
-        Only rho with |rho^(j)| = |alpha^(j)| for every j contribute."""
+        Only rho with |rho^(j)| = |alpha^(j)| for every j contribute.
+
+        The table is built one column at a time, on demand, and each column
+        is kept, as are the S_n characters and the products per rho that it
+        used; the whole table is assembled from the columns only when it is
+        asked for, so a caller that reads a few columns (the coset table
+        X(0)) never pays for the rest."""
+        if columns is not None:
+            return [self._column(b) for b in columns]
         if self._char is None:
-            memo, young = {}, {}
-            by_sizes = {}
-            for a, alpha in enumerate(self.partitions):
-                by_sizes.setdefault(tuple(map(sum, alpha)), []).append(a)
-            cols = []
-            for beta in self.partitions:
-                acc = [[0] * self.E for _ in range(self.size)]
-                for (rho, m), count in self._colour_distributions(beta).items():
-                    if rho not in young:      # the nonzero products, per rho
-                        young[rho] = [
-                            (a, v) for a in by_sizes.get(tuple(map(sum, rho)), ())
-                            if (v := prod(_sn_character(lam, mu, memo)
-                                          for lam, mu in zip(self.partitions[a], rho)))
-                        ]
-                    for a, v in young[rho]:
-                        acc[a][m] += v * count
-                cols.append(acc)
-            self._char = [[tuple(v) for v in row] for row in zip(*cols)]
+            cols = [self._column(b) for b in range(self.size)]
+            self._char = [list(row) for row in zip(*cols)]
         return self._char
+
+    def _column(self, b):
+        """Column b of ``char_table``, built once."""
+        col = self._cols.get(b)
+        if col is None:
+            young, memo = self._young, self._sn_memo
+            acc = [[0] * self.E for _ in range(self.size)]
+            for (rho, m), count in self._colour_distributions(self.partitions[b]).items():
+                if rho not in young:      # the nonzero products, per rho
+                    young[rho] = [
+                        (a, v) for a in self._by_sizes.get(tuple(map(sum, rho)), ())
+                        if (v := prod(_sn_character(lam, mu, memo)
+                                      for lam, mu in zip(self.partitions[a], rho)))
+                    ]
+                for a, v in young[rho]:
+                    acc[a][m] += v * count
+            col = self._cols[b] = [tuple(v) for v in acc]
+        return col
 
     def _colour_distributions(self, beta):
         """p_beta as {(rho, m): count}, rho = (rho^(0), ..., rho^(ecols-1)):
@@ -300,7 +322,7 @@ def _sn_character(lam, mu, memo):
     """chi^lam(mu) of S_n by the Murnaghan-Nakayama rule on beta-numbers:
     removing an r-border strip moves one bead r places down the abacus,
     with sign (-1)^(beads jumped over).  ``mu`` is weakly decreasing;
-    ``memo`` caches values for the duration of one table build."""
+    ``memo`` caches values; a level keeps one for all its columns."""
     if not mu:
         return 1
     key = (lam, mu)

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -379,6 +380,59 @@ def test_format_offers_only_what_the_command_writes(capsys, command, fmt):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert f"argument --format: invalid choice: '{fmt}'" in err
+
+
+def eager_parser():
+    """The command line of ``cli.build_parser`` with every sub-parser's
+    arguments added at once, from the same command spec."""
+    parser = argparse.ArgumentParser(prog="greenrefl", description=cli.DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, common) in cli.SUBCOMMANDS.items():
+        cli.add_common(sub.add_parser(name, help=text), **common)
+    return parser
+
+
+def parse_outcome(parser, argv, capsys):
+    """stdout, stderr, exit code and parsed arguments of one parse."""
+    try:
+        parsed, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        parsed, code = None, exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code, parsed
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["green", "--help"], ["verify", "-h"], ["--e", "3", "green"],
+    ["gren", "--e", "3"], ["-5", "green"], ["green", "--e", "3", "--n", "3", "--bogus"],
+    [], ["green"], ["kostka", "--sign", "x", "--e", "1", "--n", "1"],
+    ["verify", "--e", "2", "--n", "2", "--format", "json"],
+    ["green", "--e", "3", "--p", "3", "--n", "4", "--format", "json"],
+    *([name, "--help"] for name in cli.SUBCOMMANDS),
+], ids=repr)
+def test_lazy_parser_prints_what_an_eager_parser_prints(capsys, argv):
+    lazy = parse_outcome(cli.build_parser(), argv, capsys)
+    assert lazy == parse_outcome(eager_parser(), argv, capsys)
+    assert lazy[0] or lazy[1] or lazy[3]
+
+
+def sub_parsers(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices.values())
+
+
+def test_top_level_help_does_not_wait_for_the_sub_parsers():
+    parser, eager = cli.build_parser(), eager_parser()
+    # no sub-parser holds more than its -h before it is used
+    assert {len(sub._actions) for sub in sub_parsers(parser)} == {1}
+    before = parser.format_help(), parser.format_usage()
+    assert before == (eager.format_help(), eager.format_usage())
+    # a sub-parser's first usage or help is already the full one
+    assert [sub.format_usage() for sub in sub_parsers(parser)] == [
+        sub.format_usage() for sub in sub_parsers(eager)]
+    assert (parser.format_help(), parser.format_usage()) == before
+    assert [sub.format_help() for sub in sub_parsers(cli.build_parser())] == [
+        sub.format_help() for sub in sub_parsers(eager)]
 
 
 def test_size_guard(capsys):

@@ -11,7 +11,7 @@ from greenrefl.combinatorics import (
     theta,
 )
 from greenrefl.exact_arith import CycField, TPoly, TRat
-from greenrefl.gepn import coset_algebra
+from greenrefl.gepn import CosetAlgebra, clear_caches, coset_algebra, coset_char_table
 from greenrefl.symfunc import Level, as_fractions, gram_numerators, level_for
 from greenrefl.wreath import level_char_table
 
@@ -252,6 +252,49 @@ def test_char_table_matches_expansion():
         levels[key] = Level(*key)
     for key, lv in levels.items():
         assert level_char_table(lv).matrix.entries == expansion_char_table(lv), key
+
+
+def test_char_table_columns_equal_those_of_the_full_table():
+    # the full table built first, then, on a fresh level, columns asked
+    # before the full table exists, in a shuffled order, and again after
+    # it, in another order: the same lists every time.  The levels have
+    # h = 1 and h > 1 (G(4,2,2) at j = 1) and E != ecols
+    keys = [
+        (3, 1, 3, 3),
+        (2, 1, 2, 4),
+        (12, 4, 3, 2),
+        *(tuple(getattr(lv, x) for x in ("E", "h", "ecols", "n"))
+          for lv in (coset_algebra(GroupParams(6, 2, 3)).levels[0],
+                     CosetAlgebra(GroupParams(4, 2, 2)).levels[1])),
+    ]
+    assert any(h > 1 for _, h, _, _ in keys) and any(E != c for E, _, c, _ in keys)
+    full = {key: Level(*key).char_table() for key in keys}
+    clear_caches()
+    rng = random.Random(26)
+    for key in keys:
+        lv = Level(*key)
+        want = lambda bs: [[row[b] for row in full[key]] for b in bs]
+        cols = rng.sample(range(lv.size), max(1, lv.size // 2))
+        first = lv.char_table(cols)
+        assert lv._char is None, key
+        assert first == want(cols), key
+        assert lv.char_table() == full[key], key
+        again = rng.sample(range(lv.size), lv.size)
+        assert lv.char_table(again) == want(again), key
+        assert lv.char_table(cols) == first, key
+        assert lv.char_table([]) == []
+
+
+def test_coset_table_builds_only_the_class_columns():
+    # X(0) of G(6,2,3) reads 49 of the 98 columns of its one level, and
+    # never assembles the whole level table
+    clear_caches()
+    params = GroupParams(6, 2, 3)
+    coset_char_table(params)
+    level = coset_algebra(params).levels[0]
+    assert list(coset_algebra(params).levels) == [0]
+    assert (len(level._cols), level.size) == (49, 98)
+    assert level._char is None
 
 
 def test_char_table_of_symmetric_groups():
