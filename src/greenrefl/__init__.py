@@ -47,7 +47,6 @@ from .gepn import (
     kostka_gepn,
     z_coset,
 )
-from .oracle import BruteForceGroup, GroupReport, brute_force_oracle
 from .symfunc import Level, level_for
 from .wreath import (
     CharTable,
@@ -57,6 +56,19 @@ from .wreath import (
     kostka,
     z_series,
 )
+
+# the brute-force oracle (``oracle``) serves only ``verify`` and the tests,
+# so its names are imported on first use (PEP 562), not with the package
+_ORACLE_NAMES = ("BruteForceGroup", "GroupReport", "brute_force_oracle")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BruteForceGroup", "CharParam", "CharTable", "ClassParam", "CosetTable",

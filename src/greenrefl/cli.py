@@ -20,9 +20,8 @@ from .combinatorics import (
     make_symbol,
     similarity_order,
 )
-from .exact_arith import CycNum, TRat
+from .exact_arith import CycNum, TPoly, TRat
 from .gepn import coset_algebra, coset_char_table, fake_degrees, green_suite, kostka_gepn, z_coset
-from .oracle import SIZE_CAP, BruteForceGroup
 from .symfunc import level_for
 from .wreath import LabeledMatrix, hl_data, level_char_table
 
@@ -336,6 +335,9 @@ def cmd_fake_degrees(args):
 
 
 def cmd_verify(args):
+    # the brute-force oracle is loaded only here, the one command that uses it
+    from . import oracle
+
     params = resolve_params(args)
     checks = []
 
@@ -404,7 +406,8 @@ def cmd_verify(args):
         start = 0
         for dk in d:
             for i, row in enumerate(dk, start):
-                want[i][start : start + len(dk)] = [TRat(v, reduce=False) for v in row]
+                want[i][start : start + len(dk)] = [
+                    TRat(TPoly.from_coords(field, v), reduce=False) for v in row]
             start += len(dk)
         return (kostka(suite.ktilde_minus), diag, kostka(suite.ktilde_plus)) == (
             alg.kostka_assembled(-1), want, alg.kostka_assembled(+1))
@@ -430,8 +433,8 @@ def cmd_verify(args):
 
     # the brute-force group is built only up to SIZE_CAP elements, and it has
     # no character table of a coset yet
-    small = params.order <= SIZE_CAP
-    group = BruteForceGroup(params) if small else None
+    small = params.order <= oracle.SIZE_CAP
+    group = oracle.BruteForceGroup(params) if small else None
 
     def oracle_table_ok():
         table = coset_char_table(params, args.r)

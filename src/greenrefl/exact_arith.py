@@ -18,7 +18,8 @@ functions alike:
 
 * ``TSeries``  -- a truncated power series in Z[t]/(t^M), packed into one
                   integer by t -> 2^B (``SeriesRing``).  Its values are
-                  read back into TPoly and must be checked independently.
+                  read back into coordinate lists and must be checked
+                  independently.
 
 Every exact kernel that multiplies polynomials in t, the block LDU
 elimination (``SeriesRing``), the class sums (``symfunc.gram_numerators``)
@@ -34,6 +35,11 @@ packed at t = 2^B (Kronecker substitution; Harvey, J. Symb. Comp. 44,
 * ``CycField.fold`` -- such a vector reduced into the power basis by the
                        integer power table of the field.
 
+Between these kernels a value in Z[zeta][t] travels as its coordinate
+lists (``TPoly.coords``): phi(e) lists of ints, list m the coefficients of
+zeta^m t^0, zeta^m t^1, ..., so that the integer data of a class sum reach
+the elimination and the certificate with no CycNum built, and a TPoly is
+made (``TPoly.from_coords``, with no gcd) only where a matrix is printed.
 A value in Z[zeta][t] is packed as one int per coordinate of zeta^m, or
 with zeta^m as a slot of its own where zeta stays unreduced through a
 product; products run on the packed ints and are folded at the end.  The
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 
 
@@ -119,7 +126,8 @@ class CycField:
                 nxt = [a + lead * b for a, b in zip(nxt, top)]
             cur = nxt
         self._powers = powers
-        self.zero = CycNum(self, (0,) * d, 1)
+        self._ints = {}
+        self.zero = self.integer(0)
         self.one = CycNum(self, powers[0], 1)
 
     def __repr__(self):
@@ -132,6 +140,17 @@ class CycField:
             value = Fraction(value)
             num, den = value.numerator, value.denominator
         return CycNum(self, (num,) + (0,) * (self.degree - 1), den)
+
+    def integer(self, c):
+        """The rational integer c as a field element; one shared CycNum
+        per value below 2^12 in absolute value, so that the coefficients of
+        a matrix over Z[t] (``TPoly.from_coords``) need no ``make``."""
+        x = self._ints.get(c)
+        if x is None:
+            x = CycNum(self, (c,) + (0,) * (self.degree - 1), 1)
+            if -4096 < c < 4096:
+                self._ints[c] = x
+        return x
 
     def zeta(self, k=1):
         """zeta_e^k as a field element."""
@@ -478,6 +497,30 @@ class TPoly:
         if coeff.is_zero():
             return TPoly(field, (), trusted=True)
         return TPoly(field, tuple([field.zero] * k + [coeff]), trusted=True)
+
+    @staticmethod
+    def from_coords(field, coords):
+        """The polynomial of coordinate lists (``coords``), with no gcd:
+        every coefficient is integral, a rational one the field's shared
+        CycNum (``CycField.integer``)."""
+        if not any(coords[1:]):
+            return TPoly(field, tuple(map(field.integer, coords[0])), trusted=True)
+        return TPoly(field, tuple(
+            CycNum(field, ds, 1) for ds in zip_longest(*coords, fillvalue=0)), trusted=True)
+
+    def coords(self, field=None):
+        """The coordinate lists of this polynomial over Z[zeta], the form
+        in which the exact kernels exchange matrices: phi(e) lists of ints,
+        list m the coefficients of zeta^m t^0, zeta^m t^1, ... with no
+        trailing zeros.  ValueError names a coefficient that is not
+        integral in ``field`` (by default its own), or lies in another field."""
+        field = self.field if field is None else field
+        for c in self.coeffs:
+            if c.den != 1 or c.field is not field:
+                raise ValueError(f"coefficient {c} of {self} is not integral in Q(zeta_{field.e})")
+        if not self.coeffs:
+            return [[] for _ in range(field.degree)]
+        return [trim(list(col)) for col in zip(*(c.num for c in self.coeffs))]
 
     # -- basics --------------------------------------------------------------
 
@@ -892,6 +935,13 @@ def kron_digits(v, bits):
     return out
 
 
+def trim(coeffs):
+    """coeffs, a list of ints, with its trailing zeros dropped in place."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
 def convolve_into(acc, a, b):
     """acc += a * b for coordinate vectors over the powers of zeta,
     unreduced: acc[m + n] += a[m] b[n]."""
@@ -908,14 +958,15 @@ class SeriesRing:
     and * are integer operations and a mask, and the units are the odd
     ints.  The Hall-Littlewood numerators lie in Z[t] (the Molien argument
     of ``wreath._compute_hl``), and so does the OmegaPrime that the Green
-    functions factor where they take this route; ``encode`` refuses any
-    other coefficient.
+    functions factor where they take this route.  Both come in coordinate
+    lists (``TPoly.coords``) and go back out in them; ``encode`` refuses a
+    coefficient that carries zeta.
 
     The map is a ring homomorphism, so an elimination whose pivots are units
     runs in the image, and a polynomial of degree below M whose coefficients
     lie below 2^(B-1) in absolute value is read back exactly by ``decode``,
-    in balanced base-2^B digits, as a TPoly over ``field``.  Nothing here
-    can tell whether a result meets that bound: a result must be checked."""
+    in balanced base-2^B digits.  Nothing here can tell whether a result
+    meets that bound: a result must be checked."""
 
     def __init__(self, field, prec, bits):
         self.field = field
@@ -923,24 +974,23 @@ class SeriesRing:
         self.modulus = 1 << (bits * prec)
         self.mask = self.modulus - 1
 
-    def encode(self, poly):
-        """The image of a TPoly with rational integer coefficients.  Raises
-        ValueError naming the first coefficient that is not one."""
-        for c in poly.coeffs:
-            if c.den != 1 or any(c.num[1:]):
-                raise ValueError(f"coefficient {c} of {poly} is not integral or not rational")
-        return TSeries(self, kron_pack([c.num[0] for c in poly.coeffs], self.bits) & self.mask)
+    def encode(self, x):
+        """The image of the coordinate lists x of a polynomial over Z[t].
+        Raises ValueError naming the first coefficient that is not a
+        rational integer."""
+        if any(x[1:]):
+            poly = TPoly.from_coords(self.field, x)
+            c = next(c for c in poly.coeffs if any(c.num[1:]))
+            raise ValueError(f"coefficient {c} of {poly} is not a rational integer")
+        return TSeries(self, kron_pack(x[0], self.bits) & self.mask)
 
     def decode(self, x):
-        """The TPoly of degree < M with integer coefficients below 2^(B-1)
-        in absolute value whose image is x."""
+        """The coordinate lists of the polynomial of degree < M with integer
+        coefficients below 2^(B-1) in absolute value whose image is x."""
         v = x.c
         if v >= self.modulus >> 1:
             v -= self.modulus
-        field = self.field
-        pad = (0,) * (field.degree - 1)
-        coeffs = tuple(CycNum(field, (c,) + pad, 1) for c in kron_digits(v, self.bits))
-        return TPoly(field, coeffs, trusted=True)
+        return [kron_digits(v, self.bits)] + [[] for _ in range(self.field.degree - 1)]
 
 
 class TSeries:

@@ -22,8 +22,15 @@ root of unity is a rotation) over only the table columns that are class
 parameters of the coset, and reduced into Q(zeta_e) once per distinct sum.
 OmegaPrime and the fake degrees are class sums over the columns of X(0),
 computed over one common denominator by ``symfunc.gram_numerators``, the
-kernel shared with the Schur Gram matrix of a level.  The Green-function
-suite packages
+kernel shared with the Schur Gram matrix of a level.  Their class weights
+G(t) / (z_xi det(t id - w_xi)) are divided out in the group ring
+Z[C_e][t], one binomial t^part - zeta^k at a time, with no gcd
+(``CosetAlgebra._class_weights``); for q = 0 the class sum takes one entry
+of each pair that complex conjugation of the characters mirrors.  The
+numerators stay integers, in coordinate lists (``TPoly.coords``), from the
+class sum through the elimination and its certificate; TPoly and TRat are
+built only for the matrices a command prints.  The Green-function suite
+packages
 
     Ktilde(+/-) = K(+/-)(t^(-1)) T,      T = diag(t^(a(z))),
     OmegaPrime  = G(t) sum_xi X(0)-row outer products / (z_xi det(t id - w_xi)),
@@ -47,7 +54,8 @@ certificate.  It is then a second source of the same three factors
 (``CosetAlgebra.assembly_ldu``), with no gcd or linear solve: l
 and u are K- and tr(K+) in u, and d is read off one packed integer
 product of the inverse Kostka matrices (unit lower-triangular, by forward
-substitution) with A.  Whichever route gives them, one certificate
+substitution) with A; its factors, which may carry zeta, are converted to
+coordinate lists there.  Whichever route gives them, one certificate
 l diag(d) u = A, multiplied out on packed integers
 (``wreath.ldu_certified`` on ``linalg.PackedProduct``), gives the residual,
 and one coefficient reversal per entry (``CosetAlgebra._read_back``)
@@ -77,7 +85,7 @@ from .combinatorics import (
     orbit_data,
     similarity_order,
 )
-from .exact_arith import CycField, TPoly, TRat
+from .exact_arith import CycField, TPoly, TRat, trim
 from . import wreath
 from .symfunc import Level, as_fractions, gram_numerators
 from .wreath import LabeledMatrix
@@ -148,6 +156,7 @@ class CosetAlgebra:
         self._kostka = {}
         self._omega = None
         self._omega_nums = None
+        self._sigma = None
         self._green = None
         self._assembly = None
         self._factors = None
@@ -168,21 +177,25 @@ class CosetAlgebra:
         is a column of the sigma^(-q) W table, whose extensions carry other
         phases even where that coset is sigma^q W again, and there is no
         permutation: None.  For q = 0 every column has its conjugate in the
-        table; ArithmeticError if one does not."""
-        k = len(self.chars)
+        table; ArithmeticError if one does not.  Matched once: OmegaPrime
+        (``omega_prime``) and the symmetric presentation of LambdaTilde
+        read the same permutation."""
         if self.params.q:
             return None
-        cols = [tuple(row[z] for row in self.coset_table()) for z in range(k)]
-        index = {col: z for z, col in enumerate(cols)}
-        perm = []
-        for z, col in enumerate(cols):
-            w = index.get(tuple(v.conjugate() for v in col))
-            if w is None:
-                raise ArithmeticError(
-                    f"the conjugate of column {self.chars[z].label()} is not in the table"
-                )
-            perm.append(w)
-        return perm
+        if self._sigma is None:
+            k = len(self.chars)
+            cols = [tuple(row[z] for row in self.coset_table()) for z in range(k)]
+            index = {col: z for z, col in enumerate(cols)}
+            perm = []
+            for z, col in enumerate(cols):
+                w = index.get(tuple(v.conjugate() for v in col))
+                if w is None:
+                    raise ArithmeticError(
+                        f"the conjugate of column {self.chars[z].label()} is not in the table"
+                    )
+                perm.append(w)
+            self._sigma = perm
+        return self._sigma
 
     # -- orbit and power terms -----------------------------------------------
 
@@ -378,25 +391,80 @@ class CosetAlgebra:
         return self.field.zeta(delta(beta) % self.params.e) * sign
 
     def _class_weights(self, numerator):
-        """numerator / (z_xi det(t id - w_xi)) for every class xi."""
-        det_poly = self.levels[0].det_poly
-        return [
-            numerator * TRat(
-                TPoly.constant(self.field.from_rational(Fraction(1, self.z_integer(xi)))),
-                det_poly(xi.beta),
-            )
-            for xi in self.class_params
-        ]
+        """numerator / (z_xi det(t id - w_xi)) for every class xi, for a
+        numerator polynomial over Z[zeta]; the weight depends on beta only,
+        so it is computed once per distinct beta.
+
+        det(t id - w_beta) is the product of t^part - zeta^(k h) over the
+        parts of colour k (``Level.det_poly``).  ``_ring_weight`` divides it
+        out one binomial at a time in Z[C_e][t], where multiplying by
+        zeta^k is a rotation, with no gcd.  For G(t) and the degree product
+        the quotient is a polynomial wherever the weight is a graded trace
+        on the coinvariant algebra (Springer, Regular elements of finite
+        reflection groups, 1974), which is every class of every untwisted
+        coset tried.  A class whose remainder is not zero in Z[zeta] keeps
+        the TRat quotient: only on the twisted sets whose OmegaPrime is not
+        over Z[t] (2 classes of G(3,3,2) q=1 and of G(6,6,2) q=2, 3 of
+        G(6,3,2) q=2, 1 of G(4,4,2) q=1 and of G(3,3,3) q=1)."""
+        level0 = self.levels[0]
+        # numerator = t^v ring, and det(0) != 0, so only ring is divided
+        coeffs = numerator.num.coeffs
+        v = _valuation(numerator.num)
+        ring = [[0] * self.params.e for _ in coeffs[v:]]
+        for m, coord in enumerate(numerator.num.coords(self.field)):
+            for j, c in enumerate(coord[v:]):
+                ring[j][m] = c
+        by_beta = {}
+        out = []
+        for xi in self.class_params:
+            weight = by_beta.get(xi.beta)
+            if weight is None:
+                z = self.z_integer(xi)
+                weight = self._ring_weight(ring, v, xi.beta, z)
+                if weight is None:
+                    weight = numerator * TRat(
+                        TPoly.constant(self.field.from_rational(Fraction(1, z))),
+                        level0.det_poly(xi.beta),
+                    )
+                by_beta[xi.beta] = weight
+            out.append(weight)
+        return out
+
+    def _ring_weight(self, ring, v, beta, z):
+        """t^v ring / (z det(t id - w_beta)) as a polynomial TRat, ring a
+        polynomial over the group ring Z[C_e] (a list of coefficients, each
+        a list of e ints, ascending in t): long division by each binomial
+        t^part - zeta^k in turn, each coefficient of the quotient reduced
+        into Q(zeta_e) once, over z (``CycField.from_ring``).  None where a
+        remainder is not zero in Z[zeta]; the divisor is monic, so the
+        quotient in Z[zeta][t] is then not a polynomial."""
+        field, e, h = self.field, self.params.e, self.levels[0].h
+        rem = ring
+        for colour, comp in enumerate(beta):
+            k = colour * h % e
+            for part in comp:
+                rem = rem[:]
+                for j in range(len(rem) - 1, part - 1, -1):
+                    rem[j - part] = [a + b for a, b in zip(rem[j - part], _rotate(rem[j], k))]
+                if any(any(field.fold(c)) for c in rem[:part]):
+                    return None
+                rem = rem[part:]
+        quot = [field.zero] * v + [field.from_ring(c, z) for c in rem]
+        return TRat(TPoly(field, quot), reduce=False)
 
     def omega_prime(self):
         """O'[z,z'] = G(t) sum_xi X[xi,z] conj(X[xi,z']) / (z_xi det_xi).
 
-        The numerators N and their common denominator L of the class sum
-        (``gram_numerators``) are kept for the block LDU and its
-        certificate; the canonical fractions are built only here."""
+        The numerators N, in coordinate lists, and their common denominator
+        L of the class sum (``gram_numerators``) are kept for the block LDU
+        and its certificate; the canonical fractions are built only here,
+        for printing.  For q = 0, O'[z,z'] = O'[s z', s z] with s the
+        conjugation permutation, so the class sum takes one entry of each
+        such pair."""
         if self._omega is None:
             cols = list(zip(*self.coset_table()))
-            self._omega_nums = gram_numerators(cols, cols, self._class_weights(self.g_poly()))
+            self._omega_nums = gram_numerators(
+                cols, cols, self._class_weights(self.g_poly()), self.conjugation_permutation())
             self._omega = as_fractions(*self._omega_nums)
         return self._omega
 
@@ -420,13 +488,13 @@ class CosetAlgebra:
 
     def _omega_in_u(self):
         """(A, m): A(u) = u^m N(1/u) for OmegaPrime = N / L, with m the
-        largest degree in N, built by ``TPoly.reversed_coeffs``, apart from
-        the read-back ``_reversal``."""
+        largest degree in N, in coordinate lists: each list of N reversed
+        into the slots up to u^m, apart from the read-back ``_reversal``."""
         self.omega_prime()
         nums, _ = self._omega_nums
-        m = max(x.degree() for row in nums for x in row)
-        return [[_times_t_power(x.reversed_coeffs(), m - x.degree()) for x in row]
-                for row in nums], m
+        m = max(len(c) for row in nums for x in row for c in x) - 1
+        return [[[[0] * (m + 1 - len(c)) + trim(c[::-1]) if any(c) else [] for c in x]
+                 for x in row] for row in nums], m
 
     def assembly_ldu(self):
         """The block LDU (l, d, u) of A(u) = u^m N(1/u) (``_omega_in_u``)
@@ -440,20 +508,22 @@ class CosetAlgebra:
         lower-triangular and polynomial like K (``linalg.invert_unit_lower``):
         one ``linalg.PackedProduct``, read back on the diagonal blocks only.
         That the other blocks vanish is for ``wreath.ldu_certified`` to
-        check."""
+        check.  The factors, which may carry zeta, are handed in coordinate
+        lists (``TPoly.coords``), as the elimination hands in its own."""
         if self._assembly is None:
             a_u, _ = self._omega_in_u()
+            field = self.field
             km, kp = (self.kostka_assembled(s) for s in (-1, +1))
-            pm, pp = ([[x.num for x in row] for row in linalg.invert_unit_lower(k)]
+            pm, pp = ([[x.num.coords(field) for x in row] for row in linalg.invert_unit_lower(k)]
                       for k in (km, kp))
-            product = linalg.PackedProduct(pm, a_u, [list(col) for col in zip(*pp)])
+            product = linalg.PackedProduct(field, pm, a_u, [list(col) for col in zip(*pp)])
             d, start = [], 0
             for size in self.blocks:
                 block = range(start, start + size)
                 start += size
                 d.append([[product.entry(i, j) for j in block] for i in block])
-            self._assembly = ([[x.num for x in row] for row in km], d,
-                              [[x.num for x in col] for col in zip(*kp)])
+            self._assembly = ([[x.num.coords(field) for x in row] for row in km], d,
+                              [[x.num.coords(field) for x in col] for col in zip(*kp)])
         return self._assembly
 
     def lambda_matrix(self):
@@ -487,35 +557,42 @@ class CosetAlgebra:
                 certified, route = True, "block LDU of u^m OmegaPrime(1/u) over Z[u], certified"
             except (ValueError, ArithmeticError) as exc:
                 factors = self.assembly_ldu()
-                certified = wreath.ldu_certified(a_u, self.blocks, *factors)
+                certified = wreath.ldu_certified(self.field, a_u, self.blocks, *factors)
                 route = f"Kostka assembly ({exc})"
             self._factors = (*factors, m), certified, route
         return self._factors
 
     def _read_back(self, l, d, u, m):
         """(Ktilde-, LambdaTilde, Ktilde+) off a block LDU (l, d, u) of
-        A(u) = u^m N(1/u), OmegaPrime = N / L, whichever route gave it.
+        A(u) = u^m N(1/u), OmegaPrime = N / L, in coordinate lists,
+        whichever route gave it.
 
         By the substitution of ``_ldu_factors``, ``_reversal`` reads
         Ktilde-[i][j] off l[i][j] with top power t^(a_j), Ktilde+[j][i] off
         u[i][j] with top power t^(a_i), and L LambdaTilde[i][j] off d with
-        top power t^(m - a_i - a_j); the last are cleared of powers of t by
-        t^s (s = 0 on every set tried) and put over t^s L in canonical form.
-        A is built apart from the read-back, so a fault of it reaches the
-        printed matrices, where ``verify`` compares them with the assembly."""
-        a_diag = self.a_diag
-        km = [[_reversal(v, a) for v, a in zip(row, a_diag)] for row in l]
-        kp = [[_reversal(v, a) for v, a in zip(col, a_diag)] for col in zip(*u)]
+        top power t^(m - a_i - a_j), each from the TPoly of the coordinate
+        lists (``TPoly.from_coords``); where L is not 1, the last are put
+        over L in canonical form.  A is built apart from the read-back, so a
+        fault of it reaches the printed matrices, where ``verify`` compares
+        them with the assembly."""
+        field, a_diag = self.field, self.a_diag
+        common = self._omega_nums[1]
+        over_one = common.is_constant() and common.eval_zero().is_one()
+
+        def reversal(x, top):
+            return _reversal(TPoly.from_coords(field, x), top)
+
+        km = [[reversal(v, a) for v, a in zip(row, a_diag)] for row in l]
+        kp = [[reversal(v, a) for v, a in zip(col, a_diag)] for col in zip(*u)]
         lam = [[self.zero] * len(l) for _ in l]
         start = 0
         for dk in d:
             for i, row in enumerate(dk, start):
                 for j, v in enumerate(row, start):
-                    lam[i][j] = _reversal(v, m - a_diag[i] - a_diag[j])
+                    x = reversal(v, m - a_diag[i] - a_diag[j])
+                    lam[i][j] = x if over_one else TRat(x.num, x.den * common)
             start += len(dk)
-        s = max(x.den.degree() for row in lam for x in row)
-        nums = [[_times_t_power(x.num, s - x.den.degree()) for x in row] for row in lam]
-        return km, as_fractions(nums, _times_t_power(self._omega_nums[1], s)), kp
+        return km, lam, kp
 
     def _compute_green(self):
         k = len(self.chars)
@@ -544,6 +621,12 @@ class CosetAlgebra:
             residual_zero=residual_zero,
             route=route,
         )
+
+
+def _rotate(vec, k):
+    """zeta^k times the group-ring element vec of Z[C_e] (e = len(vec)):
+    entry x moves to x + k mod e."""
+    return vec[-k:] + vec[:-k] if k else vec
 
 
 def _valuation(poly):
@@ -663,7 +746,8 @@ def z_coset(xi, params, r=2):
 def kostka_gepn(params, r=2, sign=-1):
     alg = coset_algebra(params, r)
     (l, _, u, _), _, _ = alg._ldu_factors()
-    entries = [[TRat(x, reduce=False) for x in row] for row in (l if sign < 0 else zip(*u))]
+    entries = [[TRat(TPoly.from_coords(alg.field, x), reduce=False) for x in row]
+               for row in (l if sign < 0 else zip(*u))]
     return LabeledMatrix(alg.labels, alg.labels, entries, alg.blocks, alg.blocks)
 
 

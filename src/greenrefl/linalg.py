@@ -7,9 +7,9 @@ Scalars must support +, -, *, /, ``inverse()``, ``is_zero()`` and
 equality.  Matrices are plain lists of lists; everything is deterministic
 (first nonzero pivot).
 
-``PackedProduct`` is a triple product of TPoly matrices over Z[zeta],
-multiplied out on integers packed by the codec described in
-``exact_arith``, with no gcd and no truncation.  It gives the diagonal
+``PackedProduct`` is a triple product of matrices over Z[zeta][t] in
+coordinate lists (``TPoly.coords``), multiplied out on integers packed by
+the codec described in ``exact_arith``, with no gcd and no truncation.  It gives the diagonal
 blocks d that the Kostka assembly hands in for the Green functions of a
 coset, and the one exact certificate L D U = N of every block LDU
 (``wreath.ldu_certified``).
@@ -17,9 +17,7 @@ coset, and the one exact certificate L D U = N of every block LDU
 
 from __future__ import annotations
 
-from itertools import zip_longest
-
-from .exact_arith import TPoly, convolve_into, kron_digits, kron_pack
+from .exact_arith import convolve_into, kron_digits, kron_pack
 
 
 def mat_mul(a, b):
@@ -170,14 +168,14 @@ def _transpose(a):
 
 
 class PackedProduct:
-    """The product left mid right of matrices of TPoly over Z[zeta],
-    multiplied out exactly on packed integers (the codec of
-    ``exact_arith``); ``entry`` reads one entry back (the d of
+    """The product left mid right of matrices over Z[zeta][t] in coordinate
+    lists (``TPoly.coords``), multiplied out exactly on packed integers
+    (the codec of ``exact_arith``), with no gcd and no truncation;
+    ``entry`` reads one entry back in coordinate lists (the d of
     ``gepn.CosetAlgebra.assembly_ldu``), and with a target given,
     ``matches`` says whether the product equals it (the one certificate,
-    ``wreath.ldu_certified``).  A coefficient that is not integral, or
-    not in the field of left[0][0] (whose other coordinates the packing
-    would drop), raises ValueError, which names it.
+    ``wreath.ldu_certified``).  An entry with other than the phi(e)
+    coordinate lists of ``field`` raises ValueError.
 
     Coordinate m of zeta^m of an entry is one int at t = 2^B, and a row of
     right one int with a run of T slots of B bits per column, T above every
@@ -191,46 +189,45 @@ class PackedProduct:
     back as one balanced digit and equal packed rows have equal slots.
     Zero entries are skipped: a block-diagonal mid costs only its blocks."""
 
-    def __init__(self, left, mid, right, target=None):
-        self.field = field = left[0][0].field
+    def __init__(self, field, left, mid, right, target=None):
+        self.field = field
+        phi = field.degree
         mats = [left, mid, right] + ([] if target is None else [target])
         for x in (x for mat in mats for row in mat for x in row):
-            bad = next((c for c in x.coeffs if c.den != 1 or c.field is not field), None)
-            if bad is not None:
-                raise ValueError(f"coefficient {bad} of {x} is not integral in Q(zeta_{field.e})")
-        phi = field.degree
+            if len(x) != phi:
+                raise ValueError(
+                    f"an entry has {len(x)} coordinate lists, not the {phi} of Q(zeta_{field.e})")
 
         def l1_norms(mat):
-            return [sum(abs(v) for c in x.coeffs for v in c.num) for row in mat for x in row]
+            return [sum(abs(v) for c in x for v in c) for row in mat for x in row]
 
         def degree(mat):
-            return max(0, max(x.degree() for row in mat for x in row))
+            return max(0, max(len(c) for row in mat for x in row for c in x) - 1)
 
         top = max(l1_norms(left)) * sum(l1_norms(mid)) * max(l1_norms(right))
         top *= field.fold_growth(3 * phi - 2)
         deg = degree(left) + degree(mid) + degree(right)
         if target is not None:
-            coeffs = (v for row in target for x in row for c in x.coeffs for v in c.num)
+            coeffs = (v for row in target for x in row for c in x for v in c)
             top = max(top, max(map(abs, coeffs), default=0))
             deg = max(deg, degree(target))
         self.bits = bits = top.bit_length() + 1
         self.run = run = bits * (deg + 1)
 
         def pack(x):
-            coords = zip(*(c.num for c in x.coeffs))
-            return [kron_pack(coord, bits) for coord in coords] or [0] * phi
+            return [kron_pack(c, bits) for c in x]
 
         def pack_row(row):
             return [kron_pack(coord, run) for coord in zip(*map(pack, row))]
 
         right_rows = [pack_row(row) for row in right]
         mid_cols = [
-            [(k, pack(row[c])) for k, row in enumerate(mid) if not row[c].is_zero()]
+            [(k, pack(row[c])) for k, row in enumerate(mid) if any(row[c])]
             for c in range(len(right))
         ]
         self.rows = []
         for row in left:
-            li = {k: pack(x) for k, x in enumerate(row) if not x.is_zero()}
+            li = {k: pack(x) for k, x in enumerate(row) if any(x)}
             acc = [0] * (3 * phi - 2)
             for col, r_row in zip(mid_cols, right_rows):
                 ld = [0] * (2 * phi - 1)
@@ -247,8 +244,8 @@ class PackedProduct:
         return self.rows == self._target
 
     def entry(self, i, j):
-        """Entry (i, j) of left mid right as a TPoly: column j of row i,
-        isolated as the balanced residue modulo 2^run, read digit by
+        """Entry (i, j) of left mid right in coordinate lists: column j of
+        row i, isolated as the balanced residue modulo 2^run, read digit by
         digit."""
         run, shift = self.run, self.run * j
         half, mask = 1 << (run - 1), (1 << run) - 1
@@ -259,5 +256,4 @@ class PackedProduct:
                 # absolute value, so rounding drops them with no borrow
                 v = (v + (1 << (shift - 1))) >> shift
             coords.append(kron_digits(((v + half) & mask) - half, self.bits))
-        field = self.field
-        return TPoly(field, [field.make(ds, 1) for ds in zip_longest(*coords, fillvalue=0)])
+        return coords

@@ -25,7 +25,8 @@ Every t-deformed scalar product of two families given by their values on
 the classes is one class sum, ``gram_numerators``: the Schur Gram matrix
 of a level here, and Omega' and the fake degrees of the coset layer,
 made canonical fractions by ``as_fractions``.  It returns the numerators
-over the lcm L of the weight denominators.  Every value is scaled to
+over the lcm L of the weight denominators, as integers in coordinate lists
+(``TPoly.coords``), the form the block LDU reads.  Every value is scaled to
 Z[zeta][t] and packed into one Python int, a slot of B bits per monomial
 t^d zeta^m, so the k^3 scalar products are big-integer products; the
 packing, and why B from L1 norms is safe, are described once, in
@@ -35,8 +36,6 @@ slot.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm, prod
 
 from .combinatorics import enumerate_epartitions, ep_length
@@ -209,7 +208,8 @@ class Level:
     def schur_gram(self, order):
         """(N, L) with <s_a, s_b> = N[a][b] / L for a, b running over
         ``order``: the class sum of the ``s_in_p`` rows against the
-        z-series, left over the common denominator L of the z-series."""
+        z-series, left over the common denominator L of the z-series, N in
+        coordinate lists (``gram_numerators``)."""
         s_in_p = self.s_in_p()
         rows = [s_in_p[self.pindex[alpha]] for alpha in order]
         zser = [self.z_series(beta) for beta in self.partitions]
@@ -229,39 +229,54 @@ class Level:
 
 
 def as_fractions(nums, common):
-    """The matrix nums / common as canonical TRat, for numerators nums and
-    their common denominator, both TPoly (``gram_numerators`` returns such a
-    pair).  Over the constant 1 every numerator is already canonical, so
-    the gcd is taken only where common has positive degree."""
-    reduce = common.degree() > 0
-    return [[TRat(num, common, reduce=reduce) for num in row] for row in nums]
+    """The matrix nums / common as canonical TRat, for numerators nums in
+    coordinate lists and their common denominator, a TPoly
+    (``gram_numerators`` returns such a pair).  Over the constant 1 every
+    numerator is already canonical, so the gcd is taken only where common
+    is not 1."""
+    field = common.field
+    reduce = not (common.is_constant() and common.eval_zero().is_one())
+    return [[TRat(TPoly.from_coords(field, x), common, reduce=reduce) for x in row]
+            for row in nums]
 
 
-def gram_numerators(left, right, weights):
+def gram_numerators(left, right, weights, mirror=None):
     """(N, L) with sum_i left[a][i] conj(right[b][i]) weights[i] = N[a][b] / L.
 
     The rows hold CycNum values and the weights are TRat; L is the lcm of
-    the weight denominators and N[a][b] a TPoly.  Class i is scaled to
-    integers: X[a] and Y[b] are the integer numerators of column i of left
-    and conj(right) over their lcm denominators, W the primitive integer
-    part of weights[i] * L, and one rational factor per class, brought to
-    the common denominator D, is folded into W.  Every X, Y and W is packed
-    into one int by the codec of ``exact_arith``: a run of T slots of B
-    bits per power zeta^m, a slot per power of t, T above the t-degree of
-    every W.  A product X Y W has zeta-degree at most 3 (phi(e) - 1), so it
-    fills at most 3 phi(e) - 2 runs and the k^3 products are integer
-    products.  A sum read back in balanced runs is a vector over the powers
-    of zeta, which ``CycField.fold`` reduces on the packed ints; a run past
-    the last raises ArithmeticError.  A coefficient of the sum is at most
-    S = sum_i max|X|_1 max|Y|_1 |W|_1 in absolute value, and a folded one at
-    most S (1 + F), with F the sum of the L1 norms of the folded powers;
-    B = bitlength(S (1 + F)) + 1 keeps both below 2^(B-1), so the balanced
-    digits read them back exactly."""
+    the weight denominators, a TPoly, times an integer where the sum is not
+    integral over the lcm, and N[a][b] is in coordinate lists
+    (``TPoly.coords``): Omega' and the Schur Gram numerators go on to the
+    block LDU (``wreath.certified_ldu``) in that form, and a TPoly is built
+    only where a matrix is printed (``as_fractions``).  With ``mirror``, a
+    permutation s of the rows of left = right with conj(left[a]) =
+    left[s[a]], N[a][b] = N[s[b]][s[a]] whatever the weights, and only one
+    entry of each such pair is summed.
+
+    Class i is scaled to integers: X[a] and Y[b] are the integer numerators
+    of column i of left and conj(right) over their lcm denominators, W the
+    primitive integer part of weights[i] * L, and one rational factor per
+    class, brought to the common denominator D, is folded into W.  Every X,
+    Y and W is packed into one int by the codec of ``exact_arith``: a run of
+    T slots of B bits per power zeta^m, a slot per power of t, T above the
+    t-degree of every W.  A product X Y W has zeta-degree at most
+    3 (phi(e) - 1), so it fills at most 3 phi(e) - 2 runs and the k^3
+    products are integer products.  A sum read back in balanced runs is a
+    vector over the powers of zeta, which ``CycField.fold`` reduces on the
+    packed ints; a run past the last raises ArithmeticError.  A coefficient
+    of the sum is at most S = sum_i max|X|_1 max|Y|_1 |W|_1 in absolute
+    value, and a folded one at most S (1 + F), with F the sum of the L1
+    norms of the folded powers; B = bitlength(S (1 + F)) + 1 keeps both
+    below 2^(B-1), so the balanced digits read them back exactly.  The
+    digits are divided by D where every one of them is divisible; otherwise
+    D stays in L."""
     field = weights[0].field
     common = TPoly.constant(field.one)
     for w in weights:
-        common = common * w.den.divmod(common.gcd(w.den))[0]
-    w_nums = [w.num * common.divmod(w.den)[0] for w in weights]
+        if not w.den.is_constant():
+            common = common * w.den.divmod(common.gcd(w.den))[0]
+    w_nums = [w.num if common.is_constant() else w.num * common.divmod(w.den)[0]
+              for w in weights]
 
     conj_right = [[c.conjugate() for c in row] for row in right]
     left_cols = [_integer_column(col) for col in zip(*left)]
@@ -272,11 +287,13 @@ def gram_numerators(left, right, weights):
         ints = [[x * (dw // c.den) for x in c.num] for c in w.coeffs]
         content = gcd(*(x for num in ints for x in num)) or 1
         w_ints.append([[x // content for x in num] for num in ints])
-        factors.append(Fraction(content, dx * dy * dw))
-    den = lcm(*(f.denominator for f in factors))
+        # the factor content / (dx dy dw) in lowest terms
+        g = gcd(content, dx * dy * dw)
+        factors.append((content // g, dx * dy * dw // g))
+    den = lcm(*(d for _, d in factors))
     w_ints = [
-        [[x * (f * den).numerator for x in num] for num in w]
-        for f, w in zip(factors, w_ints)
+        [[x * (c * (den // d)) for x in num] for num in w]
+        for (c, d), w in zip(factors, w_ints)
     ]
 
     def l1(vec):
@@ -291,11 +308,12 @@ def gram_numerators(left, right, weights):
 
     packed_w = [kron_pack([kron_pack(coord, bits) for coord in zip(*w)], run) for w in w_ints]
     packed_y = list(zip(*([kron_pack(y, run) for y in ys] for _, ys in right_cols)))
-    nums = []
-    for xs in zip(*(xs for _, xs in left_cols)):
+    nums = [[None] * len(packed_y) for _ in range(len(left))]
+    for a, xs in enumerate(zip(*(xs for _, xs in left_cols))):
         xw_row = [kron_pack(x, run) * pw for x, pw in zip(xs, packed_w)]
-        out = []
-        for ys in packed_y:
+        for b, ys in enumerate(packed_y):
+            if nums[a][b] is not None:
+                continue
             value = 0
             for xw, y in zip(xw_row, ys):
                 if xw and y:
@@ -303,11 +321,14 @@ def gram_numerators(left, right, weights):
             slots = kron_digits(value, run)
             if len(slots) > stride:
                 raise ArithmeticError("packed class sum overflows its slots")
-            coords = [kron_digits(v, bits) for v in field.fold(slots)]
-            out.append(TPoly(field, [
-                field.make(ds, den) for ds in zip_longest(*coords, fillvalue=0)
-            ]))
-        nums.append(out)
+            nums[a][b] = [kron_digits(v, bits) for v in field.fold(slots)]
+            if mirror is not None:
+                nums[mirror[b]][mirror[a]] = nums[a][b]
+    if den > 1:
+        if all(v % den == 0 for row in nums for x in row for c in x for v in c):
+            nums = [[[[v // den for v in c] for c in x] for x in row] for row in nums]
+        else:
+            common = common.scale(field.integer(den))
     return nums, common
 
 

@@ -16,9 +16,11 @@ matrices <P+_z, P-_z'>.  The elimination runs on the polynomial numerators
 N = L G over the common denominator L of the z-series, with the same K(+/-)
 and D_N = L D.  N lies in Z[t] (``_compute_hl``) and N(0) = +-I, so it
 runs in Z[t]/(t^M) packed into one integer per entry (Kronecker
-substitution), with no gcd, and the factors read back are kept only after
-an exact certificate, K+ diag(D_N) conj(K-)^T = N multiplied out in Z[t]
-(``certified_ldu``, which also factors the Green functions of a coset).
+substitution), with no gcd, on the integer coordinate lists that the class
+sum hands over (``symfunc.gram_numerators``), and the factors read back are
+kept only after an exact certificate, K+ diag(D_N) conj(K-)^T = N
+multiplied out in Z[t] (``certified_ldu``, which also factors the Green
+functions of a coset).
 The families themselves, P(+/-) (the rows of the inverse Kostka matrices,
 by forward substitution) and the duals Q(+/-), are built from the factors
 on first use.
@@ -232,9 +234,11 @@ class HLData:
             x.is_polynomial() for mat in (self.kp, km_t) for row in mat for x in row
         ):
             return False
-        l, u = ([[x.num for x in row] for row in mat] for mat in (self.kp, km_t))
+        field = self.level.field
+        l, u = ([[x.num.coords(field) for x in row] for row in mat] for mat in (self.kp, km_t))
+        d = [[[x.coords(field) for x in row] for row in g] for g in self.gram_nums]
         blocks = [len(c) for c in self.classes]
-        return ldu_certified(nums, blocks, l, self.gram_nums, u)
+        return ldu_certified(field, nums, blocks, l, d, u)
 
 
 _HL_CACHE = {}
@@ -366,41 +370,47 @@ def _compute_hl(level, r):
     failed on every level tried."""
     order, classes, a_values = _symbol_order(level, r)
     nums, common = level.schur_gram(order)
-    prec = 2 * max(x.degree() for row in nums for x in row) + 2
-    l, d_nums, u = certified_ldu(level.field, nums, [len(cls) for cls in classes], prec)
+    prec = 2 * (max(len(c) for row in nums for x in row for c in x) - 1) + 2
+    field = level.field
+    l, d, u = certified_ldu(field, nums, [len(cls) for cls in classes], prec)
+
+    def poly(x):
+        return TPoly.from_coords(field, x)
+
     return HLData(
         level=level,
         r=r,
         order=order,
         classes=classes,
         a_values=a_values,
-        kp=[[TRat(x, reduce=False) for x in row] for row in l],
-        km=[[TRat(x.conjugate(), reduce=False) for x in col] for col in zip(*u)],
-        gram_nums=d_nums,
+        kp=[[TRat(poly(x), reduce=False) for x in row] for row in l],
+        km=[[TRat(poly(x).conjugate(), reduce=False) for x in col] for col in zip(*u)],
+        gram_nums=[[[poly(x) for x in row] for row in dk] for dk in d],
         gram_den=common,
     )
 
 
 def certified_ldu(field, nums, blocks, prec):
     """The block LDU (l, d, u) of a square matrix N over Z[t] with
-    N(0) = +-I, every factor a matrix of TPoly: the one elimination of the
-    Hall-Littlewood data (``_compute_hl``) and of the Green functions of a
-    coset (``gepn.CosetAlgebra._ldu_factors``).  Its certificate
-    ``ldu_certified`` is the only one of both: it also judges the factors
-    that the Kostka assembly hands in where this elimination does not
-    apply (``gepn.CosetAlgebra.assembly_ldu``).
+    N(0) = +-I, N and every factor in coordinate lists (``TPoly.coords``):
+    the one elimination of the Hall-Littlewood data (``_compute_hl``) and
+    of the Green functions of a coset (``gepn.CosetAlgebra._ldu_factors``).
+    Its certificate ``ldu_certified`` is the only one of both: it also
+    judges the factors that the Kostka assembly hands in where this
+    elimination does not apply (``gepn.CosetAlgebra.assembly_ldu``).
 
     ``SeriesRing.encode`` raises ValueError, naming the coefficient, for an
-    N not over Z[t].  N(0) = +-I makes every pivot block a unit modulo t,
-    so the elimination runs in a ring of truncated power series with no gcd
-    (``_series_ldu``).  Its factors are kept only if ``ldu_certified``
+    N that carries zeta.  N(0) = +-I makes every pivot block a unit modulo
+    t, so the elimination runs in a ring of truncated power series with no
+    gcd (``_series_ldu``).  Its factors are kept only if ``ldu_certified``
     passes, which makes them the block LDU of N, since that is unique.  The
     first attempt takes the caller's precision M = prec and B = 64 bits;
     after a failed certificate M and B double, and after three attempts
     ArithmeticError is raised.  ValueError when N(0) is not +-I."""
-    sign = nums[0][0].eval_zero()
-    if not (sign.is_one() or (-sign).is_one()) or any(
-        x.eval_zero() != (sign if i == j else field.zero)
+    zero = [0] * field.degree
+    sign = _at_zero(nums[0][0])
+    if sign[0] not in (1, -1) or any(sign[1:]) or any(
+        _at_zero(x) != (sign if i == j else zero)
         for i, row in enumerate(nums)
         for j, x in enumerate(row)
     ):
@@ -411,7 +421,7 @@ def certified_ldu(field, nums, blocks, prec):
     bits = 64
     for _ in range(3):
         l, d, u = _series_ldu(field, nums, blocks, prec, bits)
-        if ldu_certified(nums, blocks, l, d, u):
+        if ldu_certified(field, nums, blocks, l, d, u):
             return l, d, u
         prec, bits = 2 * prec, 2 * bits
     raise ArithmeticError(
@@ -420,10 +430,15 @@ def certified_ldu(field, nums, blocks, prec):
     )
 
 
+def _at_zero(x):
+    """The coordinates of the value at t = 0 of an entry in coordinate lists."""
+    return [c[0] if c else 0 for c in x]
+
+
 def _series_ldu(field, nums, blocks, prec, bits):
     """``linalg.block_ldu`` of the images of nums in the ring
-    Z[t]/(t^prec) packed with B = bits (``SeriesRing``), read back
-    as TPoly: exact when every factor has degree below prec and
+    Z[t]/(t^prec) packed with B = bits (``SeriesRing``), read back in
+    coordinate lists: exact when every factor has degree below prec and
     coefficients below 2^(bits-1) in absolute value, unchecked here."""
     ring = SeriesRing(field, prec, bits)
     l, d, u = linalg.block_ldu([[ring.encode(x) for x in row] for row in nums], blocks)
@@ -431,15 +446,16 @@ def _series_ldu(field, nums, blocks, prec, bits):
     return l, [[[ring.decode(x) for x in row] for row in dk] for dk in d], u
 
 
-def ldu_certified(nums, blocks, l, d, u):
+def ldu_certified(field, nums, blocks, l, d, u):
     """Whether l diag(d) u = nums exactly, with l block lower and u block
     upper unitriangular (identity diagonal blocks) and d the diagonal
     blocks of the given sizes.  Then (l, d, u) is the block LDU of nums,
     which is unique.  The certificate of ``certified_ldu``, of
     ``HLData.certified`` and of the Kostka assembly's factors of a coset's
-    Green functions.  Every entry is a TPoly over Z[zeta]; the product is
-    multiplied out on packed integers by ``linalg.PackedProduct``, which
-    raises ValueError on any other coefficient."""
+    Green functions.  Every entry is in the coordinate lists of ``field``
+    (``TPoly.coords``: a TPoly is converted, and checked, where it is
+    made); the product is multiplied out on packed integers by
+    ``linalg.PackedProduct``."""
     size = len(nums)
     if sum(blocks) != size or [len(dk) for dk in d] != list(blocks):
         return False
@@ -452,19 +468,19 @@ def ldu_certified(nums, blocks, l, d, u):
         for j in range(size):
             if block_of[i] == block_of[j]:
                 for x in (l[i][j], u[i][j]):
-                    unit = x.is_constant() and x.eval_zero().is_one()
-                    if not (unit if i == j else x.is_zero()):
+                    unit = list(x[0]) == [1] and not any(x[1:])
+                    if not (unit if i == j else not any(x)):
                         return False
-            elif not (u if block_of[i] > block_of[j] else l)[i][j].is_zero():
+            elif any((u if block_of[i] > block_of[j] else l)[i][j]):
                 return False
-    zero = TPoly(nums[0][0].field, ())
+    zero = [[] for _ in range(field.degree)]
     diag = [[zero] * size for _ in range(size)]
     start = 0
     for dk in d:
         for i, row in enumerate(dk):
             diag[start + i][start : start + len(dk)] = row
         start += len(dk)
-    return linalg.PackedProduct(l, diag, u, nums).matches()
+    return linalg.PackedProduct(field, l, diag, u, nums).matches()
 
 
 def kostka_matrix(level, r, sign):

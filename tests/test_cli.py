@@ -197,7 +197,10 @@ def test_verify_skips_the_oracle_table_for_a_twisted_coset(capsys, monkeypatch):
     assert f"[  ok] {fake}" in out
     assert f"[  ok] {centralizers}" in out
     # above the size cap the brute-force checks show up as skipped too
-    monkeypatch.setattr(cli, "SIZE_CAP", 3)     # |G(2,2,2)| = 4
+    # (cmd_verify reads the cap off the oracle module, loaded only for verify)
+    from greenrefl import oracle
+
+    monkeypatch.setattr(oracle, "SIZE_CAP", 3)  # |G(2,2,2)| = 4
     code, out = run(capsys, "verify", "--e", "2", "--p", "2", "--n", "2")
     assert code == 0
     assert f"[skip] {line}" in out
@@ -322,7 +325,8 @@ def test_verify_fails_on_a_wrong_kostka_assembly(capsys, monkeypatch, argv, muta
             a_u, m = self._omega_in_u()
             factors = self.assembly_ldu()
             blocks = [len(cls) for cls in self.char_classes]
-            return (*factors, m), wreath.ldu_certified(a_u, blocks, *factors), "forced"
+            return ((*factors, m), wreath.ldu_certified(self.field, a_u, blocks, *factors),
+                    "forced")
 
         monkeypatch.setattr(gepn.CosetAlgebra, "_ldu_factors", forced)
     code, out = run(capsys, "verify", *argv)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -267,22 +268,44 @@ def test_tpoly_str():
 
 
 def test_series_ring_is_z_t_mod_t_m():
-    # one int per element; decode reads balanced digits back, products and
-    # inverses are those of Z[t]/(t^M), and the units are the odd ints
+    # one int per element, encoded from and decoded to coordinate lists;
+    # decode reads balanced digits back, products and inverses are those of
+    # Z[t]/(t^M), and the units are the odd ints
     field = CycField(5)
     ring = SeriesRing(field, 4, 16)
     a, b = tp(field, 1, -3, 0, 7), tp(field, -1, 2, -5)
-    x, y = ring.encode(a), ring.encode(b)
+    x, y = ring.encode(a.coords()), ring.encode(b.coords())
     assert isinstance(x.c, int)
-    assert ring.decode(x) == a and ring.decode(y) == b
-    assert ring.decode(x * y) == TPoly(field, (a * b).coeffs[:4])
-    assert ring.decode(x - x).is_zero() and (x - x).is_zero()
-    assert ring.decode((x * y) / y) == a
-    assert ring.decode(x * x.inverse()) == tp(field, 1)
+    assert ring.decode(x) == a.coords() and ring.decode(y) == b.coords()
+    assert ring.decode(x * y) == TPoly(field, (a * b).coeffs[:4]).coords()
+    assert ring.decode(x - x) == [[]] * 4 and (x - x).is_zero()
+    assert ring.decode((x * y) / y) == a.coords()
+    assert ring.decode(x * x.inverse()) == tp(field, 1).coords()
     with pytest.raises(ArithmeticError, match="not a unit"):
-        ring.encode(tp(field, 2, 1)).inverse()
-    with pytest.raises(ValueError, match="not integral"):
-        ring.encode(TPoly(field, [field.one, field.zeta()]))
+        ring.encode(tp(field, 2, 1).coords()).inverse()
+    with pytest.raises(ValueError, match=re.escape("coefficient 1+z of (1+z)*t+1 is not a rational")):
+        ring.encode(TPoly(field, [field.one, field.one + field.zeta()]).coords())
+
+
+def test_coordinate_lists_round_trip():
+    # TPoly.coords and TPoly.from_coords are inverse on Z[zeta][t]: one list
+    # per power of zeta, no trailing zeros, a rational coefficient read back
+    # as the field's shared CycNum
+    rng = random.Random(20261021)
+    for e in (1, 3, 5, 12):
+        field = CycField(e)
+        for _ in range(20):
+            coeffs = [field.make([rng.choice([0, 0, -1, 1, rng.randint(-9999, 9999)])
+                                  for _ in range(field.degree)], 1)
+                      for _ in range(rng.randint(0, 5))]
+            poly = TPoly(field, coeffs)
+            coords = poly.coords()
+            assert len(coords) == field.degree
+            assert all(not c or c[-1] for c in coords)
+            assert TPoly.from_coords(field, coords) == poly
+    field = CycField(3)
+    assert TPoly.from_coords(field, [[0, 7], []]).coeffs[1] is field.integer(7)
+    assert field.integer(0) is field.zero
 
 
 def test_kron_digits_read_back_kron_pack():
@@ -336,21 +359,33 @@ def test_packed_product_matches_the_tpoly_product():
                 for _ in range(rng.randint(1, 4))
             ])
 
+        def coords(mat):
+            return [[x.coords() for x in row] for row in mat]
+
         left, mid, right = ([[entry() for _ in range(3)] for _ in range(3)] for _ in range(3))
         want = [[sum((left[i][k] * mid[k][l] * right[l][j] for k in range(3) for l in range(3)),
                      TPoly(field, ())) for j in range(3)] for i in range(3)]
-        product = PackedProduct(left, mid, right, want)
+        factors = [coords(mat) for mat in (left, mid, right)]
+        product = PackedProduct(field, *factors, coords(want))
         assert product.matches()
-        assert [[product.entry(i, j) for j in range(3)] for i in range(3)] == want
+        assert [[product.entry(i, j) for j in range(3)] for i in range(3)] == coords(want)
         want[2][1] = want[2][1] + TPoly.t_power(field, 1)
-        assert not PackedProduct(left, mid, right, want).matches()
+        assert not PackedProduct(field, *factors, coords(want)).matches()
 
 
 def test_packed_product_refuses_a_fractional_coefficient():
+    # the packed kernels take coordinate lists, which hold integers only:
+    # a fractional coefficient, or one from another field of the same
+    # degree, is refused by name where a TPoly is converted, and an entry
+    # with the wrong number of lists by the product itself
     field = CycField(3)
-    one = tp(field, 1)
+    one = tp(field, 1).coords()
     half = TPoly(field, [field.one, field.from_rational(Fraction(1, 2))])
     with pytest.raises(ValueError, match="coefficient 1/2 of .* not integral"):
-        PackedProduct([[one]], [[half]], [[one]])
-    with pytest.raises(ValueError, match="coefficient 1/2 of .* not integral"):
-        PackedProduct([[one]], [[one]], [[one]], [[half]])
+        half.coords()
+    with pytest.raises(ValueError, match="coefficient z of .* not integral in Q\\(zeta_6\\)"):
+        TPoly.constant(field.zeta()).coords(CycField(6))
+    with pytest.raises(ValueError, match="1 coordinate lists, not the 2 of Q\\(zeta_3\\)"):
+        PackedProduct(field, [[one]], [[[[1]]]], [[one]])
+    with pytest.raises(ValueError, match="3 coordinate lists, not the 2"):
+        PackedProduct(field, [[one]], [[one]], [[one]], [[[[1], [], []]]])

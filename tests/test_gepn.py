@@ -27,7 +27,7 @@ from greenrefl.gepn import (
     z_coset,
 )
 from greenrefl.oracle import BruteForceGroup
-from greenrefl.symfunc import Level
+from greenrefl.symfunc import Level, gram_numerators
 
 from polynomial_oracle import SymPoly, VarSpace, poly_level
 from test_acceptance import GRID
@@ -829,13 +829,126 @@ def assembly_read_back(alg):
     a_u, m = alg._omega_in_u()
     factors = alg.assembly_ldu()
     blocks = [len(cls) for cls in alg.char_classes]
-    return alg._read_back(*factors, m), wreath.ldu_certified(a_u, blocks, *factors)
+    return alg._read_back(*factors, m), wreath.ldu_certified(alg.field, a_u, blocks, *factors)
+
+
+def plus(field, x, poly):
+    """The coordinate lists x (``TPoly.coords``) plus the TPoly poly."""
+    return (TPoly.from_coords(field, x) + poly).coords()
 
 
 # G(3,3,2) q=1, G(6,3,2) q=2 and G(6,6,2) q=2 fail the factorization
 DIFFERENTIAL_SETS = GRID + [
     (2, 2, 5, 0), (4, 4, 3, 2), (3, 3, 2, 1), (6, 3, 2, 2), (6, 6, 2, 2),
 ]
+
+
+def trat_weights(alg, numerator):
+    """numerator / (z_xi det(t id - w_xi)) for every class, by TRat
+    arithmetic: the weights before the group-ring division."""
+    det_poly = alg.levels[0].det_poly
+    return [
+        numerator * TRat(
+            TPoly.constant(alg.field.from_rational(Fraction(1, alg.z_integer(xi)))),
+            det_poly(xi.beta),
+        )
+        for xi in alg.class_params
+    ]
+
+
+def group_ring_weights_checked(monkeypatch):
+    """(wrong, counts): the (e, p, n, q, r) of DIFFERENTIAL_SETS where the
+    weights of G(t) or of the degree product differ from the TRat
+    quotients, and per set the classes whose group-ring division leaves a
+    remainder."""
+    misses = []
+    real = CosetAlgebra._ring_weight
+
+    def spy(self, ring, v, beta, z):
+        weight = real(self, ring, v, beta, z)
+        if weight is None:
+            misses.append(beta)
+        return weight
+
+    monkeypatch.setattr(CosetAlgebra, "_ring_weight", spy)
+    wrong, counts = [], {}
+    for e, p, n, q in DIFFERENTIAL_SETS:
+        for r in (1, 2, 3):
+            key = (e, p, n, q, r)
+            alg = CosetAlgebra(GroupParams(e, p, n, q), r)
+            for numerator in (alg.g_poly(), alg._degree_product()):
+                misses.clear()
+                if alg._class_weights(numerator) != trat_weights(alg, numerator):
+                    wrong.append(key)
+            counts[key] = sum(xi.beta in misses for xi in alg.class_params)
+    return wrong, {key: c for key, c in counts.items() if c}
+
+
+def test_group_ring_weights_equal_the_trat_product(monkeypatch):
+    # the class weights divided out in Z[C_e][t] equal the TRat quotients
+    # for G(t) and the degree product, and the division leaves a remainder
+    # only on the zeta-defect sets (2 classes of G(3,3,2) q=1 and of
+    # G(6,6,2) q=2, 3 of G(6,3,2) q=2), where the TRat quotient stands
+    want = {(e, p, n, q, r): count
+            for (e, p, n, q), count in [((3, 3, 2, 1), 2), ((6, 3, 2, 2), 3), ((6, 6, 2, 2), 2)]
+            for r in (1, 2, 3)}
+    assert group_ring_weights_checked(monkeypatch) == ([], want)
+    # a rotation one step too far divides by t^part - zeta^(k+1): a weight
+    # comes out wrong, or the remainder classes are not those above
+    rotate = gepn._rotate
+    monkeypatch.setattr(gepn, "_rotate", lambda vec, k: rotate(vec, (k + 1) % len(vec)))
+    wrong, counts = group_ring_weights_checked(monkeypatch)
+    assert wrong or counts != want
+
+
+# the q = 0 sets of the 18-set grid
+MIRROR_SETS = [
+    (3, 3, 3, 0), (2, 2, 4, 0), (4, 2, 2, 0), (3, 1, 2, 0), (1, 1, 4, 0), (6, 2, 2, 0),
+    (5, 5, 2, 0), (2, 2, 5, 0), (8, 4, 2, 0), (6, 2, 3, 0),
+]
+
+
+def test_mirrored_class_sum_equals_the_full_one():
+    # OmegaPrime[i][j] = OmegaPrime[s j][s i] for the conjugation
+    # permutation s, whatever the weights: the class sum that takes one
+    # entry of each pair equals the full one
+    for e, p, n, q in MIRROR_SETS:
+        for r in (1, 2, 3):
+            alg = CosetAlgebra(GroupParams(e, p, n, q), r)
+            cols = list(zip(*alg.coset_table()))
+            weights = alg._class_weights(alg.g_poly())
+            full = gram_numerators(cols, cols, weights)
+            alg.omega_prime()
+            assert alg._omega_nums == full, (e, p, n, q, r)
+
+
+def test_a_wrong_mirror_fails_verify(capsys, monkeypatch):
+    # a permutation with two entries swapped copies entries of OmegaPrime
+    # to the wrong places.  The certificate checks the N it is given, so
+    # green's factorization still holds; the comparison with the Kostka
+    # assembly, which reads no OmegaPrime for K+-, fails.
+    from greenrefl.cli import main
+
+    params = GroupParams(2, 2, 4, 0)
+    sigma = CosetAlgebra(params).conjugation_permutation()
+    # entries 2 and 3 swapped: u^m OmegaPrime(1/u) stays +-I at u = 0, so
+    # green keeps the LDU route and its certificate passes
+    swapped = list(sigma)
+    swapped[2], swapped[3] = swapped[3], swapped[2]
+    alg = CosetAlgebra(params)
+    monkeypatch.setattr(alg, "conjugation_permutation", lambda: swapped)
+    cols = list(zip(*alg.coset_table()))
+    weights = alg._class_weights(alg.g_poly())
+    assert gram_numerators(cols, cols, weights, swapped)[0] != (
+        gram_numerators(cols, cols, weights)[0])
+    monkeypatch.setattr(gepn, "_ALGEBRAS", {(params, 2): alg})
+    code = main(["verify", "--e", "2", "--p", "2", "--n", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert alg.green().route == "block LDU of u^m OmegaPrime(1/u) over Z[u], certified"
+    assert "[  ok] Green factorization holds exactly" in lines
+    assert ("[FAIL] Ktilde+- and LambdaTilde from the OmegaPrime LDU equal the Kostka assembly"
+            in lines)
 
 
 def test_lambda_and_certificate_match_the_trat_route():
@@ -882,7 +995,8 @@ def _projected_algebra(params):
     that the Kostka assembly of params itself hands in, kept as numerators
     over their lcm denominator.  The factorization holds there by
     construction, also on a set where it fails for the true OmegaPrime, so
-    the certificate meets a true identity carrying zeta."""
+    the certificate meets a true identity carrying zeta.  The numerators are
+    kept in coordinate lists, as ``gram_numerators`` leaves them."""
     alg = CosetAlgebra(params)
     (km, lam, kp), _ = assembly_read_back(alg)
     omega = linalg.mat_mul(linalg.mat_mul(km, lam), _transpose(kp))
@@ -894,7 +1008,8 @@ def _projected_algebra(params):
     fresh = CosetAlgebra(params)
     for sign in (+1, -1):
         fresh._kostka[sign] = alg.kostka_assembled(sign)
-    fresh._omega, fresh._omega_nums = omega, (nums, common)
+    fresh._omega = omega
+    fresh._omega_nums = ([[x.coords(alg.field) for x in row] for row in nums], common)
     return fresh
 
 
@@ -905,27 +1020,29 @@ def test_certificate_rejects_an_altered_factor():
     # entry below the diagonal blocks and an altered entry of A each fail it
     for alg in [CosetAlgebra(GroupParams(3, 3, 3, 0)),
                 _projected_algebra(GroupParams(3, 3, 2, 1))]:
-        t = TPoly.t_power(alg.field, 1)
+        field = alg.field
+        t = TPoly.t_power(field, 1)
         a_u, _ = alg._omega_in_u()
         l, d, u = alg.assembly_ldu()
         blocks = [len(cls) for cls in alg.char_classes]
-        assert wreath.ldu_certified(a_u, blocks, l, d, u), alg.params
+        assert wreath.ldu_certified(field, a_u, blocks, l, d, u), alg.params
         k = len(l)
         i = len(alg.char_classes[0])            # first row of the second class
-        j = next(j for j in range(i) if not l[i][j].is_zero())
+        j = next(j for j in range(i) if any(l[i][j]))
 
         def altered(mat, a, b):
             out = [row[:] for row in mat]
-            out[a][b] = out[a][b] + t
+            out[a][b] = plus(field, out[a][b], t)
             return out
 
         last = len(d[-1]) - 1
-        assert not wreath.ldu_certified(a_u, blocks, l, d[:-1] + [altered(d[-1], last, last)], u)
-        assert not wreath.ldu_certified(a_u, blocks, altered(l, i, j), d, u)
-        assert not wreath.ldu_certified(altered(a_u, 0, k - 1), blocks, l, d, u)
+        assert not wreath.ldu_certified(
+            field, a_u, blocks, l, d[:-1] + [altered(d[-1], last, last)], u)
+        assert not wreath.ldu_certified(field, a_u, blocks, altered(l, i, j), d, u)
+        assert not wreath.ldu_certified(field, altered(a_u, 0, k - 1), blocks, l, d, u)
         nums, common = alg._omega_nums
         alg._omega_nums = ([row[:] for row in nums], common)
-        alg._omega_nums[0][0][k - 1] = nums[0][k - 1] + t
+        alg._omega_nums[0][0][k - 1] = plus(field, nums[0][k - 1], t)
         assert alg.green().residual_zero is False
 
 
@@ -940,11 +1057,10 @@ def test_certificate_catches_a_zeta_fold_mutant(monkeypatch):
 
     def folding_by(e):
         class Mutant(real):
-            def __init__(self, left, *args):
-                field = left[0][0].field
+            def __init__(self, field, *args):
                 saved, field._powers = field._powers, CycField(e)._powers
                 try:
-                    super().__init__(left, *args)
+                    super().__init__(field, *args)
                 finally:
                     field._powers = saved
         return Mutant
@@ -959,7 +1075,7 @@ def test_certificate_catches_a_zeta_fold_mutant(monkeypatch):
         mutant = _projected_algebra(params)
         monkeypatch.setattr(linalg, "PackedProduct", folding_by(other))
         mutant.assembly_ldu()
-        assert not wreath.ldu_certified(a_u, blocks, *alg.assembly_ldu()), params
+        assert not wreath.ldu_certified(alg.field, a_u, blocks, *alg.assembly_ldu()), params
         monkeypatch.setattr(linalg, "PackedProduct", real)
         assert mutant.lambda_matrix() != lam, params
         assert mutant.green().residual_zero is False, params
@@ -1077,7 +1193,7 @@ def test_laurent_entries_round_trip_through_the_codec():
             top = max(len(coeffs) - 1 - s, 0) + extra
             poly = in_u(coeffs, s, top)
             ring = SeriesRing(field, top + s + 1, bits)
-            back = ring.decode(ring.encode(poly))
+            back = TPoly.from_coords(field, ring.decode(ring.encode(poly.coords())))
             assert back == poly, (bits, str(f), top)
             assert gepn._reversal(back, top) == f, (bits, str(f), top)
 
@@ -1135,9 +1251,9 @@ def test_ldu_route_ends_on_a_factor_that_is_not_integral():
         alg.omega_prime()
         nums, common = alg._omega_nums
         k = len(nums)
-        top = max(x.degree() for row in nums for x in row)
+        top = max(len(c) for row in nums for x in row for c in x) - 1
         altered = [row[:] for row in nums]
-        altered[0][k - 1] = nums[0][k - 1] + change(alg, top)
+        altered[0][k - 1] = plus(alg.field, nums[0][k - 1], change(alg, top))
         alg._omega_nums = (altered, common)
         (*factors, _), certified, route = alg._ldu_factors()
         assert factors == list(alg.assembly_ldu())

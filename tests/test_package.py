@@ -99,7 +99,23 @@ def test_unreferenced_definitions_are_found():
 
 
 def test_every_definition_is_public_used_or_read_by_perfbench():
+    # the package's module __getattr__ (PEP 562), which loads the oracle's
+    # names on first use, is called by the import system, never by name
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     readers = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
     assert readers
-    assert unreferenced_definitions(sources, readers, set(greenrefl.__all__)) == []
+    public = set(greenrefl.__all__) | {"__getattr__"}
+    assert unreferenced_definitions(sources, readers, public) == []
+
+
+def test_the_oracle_is_loaded_only_on_use():
+    # importing the command line loads no brute-force oracle; the package
+    # hands its names out on first use
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys, greenrefl.cli; assert 'greenrefl.oracle' not in sys.modules; "
+            "from greenrefl import BruteForceGroup; assert 'greenrefl.oracle' in sys.modules")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -392,8 +392,7 @@ def test_schur_gram_matches_scalar_from_p():
     for lv in levels:
         order = list(lv.partitions)
         random.Random(lv.ecols * 10 + lv.n).shuffle(order)
-        nums, common = lv.schur_gram(order)
-        gram = [[TRat(num, common) for num in row] for row in nums]
+        gram = as_fractions(*lv.schur_gram(order))
         rows = schur_rows(lv)
         coords = [rows[lv.pindex[alpha]] for alpha in order]
         pairs = [(i, j) for i in range(lv.size) for j in range(lv.size)]

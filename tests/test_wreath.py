@@ -8,7 +8,7 @@ from greenrefl import linalg
 from greenrefl.combinatorics import CharParam, ClassParam, GroupParams, ep_str, partitions
 from greenrefl.exact_arith import TPoly, TRat
 from greenrefl.oracle import BruteForceGroup
-from greenrefl.symfunc import Level, level_for
+from greenrefl.symfunc import Level, as_fractions, level_for
 from greenrefl.wreath import (
     char_table,
     hl_data,
@@ -572,8 +572,7 @@ def test_hl_data_matches_ldu_of_normalised_gram():
         for r in (1, 2, 3):
             order, classes, _ = wreath_mod._symbol_order(lv, r)
             blocks = [len(cls) for cls in classes]
-            nums, common = lv.schur_gram(order)
-            gram = [[TRat(num, common) for num in row] for row in nums]
+            gram = as_fractions(*lv.schur_gram(order))
             l, d, u = linalg.block_ldu(gram, blocks)
             got = hl_data(lv, r)
             assert got.kp == l, (lv, r)
@@ -584,10 +583,22 @@ def test_hl_data_matches_ldu_of_normalised_gram():
 # -- the certificate of the packed elimination -------------------------------------
 
 
+def _coords(mat):
+    """A matrix of TPoly in the coordinate lists that the elimination and
+    the certificate take (``TPoly.coords``)."""
+    return [[x.coords() for x in row] for row in mat]
+
+
+def _degree(mat):
+    """The largest degree of a matrix in coordinate lists."""
+    return max(len(c) for row in mat for x in row for c in x) - 1
+
+
 def _synthetic_ldu(e, blocks, seed):
     """Random block unitriangular l, u equal to I at t = 0, diagonal blocks
-    d = I + t R over Z[t], as TPoly over Q(zeta_e), and N = l diag(d) u:
-    rational integer coefficients, like the Gram numerators of a level."""
+    d = I + t R over Z[t], over Q(zeta_e), and N = l diag(d) u: rational
+    integer coefficients, like the Gram numerators of a level.  All four in
+    coordinate lists."""
     import random
 
     from greenrefl.exact_arith import CycField, TPoly
@@ -621,7 +632,7 @@ def _synthetic_ldu(e, blocks, seed):
             diag[start + i][start : start + len(dk)] = row
         start += len(dk)
     nums = linalg.mat_mul(linalg.mat_mul(l, diag), u)
-    return field, nums, (l, d, u)
+    return field, _coords(nums), (_coords(l), [_coords(dk) for dk in d], _coords(u))
 
 
 def _certificate_case(lv, r=2):
@@ -635,7 +646,7 @@ def _certificate_case(lv, r=2):
 
 def _first_prec(nums):
     """The first precision that hl_data passes: 2 deg N + 2."""
-    return 2 * max(x.degree() for row in nums for x in row) + 2
+    return 2 * _degree(nums) + 2
 
 
 def test_certified_ldu_recovers_synthetic_factors():
@@ -651,22 +662,25 @@ def test_ldu_certificate_rejects_an_altered_factor():
     from greenrefl.exact_arith import TPoly
 
     lv = level_for(3, 3)
+    field = lv.field
     nums, blocks, (l, d, u) = _certificate_case(lv)
-    assert wreath_mod.ldu_certified(nums, blocks, l, d, u)
+    assert wreath_mod.ldu_certified(field, nums, blocks, l, d, u)
     size = len(nums)
-    i, j = next((i, j) for i in range(size) for j in range(i) if not l[i][j].is_zero())
+    i, j = next((i, j) for i in range(size) for j in range(i) if any(l[i][j]))
 
-    def altered(mat, a, b, value=TPoly.t_power(lv.field, 1)):
+    def altered(mat, a, b, value=TPoly.t_power(field, 1)):
         out = [row[:] for row in mat]
-        out[a][b] = out[a][b] + value
+        out[a][b] = (TPoly.from_coords(field, out[a][b]) + value).coords()
         return out
 
-    certified = wreath_mod.ldu_certified
-    assert not certified(nums, blocks, altered(l, i, j), d, u)
-    assert not certified(nums, blocks, l, d, altered(u, j, i))
-    assert not certified(nums, blocks, l, d[:-1] + [altered(d[-1], 0, 0)], u)
+    def certified(*factors):
+        return wreath_mod.ldu_certified(field, nums, blocks, *factors)
+
+    assert not certified(altered(l, i, j), d, u)
+    assert not certified(l, d, altered(u, j, i))
+    assert not certified(l, d[:-1] + [altered(d[-1], 0, 0)], u)
     # the structure is checked too: a unit in a strictly upper entry of l
-    assert not certified(nums, blocks, altered(l, j, i, TPoly.constant(lv.field.one)), d, u)
+    assert not certified(altered(l, j, i, TPoly.constant(field.one)), d, u)
 
 
 def test_ldu_certificate_rejects_a_precision_below_the_output_degree():
@@ -674,11 +688,10 @@ def test_ldu_certificate_rejects_a_precision_below_the_output_degree():
 
     for lv in (level_for(2, 3), level_for(3, 2)):
         nums, blocks, factors = _certificate_case(lv)
-        top = max(x.degree() for mat in [factors[0], factors[2]] + factors[1]
-                  for row in mat for x in row)
+        top = max(_degree(mat) for mat in [factors[0], factors[2]] + factors[1])
         low = wreath_mod._series_ldu(lv.field, nums, blocks, top, 64)
         assert low != factors
-        assert not wreath_mod.ldu_certified(nums, blocks, *low), lv
+        assert not wreath_mod.ldu_certified(lv.field, nums, blocks, *low), lv
         assert wreath_mod._series_ldu(lv.field, nums, blocks, top + 1, 64) == factors
 
 
@@ -707,7 +720,7 @@ def test_ldu_certificate_catches_an_unsigned_digit_mutant(monkeypatch):
     # precision: the certificate must reject each attempt, and
     # certified_ldu must raise after its retries.
     import greenrefl.wreath as wreath_mod
-    from greenrefl.exact_arith import SeriesRing, TPoly
+    from greenrefl.exact_arith import SeriesRing
 
     attempts = []
 
@@ -719,9 +732,9 @@ def test_ldu_certificate_catches_an_unsigned_digit_mutant(monkeypatch):
         def decode(self, x):
             digit, v, coeffs = (1 << self.bits) - 1, x.c, []
             while v:
-                coeffs.append(self.field.from_rational(v & digit))
+                coeffs.append(v & digit)
                 v >>= self.bits
-            return TPoly(self.field, coeffs)
+            return [coeffs] + [[] for _ in range(self.field.degree - 1)]
 
     cases = [_synthetic_ldu(e, blocks, seed=e) + (blocks,)
              for e, blocks in [(3, [2, 1, 3]), (5, [1, 2, 2])]]
@@ -734,7 +747,7 @@ def test_ldu_certificate_catches_an_unsigned_digit_mutant(monkeypatch):
         monkeypatch.setattr(wreath_mod, "SeriesRing", Unsigned)
         mutant = wreath_mod._series_ldu(field, nums, blocks, prec, 64)
         assert mutant != factors
-        assert not wreath_mod.ldu_certified(nums, blocks, *mutant), field.e
+        assert not wreath_mod.ldu_certified(field, nums, blocks, *mutant), field.e
         attempts.clear()
         with pytest.raises(ArithmeticError, match="failed its certificate"):
             wreath_mod.certified_ldu(field, nums, blocks, prec)
@@ -758,15 +771,17 @@ def test_certified_ldu_rejects_a_matrix_not_unit_at_zero():
         [[one, zero], [zero, -one]],            # mixed signs
     ):
         with pytest.raises(ValueError, match="not \\+-I at t = 0"):
-            wreath_mod.certified_ldu(field, nums, [1, 1], 4)
+            wreath_mod.certified_ldu(field, _coords(nums), [1, 1], 4)
+    # a fractional coefficient has no coordinate lists: the conversion
+    # names it
     half = TPoly.constant(field.from_rational(Fraction(1, 2)))
-    with pytest.raises(ValueError, match="not integral"):
-        wreath_mod.certified_ldu(field, [[one, half * t], [zero, one]], [1, 1], 4)
+    with pytest.raises(ValueError, match="coefficient 1/2 of .* not integral"):
+        wreath_mod.certified_ldu(field, _coords([[one, half * t], [zero, one]]), [1, 1], 4)
     # zeta is integral but not rational: the ring holds Z[t] only, and the
     # error names the coefficient
     zeta, name = TPoly.constant(field.zeta()), re.escape(str(field.zeta()))
-    with pytest.raises(ValueError, match=f"coefficient {name} .*not integral"):
-        wreath_mod.certified_ldu(field, [[one, zeta * t], [zero, one]], [1, 1], 4)
+    with pytest.raises(ValueError, match=f"coefficient {name} of .* not a rational integer"):
+        wreath_mod.certified_ldu(field, _coords([[one, zeta * t], [zero, one]]), [1, 1], 4)
 
 
 def test_hl_data_certified_sees_altered_data():
