@@ -148,8 +148,11 @@ def jdump(data):
     table's entry) stands for its constant function of t, TRat.from_cyc(v).
 
     Every such document is written here.  Each distinct CycNum is rendered
-    once per call, from its integer coordinates; no dict is built for it."""
+    once per call, from its integer coordinates; no dict is built for it.
+    A bare CycNum leaf is written once per value, whole: the entries of a
+    coset table repeat, and equal ones are mostly one object."""
     memo = {}
+    leaves = {}
 
     def cyc(v):
         key = v.key()
@@ -159,10 +162,14 @@ def jdump(data):
         return text
 
     def write(x):
+        if isinstance(x, CycNum):
+            text = leaves.get(x)
+            if text is None:
+                text = leaves[x] = TRat.coeffs_json_text(
+                    () if x.is_zero() else (x,), (x.field.one,), cyc)
+            return text
         if isinstance(x, TRat):
             return TRat.coeffs_json_text(x.num.coeffs, x.den.coeffs, cyc)
-        if isinstance(x, CycNum):
-            return TRat.coeffs_json_text(() if x.is_zero() else (x,), (x.field.one,), cyc)
         if isinstance(x, dict):
             return "{%s}" % ",".join(
                 json.dumps(k) + ":" + write(v) for k, v in sorted(x.items()))

@@ -20,6 +20,11 @@ X(0)[xi][z] = <p_xi, s_z> is a sum of sub-level character-table entries
 with roots of unity, summed in the group ring Z[C_e] of those tables (a
 root of unity is a rotation) over only the table columns that are class
 parameters of the coset, and reduced into Q(zeta_e) once per distinct sum.
+Only one unsplit row of each orbit of the centre of W and, for q = 0, of
+inversion is summed: the central element zeta^k I acts on a character as
+a scalar, so the other rows of the orbit are the summed one with each
+column rotated, and conjugated for an inverse class
+(``CosetAlgebra._row_sources``); only the summed rows' columns are built.
 OmegaPrime and the fake degrees are class sums over the columns of X(0),
 computed over one common denominator by ``symfunc.gram_numerators``, the
 kernel shared with the Schur Gram matrix of a level.  Their class weights
@@ -70,6 +75,7 @@ the class side.
 from __future__ import annotations
 
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -232,6 +238,35 @@ class CosetAlgebra:
 
     # -- the coset character table ------------------------------------------------
 
+    def _row_sources(self):
+        """For each row of X(0), None where it is summed, else (i, k, conj):
+        the row is that of class i moved by the central element zeta^k I of
+        W and then, where conj, inverted.
+
+        zeta^k I lies in W = G(e,p,n) exactly when p | k n, and times w it
+        moves a part r of colour c to colour c + k r; inversion moves it to
+        colour -c.  Both permute the classes of W, and the central elements
+        those of sigma^q W; inversion maps sigma^q W onto sigma^(-q) W and is
+        used for q = 0 only.  An unsplit class (``class_multiplicity`` 1, so
+        the only class param with its e-partition) is its e-partition alone,
+        so its images are found by their e-partitions; the first unsplit
+        class of each orbit, in class order, is summed, and split classes
+        are always summed."""
+        params = self.params
+        count = Counter(xi.beta for xi in self.class_params)
+        unsplit = {xi.beta: i for i, xi in enumerate(self.class_params) if count[xi.beta] == 1}
+        moves = [(k, conj) for k in range(params.e) if k * params.n % params.p == 0
+                 for conj in ((False, True) if params.q == 0 else (False,))]
+        source = [None] * len(self.class_params)
+        for beta, i in unsplit.items():
+            if source[i] is not None:
+                continue
+            for k, conj in moves:
+                image = unsplit[_central_image(beta, k, conj)]
+                if image != i and source[image] is None:
+                    source[image] = (i, k, conj)
+        return source
+
     def _x_matrix(self):
         """X(0)[xi][z] = <p_xi, s_z>, read off the sub-level tables.
 
@@ -243,13 +278,22 @@ class CosetAlgebra:
           X(0)[xi][z] = (1/p) sum s zeta^(u-k) chi_j[a][g].
 
         Summed in the group ring Z[C_e] of ``Level.char_table``: a term
-        rotates chi_j[a][g] by u - k and scales it by s.  Only the columns
-        g that the power terms name are asked of each level (on G(6,2,3),
-        49 of the 98 columns at j = 0), and each distinct group-ring sum is
-        reduced into Q(zeta_e) once, so equal entries share one CycNum.
-        Rows are class params, columns char params."""
+        rotates chi_j[a][g] by u - k and scales it by s.  Only one row of
+        each orbit of the centre of W and, for q = 0, of inversion is summed
+        (``_row_sources``).  By Schur's lemma zeta^k I acts on the character
+        z = (alpha, phi), and on its extension to sigma^q W, as
+        zeta^(k s(alpha)), s(alpha) = sum_c c |alpha^(c)| (Macdonald, ch. I,
+        appendix B), so a moved row is the summed one with column z rotated
+        by k s(alpha); the row of an inverse class is the conjugate one.
+        Only the columns g that the summed rows' power terms name are asked
+        of each level (on G(6,2,3), 13 of the 98 columns at j = 0, for 13
+        of 49 rows), and each distinct group-ring sum is reduced into
+        Q(zeta_e) once, so equal entries share one CycNum.  Rows are class
+        params, columns char params."""
         e, p = self.params.e, self.params.p
-        power_terms = [self._power_terms(xi) for xi in self.class_params]
+        source = self._row_sources()
+        power_terms = [self._power_terms(xi) if src is None else ()
+                       for xi, src in zip(self.class_params, source)]
         chi = {}
         for j, level in self.levels.items():
             cols = sorted({g for terms in power_terms for jj, g, _, _ in terms if jj == j})
@@ -257,18 +301,30 @@ class CosetAlgebra:
         schur_terms = [
             [(j, a, k) for j, _, a, k in self._orbit_terms(z)] for z in self.chars
         ]
+        central = [sum(c * sum(comp) for c, comp in enumerate(z.alpha)) for z in self.chars]
+        rings = []        # the rows in Z[C_e], before reduction
         reduced = {}
         table = []
-        for terms_xi in power_terms:
-            power = {j: (chi[j][g], u, s) for j, g, u, s in terms_xi}
+        for terms_xi, src in zip(power_terms, source):
+            if src is not None:
+                i, k, conj = src
+                ring = [_rotate(acc, k * s % e) for acc, s in zip(rings[i], central)]
+                if conj:
+                    ring = [acc[:1] + acc[:0:-1] for acc in ring]
+            else:
+                power = {j: (chi[j][g], u, s) for j, g, u, s in terms_xi}
+                ring = []
+                for terms in schur_terms:
+                    acc = [0] * e
+                    for j, a, k in terms:
+                        if j in power:
+                            col, u, s = power[j]
+                            for x, c in enumerate(col[a]):
+                                acc[(x + u - k) % e] += s * c
+                    ring.append(acc)
+            rings.append(ring)
             row = []
-            for terms in schur_terms:
-                acc = [0] * e
-                for j, a, k in terms:
-                    if j in power:
-                        col, u, s = power[j]
-                        for x, c in enumerate(col[a]):
-                            acc[(x + u - k) % e] += s * c
+            for acc in ring:
                 key = tuple(acc)
                 value = reduced.get(key)
                 if value is None:
@@ -627,6 +683,18 @@ def _rotate(vec, k):
     """zeta^k times the group-ring element vec of Z[C_e] (e = len(vec)):
     entry x moves to x + k mod e."""
     return vec[-k:] + vec[:-k] if k else vec
+
+
+def _central_image(beta, k, invert):
+    """The e-partition of zeta^k w for w of class beta, or of its inverse
+    where invert: a part r of colour c goes to colour c + k r, negated."""
+    e = len(beta)
+    comps = [[] for _ in beta]
+    for c, comp in enumerate(beta):
+        for r in comp:
+            image = (c + k * r) % e
+            comps[-image % e if invert else image].append(r)
+    return tuple(tuple(sorted(comp, reverse=True)) for comp in comps)
 
 
 def _valuation(poly):

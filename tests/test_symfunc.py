@@ -286,15 +286,26 @@ def test_char_table_columns_equal_those_of_the_full_table():
 
 
 def test_coset_table_builds_only_the_class_columns():
-    # X(0) of G(6,2,3) reads 49 of the 98 columns of its one level, and
-    # never assembles the whole level table
+    # X(0) of G(6,2,3) sums 13 of its 49 rows, one per orbit of the centre
+    # of W (order 6) and of inversion, reads the 13 columns of its one level
+    # that those rows name, and never assembles the whole level table
     clear_caches()
     params = GroupParams(6, 2, 3)
     coset_char_table(params)
     level = coset_algebra(params).levels[0]
     assert list(coset_algebra(params).levels) == [0]
-    assert (len(level._cols), level.size) == (49, 98)
+    assert (len(level._cols), level.size) == (13, 98)
     assert level._char is None
+    # the columns built over all levels; G(2,2,5) has a trivial centre and
+    # e = 2, so every one of its 18 rows is summed
+    for (e, p, n, q), built in [
+        ((3, 3, 4, 0), 13), ((3, 3, 3, 0), 6), ((6, 6, 3, 1), 6), ((2, 2, 5, 0), 18),
+    ]:
+        clear_caches()
+        params = GroupParams(e, p, n, q)
+        coset_char_table(params)
+        levels = coset_algebra(params).levels.values()
+        assert sum(len(level._cols) for level in levels) == built, (e, p, n, q)
 
 
 def test_char_table_of_symmetric_groups():
