@@ -26,16 +26,16 @@ a scalar, so the other rows of the orbit are the summed one with each
 column rotated, and conjugated for an inverse class
 (``CosetAlgebra._row_sources``); only the summed rows' columns are built.
 OmegaPrime and the fake degrees are class sums over the columns of X(0),
-computed over one common denominator by ``symfunc.gram_numerators``, the
-kernel shared with the Schur Gram matrix of a level.  Their class weights
-G(t) / (z_xi det(t id - w_xi)) are divided out in the group ring
-Z[C_e][t], one binomial t^part - zeta^k at a time, with no gcd
-(``CosetAlgebra._class_weights``); for q = 0 the class sum takes one entry
-of each pair that complex conjugation of the characters mirrors.  The
-numerators stay integers, in coordinate lists (``TPoly.coords``), from the
-class sum through the elimination and its certificate; TPoly and TRat are
-built only for the matrices a command prints.  The Green-function suite
-packages
+computed by ``symfunc.gram_numerators``, the kernel shared with the Schur
+Gram matrix of a level, over weights G(t) / (z_xi det(t id - w_xi)) divided
+in Z[C_e][t] with no gcd (``CosetAlgebra._class_weights``): G(t) is t^(N*)
+times the degree product L, the lcm of the det(t id - w) by Springer's
+theorem, so on an untwisted coset every weight is a polynomial.  For q = 0
+the class sum takes one entry of each pair that complex conjugation of the
+characters mirrors.  The numerators stay integers, in coordinate lists
+(``TPoly.coords``), from the class sum through the elimination and its
+certificate; TPoly and TRat are built only for the matrices a command
+prints.  The Green-function suite packages
 
     Ktilde(+/-) = K(+/-)(t^(-1)) T,      T = diag(t^(a(z))),
     OmegaPrime  = G(t) sum_xi X(0)-row outer products / (z_xi det(t id - w_xi)),
@@ -93,7 +93,7 @@ from .combinatorics import (
 )
 from .exact_arith import CycField, TPoly, TRat, trim
 from . import wreath
-from .symfunc import Level, as_fractions, gram_numerators
+from .symfunc import Level, _rotate, as_fractions, gram_numerators, ring_weight
 from .wreath import LabeledMatrix
 
 _ALGEBRAS = {}
@@ -425,21 +425,16 @@ class CosetAlgebra:
 
     def _degree_product(self):
         """(zeta^(qd) t^(dn) - 1) prod_(i<n) (t^(ei) - 1)."""
-        params = self.params
-        field = self.field
-        out = TRat(
-            TPoly.t_power(field, params.d * params.n,
-                          field.zeta((params.q * params.d) % params.e))
-        ) - self.one
+        params, field = self.params, self.field
+        zeta = field.zeta(params.q * params.d)
+        out = TRat(TPoly.t_power(field, params.d * params.n, zeta), reduce=False) - self.one
         for i in range(1, params.n):
-            out = out * (TRat(TPoly.t_power(field, params.e * i)) - self.one)
+            out = out * (TRat.t(field, params.e * i) - self.one)
         return out
 
     def g_poly(self):
         """G(t) = t^(N*) (zeta^(qd) t^(dn) - 1) prod_(i<n) (t^(ei) - 1)."""
-        return TRat(TPoly.t_power(self.field, self.n_star()), reduce=False) * (
-            self._degree_product()
-        )
+        return TRat.t(self.field, self.n_star()) * self._degree_product()
 
     def det_of_class(self, beta):
         """det_M(w_beta(b)) = (-1)^(n - length) zeta^(delta(beta))."""
@@ -447,66 +442,29 @@ class CosetAlgebra:
         return self.field.zeta(delta(beta) % self.params.e) * sign
 
     def _class_weights(self, numerator):
-        """numerator / (z_xi det(t id - w_xi)) for every class xi, for a
-        numerator polynomial over Z[zeta]; the weight depends on beta only,
-        so it is computed once per distinct beta.
-
-        det(t id - w_beta) is the product of t^part - zeta^(k h) over the
-        parts of colour k (``Level.det_poly``).  ``_ring_weight`` divides it
-        out one binomial at a time in Z[C_e][t], where multiplying by
-        zeta^k is a rotation, with no gcd.  For G(t) and the degree product
-        the quotient is a polynomial wherever the weight is a graded trace
-        on the coinvariant algebra (Springer, Regular elements of finite
-        reflection groups, 1974), which is every class of every untwisted
-        coset tried.  A class whose remainder is not zero in Z[zeta] keeps
-        the TRat quotient: only on the twisted sets whose OmegaPrime is not
-        over Z[t] (2 classes of G(3,3,2) q=1 and of G(6,6,2) q=2, 3 of
-        G(6,3,2) q=2, 1 of G(4,4,2) q=1 and of G(3,3,3) q=1)."""
+        """(weights, common): numerator / (z_xi det(t id - w_xi)) =
+        weights[i] / common for every class xi, for a numerator over
+        Z[zeta], each weight a TPoly from ``symfunc.ring_weight``, with no
+        gcd, once per beta.  On an untwisted coset G(t) and the degree
+        product are multiples of the lcm of the dets (Springer's theorem),
+        and common is 1.  Where a division leaves a remainder, common takes
+        the det of that class and all divisions rerun on numerator * common:
+        only on the five twisted sets tried whose OmegaPrime is not over
+        Z[t], for 1 to 3 classes each."""
         level0 = self.levels[0]
-        # numerator = t^v ring, and det(0) != 0, so only ring is divided
-        coeffs = numerator.num.coeffs
-        v = _valuation(numerator.num)
-        ring = [[0] * self.params.e for _ in coeffs[v:]]
-        for m, coord in enumerate(numerator.num.coords(self.field)):
-            for j, c in enumerate(coord[v:]):
-                ring[j][m] = c
-        by_beta = {}
-        out = []
-        for xi in self.class_params:
-            weight = by_beta.get(xi.beta)
-            if weight is None:
-                z = self.z_integer(xi)
-                weight = self._ring_weight(ring, v, xi.beta, z)
-                if weight is None:
-                    weight = numerator * TRat(
-                        TPoly.constant(self.field.from_rational(Fraction(1, z))),
-                        level0.det_poly(xi.beta),
-                    )
-                by_beta[xi.beta] = weight
-            out.append(weight)
-        return out
-
-    def _ring_weight(self, ring, v, beta, z):
-        """t^v ring / (z det(t id - w_beta)) as a polynomial TRat, ring a
-        polynomial over the group ring Z[C_e] (a list of coefficients, each
-        a list of e ints, ascending in t): long division by each binomial
-        t^part - zeta^k in turn, each coefficient of the quotient reduced
-        into Q(zeta_e) once, over z (``CycField.from_ring``).  None where a
-        remainder is not zero in Z[zeta]; the divisor is monic, so the
-        quotient in Z[zeta][t] is then not a polynomial."""
-        field, e, h = self.field, self.params.e, self.levels[0].h
-        rem = ring
-        for colour, comp in enumerate(beta):
-            k = colour * h % e
-            for part in comp:
-                rem = rem[:]
-                for j in range(len(rem) - 1, part - 1, -1):
-                    rem[j - part] = [a + b for a, b in zip(rem[j - part], _rotate(rem[j], k))]
-                if any(any(field.fold(c)) for c in rem[:part]):
-                    return None
-                rem = rem[part:]
-        quot = [field.zero] * v + [field.from_ring(c, z) for c in rem]
-        return TRat(TPoly(field, quot), reduce=False)
+        z_of = {xi.beta: self.z_integer(xi) for xi in self.class_params}
+        common, tried = TPoly.constant(self.field.one), set()
+        while True:
+            e, num = self.params.e, numerator.num * common
+            ring = [list(c.num) + [0] * (e - len(c.num)) for c in num.coeffs]
+            by_beta = {beta: ring_weight(level0, ring, beta, z) for beta, z in z_of.items()}
+            miss = next((beta for beta, weight in by_beta.items() if weight is None), None)
+            if miss is None:
+                return [by_beta[xi.beta] for xi in self.class_params], common
+            if miss in tried:
+                raise ArithmeticError(f"class {miss} leaves a remainder over its own det")
+            tried.add(miss)
+            common = common * level0.det_poly(miss)
 
     def omega_prime(self):
         """O'[z,z'] = G(t) sum_xi X[xi,z] conj(X[xi,z']) / (z_xi det_xi).
@@ -520,7 +478,7 @@ class CosetAlgebra:
         if self._omega is None:
             cols = list(zip(*self.coset_table()))
             self._omega_nums = gram_numerators(
-                cols, cols, self._class_weights(self.g_poly()), self.conjugation_permutation())
+                cols, cols, *self._class_weights(self.g_poly()), self.conjugation_permutation())
             self._omega = as_fractions(*self._omega_nums)
         return self._omega
 
@@ -534,7 +492,7 @@ class CosetAlgebra:
         cols = list(zip(*self.coset_table()))
         dets = [[self.det_of_class(xi.beta).conjugate() for xi in self.class_params]]
         weights = self._class_weights(self._degree_product())
-        column = as_fractions(*gram_numerators(cols, dets, weights))
+        column = as_fractions(*gram_numerators(cols, dets, *weights))
         return {z: row[0] for z, row in zip(self.chars, column)}
 
     def green(self):
@@ -677,12 +635,6 @@ class CosetAlgebra:
             residual_zero=residual_zero,
             route=route,
         )
-
-
-def _rotate(vec, k):
-    """zeta^k times the group-ring element vec of Z[C_e] (e = len(vec)):
-    entry x moves to x + k mod e."""
-    return vec[-k:] + vec[:-k] if k else vec
 
 
 def _central_image(beta, k, invert):

@@ -24,14 +24,16 @@ power-sum and one-row q bases that the tests need.
 Every t-deformed scalar product of two families given by their values on
 the classes is one class sum, ``gram_numerators``: the Schur Gram matrix
 of a level here, and Omega' and the fake degrees of the coset layer,
-made canonical fractions by ``as_fractions``.  It returns the numerators
-over the lcm L of the weight denominators, as integers in coordinate lists
-(``TPoly.coords``), the form the block LDU reads.  Every value is scaled to
-Z[zeta][t] and packed into one Python int, a slot of B bits per monomial
-t^d zeta^m, so the k^3 scalar products are big-integer products; the
-packing, and why B from L1 norms is safe, are described once, in
-``exact_arith``.  The unpacking refuses a value that spills past its last
-slot.
+made canonical fractions by ``as_fractions``.  The weights are divided out
+in Z[C_E][t] with no gcd (``ring_weight``) over the degree product
+prod_i (t^(d_i) - 1), the lcm of the det(t id - w) (Springer, Regular
+elements of finite reflection groups, 1974, Thm 3.4), and the numerators
+come back as integers in coordinate lists (``TPoly.coords``), the form the
+block LDU reads.  Every value is scaled to Z[zeta][t] and packed into one
+Python int, a slot of B bits per monomial t^d zeta^m, so the k^3 scalar
+products are big-integer products; the packing, and why B from L1 norms
+is safe, are described once, in ``exact_arith``.  The unpacking refuses a
+value that spills past its last slot.
 """
 
 from __future__ import annotations
@@ -205,15 +207,33 @@ class Level:
             ]
         return self._s_in_p
 
+    def degree_product(self):
+        """L = prod_(i<=n) (t^(ecols i) - 1), as ints ascending in t: by
+        Springer's theorem the lcm of the det(t id - w) over G(ecols,1,n)."""
+        out = [1]
+        for d in range(self.ecols, self.ecols * self.n + 1, self.ecols):
+            out = [x - y for x, y in zip([0] * d + out, out + [0] * d)]
+        return out
+
     def schur_gram(self, order):
-        """(N, L) with <s_a, s_b> = N[a][b] / L for a, b running over
-        ``order``: the class sum of the ``s_in_p`` rows against the
-        z-series, left over the common denominator L of the z-series, N in
-        coordinate lists (``gram_numerators``)."""
+        """(N, L) with <s_a, s_b> = N[a][b] / L for a, b in ``order``, N in
+        coordinate lists: the class sum of the ``s_in_p`` rows against the
+        z-series times L = ``degree_product``.  As 1 - zeta^k t^r =
+        -zeta^k (t^r - zeta^(-k)), the weight of beta is +-zeta^(-sum_k k
+        #parts_k) z_beta L over det(t id - w) for the colours of beta
+        reversed (``ring_weight``); a remainder raises ArithmeticError."""
         s_in_p = self.s_in_p()
         rows = [s_in_p[self.pindex[alpha]] for alpha in order]
-        zser = [self.z_series(beta) for beta in self.partitions]
-        return gram_numerators(rows, rows, zser)
+        big_l = self.degree_product()
+        weights = []
+        for beta in self.partitions:
+            m = -self.h * sum(k * len(comp) for k, comp in enumerate(beta)) % self.E
+            unit = _rotate([(-1) ** ep_length(beta) * self.z_int(beta)] + [0] * (self.E - 1), m)
+            weights.append(ring_weight(self, [[c * x for x in unit] for c in big_l],
+                                       beta[:1] + beta[:0:-1]))
+            if weights[-1] is None:
+                raise ArithmeticError(f"the weight of class {beta} leaves a remainder over L")
+        return gram_numerators(rows, rows, weights, TPoly.from_coords(self.field, [big_l]))
 
     def scalar_from_p(self, u, v, subst=1):
         """<f, g> from powersum coordinate vectors; z-series in t^subst."""
@@ -240,12 +260,13 @@ def as_fractions(nums, common):
             for row in nums]
 
 
-def gram_numerators(left, right, weights, mirror=None):
-    """(N, L) with sum_i left[a][i] conj(right[b][i]) weights[i] = N[a][b] / L.
+def gram_numerators(left, right, weights, common, mirror=None):
+    """(N, L) with sum_i left[a][i] conj(right[b][i]) weights[i] / common
+    = N[a][b] / L.
 
-    The rows hold CycNum values and the weights are TRat; L is the lcm of
-    the weight denominators, a TPoly, times an integer where the sum is not
-    integral over the lcm, and N[a][b] is in coordinate lists
+    The rows hold CycNum values, the weights and the caller's common are
+    TPoly, so no gcd or lcm is taken here.  L is common times an integer
+    where the sum is not integral over it, N[a][b] in coordinate lists
     (``TPoly.coords``): Omega' and the Schur Gram numerators go on to the
     block LDU (``wreath.certified_ldu``) in that form, and a TPoly is built
     only where a matrix is printed (``as_fractions``).  With ``mirror``, a
@@ -255,7 +276,7 @@ def gram_numerators(left, right, weights, mirror=None):
 
     Class i is scaled to integers: X[a] and Y[b] are the integer numerators
     of column i of left and conj(right) over their lcm denominators, W the
-    primitive integer part of weights[i] * L, and one rational factor per
+    primitive integer part of weights[i], and one rational factor per
     class, brought to the common denominator D, is folded into W.  Every X,
     Y and W is packed into one int by the codec of ``exact_arith``: a run of
     T slots of B bits per power zeta^m, a slot per power of t, T above the
@@ -270,19 +291,12 @@ def gram_numerators(left, right, weights, mirror=None):
     below 2^(B-1), so the balanced digits read them back exactly.  The
     digits are divided by D where every one of them is divisible; otherwise
     D stays in L."""
-    field = weights[0].field
-    common = TPoly.constant(field.one)
-    for w in weights:
-        if not w.den.is_constant():
-            common = common * w.den.divmod(common.gcd(w.den))[0]
-    w_nums = [w.num if common.is_constant() else w.num * common.divmod(w.den)[0]
-              for w in weights]
-
+    field = common.field
     conj_right = [[c.conjugate() for c in row] for row in right]
     left_cols = [_integer_column(col) for col in zip(*left)]
     right_cols = [_integer_column(col) for col in zip(*conj_right)]
     factors, w_ints = [], []
-    for (dx, _), (dy, _), w in zip(left_cols, right_cols, w_nums):
+    for (dx, _), (dy, _), w in zip(left_cols, right_cols, weights):
         dw = lcm(*(c.den for c in w.coeffs))
         ints = [[x * (dw // c.den) for x in c.num] for c in w.coeffs]
         content = gcd(*(x for num in ints for x in num)) or 1
@@ -330,6 +344,33 @@ def gram_numerators(left, right, weights, mirror=None):
         else:
             common = common.scale(field.integer(den))
     return nums, common
+
+
+def ring_weight(level, ring, beta, den=1):
+    """ring / (den det(t id - w_beta)) as a TPoly over the field of
+    ``level``, ring over Z[C_E] (ascending in t, each coefficient E ints),
+    or None where a remainder is not zero: long division by each binomial
+    t^part - zeta^k of ``Level.det_poly``, a root of unity a rotation, with
+    no gcd.  The weight routine of every class sum."""
+    field, E = level.field, level.E
+    v = next(j for j, c in enumerate(ring) if any(c))   # det(0) != 0: t^v is kept
+    rem = ring[v:]
+    for colour, comp in enumerate(beta):
+        k = colour * level.h % E
+        for part in comp:
+            rem = rem[:]
+            for j in range(len(rem) - 1, part - 1, -1):
+                rem[j - part] = [a + b for a, b in zip(rem[j - part], _rotate(rem[j], k))]
+            if any(any(field.fold(c)) for c in rem[:part]):
+                return None
+            rem = rem[part:]
+    return TPoly(field, [field.zero] * v + [field.from_ring(c, den) for c in rem])
+
+
+def _rotate(vec, k):
+    """zeta^k times the group-ring element vec of Z[C_e] (e = len(vec)):
+    entry x moves to x + k mod e."""
+    return vec[-k:] + vec[:-k] if k else vec
 
 
 def _integer_column(col):

@@ -13,7 +13,8 @@ G = (<s_a, s_b>) over the class blocks (the Lusztig-Shoji algorithm):
 G = K+ diag(D) conj(K-)^T, where K(+/-) = M(s, P(+/-)) are the Kostka
 matrices, block lower unitriangular, and D holds the within-class Gram
 matrices <P+_z, P-_z'>.  The elimination runs on the polynomial numerators
-N = L G over the common denominator L of the z-series, with the same K(+/-)
+N = L G over the degree product L = prod_(i<=n) (t^(e i) - 1), by
+Springer's theorem the lcm of the z-series denominators, with the same K(+/-)
 and D_N = L D.  N lies in Z[t] (``_compute_hl``) and N(0) = +-I, so it
 runs in Z[t]/(t^M) packed into one integer per entry (Kronecker
 substitution), with no gcd, on the integer coordinate lists that the class
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
@@ -277,7 +279,8 @@ def _load_cached_hl(level, r):
     cannot be parsed, is not in the symbol order of a fresh computation, or
     fails ``HLData.certified``, the exact certificate that computed data
     passes.  The order is compared apart: a file consistent with itself in
-    another order factors along other blocks and would pass the certificate."""
+    another order factors along other blocks and would pass the certificate.
+    A refused file, unlike a missing one, is named on stderr."""
     path = _cache_path(level, r)
     if path is None or not os.path.exists(path):
         return None
@@ -306,9 +309,12 @@ def _load_cached_hl(level, r):
             gram_den=poly(raw["gram_den"]),
         )
         ordered = (data.order, data.classes, data.a_values) == _symbol_order(level, r)
-        return data if ordered and data.certified() else None
+        if ordered and data.certified():
+            return data
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
-        return None
+        pass
+    print(f"greenrefl: refused the HL cache file {path}; recomputing it", file=sys.stderr)
+    return None
 
 
 def _store_cached_hl(data):
@@ -364,10 +370,10 @@ def _compute_hl(level, r):
     diagonal blocks by L, so those of N are the Gram numerators over L.
     N lies in Z[t], with no zeta: <s_a, s_b> = |W|^-1 sum_w chi_a(w)
     conj(chi_b(w)) / det(1 - t w) is a Molien series with natural-number
-    coefficients, and the lcm L of the z-series denominators is
-    Galois-stable, so N = L G is rational with integer coefficients.  The
-    first precision is 2 deg N + 2: at deg N + 1 the first certificate
-    failed on every level tried."""
+    coefficients, and L (``Level.degree_product``) is in Z[t], so
+    N = L G is rational with integer coefficients.  The first precision is
+    2 deg N + 2: at deg N + 1 the first certificate failed on every level
+    tried."""
     order, classes, a_values = _symbol_order(level, r)
     nums, common = level.schur_gram(order)
     prec = 2 * (max(len(c) for row in nums for x in row for c in x) - 1) + 2

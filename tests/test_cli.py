@@ -104,15 +104,19 @@ def test_kostka_base_and_coset(capsys):
 def test_hall_littlewood_recomputes_a_cache_file_with_a_wrong_value(capsys, monkeypatch, tmp_path):
     # the file of the level, with one K- value below the diagonal blocks set
     # to 7t, is refused and recomputed: the output is that of a run with no
-    # cache
+    # cache, and stderr names the file; a missing file is silent
     from test_wreath import below_the_blocks, seven_t_entry
 
     argv = ("hall-littlewood", "--e", "2", "--n", "3")
+    errs = []
 
     def fresh_run():
         monkeypatch.setattr(gepn, "_ALGEBRAS", {})
         monkeypatch.setattr(wreath, "_HL_CACHE", {})
-        return run(capsys, *argv)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        errs.append(captured.err)
+        return code, captured.out
 
     monkeypatch.delenv(wreath.CACHE_ENV, raising=False)
     cacheless = fresh_run()
@@ -128,6 +132,7 @@ def test_hall_littlewood_recomputes_a_cache_file_with_a_wrong_value(capsys, monk
     with open(path, "w") as handle:
         json.dump(raw, handle)
     assert fresh_run() == cacheless
+    assert errs == ["", "", f"greenrefl: refused the HL cache file {path}; recomputing it\n"]
 
 
 def test_kostka_reads_the_green_factors_and_no_hall_littlewood_data(capsys, monkeypatch):

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 import greenrefl
-from greenrefl import gepn, linalg, wreath
+from greenrefl import gepn, linalg, symfunc, wreath
 from greenrefl.combinatorics import (
     CharParam,
     ClassParam,
@@ -27,7 +27,7 @@ from greenrefl.gepn import (
     z_coset,
 )
 from greenrefl.oracle import BruteForceGroup
-from greenrefl.symfunc import Level, gram_numerators
+from greenrefl.symfunc import Level, gram_numerators, level_for
 
 from polynomial_oracle import SymPoly, VarSpace, poly_level
 from test_acceptance import GRID
@@ -858,19 +858,19 @@ def trat_weights(alg, numerator):
 
 def group_ring_weights_checked(monkeypatch):
     """(wrong, counts): the (e, p, n, q, r) of DIFFERENTIAL_SETS where the
-    weights of G(t) or of the degree product differ from the TRat
-    quotients, and per set the classes whose group-ring division leaves a
-    remainder."""
+    weights of G(t) or of the degree product, over their common
+    denominator, differ from the TRat quotients, and per set the classes
+    whose group-ring division leaves a remainder."""
     misses = []
-    real = CosetAlgebra._ring_weight
+    real = gepn.ring_weight
 
-    def spy(self, ring, v, beta, z):
-        weight = real(self, ring, v, beta, z)
+    def spy(level, ring, beta, den=1):
+        weight = real(level, ring, beta, den)
         if weight is None:
             misses.append(beta)
         return weight
 
-    monkeypatch.setattr(CosetAlgebra, "_ring_weight", spy)
+    monkeypatch.setattr(gepn, "ring_weight", spy)
     wrong, counts = [], {}
     for e, p, n, q in DIFFERENTIAL_SETS:
         for r in (1, 2, 3):
@@ -878,34 +878,98 @@ def group_ring_weights_checked(monkeypatch):
             alg = CosetAlgebra(GroupParams(e, p, n, q), r)
             for numerator in (alg.g_poly(), alg._degree_product()):
                 misses.clear()
-                if alg._class_weights(numerator) != trat_weights(alg, numerator):
+                weights, common = alg._class_weights(numerator)
+                if [TRat(w, common) for w in weights] != trat_weights(alg, numerator):
                     wrong.append(key)
             counts[key] = sum(xi.beta in misses for xi in alg.class_params)
     return wrong, {key: c for key, c in counts.items() if c}
 
 
 def test_group_ring_weights_equal_the_trat_product(monkeypatch):
-    # the class weights divided out in Z[C_e][t] equal the TRat quotients
-    # for G(t) and the degree product, and the division leaves a remainder
-    # only on the zeta-defect sets (2 classes of G(3,3,2) q=1 and of
-    # G(6,6,2) q=2, 3 of G(6,3,2) q=2), where the TRat quotient stands
+    # the class weights divided out in Z[C_e][t] over their common
+    # denominator equal the TRat quotients for G(t) and the degree product,
+    # and the division leaves a remainder only on the zeta-defect sets (2
+    # classes of G(3,3,2) q=1 and of G(6,6,2) q=2, 3 of G(6,3,2) q=2), where
+    # the common denominator takes their dets
     want = {(e, p, n, q, r): count
             for (e, p, n, q), count in [((3, 3, 2, 1), 2), ((6, 3, 2, 2), 3), ((6, 6, 2, 2), 2)]
             for r in (1, 2, 3)}
     assert group_ring_weights_checked(monkeypatch) == ([], want)
     # a rotation one step too far divides by t^part - zeta^(k+1): a weight
-    # comes out wrong, or the remainder classes are not those above
-    rotate = gepn._rotate
-    monkeypatch.setattr(gepn, "_rotate", lambda vec, k: rotate(vec, (k + 1) % len(vec)))
-    wrong, counts = group_ring_weights_checked(monkeypatch)
-    assert wrong or counts != want
+    # comes out wrong, the remainder classes are not those above, or a
+    # class leaves a remainder over its own det
+    rotate = symfunc._rotate
+    monkeypatch.setattr(symfunc, "_rotate", lambda vec, k: rotate(vec, (k + 1) % len(vec)))
+    try:
+        wrong, counts = group_ring_weights_checked(monkeypatch)
+    except ArithmeticError as exc:
+        assert "leaves a remainder over its own det" in str(exc)
+    else:
+        assert wrong or counts != want
 
 
-# the q = 0 sets of the 18-set grid
-MIRROR_SETS = [
+# the 18-set grid of the same-output checks
+GRID_18 = [
     (3, 3, 3, 0), (2, 2, 4, 0), (4, 2, 2, 0), (3, 1, 2, 0), (1, 1, 4, 0), (6, 2, 2, 0),
-    (5, 5, 2, 0), (2, 2, 5, 0), (8, 4, 2, 0), (6, 2, 3, 0),
+    (5, 5, 2, 0), (2, 2, 3, 1), (2, 2, 2, 1), (4, 4, 3, 2), (3, 3, 2, 1), (6, 6, 2, 2),
+    (4, 4, 2, 1), (6, 3, 2, 2), (3, 3, 3, 1), (2, 2, 5, 0), (8, 4, 2, 0), (6, 2, 3, 0),
 ]
+MIRROR_SETS = [s for s in GRID_18 if not s[3]]
+
+
+def grid_levels():
+    """Every sub-level of the 18-set grid at r = 2, and three larger ones."""
+    levels = {lv for s in GRID_18 for lv in CosetAlgebra(GroupParams(*s)).levels.values()}
+    return sorted(levels | {level_for(3, 4), level_for(4, 3), level_for(2, 5)}, key=repr)
+
+
+def euclid_lcm(polys):
+    """The monic lcm of polys by the Euclidean algorithm."""
+    out = polys[0].monic()
+    for x in polys[1:]:
+        out = out * x.divmod(out.gcd(x))[0]
+    return out.monic()
+
+
+def test_degree_product_is_the_lcm_of_the_z_series_denominators():
+    # Springer: the lcm of det(t id - w) over G(e',1,n) is prod (t^(e'i) - 1),
+    # so it is the denominator L of the Schur Gram matrix
+    for lv in grid_levels():
+        want = euclid_lcm([lv.z_series(beta).den for beta in lv.partitions])
+        assert TPoly.from_coords(lv.field, [lv.degree_product()]) == want, lv
+
+
+def test_the_class_sums_take_no_gcd(monkeypatch):
+    # the Schur Gram matrix, Omega' and the fake degrees divide the degree
+    # product by every det(t id - w) in the group ring: no polynomial gcd
+    # or division is taken (the q = 0 sets, where no weight has a remainder)
+    calls = []
+    for name in ("gcd", "divmod"):
+        real = getattr(TPoly, name)
+
+        def spy(self, other, real=real, name=name):
+            calls.append(name)
+            return real(self, other)
+
+        monkeypatch.setattr(TPoly, name, spy)
+    for lv in grid_levels():
+        lv.schur_gram(lv.partitions)
+    for s in MIRROR_SETS:
+        alg = CosetAlgebra(GroupParams(*s))
+        alg.omega_prime()
+        alg.fake_degrees()
+    assert calls == []
+
+
+def test_a_short_degree_product_raises(monkeypatch):
+    # with the factor t^(e'n) - 1 of L left out, some weight of the Schur
+    # Gram matrix is not a polynomial, against Springer's theorem
+    real = Level.degree_product
+    monkeypatch.setattr(Level, "degree_product",
+                        lambda lv: real(Level(lv.E, lv.h, lv.ecols, lv.n - 1)))
+    for lv in (level_for(2, 3), level_for(3, 2), Level(6, 2, 3, 2), level_for(1, 4)):
+        with pytest.raises(ArithmeticError, match=r"the weight of class \("):
+            lv.schur_gram(lv.partitions)
 
 
 def test_mirrored_class_sum_equals_the_full_one():
@@ -916,8 +980,7 @@ def test_mirrored_class_sum_equals_the_full_one():
         for r in (1, 2, 3):
             alg = CosetAlgebra(GroupParams(e, p, n, q), r)
             cols = list(zip(*alg.coset_table()))
-            weights = alg._class_weights(alg.g_poly())
-            full = gram_numerators(cols, cols, weights)
+            full = gram_numerators(cols, cols, *alg._class_weights(alg.g_poly()))
             alg.omega_prime()
             assert alg._omega_nums == full, (e, p, n, q, r)
 
@@ -938,9 +1001,9 @@ def test_a_wrong_mirror_fails_verify(capsys, monkeypatch):
     alg = CosetAlgebra(params)
     monkeypatch.setattr(alg, "conjugation_permutation", lambda: swapped)
     cols = list(zip(*alg.coset_table()))
-    weights = alg._class_weights(alg.g_poly())
-    assert gram_numerators(cols, cols, weights, swapped)[0] != (
-        gram_numerators(cols, cols, weights)[0])
+    weights, common = alg._class_weights(alg.g_poly())
+    assert gram_numerators(cols, cols, weights, common, swapped)[0] != (
+        gram_numerators(cols, cols, weights, common)[0])
     monkeypatch.setattr(gepn, "_ALGEBRAS", {(params, 2): alg})
     code = main(["verify", "--e", "2", "--p", "2", "--n", "4"])
     lines = capsys.readouterr().out.splitlines()
