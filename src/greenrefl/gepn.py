@@ -20,25 +20,26 @@ X(0)[xi][z] = <p_xi, s_z> is a sum of sub-level character-table entries
 with roots of unity, summed in the group ring Z[C_e] of those tables (a
 root of unity is a rotation) over only the table columns that are class
 parameters of the coset, and reduced into Q(zeta_e) once per distinct sum.
-Only one unsplit row of each orbit of the centre of W and, for q = 0, of
-inversion is summed: the central element zeta^k I acts on a character as
-a scalar, so the other rows of the orbit are the summed one with each
+Only one unsplit row of each orbit of the centre of W and, where p | 2q,
+of inversion is summed: the central element zeta^k I acts on a character
+as a scalar, so the other rows of the orbit are the summed one with each
 column rotated, and conjugated for an inverse class
 (``CosetAlgebra._row_sources``); only the summed rows' columns are built.
 OmegaPrime and the fake degrees are class sums over the columns of X(0),
 computed by ``symfunc.gram_numerators``, the kernel shared with the Schur
-Gram matrix of a level, over weights G(t) / (z_xi det(t id - w_xi)) divided
-in Z[C_e][t] with no gcd (``CosetAlgebra._class_weights``): G(t) is t^(N*)
-times the degree product L, the lcm of the det(t id - w) by Springer's
-theorem, so on an untwisted coset every weight is a polynomial.  For q = 0
-the class sum takes one entry of each pair that complex conjugation of the
+Gram matrix of a level, over one set of integer weights per coset,
+D / (z_xi det(t id - w_xi)) divided in Z[C_e][t] with no gcd
+(``CosetAlgebra._class_weights``): D is the degree product, the lcm of the
+det(t id - w) by Springer's theorem, so on an untwisted coset every weight
+is a polynomial.  OmegaPrime is t^(N*) times its class sum.  For q = 0 the
+class sum takes one entry of each pair that complex conjugation of the
 characters mirrors.  The numerators stay integers, in coordinate lists
 (``TPoly.coords``), from the class sum through the elimination and its
 certificate; TPoly and TRat are built only for the matrices a command
 prints.  The Green-function suite packages
 
     Ktilde(+/-) = K(+/-)(t^(-1)) T,      T = diag(t^(a(z))),
-    OmegaPrime  = G(t) sum_xi X(0)-row outer products / (z_xi det(t id - w_xi)),
+    OmegaPrime  = t^(N*) D sum_xi X(0)-row outer products / (z_xi det(t id - w_xi)),
     LambdaTilde = the similarity-class diagonal blocks of
                   Ktilde-^(-1) OmegaPrime tr(Ktilde+)^(-1),
 
@@ -162,6 +163,7 @@ class CosetAlgebra:
         self._kostka = {}
         self._omega = None
         self._omega_nums = None
+        self._weights = None
         self._sigma = None
         self._green = None
         self._assembly = None
@@ -247,16 +249,16 @@ class CosetAlgebra:
         moves a part r of colour c to colour c + k r; inversion moves it to
         colour -c.  Both permute the classes of W, and the central elements
         those of sigma^q W; inversion maps sigma^q W onto sigma^(-q) W and is
-        used for q = 0 only.  An unsplit class (``class_multiplicity`` 1, so
-        the only class param with its e-partition) is its e-partition alone,
-        so its images are found by their e-partitions; the first unsplit
-        class of each orbit, in class order, is summed, and split classes
-        are always summed."""
+        used where that is sigma^q W again, p | 2q.  An unsplit class
+        (``class_multiplicity`` 1, so the only class param with its
+        e-partition) is its e-partition alone, so its images are found by
+        their e-partitions; the first unsplit class of each orbit, in class
+        order, is summed, and split classes are always summed."""
         params = self.params
         count = Counter(xi.beta for xi in self.class_params)
         unsplit = {xi.beta: i for i, xi in enumerate(self.class_params) if count[xi.beta] == 1}
         moves = [(k, conj) for k in range(params.e) if k * params.n % params.p == 0
-                 for conj in ((False, True) if params.q == 0 else (False,))]
+                 for conj in ((False, True) if 2 * params.q % params.p == 0 else (False,))]
         source = [None] * len(self.class_params)
         for beta, i in unsplit.items():
             if source[i] is not None:
@@ -279,12 +281,13 @@ class CosetAlgebra:
 
         Summed in the group ring Z[C_e] of ``Level.char_table``: a term
         rotates chi_j[a][g] by u - k and scales it by s.  Only one row of
-        each orbit of the centre of W and, for q = 0, of inversion is summed
-        (``_row_sources``).  By Schur's lemma zeta^k I acts on the character
-        z = (alpha, phi), and on its extension to sigma^q W, as
+        each orbit of the centre of W and, where p | 2q, of inversion is
+        summed (``_row_sources``).  By Schur's lemma zeta^k I acts on the
+        character z = (alpha, phi), and on its extension to sigma^q W, as
         zeta^(k s(alpha)), s(alpha) = sum_c c |alpha^(c)| (Macdonald, ch. I,
         appendix B), so a moved row is the summed one with column z rotated
-        by k s(alpha); the row of an inverse class is the conjugate one.
+        by k s(alpha); the row of an inverse class is the conjugate one, an
+        extended character being a character of a finite group.
         Only the columns g that the summed rows' power terms name are asked
         of each level (on G(6,2,3), 13 of the 98 columns at j = 0, for 13
         of 49 rows), and each distinct group-ring sum is reduced into
@@ -423,51 +426,46 @@ class CosetAlgebra:
         params = self.params
         return params.e * params.n * (params.n - 1) // 2 + params.n * (params.d - 1)
 
-    def _degree_product(self):
-        """(zeta^(qd) t^(dn) - 1) prod_(i<n) (t^(ei) - 1)."""
-        params, field = self.params, self.field
-        zeta = field.zeta(params.q * params.d)
-        out = TRat(TPoly.t_power(field, params.d * params.n, zeta), reduce=False) - self.one
-        for i in range(1, params.n):
-            out = out * (TRat.t(field, params.e * i) - self.one)
-        return out
-
-    def g_poly(self):
-        """G(t) = t^(N*) (zeta^(qd) t^(dn) - 1) prod_(i<n) (t^(ei) - 1)."""
-        return TRat.t(self.field, self.n_star()) * self._degree_product()
-
     def det_of_class(self, beta):
         """det_M(w_beta(b)) = (-1)^(n - length) zeta^(delta(beta))."""
         sign = (-1) ** (self.params.n - ep_length(beta))
         return self.field.zeta(delta(beta) % self.params.e) * sign
 
-    def _class_weights(self, numerator):
-        """(weights, common): numerator / (z_xi det(t id - w_xi)) =
-        weights[i] / common for every class xi, for a numerator over
-        Z[zeta], each weight a TPoly from ``symfunc.ring_weight``, with no
-        gcd, once per beta.  On an untwisted coset G(t) and the degree
-        product are multiples of the lcm of the dets (Springer's theorem),
-        and common is 1.  Where a division leaves a remainder, common takes
-        the det of that class and all divisions rerun on numerator * common:
-        only on the five twisted sets tried whose OmegaPrime is not over
-        Z[t], for 1 to 3 classes each."""
-        level0 = self.levels[0]
-        z_of = {xi.beta: self.z_integer(xi) for xi in self.class_params}
-        common, tried = TPoly.constant(self.field.one), set()
-        while True:
-            e, num = self.params.e, numerator.num * common
-            ring = [list(c.num) + [0] * (e - len(c.num)) for c in num.coeffs]
-            by_beta = {beta: ring_weight(level0, ring, beta, z) for beta, z in z_of.items()}
-            miss = next((beta for beta, weight in by_beta.items() if weight is None), None)
-            if miss is None:
-                return [by_beta[xi.beta] for xi in self.class_params], common
-            if miss in tried:
-                raise ArithmeticError(f"class {miss} leaves a remainder over its own det")
-            tried.add(miss)
-            common = common * level0.det_poly(miss)
+    def _class_weights(self):
+        """(weights, common), computed once: weights[i] = (z_xi, W) with
+        W / (z_xi common) = D / (z_xi det(t id - w_xi)) for the degree
+        product D = (zeta^(qd) t^(dn) - 1) prod_(i<n) (t^(ei) - 1), W the
+        integer coordinates that ``symfunc.ring_weight`` divides out once
+        per beta, with no gcd.  On an untwisted coset D is a multiple of
+        every det (Springer's theorem), and common is 1.  Where a division
+        leaves a remainder, common takes that class's det and all divisions
+        rerun on D common: only on the five twisted sets tried whose
+        OmegaPrime is not over Z[t]."""
+        if self._weights is None:
+            e, d, n, q = self.params.e, self.params.d, self.params.n, self.params.q
+            field, level0 = self.field, self.levels[0]
+            one = TPoly.constant(field.one)
+            big_d = TPoly.t_power(field, d * n, field.zeta(q * d)) - one
+            for i in range(1, n):
+                big_d = big_d * (TPoly.t_power(field, e * i) - one)
+            z_of = {xi.beta: self.z_integer(xi) for xi in self.class_params}
+            common, tried = one, set()
+            while True:
+                ring = [list(c.num) + [0] * (e - len(c.num)) for c in (big_d * common).coeffs]
+                by_beta = {beta: (z, ring_weight(level0, ring, beta)) for beta, z in z_of.items()}
+                miss = next((beta for beta, (_, ints) in by_beta.items() if ints is None), None)
+                if miss is None:
+                    break
+                if miss in tried:
+                    raise ArithmeticError(f"class {miss} leaves a remainder over its own det")
+                tried.add(miss)
+                common = common * level0.det_poly(miss)
+            self._weights = [by_beta[xi.beta] for xi in self.class_params], common
+        return self._weights
 
     def omega_prime(self):
-        """O'[z,z'] = G(t) sum_xi X[xi,z] conj(X[xi,z']) / (z_xi det_xi).
+        """O'[z,z'] = t^(N*) D sum_xi X[xi,z] conj(X[xi,z']) / (z_xi det_xi):
+        the class sum over ``_class_weights``, each numerator then shifted.
 
         The numerators N, in coordinate lists, and their common denominator
         L of the class sum (``gram_numerators``) are kept for the block LDU
@@ -477,8 +475,11 @@ class CosetAlgebra:
         such pair."""
         if self._omega is None:
             cols = list(zip(*self.coset_table()))
-            self._omega_nums = gram_numerators(
-                cols, cols, *self._class_weights(self.g_poly()), self.conjugation_permutation())
+            nums, common = gram_numerators(
+                cols, cols, *self._class_weights(), self.conjugation_permutation())
+            shift = [0] * self.n_star()
+            self._omega_nums = [[[shift + c if c else c for c in x] for x in row]
+                                for row in nums], common
             self._omega = as_fractions(*self._omega_nums)
         return self._omega
 
@@ -491,8 +492,7 @@ class CosetAlgebra:
         a polynomial for q = 0; one column of ``gram_numerators``."""
         cols = list(zip(*self.coset_table()))
         dets = [[self.det_of_class(xi.beta).conjugate() for xi in self.class_params]]
-        weights = self._class_weights(self._degree_product())
-        column = as_fractions(*gram_numerators(cols, dets, *weights))
+        column = as_fractions(*gram_numerators(cols, dets, *self._class_weights()))
         return {z: row[0] for z, row in zip(self.chars, column)}
 
     def green(self):

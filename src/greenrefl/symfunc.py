@@ -27,13 +27,14 @@ of a level here, and Omega' and the fake degrees of the coset layer,
 made canonical fractions by ``as_fractions``.  The weights are divided out
 in Z[C_E][t] with no gcd (``ring_weight``) over the degree product
 prod_i (t^(d_i) - 1), the lcm of the det(t id - w) (Springer, Regular
-elements of finite reflection groups, 1974, Thm 3.4), and the numerators
-come back as integers in coordinate lists (``TPoly.coords``), the form the
-block LDU reads.  Every value is scaled to Z[zeta][t] and packed into one
-Python int, a slot of B bits per monomial t^d zeta^m, so the k^3 scalar
-products are big-integer products; the packing, and why B from L1 norms
-is safe, are described once, in ``exact_arith``.  The unpacking refuses a
-value that spills past its last slot.
+elements of finite reflection groups, 1974, Thm 3.4), as integers over z
+on a coset and 1 on a level, and the numerators come back as integers in
+coordinate lists (``TPoly.coords``), the form the block LDU reads.  Every
+value is scaled to Z[zeta][t] and packed into one Python int, a slot of B
+bits per monomial t^d zeta^m, so the k^3 scalar products are big-integer
+products; the packing, and why B from L1 norms is safe, are described
+once, in ``exact_arith``.  The unpacking refuses a value that spills past
+its last slot.
 """
 
 from __future__ import annotations
@@ -229,10 +230,11 @@ class Level:
         for beta in self.partitions:
             m = -self.h * sum(k * len(comp) for k, comp in enumerate(beta)) % self.E
             unit = _rotate([(-1) ** ep_length(beta) * self.z_int(beta)] + [0] * (self.E - 1), m)
-            weights.append(ring_weight(self, [[c * x for x in unit] for c in big_l],
-                                       beta[:1] + beta[:0:-1]))
-            if weights[-1] is None:
+            ints = ring_weight(self, [[c * x for x in unit] for c in big_l],
+                               beta[:1] + beta[:0:-1])
+            if ints is None:
                 raise ArithmeticError(f"the weight of class {beta} leaves a remainder over L")
+            weights.append((1, ints))
         return gram_numerators(rows, rows, weights, TPoly.from_coords(self.field, [big_l]))
 
     def scalar_from_p(self, u, v, subst=1):
@@ -264,41 +266,39 @@ def gram_numerators(left, right, weights, common, mirror=None):
     """(N, L) with sum_i left[a][i] conj(right[b][i]) weights[i] / common
     = N[a][b] / L.
 
-    The rows hold CycNum values, the weights and the caller's common are
-    TPoly, so no gcd or lcm is taken here.  L is common times an integer
-    where the sum is not integral over it, N[a][b] in coordinate lists
-    (``TPoly.coords``): Omega' and the Schur Gram numerators go on to the
-    block LDU (``wreath.certified_ldu``) in that form, and a TPoly is built
-    only where a matrix is printed (``as_fractions``).  With ``mirror``, a
-    permutation s of the rows of left = right with conj(left[a]) =
-    left[s[a]], N[a][b] = N[s[b]][s[a]] whatever the weights, and only one
-    entry of each such pair is summed.
+    The rows hold CycNum values, weights[i] is (dw, W), W / dw with W the
+    integer coordinates of each power of t (``ring_weight``), and the
+    caller's common a TPoly, so no polynomial gcd is taken here.  L is
+    common times an integer where the sum is not integral over it, N[a][b]
+    in coordinate lists (``TPoly.coords``): Omega' and the Schur Gram
+    numerators go on to the block LDU (``wreath.certified_ldu``) in that
+    form, and a TPoly is built only where a matrix is printed
+    (``as_fractions``).  With ``mirror``, a permutation s of the rows of
+    left = right with conj(left[a]) = left[s[a]], N[a][b] = N[s[b]][s[a]]
+    whatever the weights, and only one entry of each such pair is summed.
 
     Class i is scaled to integers: X[a] and Y[b] are the integer numerators
-    of column i of left and conj(right) over their lcm denominators, W the
-    primitive integer part of weights[i], and one rational factor per
-    class, brought to the common denominator D, is folded into W.  Every X,
-    Y and W is packed into one int by the codec of ``exact_arith``: a run of
-    T slots of B bits per power zeta^m, a slot per power of t, T above the
-    t-degree of every W.  A product X Y W has zeta-degree at most
-    3 (phi(e) - 1), so it fills at most 3 phi(e) - 2 runs and the k^3
-    products are integer products.  A sum read back in balanced runs is a
-    vector over the powers of zeta, which ``CycField.fold`` reduces on the
-    packed ints; a run past the last raises ArithmeticError.  A coefficient
-    of the sum is at most S = sum_i max|X|_1 max|Y|_1 |W|_1 in absolute
-    value, and a folded one at most S (1 + F), with F the sum of the L1
-    norms of the folded powers; B = bitlength(S (1 + F)) + 1 keeps both
-    below 2^(B-1), so the balanced digits read them back exactly.  The
-    digits are divided by D where every one of them is divisible; otherwise
-    D stays in L."""
+    of column i of left and conj(right) over their lcm denominators dx, dy,
+    W is divided by its content c, and c / (dx dy dw), brought to the
+    common denominator D, is folded into W.  Every X, Y and W is packed
+    into one int by the codec of ``exact_arith``: a run of T slots of B
+    bits per power zeta^m, a slot per power of t, T above the t-degree of
+    every W.  A product X Y W has zeta-degree at most 3 (phi(e) - 1), so it
+    fills at most 3 phi(e) - 2 runs and the k^3 products are integer
+    products.  A sum read back in balanced runs is a vector over the powers
+    of zeta, which ``CycField.fold`` reduces on the packed ints; a run past
+    the last raises ArithmeticError.  A coefficient of the sum is at most
+    S = sum_i max|X|_1 max|Y|_1 |W|_1 in absolute value, and a folded one
+    at most S (1 + F), with F the sum of the L1 norms of the folded powers;
+    B = bitlength(S (1 + F)) + 1 keeps both below 2^(B-1), so the balanced
+    digits read them back exactly.  The digits are divided by D where every
+    one of them is divisible; otherwise D stays in L."""
     field = common.field
     conj_right = [[c.conjugate() for c in row] for row in right]
     left_cols = [_integer_column(col) for col in zip(*left)]
     right_cols = [_integer_column(col) for col in zip(*conj_right)]
     factors, w_ints = [], []
-    for (dx, _), (dy, _), w in zip(left_cols, right_cols, weights):
-        dw = lcm(*(c.den for c in w.coeffs))
-        ints = [[x * (dw // c.den) for x in c.num] for c in w.coeffs]
+    for (dx, _), (dy, _), (dw, ints) in zip(left_cols, right_cols, weights):
         content = gcd(*(x for num in ints for x in num)) or 1
         w_ints.append([[x // content for x in num] for num in ints])
         # the factor content / (dx dy dw) in lowest terms
@@ -346,25 +346,24 @@ def gram_numerators(left, right, weights, common, mirror=None):
     return nums, common
 
 
-def ring_weight(level, ring, beta, den=1):
-    """ring / (den det(t id - w_beta)) as a TPoly over the field of
-    ``level``, ring over Z[C_E] (ascending in t, each coefficient E ints),
-    or None where a remainder is not zero: long division by each binomial
-    t^part - zeta^k of ``Level.det_poly``, a root of unity a rotation, with
-    no gcd.  The weight routine of every class sum."""
+def ring_weight(level, ring, beta):
+    """ring / det(t id - w_beta), ring over Z[C_E] (ascending in t, each
+    coefficient E ints), as the coordinates of each power of t folded into
+    the field of ``level`` (``CycField.fold``), or None where a remainder is
+    not zero: long division by each binomial t^part - zeta^k of
+    ``Level.det_poly``, a root of unity a rotation, with no gcd.  The weight
+    routine of every class sum; the caller keeps its integer denominator."""
     field, E = level.field, level.E
-    v = next(j for j, c in enumerate(ring) if any(c))   # det(0) != 0: t^v is kept
-    rem = ring[v:]
     for colour, comp in enumerate(beta):
         k = colour * level.h % E
         for part in comp:
-            rem = rem[:]
-            for j in range(len(rem) - 1, part - 1, -1):
-                rem[j - part] = [a + b for a, b in zip(rem[j - part], _rotate(rem[j], k))]
-            if any(any(field.fold(c)) for c in rem[:part]):
+            ring = ring[:]
+            for j in range(len(ring) - 1, part - 1, -1):
+                ring[j - part] = [a + b for a, b in zip(ring[j - part], _rotate(ring[j], k))]
+            if any(any(field.fold(c)) for c in ring[:part]):
                 return None
-            rem = rem[part:]
-    return TPoly(field, [field.zero] * v + [field.from_ring(c, den) for c in rem])
+            ring = ring[part:]
+    return [field.fold(c) for c in ring]
 
 
 def _rotate(vec, k):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -676,10 +677,25 @@ def test_conjugation_permutation_rejects_a_column_without_conjugate():
         alg.conjugation_permutation()
 
 
+def trat_degree_product(alg):
+    """D = (zeta^(qd) t^(dn) - 1) prod_(i<n) (t^(ei) - 1) by TRat arithmetic."""
+    params, field = alg.params, alg.field
+    top = TPoly.t_power(field, params.d * params.n, field.zeta(params.q * params.d))
+    out = TRat(top) - alg.one
+    for i in range(1, params.n):
+        out = out * (TRat.t(field, params.e * i) - alg.one)
+    return out
+
+
+def trat_g_poly(alg):
+    """G(t) = t^(N*) D by TRat arithmetic."""
+    return TRat.t(alg.field, alg.n_star()) * trat_degree_product(alg)
+
+
 def per_term_omega_prime(alg):
     """OmegaPrime summed class by class, one TRat add per term."""
     table = alg.coset_table()
-    g = alg.g_poly()
+    g = trat_g_poly(alg)
     k = len(alg.chars)
     out = [[alg.zero] * k for _ in range(k)]
     for row, xi in zip(table, alg.class_params):
@@ -703,7 +719,7 @@ def per_character_fake_degrees(alg):
         for row, xi in zip(table, alg.class_params):
             num = alg.det_of_class(xi.beta) * row[zi] * Fraction(1, alg.z_integer(xi))
             acc = acc + TRat(TPoly.constant(num), alg.levels[0].det_poly(xi.beta))
-        out[z] = alg._degree_product() * acc
+        out[z] = trat_degree_product(alg) * acc
     return out
 
 
@@ -858,17 +874,18 @@ def trat_weights(alg, numerator):
 
 def group_ring_weights_checked(monkeypatch):
     """(wrong, counts): the (e, p, n, q, r) of DIFFERENTIAL_SETS where the
-    weights of G(t) or of the degree product, over their common
-    denominator, differ from the TRat quotients, and per set the classes
-    whose group-ring division leaves a remainder."""
+    class weights over their common denominator differ from the TRat
+    quotients of the degree product D, or, times t^(N*), from those of
+    G(t) = t^(N*) D, and per set the classes whose group-ring division
+    leaves a remainder."""
     misses = []
     real = gepn.ring_weight
 
-    def spy(level, ring, beta, den=1):
-        weight = real(level, ring, beta, den)
-        if weight is None:
+    def spy(level, ring, beta):
+        ints = real(level, ring, beta)
+        if ints is None:
             misses.append(beta)
-        return weight
+        return ints
 
     monkeypatch.setattr(gepn, "ring_weight", spy)
     wrong, counts = [], {}
@@ -876,21 +893,25 @@ def group_ring_weights_checked(monkeypatch):
         for r in (1, 2, 3):
             key = (e, p, n, q, r)
             alg = CosetAlgebra(GroupParams(e, p, n, q), r)
-            for numerator in (alg.g_poly(), alg._degree_product()):
-                misses.clear()
-                weights, common = alg._class_weights(numerator)
-                if [TRat(w, common) for w in weights] != trat_weights(alg, numerator):
-                    wrong.append(key)
+            field = alg.field
+            misses.clear()
+            weights, common = alg._class_weights()
+            got = [TRat(TPoly(field, [field.make(c, z) for c in ints]), common)
+                   for z, ints in weights]
+            t_n = TRat.t(field, alg.n_star())
+            if (got != trat_weights(alg, trat_degree_product(alg))
+                    or [t_n * w for w in got] != trat_weights(alg, trat_g_poly(alg))):
+                wrong.append(key)
             counts[key] = sum(xi.beta in misses for xi in alg.class_params)
     return wrong, {key: c for key, c in counts.items() if c}
 
 
 def test_group_ring_weights_equal_the_trat_product(monkeypatch):
     # the class weights divided out in Z[C_e][t] over their common
-    # denominator equal the TRat quotients for G(t) and the degree product,
-    # and the division leaves a remainder only on the zeta-defect sets (2
-    # classes of G(3,3,2) q=1 and of G(6,6,2) q=2, 3 of G(6,3,2) q=2), where
-    # the common denominator takes their dets
+    # denominator equal the TRat quotients for the degree product and, times
+    # t^(N*), for G(t), and the division leaves a remainder only on the
+    # zeta-defect sets (2 classes of G(3,3,2) q=1 and of G(6,6,2) q=2, 3 of
+    # G(6,3,2) q=2), where the common denominator takes their dets
     want = {(e, p, n, q, r): count
             for (e, p, n, q), count in [((3, 3, 2, 1), 2), ((6, 3, 2, 2), 3), ((6, 6, 2, 2), 2)]
             for r in (1, 2, 3)}
@@ -961,6 +982,28 @@ def test_the_class_sums_take_no_gcd(monkeypatch):
     assert calls == []
 
 
+def test_the_class_weights_are_divided_once(monkeypatch):
+    # OmegaPrime and the fake degrees read one set of class weights: every
+    # beta is divided once per round of the remainder rerun: one round where
+    # no division leaves a remainder, two on G(3,3,2) q=1, where the rerun
+    # over the det of the first remainder class leaves none
+    calls = []
+    real = gepn.ring_weight
+
+    def spy(level, ring, beta, *rest):
+        calls.append(beta)
+        return real(level, ring, beta, *rest)
+
+    monkeypatch.setattr(gepn, "ring_weight", spy)
+    for s, rounds in [((3, 3, 3, 0), 1), ((3, 3, 2, 1), 2)]:
+        calls.clear()
+        alg = CosetAlgebra(GroupParams(*s))
+        alg.omega_prime()
+        alg.fake_degrees()
+        betas = {xi.beta for xi in alg.class_params}
+        assert Counter(calls) == dict.fromkeys(betas, rounds), s
+
+
 def test_a_short_degree_product_raises(monkeypatch):
     # with the factor t^(e'n) - 1 of L left out, some weight of the Schur
     # Gram matrix is not a polynomial, against Springer's theorem
@@ -980,9 +1023,11 @@ def test_mirrored_class_sum_equals_the_full_one():
         for r in (1, 2, 3):
             alg = CosetAlgebra(GroupParams(e, p, n, q), r)
             cols = list(zip(*alg.coset_table()))
-            full = gram_numerators(cols, cols, *alg._class_weights(alg.g_poly()))
+            nums, common = gram_numerators(cols, cols, *alg._class_weights())
+            shift = [0] * alg.n_star()
+            full = [[[shift + c if c else c for c in x] for x in row] for row in nums]
             alg.omega_prime()
-            assert alg._omega_nums == full, (e, p, n, q, r)
+            assert alg._omega_nums == (full, common), (e, p, n, q, r)
 
 
 def test_a_wrong_mirror_fails_verify(capsys, monkeypatch):
@@ -1001,7 +1046,7 @@ def test_a_wrong_mirror_fails_verify(capsys, monkeypatch):
     alg = CosetAlgebra(params)
     monkeypatch.setattr(alg, "conjugation_permutation", lambda: swapped)
     cols = list(zip(*alg.coset_table()))
-    weights, common = alg._class_weights(alg.g_poly())
+    weights, common = alg._class_weights()
     assert gram_numerators(cols, cols, weights, common, swapped)[0] != (
         gram_numerators(cols, cols, weights, common)[0])
     monkeypatch.setattr(gepn, "_ALGEBRAS", {(params, 2): alg})

@@ -297,9 +297,12 @@ def test_coset_table_builds_only_the_class_columns():
     assert (len(level._cols), level.size) == (13, 98)
     assert level._char is None
     # the columns built over all levels; G(2,2,5) has a trivial centre and
-    # e = 2, so every one of its 18 rows is summed
+    # e = 2, so every one of its 18 rows is summed; on G(6,2,3) q=3, where
+    # p | 2q and so the coset is closed under inversion, inversion derives
+    # rows as for q = 0
     for (e, p, n, q), built in [
         ((3, 3, 4, 0), 13), ((3, 3, 3, 0), 6), ((6, 6, 3, 1), 6), ((2, 2, 5, 0), 18),
+        ((6, 2, 3, 3), 13),
     ]:
         clear_caches()
         params = GroupParams(e, p, n, q)
@@ -421,17 +424,18 @@ def test_packed_class_sum_at_its_bound():
     # the slot width of the packed kernel comes from the L1 bound
     # sum_i max|X|_1 max|Y|_1 |W|_1; it is reached when one row is the
     # largest in every column and the weights are single monomials of one
-    # sign, here by entry (1, 1) = -(2*2*5 + 3*3*7) t^2 = -83 t^2
+    # sign, here by entry (1, 1) = -(2*2*5 + 3*3*7) t^2 = -83 t^2.  A
+    # weight is (den, W): W / den, W the integer coordinates per power of t
     field = CycField(1)
     c = field.from_rational
     rows = [[c(1), c(1)], [c(2), c(3)]]
-    weights = [TPoly.t_power(field, 2, c(-5)), TPoly.t_power(field, 2, c(-7))]
+    weights = [(1, [[0], [0], [-5]]), (1, [[0], [0], [-7]])]
     gram = as_fractions(*gram_numerators(rows, rows, weights, TPoly.constant(field.one)))
     for a in range(2):
         for b in range(2):
             want = TRat(TPoly(field, ()))
-            for x, y, w in zip(rows[a], rows[b], weights):
-                want = want + TRat(w.scale(x * y))
+            for x, y, (_, w) in zip(rows[a], rows[b], weights):
+                want = want + TRat(TPoly(field, [c(v) for v, in w]).scale(x * y))
             assert gram[a][b] == want, (a, b)
     assert gram[1][1] == TRat(TPoly.t_power(field, 2, c(-83)))
 
