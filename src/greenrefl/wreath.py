@@ -21,10 +21,11 @@ substitution), with no gcd, on the integer coordinate lists that the class
 sum hands over (``symfunc.gram_numerators``), and the factors read back are
 kept only after an exact certificate, K+ diag(D_N) conj(K-)^T = N
 multiplied out in Z[t] (``certified_ldu``, which also factors the Green
-functions of a coset).
-The families themselves, P(+/-) (the rows of the inverse Kostka matrices,
-by forward substitution) and the duals Q(+/-), are built from the factors
-on first use.
+functions of a coset).  ``HLData`` holds those certified integer lists as
+they are, and the disk cache stores them as they are.
+The Kostka matrices as TRat, the families P(+/-) (the rows of the inverse
+Kostka matrices, by forward substitution) and the duals Q(+/-) are built
+from the factors on first use.
 """
 
 from __future__ import annotations
@@ -155,14 +156,16 @@ class HLData:
     order: partitions in the canonical total order (class by class)
     classes: index ranges of the similarity classes
     a_values: one a-value per class
-    kp / km: the Kostka matrices K+/- = M(s, P+/-), rows and columns along
-             ``order``, block lower unitriangular
-    gram_nums / gram_den: the within-class Gram matrices <P+_z, P-_z'>,
-             one per class, as TPoly numerators over one TPoly denominator
-             (that of ``Level.schur_gram``)
+    l / d / u: the block LDU of the Gram numerators N = gram_den G, as
+             ``certified_ldu`` returns it, every entry in coordinate lists
+             (``TPoly.coords``): l = K+ and u = conj(K-)^T, block lower and
+             upper unitriangular along ``order``, and d the within-class
+             Gram numerators, one matrix per class
+    gram_den: the TPoly denominator of ``Level.schur_gram``
 
     Built on first use:
-    grams: the within-class Gram matrices as canonical TRat
+    kp / km: the Kostka matrices K+/- = M(s, P+/-) as TRat
+    grams: the within-class Gram matrices <P+_z, P-_z'> as canonical TRat
     sp / sm: Schur coordinates of P+ / P- (rows aligned with ``order``,
              columns aligned with level.partitions), the rows of the
              inverse Kostka matrices
@@ -174,17 +177,29 @@ class HLData:
     order: list
     classes: list
     a_values: list
-    kp: list
-    km: list
-    gram_nums: list
+    l: list
+    d: list
+    u: list
     gram_den: TPoly
 
     def index(self, alpha):
         return self.order.index(alpha)
 
+    def _poly(self, x):
+        return TPoly.from_coords(self.level.field, x)
+
+    @cached_property
+    def kp(self):
+        return [[TRat(self._poly(x), reduce=False) for x in row] for row in self.l]
+
+    @cached_property
+    def km(self):
+        return [[TRat(self._poly(x).conjugate(), reduce=False) for x in col]
+                for col in zip(*self.u)]
+
     @cached_property
     def grams(self):
-        return [[[TRat(x, self.gram_den) for x in row] for row in g] for g in self.gram_nums]
+        return [[[TRat(self._poly(x), self.gram_den) for x in row] for row in g] for g in self.d]
 
     def _schur_rows(self, kostka):
         inv = linalg.invert_unit_lower(kostka)
@@ -223,30 +238,23 @@ class HLData:
         return out
 
     def certified(self):
-        """Whether the factors held pass ``ldu_certified`` against freshly
+        """Whether the lists held pass ``ldu_certified`` against freshly
         built Gram numerators N in ``order``: gram_den is their common
-        denominator, K+/K- are polynomial and block lower unitriangular
-        along ``classes``, and K+ diag(gram_nums) conj(K-)^T = N, multiplied
-        out exactly.  The computation ran the same check; this repeats it
-        on the data held.  It is the gate of a file read from the disk
-        cache (``_load_cached_hl``) and a check of ``verify``."""
+        denominator, l and u are block lower and upper unitriangular along
+        ``classes``, and l diag(d) u = N, multiplied out exactly.  The
+        computation ran the same check; this repeats it on the data held.
+        It is the gate of a file read from the disk cache
+        (``_load_cached_hl``) and a check of ``verify``."""
         nums, common = self.level.schur_gram(self.order)
-        km_t = [[x.conjugate() for x in col] for col in zip(*self.km)]
-        if common != self.gram_den or not all(
-            x.is_polynomial() for mat in (self.kp, km_t) for row in mat for x in row
-        ):
-            return False
-        field = self.level.field
-        l, u = ([[x.num.coords(field) for x in row] for row in mat] for mat in (self.kp, km_t))
-        d = [[[x.coords(field) for x in row] for row in g] for g in self.gram_nums]
         blocks = [len(c) for c in self.classes]
-        return ldu_certified(field, nums, blocks, l, d, u)
+        return common == self.gram_den and ldu_certified(
+            self.level.field, nums, blocks, self.l, self.d, self.u)
 
 
 _HL_CACHE = {}
 
 CACHE_ENV = "GREENREFL_CACHE"
-CACHE_FORMAT = 3          # part of the cache file name; bump when the layout changes
+CACHE_FORMAT = 4          # part of the cache file name; bump when the layout changes
 
 
 def hl_data(level, r):
@@ -275,46 +283,44 @@ def _cache_path(level, r):
 
 
 def _load_cached_hl(level, r):
-    """The cached data of (level, r), or None: when the file is missing,
-    cannot be parsed, is not in the symbol order of a fresh computation, or
-    fails ``HLData.certified``, the exact certificate that computed data
-    passes.  The order is compared apart: a file consistent with itself in
-    another order factors along other blocks and would pass the certificate.
-    A refused file, unlike a missing one, is named on stderr."""
+    """The cached data of (level, r), or None: when the file is missing or
+    cannot be parsed, when an entry of its l, d, u or gram_den is not in
+    the form of ``TPoly.coords`` (phi(e) lists of plain ints, none with a
+    trailing zero), or when the data fail ``HLData.certified``, the exact
+    certificate that computed data pass.  The file holds no order: the
+    data take the symbol order of a fresh computation, and the
+    certificate, run in that order along its blocks, accepts only the
+    block LDU of N there, which is unique.  A refused file, unlike a
+    missing one, is named on stderr."""
     path = _cache_path(level, r)
     if path is None or not os.path.exists(path):
         return None
     try:
         with open(path) as handle:
-            raw = json.load(handle)
-
-        def rows(values):
-            return [[TRat.from_json(v) for v in row] for row in values]
-
-        def poly(value):
-            x = TRat.from_json(value)
-            if not x.is_polynomial():
-                raise ValueError("not a polynomial")
-            return x.num
-
-        data = HLData(
-            level=level,
-            r=r,
-            order=[tuple(tuple(c) for c in alpha) for alpha in raw["order"]],
-            classes=[list(c) for c in raw["classes"]],
-            a_values=list(raw["a_values"]),
-            kp=rows(raw["kp"]),
-            km=rows(raw["km"]),
-            gram_nums=[[[poly(v) for v in row] for row in g] for g in raw["gram_nums"]],
-            gram_den=poly(raw["gram_den"]),
-        )
-        ordered = (data.order, data.classes, data.a_values) == _symbol_order(level, r)
-        if ordered and data.certified():
-            return data
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
+            raw = json.load(handle, parse_float=_not_an_int, parse_constant=_not_an_int)
+        l, d, u, den = raw["l"], raw["d"], raw["u"], raw["gram_den"]
+        entries = [den] + [x for mat in (l, u, *d) for row in mat for x in row]
+        if all(_is_coords(x, level.field.degree) for x in entries):
+            data = HLData(level, r, *_symbol_order(level, r), l, d, u,
+                          TPoly.from_coords(level.field, den))
+            if data.certified():
+                return data
+    except (OSError, ValueError, KeyError, TypeError, IndexError, RecursionError):
         pass
     print(f"greenrefl: refused the HL cache file {path}; recomputing it", file=sys.stderr)
     return None
+
+
+def _not_an_int(text):
+    raise ValueError(f"{text} is not an integer")
+
+
+def _is_coords(x, degree):
+    """Whether x is degree lists of plain ints (no bool), none with a
+    trailing zero: the form of ``TPoly.coords``."""
+    return type(x) is list and len(x) == degree and all(
+        type(c) is list and (not c or c[-1] != 0) and all(type(v) is int for v in c)
+        for c in x)
 
 
 def _store_cached_hl(data):
@@ -323,22 +329,7 @@ def _store_cached_hl(data):
         return
     root = os.path.dirname(path)
     os.makedirs(root, exist_ok=True)
-
-    def rows(values):
-        return [[v.to_json() for v in row] for row in values]
-
-    def poly(x):
-        return TRat(x, reduce=False).to_json()
-
-    raw = {
-        "order": [[list(c) for c in alpha] for alpha in data.order],
-        "classes": [list(c) for c in data.classes],
-        "a_values": list(data.a_values),
-        "kp": rows(data.kp),
-        "km": rows(data.km),
-        "gram_nums": [[[poly(x) for x in row] for row in g] for g in data.gram_nums],
-        "gram_den": poly(data.gram_den),
-    }
+    raw = {"l": data.l, "d": data.d, "u": data.u, "gram_den": data.gram_den.coords()}
     # a temporary file of its own, so that no other writer can replace it
     fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
     try:
@@ -377,23 +368,8 @@ def _compute_hl(level, r):
     order, classes, a_values = _symbol_order(level, r)
     nums, common = level.schur_gram(order)
     prec = 2 * (max(len(c) for row in nums for x in row for c in x) - 1) + 2
-    field = level.field
-    l, d, u = certified_ldu(field, nums, [len(cls) for cls in classes], prec)
-
-    def poly(x):
-        return TPoly.from_coords(field, x)
-
-    return HLData(
-        level=level,
-        r=r,
-        order=order,
-        classes=classes,
-        a_values=a_values,
-        kp=[[TRat(poly(x), reduce=False) for x in row] for row in l],
-        km=[[TRat(poly(x).conjugate(), reduce=False) for x in col] for col in zip(*u)],
-        gram_nums=[[[poly(x) for x in row] for row in dk] for dk in d],
-        gram_den=common,
-    )
+    l, d, u = certified_ldu(level.field, nums, [len(cls) for cls in classes], prec)
+    return HLData(level, r, order, classes, a_values, l, d, u, common)
 
 
 def certified_ldu(field, nums, blocks, prec):
@@ -460,7 +436,8 @@ def ldu_certified(field, nums, blocks, l, d, u):
     ``HLData.certified`` and of the Kostka assembly's factors of a coset's
     Green functions.  Every entry is in the coordinate lists of ``field``
     (``TPoly.coords``: a TPoly is converted, and checked, where it is
-    made); the product is multiplied out on packed integers by
+    made, and a cache file's lists by ``_load_cached_hl``); the product is
+    multiplied out on packed integers by
     ``linalg.PackedProduct``."""
     size = len(nums)
     if sum(blocks) != size or [len(dk) for dk in d] != list(blocks):

@@ -128,7 +128,7 @@ def test_hall_littlewood_recomputes_a_cache_file_with_a_wrong_value(capsys, monk
     with open(path) as handle:
         raw = json.load(handle)
     i, j = below_the_blocks(hl_data(lv, 2))
-    raw["km"][i][j] = seven_t_entry(raw["km"][i][j], lv.field)
+    raw["u"][j][i] = seven_t_entry(raw["u"][j][i], lv.field)
     with open(path, "w") as handle:
         json.dump(raw, handle)
     assert fresh_run() == cacheless
@@ -221,12 +221,12 @@ def test_verify_reports_the_ldu_certificate(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--e", "3", "--p", "3", "--n", "2")
     assert code == 0
     assert f"[  ok] {line}" in out
-    # one strictly lower entry of K+ altered in the data hl_data hands out
+    # one strictly lower entry of l = K+ altered in the data hl_data hands out
     monkeypatch.setattr(wreath, "_HL_CACHE", {})
     data = wreath.hl_data(level_for(3, 2), 2)
-    i, j = next((i, j) for i, row in enumerate(data.kp) for j in range(i)
-                if not row[j].is_zero())
-    data.kp[i][j] = data.kp[i][j] + data.level.one
+    i, j = next((i, j) for i, row in enumerate(data.l) for j in range(i) if any(row[j]))
+    one = TPoly.constant(data.level.field.one)
+    data.l[i][j] = (TPoly.from_coords(data.level.field, data.l[i][j]) + one).coords()
     code, out = run(capsys, "verify", "--e", "3", "--p", "3", "--n", "2")
     assert code == 1
     assert f"[FAIL] {line}" in out

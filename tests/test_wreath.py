@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import re
 from fractions import Fraction
 
@@ -407,8 +408,9 @@ def _cached_file(tmp_path, monkeypatch, lv, r):
 
 
 def _same_hl(a, b):
-    return (a.order, a.classes, a.a_values, a.sp, a.sm, a.qp, a.qm) == (
-        b.order, b.classes, b.a_values, b.sp, b.sm, b.qp, b.qm
+    # every other field of HLData is built from these
+    return (a.order, a.classes, a.a_values, a.l, a.d, a.u, a.gram_den) == (
+        b.order, b.classes, b.a_values, b.l, b.d, b.u, b.gram_den
     )
 
 
@@ -419,11 +421,14 @@ def test_hl_cache_recomputes_a_truncated_file(tmp_path, monkeypatch):
     fresh, path = _cached_file(tmp_path, monkeypatch, lv, 2)
     assert "_v" in path.name
     text = path.read_text()
-    path.write_text(text[: len(text) // 2])
-    assert wreath_mod._load_cached_hl(lv, 2) is None
-    assert _same_hl(hl_data(lv, 2), fresh)
-    # the bad file was overwritten with the recomputed data
-    assert path.read_text() == text
+    # cut in half, and nested deeper than the JSON parser's recursion limit
+    for bad in (text[: len(text) // 2], "[" * 100000 + "]" * 100000):
+        path.write_text(bad)
+        assert wreath_mod._load_cached_hl(lv, 2) is None
+        monkeypatch.setattr(wreath_mod, "_HL_CACHE", {})
+        assert _same_hl(hl_data(lv, 2), fresh)
+        # the bad file was overwritten with the recomputed data
+        assert path.read_text() == text
     assert _same_hl(wreath_mod._load_cached_hl(lv, 2), fresh)
 
 
@@ -437,10 +442,10 @@ def test_hl_cache_recomputes_a_file_not_block_unitriangular(tmp_path, monkeypatc
     assert len(fresh.classes) > 1
     text = path.read_text()
     raw = json.loads(text)
-    # K- in the symbol order, first row, last column: above the diagonal
-    # blocks, so zero in valid data
-    assert fresh.km[0][-1].is_zero()
-    raw["km"][0][-1] = TRat.t(lv.field).to_json()
+    # u = conj(K-)^T in the symbol order, last row, first column: K- above
+    # the diagonal blocks, so zero in valid data
+    assert not any(fresh.u[-1][0])
+    raw["u"][-1][0] = [[0, 1]]
     path.write_text(json.dumps(raw))
     assert wreath_mod._load_cached_hl(lv, 2) is None
     assert _same_hl(hl_data(lv, 2), fresh)
@@ -448,7 +453,8 @@ def test_hl_cache_recomputes_a_file_not_block_unitriangular(tmp_path, monkeypatc
 
 
 def below_the_blocks(data):
-    """(i, j) of the first nonzero K- entry below the diagonal blocks."""
+    """(i, j) of the first nonzero K- entry below the diagonal blocks, held
+    as the entry (j, i) of u."""
     class_of = [ci for ci, cls in enumerate(data.classes) for _ in cls]
     return next((i, j) for i, row in enumerate(data.km) for j, v in enumerate(row)
                 if class_of[j] < class_of[i] and not v.is_zero())
@@ -467,18 +473,13 @@ def _assert_recomputed(lv, r, fresh, path, text):
 def seven_t_entry(entry, field):
     # a wrong value with the structure intact: shape, blocks and unit
     # diagonal are those of valid data
-    return TRat(TPoly.t_power(field, 1, field.from_rational(7))).to_json()
+    return [[0, 7]] + [[] for _ in range(field.degree - 1)]
 
 
 def other_field_entry(entry, field):
-    # sum c_k t^k rewritten over Q(zeta_3) as sum (c_k + 5 + 5 zeta) t^k,
-    # whose conjugate has zeta-free coordinate c_k: packed in the one
-    # coordinate of Q(zeta_2), the product would match
-    return {
-        "num": [{"e": 3, "coeffs": [str(Fraction(c["coeffs"][0]) + 5), "5"]}
-                for c in entry["num"]],
-        "den": [{"e": 3, "coeffs": ["1", "0"]}],
-    }
+    # one coordinate list more than the phi(e) of the field: read up to
+    # phi(e) lists, the entry is the valid one and the product would match
+    return entry + [[5, 5]]
 
 
 @pytest.mark.parametrize("alter", [seven_t_entry, other_field_entry])
@@ -492,15 +493,15 @@ def test_hl_cache_recomputes_a_file_with_a_wrong_value(tmp_path, monkeypatch, al
     text = path.read_text()
     raw = json.loads(text)
     i, j = below_the_blocks(fresh)
-    raw["km"][i][j] = alter(raw["km"][i][j], lv.field)
+    raw["u"][j][i] = alter(raw["u"][j][i], lv.field)
     path.write_text(json.dumps(raw))
     _assert_recomputed(lv, 2, fresh, path, text)
 
 
 def test_hl_cache_recomputes_a_file_in_another_symbol_order(tmp_path, monkeypatch):
-    # the data of the classes in reverse order, consistent with itself: it
-    # passes the certificate, which cannot see the order, so the order is
-    # compared apart
+    # the data with two partitions of a class swapped, consistent with
+    # itself: it passes the certificate in its own order, but the file holds
+    # no order, and in the symbol order of a fresh computation it fails
     import greenrefl.wreath as wreath_mod
 
     lv = level_for(2, 2)
@@ -508,17 +509,14 @@ def test_hl_cache_recomputes_a_file_in_another_symbol_order(tmp_path, monkeypatc
     text = path.read_text()
     symbol_order = wreath_mod._symbol_order
 
-    def reversed_order(level, r):
+    def swapped_order(level, r):
         order, classes, a_values = symbol_order(level, r)
-        new_order = [order[i] for cls in classes[::-1] for i in cls]
-        new_classes, start = [], 0
-        for cls in classes[::-1]:
-            new_classes.append(list(range(start, start + len(cls))))
-            start += len(cls)
-        return new_order, new_classes, a_values[::-1]
+        i, j = next(cls for cls in classes if len(cls) > 1)[:2]
+        order[i], order[j] = order[j], order[i]
+        return order, classes, a_values
 
     with monkeypatch.context() as m:
-        m.setattr(wreath_mod, "_symbol_order", reversed_order)
+        m.setattr(wreath_mod, "_symbol_order", swapped_order)
         other = wreath_mod._compute_hl(lv, 2)
     assert other.order != fresh.order and other.certified()
     wreath_mod._store_cached_hl(other)
@@ -549,6 +547,65 @@ def test_hl_cache_store_survives_a_nested_store(tmp_path, monkeypatch):
     assert len(calls) == 2
     (path,) = tmp_path.iterdir()        # no temporary file is left
     assert _same_hl(wreath_mod._load_cached_hl(lv, 2), fresh)
+
+
+def _diagonal(raw, i, j):
+    return raw["l"][0], 0
+
+
+def _below(raw, i, j):
+    return raw["u"][j], i
+
+
+def _denominator(raw, i, j):
+    return raw, "gram_den"
+
+
+MALFORMED = {
+    # the form of TPoly.coords broken, at the first diagonal entry of l or
+    # at the K- entry below the diagonal blocks
+    "empty_entry": (_diagonal, lambda x: []),
+    "bool_leaf": (_diagonal, lambda x: [[True]] + x[1:]),
+    "float_leaf": (_diagonal, lambda x: [[1.0]] + x[1:]),
+    "nan_leaf": (_below, lambda x: [[float("nan")] + x[0][1:]] + x[1:]),
+    "trailing_zero": (_below, lambda x: [x[0] + [0]] + x[1:]),
+    "extra_list": (_below, lambda x: x + [[]]),
+    # well formed, but not the denominator of the Gram numerators
+    "doubled_denominator": (_denominator, lambda x: [[2 * v for v in x[0]]] + x[1:]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_hl_cache_refuses_a_malformed_file(tmp_path, monkeypatch, capsys, case):
+    import json
+
+    lv = Level(2, 1, 2, 3)          # the top sub-level of G(2,2,3)
+    fresh, path = _cached_file(tmp_path, monkeypatch, lv, 2)
+    text = path.read_text()
+    raw = json.loads(text)
+    where, alter = MALFORMED[case]
+    box, key = where(raw, *below_the_blocks(fresh))
+    box[key] = alter(box[key])
+    path.write_text(json.dumps(raw))
+    _assert_recomputed(lv, 2, fresh, path, text)
+    assert str(path) in capsys.readouterr().err
+
+
+def test_hl_cache_ignores_a_file_of_the_parent_format(tmp_path, monkeypatch, capsys):
+    # the format version is part of the file name: a file of format 3, which
+    # held TRat JSON, is never read, and neither named nor removed
+    import greenrefl.wreath as wreath_mod
+
+    lv = level_for(2, 2)
+    monkeypatch.setenv(wreath_mod.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(wreath_mod, "_HL_CACHE", {})
+    path = pathlib.Path(wreath_mod._cache_path(lv, 2))
+    old = path.with_name(path.name.replace(f"hl_v{wreath_mod.CACHE_FORMAT}_", "hl_v3_"))
+    old.write_text("garbage")
+    assert _same_hl(hl_data(lv, 2), wreath_mod._compute_hl(lv, 2))
+    assert capsys.readouterr().err == ""
+    assert sorted(tmp_path.iterdir()) == sorted([old, path])
+    assert old.read_text() == "garbage"
 
 
 def test_hl_data_matches_ldu_of_normalised_gram():
@@ -791,7 +848,7 @@ def test_hl_data_certified_sees_altered_data():
     data = wreath_mod._compute_hl(lv, 2)
     assert data.certified()
     size = len(data.order)
-    i, j = next((i, j) for i in range(size) for j in range(i) if not data.kp[i][j].is_zero())
-    kp = [row[:] for row in data.kp]
-    kp[i][j] = kp[i][j] + lv.one
-    assert not dataclasses.replace(data, kp=kp).certified()
+    i, j = next((i, j) for i in range(size) for j in range(i) if any(data.l[i][j]))
+    l = [row[:] for row in data.l]
+    l[i][j] = (TPoly.from_coords(lv.field, l[i][j]) + TPoly.constant(lv.field.one)).coords()
+    assert not dataclasses.replace(data, l=l).certified()
