@@ -7,8 +7,6 @@ fake-degrees: pretty or JSON; verify: pretty only), and --out redirects it
 to a file.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -70,19 +68,20 @@ def add_common(p, with_p=True, with_q=True, with_r=True, with_sign=False,
 
 
 class _LazyParser(argparse.ArgumentParser):
-    """A sub-parser that adds its ``add_common`` arguments the first time
-    it parses or formats its usage or help.  The top-level parser names
-    every command and its help text without them, so a call adds the
-    arguments of the one command it runs, and prints what an eager parser
-    prints."""
+    """A sub-parser that runs ``ArgumentParser.__init__`` and adds its
+    ``add_common`` arguments the first time it parses or formats its usage
+    or help.  The top-level parser names every command and its help text
+    without them, so a call builds the parser of the one command it runs,
+    and prints what an eager parser prints."""
 
-    def __init__(self, *args, common=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._common = common
+    def __init__(self, **kwargs):
+        self._pending = kwargs
 
     def _fill(self):
-        if self._common is not None:
-            common, self._common = self._common, None
+        kwargs = vars(self).pop("_pending", None)
+        if kwargs is not None:
+            common = kwargs.pop("common")
+            super().__init__(**kwargs)
             add_common(self, **common)
 
     def parse_known_args(self, args=None, namespace=None):

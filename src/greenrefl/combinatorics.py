@@ -11,9 +11,7 @@ and the grouping of symbols into similarity classes (equal entry multisets)
 drive the block structure of every matrix in this package.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -79,31 +77,32 @@ def delta(alpha):
 # group parameters
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(namedtuple("GroupParams", "e p n q")):
     """Parameters (e, p, n) of G(e,p,n) together with a coset label q.
 
     q = 0 is the untwisted case.  A positive q must divide e, and e/q must
     be coprime to e/p so that the coset carries a character theory.
     """
 
-    e: int
-    p: int
-    n: int
-    q: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.e < 1 or self.p < 1 or self.n < 1:
+    def __new__(cls, e, p, n, q=0):
+        if e < 1 or p < 1 or n < 1:
             raise ValueError("e, p, n must be positive")
-        if self.e % self.p != 0:
-            raise ValueError(f"p={self.p} must divide e={self.e}")
-        if self.q < 0:
-            raise ValueError(f"q={self.q} must be nonnegative")
-        if self.q:
-            if self.e % self.q != 0:
-                raise ValueError(f"q={self.q} must divide e={self.e} (or be 0)")
-            if gcd(self.e // self.q, self.e // self.p) != 1:
+        if e % p != 0:
+            raise ValueError(f"p={p} must divide e={e}")
+        if q < 0:
+            raise ValueError(f"q={q} must be nonnegative")
+        if q:
+            if e % q != 0:
+                raise ValueError(f"q={q} must divide e={e} (or be 0)")
+            if gcd(e // q, e // p) != 1:
                 raise ValueError("e/q and e/p must be coprime")
+        return super().__new__(cls, e, p, n, q)
+
+    def _replace(self, **changes):
+        # through __new__, so that a replaced field is checked too
+        return GroupParams(**{**self._asdict(), **changes})
 
     @property
     def d(self):
@@ -210,12 +209,10 @@ def f_invariant(beta, b, j, params):
 # character and class parameters
 
 
-@dataclass(frozen=True)
-class CharParam:
+class CharParam(namedtuple("CharParam", "alpha phi")):
     """(orbit representative, character label of the orbit stabilizer)."""
 
-    alpha: tuple
-    phi: int
+    __slots__ = ()
 
     def label(self):
         return ep_str(self.alpha) + "'" * self.phi
@@ -224,12 +221,10 @@ class CharParam:
         return {"alpha": [list(c) for c in self.alpha], "phi": self.phi}
 
 
-@dataclass(frozen=True)
-class ClassParam:
+class ClassParam(namedtuple("ClassParam", "beta b")):
     """(e-partition, twist residue) labelling a conjugacy class of a coset."""
 
-    beta: tuple
-    b: int
+    __slots__ = ()
 
     def label(self):
         return f"{ep_str(self.beta)},b={self.b}"
@@ -275,13 +270,10 @@ def class_multiplicity(beta, params):
 # symbols, a-function, similarity classes
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(namedtuple("Symbol", "rows r m")):
     """An e-partition plus the staircase with rows ((m_k-1)r, ..., r, 0)."""
 
-    rows: tuple
-    r: int
-    m: tuple
+    __slots__ = ()
 
     def entries(self):
         return tuple(sorted((x for row in self.rows for x in row), reverse=True))
@@ -324,12 +316,11 @@ def a_value(sym):
     return _pair_min_sum(sym.entries()) - _pair_min_sum(base)
 
 
-@dataclass(frozen=True)
-class SimilarityPartition:
-    """Similarity classes listed in the canonical total order."""
+class SimilarityPartition(namedtuple("SimilarityPartition", "classes a_values")):
+    """Similarity classes listed in the canonical total order: classes is a
+    tuple of tuples of CharParam, a_values one natural number per class."""
 
-    classes: tuple        # tuple of tuples of CharParam
-    a_values: tuple       # one natural number per class
+    __slots__ = ()
 
 
 def _class_sort_key(multiset, a):

@@ -52,8 +52,6 @@ integers are packed; a fractional coefficient is refused by name.
 All values are immutable.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest

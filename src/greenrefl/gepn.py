@@ -73,16 +73,11 @@ X(0) and the Kostka assembly both read it, and
 the class side.
 """
 
-from __future__ import annotations
-
-
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from . import linalg
 from .combinatorics import (
-    GroupParams,
     alpha_divide,
     alpha_truncate,
     class_multiplicity,
@@ -676,23 +671,16 @@ def _reversal(poly, top):
     return TRat(rev, TPoly.t_power(field, d - top), reduce=False)
 
 
-@dataclass
-class GreenSuite:
-    """The Green-function data of one (e,p,n,q,r)."""
+class GreenSuite(namedtuple(
+        "GreenSuite",
+        "params r char_params labels blocks a_diag ktilde_minus ktilde_plus"
+        " lambda_tilde lambda_symmetric omega_prime residual_zero route")):
+    """The Green-function data of one (e,p,n,q,r).  The matrices are
+    LabeledMatrix; lambda_symmetric is None for a twisted coset (q != 0);
+    route names the route that gave Ktilde+- and LambdaTilde and is not in
+    the JSON."""
 
-    params: GroupParams
-    r: int
-    char_params: list
-    labels: list
-    blocks: list
-    a_diag: list
-    ktilde_minus: LabeledMatrix
-    ktilde_plus: LabeledMatrix
-    lambda_tilde: LabeledMatrix
-    lambda_symmetric: LabeledMatrix     # None for a twisted coset (q != 0)
-    omega_prime: LabeledMatrix
-    residual_zero: bool
-    route: str          # which route gave Ktilde+- and LambdaTilde; not in the JSON
+    __slots__ = ()
 
     def to_json(self, entry=lambda x: x.to_json()):
         """Plain JSON data, each matrix entry as entry(x) (``LabeledMatrix.to_json``)."""
@@ -715,14 +703,11 @@ class GreenSuite:
         }
 
 
-@dataclass
-class CosetTable:
-    """Character table of the coset: rows chars, columns class params."""
+class CosetTable(namedtuple("CosetTable", "params rows cols entries")):
+    """Character table of the coset: rows are CharParam, cols ClassParam,
+    and entries[char][class] a CycNum."""
 
-    params: GroupParams
-    rows: list             # CharParam
-    cols: list             # ClassParam
-    entries: list          # CycNum, entries[char][class]
+    __slots__ = ()
 
     def matrix(self, entry=TRat.from_cyc):
         """The table with labels, each entry as entry(v): by default the
@@ -734,12 +719,8 @@ class CosetTable:
         )
 
 
-@dataclass
-class ZCoset:
-    beta: tuple
-    b: int
-    centralizer: int
-    value: TRat
+class ZCoset(namedtuple("ZCoset", "beta b centralizer value")):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ coset, and the one exact certificate L D U = N of every block LDU
 (``wreath.ldu_certified``).
 """
 
-from __future__ import annotations
-
 from .exact_arith import convolve_into, kron_digits, kron_pack
 
 

@@ -11,9 +11,7 @@ Everything here is independent of the symmetric-function machinery; it
 exists to validate it.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import permutations, product
 from math import isqrt, lcm
 
@@ -427,16 +425,12 @@ def _element_of_order(m, p):
     raise ArithmeticError("no element of the requested order")
 
 
-@dataclass
-class GroupReport:
-    """Summary data produced by the brute-force oracle."""
+class GroupReport(namedtuple(
+        "GroupReport", "params order class_count class_sizes centralizers coset_orbit_counts")):
+    """Summary data produced by the brute-force oracle; coset_orbit_counts
+    maps a coset label q to its number of orbits."""
 
-    params: GroupParams
-    order: int
-    class_count: int
-    class_sizes: list
-    centralizers: list
-    coset_orbit_counts: dict = field(default_factory=dict)
+    __slots__ = ()
 
 
 def brute_force_oracle(params: GroupParams):
@@ -448,6 +442,6 @@ def brute_force_oracle(params: GroupParams):
         class_count=len(classes),
         class_sizes=[len(c) for c in classes],
         centralizers=[group.order // len(c) for c in classes],
+        coset_orbit_counts={params.q: len(group.coset_orbits(params.q))},
     )
-    report.coset_orbit_counts[params.q] = len(group.coset_orbits(params.q))
     return group, report

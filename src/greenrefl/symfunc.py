@@ -37,8 +37,6 @@ once, in ``exact_arith``.  The unpacking refuses a value that spills past
 its last slot.
 """
 
-from __future__ import annotations
-
 from math import gcd, lcm, prod
 
 from .combinatorics import enumerate_epartitions, ep_length

@@ -28,30 +28,26 @@ Kostka matrices, by forward substitution) and the duals Q(+/-) are built
 from the factors on first use.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from . import linalg
 from .combinatorics import ep_str, partition_similarity_classes
 from .exact_arith import SeriesRing, TPoly, TRat
-from .symfunc import Level, level_for
+from .symfunc import level_for
 
 
-@dataclass
-class LabeledMatrix:
-    """Matrix with row/column labels and an optional block structure."""
+class LabeledMatrix(namedtuple(
+        "LabeledMatrix", "row_labels col_labels entries row_blocks col_blocks",
+        defaults=(None, None))):
+    """Matrix with row/column labels and an optional block structure: entries
+    is a list of rows of TRat (CycNum in a raw coset table), and row_blocks
+    and col_blocks, if given, the sizes of the similarity-class blocks."""
 
-    row_labels: list
-    col_labels: list
-    entries: list                 # list of rows of TRat (CycNum in a raw coset table)
-    row_blocks: list = None       # sizes of the similarity-class blocks
-    col_blocks: list = None
+    __slots__ = ()
 
     def to_json(self, entry=lambda x: x.to_json()):
         """The matrix as plain JSON data, each entry as entry(x); the CLI
@@ -105,13 +101,11 @@ def pretty_table(mat):
     return "\n".join(out)
 
 
-@dataclass
-class CharTable:
-    """Character table of one wreath-product level: rows are character
-    labels, columns are class labels, entries lie in Z[zeta]."""
+class CharTable(namedtuple("CharTable", "level matrix")):
+    """Character table of one wreath-product level, a LabeledMatrix: rows
+    are character labels, columns are class labels, entries lie in Z[zeta]."""
 
-    level: Level
-    matrix: LabeledMatrix
+    __slots__ = ()
 
     @property
     def partitions(self):
@@ -147,8 +141,7 @@ def z_series(alpha, e=None):
 # Hall-Littlewood data
 
 
-@dataclass
-class HLData:
+class HLData(namedtuple("HLData", "level r order classes a_values l d u gram_den")):
     """Both Hall-Littlewood families of one level at one symbol shift r,
     held as the block LDU factors of the Schur Gram matrix G along the
     symbol order: G = K+ diag(grams) conj(K-)^T.
@@ -172,15 +165,7 @@ class HLData:
     qp / qm: Schur coordinates of the dual families Q+ / Q-
     """
 
-    level: Level
-    r: int
-    order: list
-    classes: list
-    a_values: list
-    l: list
-    d: list
-    u: list
-    gram_den: TPoly
+    # no __slots__ = (): the views built on first use live in __dict__
 
     def index(self, alpha):
         return self.order.index(alpha)
@@ -330,6 +315,8 @@ def _store_cached_hl(data):
     root = os.path.dirname(path)
     os.makedirs(root, exist_ok=True)
     raw = {"l": data.l, "d": data.d, "u": data.u, "gram_den": data.gram_den.coords()}
+    import tempfile
+
     # a temporary file of its own, so that no other writer can replace it
     fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
     try:

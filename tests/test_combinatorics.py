@@ -160,6 +160,13 @@ def test_class_count_vs_chars_q1():
     assert all(xi.b == 0 for xi in enumerate_class_params(params))
 
 
+def test_group_params_check_a_replaced_field():
+    params = GroupParams(4, 2, 2)
+    assert params._replace(q=4) == GroupParams(4, 2, 2, 4) == (4, 2, 2, 4)
+    with pytest.raises(ValueError, match="e/q and e/p must be coprime"):
+        params._replace(q=2)
+
+
 def test_make_symbol():
     sym = make_symbol(P((1, 1, 1), (), ()), (3, 3, 3), 2)
     assert sym.rows == ((5, 3, 1), (4, 2, 0), (4, 2, 0))

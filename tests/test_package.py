@@ -119,3 +119,26 @@ def test_the_oracle_is_loaded_only_on_use():
             "from greenrefl import BruteForceGroup; assert 'greenrefl.oracle' in sys.modules")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_a_call_loads_no_dataclasses_and_builds_only_its_sub_parser():
+    # start-up cost: in a bare interpreter, importing the command line and
+    # parsing one call loads none of these modules, and of the sub-parsers
+    # builds only the one of the command that runs
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import argparse, sys, greenrefl.cli as cli\n"
+        "parser = cli.build_parser()\n"
+        "parser.parse_args(['green', '--e', '3', '--p', '3', '--n', '3'])\n"
+        "action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))\n"
+        "print([m for m in ('dataclasses', 'inspect', 'tempfile', 'greenrefl.oracle')\n"
+        "       if m in sys.modules])\n"
+        "print([name for name, sub in action.choices.items() if hasattr(sub, '_actions')])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "['green']"]

@@ -1,4 +1,3 @@
-import dataclasses
 import pathlib
 import re
 from fractions import Fraction
@@ -851,4 +850,4 @@ def test_hl_data_certified_sees_altered_data():
     i, j = next((i, j) for i in range(size) for j in range(i) if any(data.l[i][j]))
     l = [row[:] for row in data.l]
     l[i][j] = (TPoly.from_coords(lv.field, l[i][j]) + TPoly.constant(lv.field.one)).coords()
-    assert not dataclasses.replace(data, l=l).certified()
+    assert not data._replace(l=l).certified()
