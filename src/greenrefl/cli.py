@@ -68,20 +68,19 @@ def add_common(p, with_p=True, with_q=True, with_r=True, with_sign=False,
 
 
 class _LazyParser(argparse.ArgumentParser):
-    """A sub-parser that runs ``ArgumentParser.__init__`` and adds its
-    ``add_common`` arguments the first time it parses or formats its usage
-    or help.  The top-level parser names every command and its help text
-    without them, so a call builds the parser of the one command it runs,
-    and prints what an eager parser prints."""
+    """A sub-parser that adds its ``add_common`` arguments the first time
+    it parses or formats its usage or help.  The top-level parser names
+    every command and its help text without them, so a call adds the
+    arguments of the one command it runs, and prints what an eager parser
+    prints."""
 
-    def __init__(self, **kwargs):
-        self._pending = kwargs
+    def __init__(self, *args, common=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._common = common
 
     def _fill(self):
-        kwargs = vars(self).pop("_pending", None)
-        if kwargs is not None:
-            common = kwargs.pop("common")
-            super().__init__(**kwargs)
+        if self._common is not None:
+            common, self._common = self._common, None
             add_common(self, **common)
 
     def parse_known_args(self, args=None, namespace=None):

@@ -104,6 +104,8 @@ class GroupParams(namedtuple("GroupParams", "e p n q")):
         # through __new__, so that a replaced field is checked too
         return GroupParams(**{**self._asdict(), **changes})
 
+    __replace__ = _replace  # copy.replace (Python 3.13+)
+
     @property
     def d(self):
         return self.e // self.p

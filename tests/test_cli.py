@@ -436,8 +436,8 @@ def sub_parsers(parser):
 
 def test_top_level_help_does_not_wait_for_the_sub_parsers():
     parser, eager = cli.build_parser(), eager_parser()
-    # no sub-parser is built (has run ArgumentParser.__init__) before it is used
-    assert not any(hasattr(sub, "_actions") for sub in sub_parsers(parser))
+    # no sub-parser holds more than its -h before it is used
+    assert {len(sub._actions) for sub in sub_parsers(parser)} == {1}
     before = parser.format_help(), parser.format_usage()
     assert before == (eager.format_help(), eager.format_usage())
     # a sub-parser's first usage or help is already the full one

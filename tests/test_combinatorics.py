@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,10 @@ def test_group_params_check_a_replaced_field():
     assert params._replace(q=4) == GroupParams(4, 2, 2, 4) == (4, 2, 2, 4)
     with pytest.raises(ValueError, match="e/q and e/p must be coprime"):
         params._replace(q=2)
+    if hasattr(copy, "replace"):
+        assert copy.replace(params, q=4) == (4, 2, 2, 4)
+        with pytest.raises(ValueError, match="e/q and e/p must be coprime"):
+            copy.replace(params, q=2)
 
 
 def test_make_symbol():
