@@ -11,15 +11,9 @@ import argparse
 import json
 import sys
 
-from .combinatorics import (
-    GroupParams,
-    enumerate_class_params,
-    ep_str,
-    make_symbol,
-    similarity_order,
-)
+from .combinatorics import GroupParams, ep_str, make_symbol, similarity_order
 from .exact_arith import CycNum, TPoly, TRat
-from .gepn import coset_algebra, coset_char_table, fake_degrees, green_suite, kostka_gepn, z_coset
+from .gepn import coset_algebra, coset_char_table, fake_degrees, green_suite, kostka_gepn
 from .symfunc import level_for
 from .wreath import LabeledMatrix, hl_data, level_char_table
 
@@ -31,77 +25,6 @@ DESCRIPTION = (
     "matrices and Green functions for the groups G(e,p,n) and "
     "their twisted cosets"
 )
-
-# command -> (help text, keyword arguments of add_common)
-SUBCOMMANDS = {
-    "symbols": ("symbols, a-values, similarity classes",
-                {"formats": ("pretty", "json")}),
-    "chartable": ("character table of G(e,1,n)",
-                  {"with_p": False, "with_q": False, "with_r": False}),
-    "coset-chartable": ("character table of the coset", {}),
-    "hall-littlewood": ("Hall-Littlewood functions of G(e,1,n) in Schur coordinates",
-                        {"with_p": False, "with_q": False, "with_sign": True}),
-    "kostka": ("Kostka matrix (base level when p=1)", {"with_sign": True}),
-    "green": ("Green-function suite with the exactness residual", {}),
-    "fake-degrees": ("graded multiplicities in the coinvariant algebra",
-                     {"formats": ("pretty", "json")}),
-    "verify": ("run the invariant suite; nonzero exit on failure",
-               {"formats": ("pretty",)}),
-}
-
-
-def add_common(p, with_p=True, with_q=True, with_r=True, with_sign=False,
-               formats=("pretty", "csv", "json")):
-    p.add_argument("--e", type=int, required=True)
-    if with_p:
-        p.add_argument("--p", type=int, default=None)
-    p.add_argument("--n", type=int, required=True)
-    if with_q:
-        p.add_argument("--q", type=int, default=0)
-    if with_r:
-        p.add_argument("--r", type=int, default=2)
-    if with_sign:
-        p.add_argument("--sign", choices=["+", "-"], default="-")
-    # only the formats the command writes
-    p.add_argument("--format", choices=formats, default="pretty")
-    p.add_argument("--out", default=None)
-
-
-class _LazyParser(argparse.ArgumentParser):
-    """A sub-parser that adds its ``add_common`` arguments the first time
-    it parses or formats its usage or help.  The top-level parser names
-    every command and its help text without them, so a call adds the
-    arguments of the one command it runs, and prints what an eager parser
-    prints."""
-
-    def __init__(self, *args, common=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._common = common
-
-    def _fill(self):
-        if self._common is not None:
-            common, self._common = self._common, None
-            add_common(self, **common)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._fill()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self):
-        self._fill()
-        return super().format_usage()
-
-    def format_help(self):
-        self._fill()
-        return super().format_help()
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(prog="greenrefl", description=DESCRIPTION)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_LazyParser)
-    for name, (text, common) in SUBCOMMANDS.items():
-        sub.add_parser(name, help=text, common=common)
-    return parser
 
 
 def resolve_params(args):
@@ -191,8 +114,7 @@ def cmd_symbols(args):
                     "members": [
                         {
                             "label": z.label(),
-                            "alpha": [list(c) for c in z.alpha],
-                            "phi": z.phi,
+                            **z.to_json(),
                             "symbol": [
                                 list(row)
                                 for row in make_symbol(z.alpha, m, args.r).rows
@@ -449,13 +371,11 @@ def cmd_verify(args):
         return True
 
     def centralizers_ok():
-        for xi in enumerate_class_params(params):
-            w = group.element_for_class_param(xi.beta, xi.b)
-            if z_coset(xi, params, args.r).centralizer != group.centralizer_order(
-                w, params.q
-            ):
-                return False
-        return True
+        return all(
+            alg.z_integer(xi) == group.centralizer_order(
+                group.element_for_class_param(xi.beta, xi.b), params.q)
+            for xi in alg.class_params
+        )
 
     check("coset table matches the brute-force character table", oracle_table_ok,
           small and params.q == 0)
@@ -481,22 +401,64 @@ def cmd_verify(args):
     return 0 if ok_all else 1
 
 
-COMMANDS = {
-    "symbols": cmd_symbols,
-    "chartable": cmd_chartable,
-    "coset-chartable": cmd_coset_chartable,
-    "hall-littlewood": cmd_hall_littlewood,
-    "kostka": cmd_kostka,
-    "green": cmd_green,
-    "fake-degrees": cmd_fake_degrees,
-    "verify": cmd_verify,
+# command -> (function, help text, keyword arguments of add_common)
+SUBCOMMANDS = {
+    "symbols": (cmd_symbols, "symbols, a-values, similarity classes",
+                {"formats": ("pretty", "json")}),
+    "chartable": (cmd_chartable, "character table of G(e,1,n)",
+                  {"with_p": False, "with_q": False, "with_r": False}),
+    "coset-chartable": (cmd_coset_chartable, "character table of the coset", {}),
+    "hall-littlewood": (cmd_hall_littlewood,
+                        "Hall-Littlewood functions of G(e,1,n) in Schur coordinates",
+                        {"with_p": False, "with_q": False, "with_sign": True}),
+    "kostka": (cmd_kostka, "Kostka matrix (base level when p=1)", {"with_sign": True}),
+    "green": (cmd_green, "Green-function suite with the exactness residual", {}),
+    "fake-degrees": (cmd_fake_degrees, "graded multiplicities in the coinvariant algebra",
+                     {"formats": ("pretty", "json")}),
+    "verify": (cmd_verify, "run the invariant suite; nonzero exit on failure",
+               {"formats": ("pretty",)}),
 }
 
 
+def add_common(p, with_p=True, with_q=True, with_r=True, with_sign=False,
+               formats=("pretty", "csv", "json")):
+    p.add_argument("--e", type=int, required=True)
+    if with_p:
+        p.add_argument("--p", type=int, default=None)
+    p.add_argument("--n", type=int, required=True)
+    if with_q:
+        p.add_argument("--q", type=int, default=0)
+    if with_r:
+        p.add_argument("--r", type=int, default=2)
+    if with_sign:
+        p.add_argument("--sign", choices=["+", "-"], default="-")
+    # only the formats the command writes
+    p.add_argument("--format", choices=formats, default="pretty")
+    p.add_argument("--out", default=None)
+
+
+def build_parser(argv):
+    """The command line for argv.  Only the sub-parser of the first element
+    of argv that names a command gets its ``add_common`` arguments.  The
+    top-level parser has no option but -h, so that element is the command
+    argparse runs (after ``--`` where the release accepts one), and argparse
+    parses with or formats no other sub-parser: the output is that of a
+    parser that gives every sub-parser its arguments."""
+    parser = argparse.ArgumentParser(prog="greenrefl", description=DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = next((arg for arg in argv if arg in SUBCOMMANDS), None)
+    for name, (_, text, common) in SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        if name == named:
+            add_common(command, **common)
+    return parser
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return COMMANDS[args.command](args)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
+    return SUBCOMMANDS[args.command][0](args)
 
 
 if __name__ == "__main__":

@@ -231,9 +231,6 @@ class ClassParam(namedtuple("ClassParam", "beta b")):
     def label(self):
         return f"{ep_str(self.beta)},b={self.b}"
 
-    def to_json(self):
-        return {"beta": [list(c) for c in self.beta], "b": self.b}
-
 
 def enumerate_char_params(params):
     """All (alpha, phi) valid for the coset q, in the canonical total order

@@ -131,8 +131,9 @@ def test_a_call_loads_no_dataclasses_and_fills_only_its_sub_parser():
 
     code = (
         "import argparse, sys, greenrefl.cli as cli\n"
-        "parser = cli.build_parser()\n"
-        "parser.parse_args(['green', '--e', '3', '--p', '3', '--n', '3'])\n"
+        "argv = ['green', '--e', '3', '--p', '3', '--n', '3']\n"
+        "parser = cli.build_parser(argv)\n"
+        "parser.parse_args(argv)\n"
         "action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))\n"
         "print([m for m in ('dataclasses', 'inspect', 'tempfile', 'greenrefl.oracle')\n"
         "       if m in sys.modules])\n"
