@@ -425,7 +425,7 @@ def parse_outcome(parser, argv, capsys):
     ["kostka", "--e", "2", "--n", "2", "--out", "green"], ["-h", "green"],
     *([name, "--help"] for name in cli.SUBCOMMANDS),
 ], ids=repr)
-def test_parser_for_argv_prints_what_an_eager_parser_prints(capsys, argv):
+def test_lazy_parser_prints_what_an_eager_parser_prints(capsys, argv):
     # on every argparse release, however it treats "--"
     outcome = parse_outcome(cli.build_parser(argv), argv, capsys)
     assert outcome == parse_outcome(eager_parser(), argv, capsys)
