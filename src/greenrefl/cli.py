@@ -363,12 +363,14 @@ def cmd_verify(args):
     small = params.order <= oracle.SIZE_CAP
     group = oracle.BruteForceGroup(params) if small else None
 
-    def oracle_table_ok():
-        table = coset_char_table(params, args.r)
-        problems = group.table_problems(table.rows, table.cols, table.entries)
+    def no_problems(problems):
         if problems:                   # check() prints them on the [FAIL] line
             raise AssertionError("; ".join(problems))
         return True
+
+    def oracle_table_ok():
+        table = coset_char_table(params, args.r)
+        return no_problems(group.table_problems(table.rows, table.cols, table.entries))
 
     def centralizers_ok():
         return all(
@@ -379,11 +381,22 @@ def cmd_verify(args):
 
     check("coset table matches the brute-force character table", oracle_table_ok,
           small and params.q == 0)
+    # for p = 1 the Kostka assembly is read off the LDU route's own factors;
+    # this class sum shares no code with omega_prime and checks the route
+    # from outside it
+    check("OmegaPrime equals its class sum over the brute-force group",
+          lambda: no_problems(group.omega_prime_problems(alg)),
+          small and params.q == 0 and len(alg.chars) <= oracle.OMEGA_CLASS_CAP)
     check("centralizer orders match brute force", centralizers_ok, small)
 
     # reported, never asserted: the nonzero Kostka entries in Z>=0[t]
-    entries = [v for s in (+1, -1) for row in alg.kostka_assembled(s) for v in row
-               if not v.is_zero()]
+    try:
+        entries = [v for s in (+1, -1) for row in alg.kostka_assembled(s) for v in row
+                   if not v.is_zero()]
+        kostka_info = (f"{sum(map(natural, entries))}/{len(entries)} nonzero Kostka entries"
+                       " lie in Z>=0[t]")
+    except (ValueError, ArithmeticError) as exc:
+        kostka_info = f"no Kostka entries: the assembly failed ({exc})"
 
     lines = []
     ok_all = True
@@ -394,9 +407,7 @@ def cmd_verify(args):
         lines.append(f"[{status:>4}] {name}{suffix}")
     if suite is not None:
         lines.append(f"[info] green's Ktilde+- and LambdaTilde: {suite.route}")
-    lines.append(
-        f"[info] {sum(map(natural, entries))}/{len(entries)} nonzero Kostka entries lie in Z>=0[t]"
-    )
+    lines.append(f"[info] {kostka_info}")
     emit("\n".join(lines) + "\n", args)
     return 0 if ok_all else 1
 

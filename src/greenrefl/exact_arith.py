@@ -954,11 +954,11 @@ class SeriesRing:
     """Z[t]/(t^M) carried into Z/2^(B M) by t -> 2^B (Kronecker
     substitution).  An element is one Python int modulo 2^(B M), so +, -
     and * are integer operations and a mask, and the units are the odd
-    ints.  The Hall-Littlewood numerators lie in Z[t] (the Molien argument
-    of ``wreath._compute_hl``), and so does the OmegaPrime that the Green
-    functions factor where they take this route.  Both come in coordinate
-    lists (``TPoly.coords``) and go back out in them; ``encode`` refuses a
-    coefficient that carries zeta.
+    ints.  The OmegaPrime that the Green functions factor where they take
+    this route lies in Z[t], and on G(e',1,n') its factors are also the
+    Hall-Littlewood data (``wreath._compute_hl``).  It comes in coordinate
+    lists (``TPoly.coords``) and the factors go back out in them; ``encode``
+    refuses a coefficient that carries zeta.
 
     The map is a ring homomorphism, so an elimination whose pivots are units
     runs in the image, and a polynomial of degree below M whose coefficients

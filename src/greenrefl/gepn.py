@@ -26,9 +26,8 @@ as a scalar, so the other rows of the orbit are the summed one with each
 column rotated, and conjugated for an inverse class
 (``CosetAlgebra._row_sources``); only the summed rows' columns are built.
 OmegaPrime and the fake degrees are class sums over the columns of X(0),
-computed by ``symfunc.gram_numerators``, the kernel shared with the Schur
-Gram matrix of a level, over one set of integer weights per coset,
-D / (z_xi det(t id - w_xi)) divided in Z[C_e][t] with no gcd
+computed by ``symfunc.gram_numerators`` over one set of integer weights
+per coset, D / (z_xi det(t id - w_xi)) divided in Z[C_e][t] with no gcd
 (``CosetAlgebra._class_weights``): D is the degree product, the lcm of the
 det(t id - w) by Springer's theorem, so on an untwisted coset every weight
 is a polynomial.  OmegaPrime is t^(N*) times its class sum.  For q = 0 the
@@ -49,14 +48,16 @@ all three off one block LDU (l, d, u) of OmegaPrime in u = 1/t, A(u) =
 u^m N(1/u) for OmegaPrime = N / L (``CosetAlgebra._ldu_factors``), and
 ``kostka`` prints l = K-(u) and tr(u) = K+(u) with u renamed t.  Where
 OmegaPrime is over Z[t], the factors come from the elimination in
-truncated power series over Z that also gives the Hall-Littlewood data
-(``wreath.certified_ldu``, on ``exact_arith.SeriesRing``).
+truncated power series over Z (``wreath.certified_ldu``, on
+``exact_arith.SeriesRing``), which on G(e',1,n') give the Hall-Littlewood
+data too (``wreath._compute_hl``).
 
 The Kostka assembly is the paper's theorem: the Kostka matrices come from
-the block assembly out of sub-level Kostka matrices (``hl_data``).  It
-checks the LDU route in ``verify``, and is the fallback of ``green`` and
-``kostka`` where OmegaPrime carries zeta or the elimination fails its
-certificate.  It is then a second source of the same three factors
+the block assembly out of sub-level Kostka matrices (``hl_data``).  For
+p > 1 it checks the LDU route in ``verify`` (for p = 1 it is that route's
+own factors), and it is the fallback of ``green`` and ``kostka`` where
+OmegaPrime carries zeta or the elimination fails its certificate.  It is
+then a second source of the same three factors
 (``CosetAlgebra.assembly_ldu``), with no gcd or linear solve: l
 and u are K- and tr(K+) in u, and d is read off one packed integer
 product of the inverse Kostka matrices (unit lower-triangular, by forward
@@ -426,23 +427,28 @@ class CosetAlgebra:
         sign = (-1) ** (self.params.n - ep_length(beta))
         return self.field.zeta(delta(beta) % self.params.e) * sign
 
+    def big_d(self):
+        """The degree product D = (zeta^(qd) t^(dn) - 1) prod_(i<n) (t^(ei) - 1)."""
+        e, d, n, q = self.params.e, self.params.d, self.params.n, self.params.q
+        one = TPoly.constant(self.field.one)
+        big_d = TPoly.t_power(self.field, d * n, self.field.zeta(q * d)) - one
+        for i in range(1, n):
+            big_d = big_d * (TPoly.t_power(self.field, e * i) - one)
+        return big_d
+
     def _class_weights(self):
         """(weights, common), computed once: weights[i] = (z_xi, W) with
         W / (z_xi common) = D / (z_xi det(t id - w_xi)) for the degree
-        product D = (zeta^(qd) t^(dn) - 1) prod_(i<n) (t^(ei) - 1), W the
-        integer coordinates that ``symfunc.ring_weight`` divides out once
-        per beta, with no gcd.  On an untwisted coset D is a multiple of
-        every det (Springer's theorem), and common is 1.  Where a division
+        product D (``big_d``), W the integer coordinates that
+        ``symfunc.ring_weight`` divides out once per beta, with no gcd.  On
+        an untwisted coset D is a multiple of every det (Springer's
+        theorem), and common is 1.  Where a division
         leaves a remainder, common takes that class's det and all divisions
         rerun on D common: only on the five twisted sets tried whose
         OmegaPrime is not over Z[t]."""
         if self._weights is None:
-            e, d, n, q = self.params.e, self.params.d, self.params.n, self.params.q
-            field, level0 = self.field, self.levels[0]
-            one = TPoly.constant(field.one)
-            big_d = TPoly.t_power(field, d * n, field.zeta(q * d)) - one
-            for i in range(1, n):
-                big_d = big_d * (TPoly.t_power(field, e * i) - one)
+            e, level0, big_d = self.params.e, self.levels[0], self.big_d()
+            one = TPoly.constant(self.field.one)
             z_of = {xi.beta: self.z_integer(xi) for xi in self.class_params}
             common, tried = one, set()
             while True:

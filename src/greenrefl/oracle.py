@@ -12,13 +12,19 @@ exists to validate it.
 """
 
 from collections import namedtuple
+from fractions import Fraction
 from itertools import permutations, product
 from math import isqrt, lcm
 
 from .combinatorics import CharParam, GroupParams, ep_str, orbit_data
-from .exact_arith import CycField
+from .exact_arith import CycField, TPoly, TRat
 
 SIZE_CAP = 10 ** 6
+# OmegaPrime is checked against its class sum over the group for at most
+# this many classes k: the sum takes about k^3 / 2 field products, measured
+# at 4.7 s on G(6,2,3) (k = 49) and 3.7 s on G(3,1,4) (k = 51), 2 vCPUs,
+# Python 3.11
+OMEGA_CLASS_CAP = 52
 
 
 def e_mul(w1, w2, e):
@@ -242,6 +248,83 @@ class BruteForceGroup:
             if step is None or any(row[y] != entries[step][x] for x, y in enumerate(image)):
                 problems.append(f"conjugation by sigma does not step the phi label of {z.label()}")
         return problems
+
+    def omega_prime_problems(self, alg):
+        """What is wrong with ``alg.omega_prime()``, the OmegaPrime of W =
+        G(e,p,n) at q = 0, by its defining class sum over the enumerated
+        group; ``[]`` when nothing is:
+
+          OmegaPrime[z][z'] = t^(N*) D sum_C (|C| / |W|) chi_z(C)
+                              conj(chi_z'(C)) / det(t id - w_C),
+
+        C the classes of the enumeration and w_C their first elements,
+        det(t id - w) = prod (t^l - zeta^c) over the cycles of w (length l,
+        colour sum c), D the lcm of the dets by ``TPoly.gcd``, and N* the
+        number of reflections, the elements that fix a hyperplane (a cycle
+        fixes a vector exactly when its colour sum is 0).  chi is X(0),
+        ``alg.coset_table()``, read at the class of
+        ``element_for_class_param``; ``table_problems`` checks X(0) itself.
+        OmegaPrime[z][z'] = OmegaPrime[s z'][s z] for the permutation s with
+        chi_(s z) = conj(chi_z), so only one entry of each such pair is
+        summed; about k^3 / 2 field products for k classes
+        (``OMEGA_CLASS_CAP``)."""
+        if alg.params != self.params or self.params.q:
+            raise ValueError("the class sum is that of OmegaPrime of W, with q = 0")
+        e, n, field = self.e, self.n, CycField(self.e)
+        one = TPoly.constant(field.one)
+        classes = self.conjugacy_classes()
+        dets, n_star = [], 0
+        for cls in classes:
+            perm, colours = cls[0]
+            det, seen, fixed = one, set(), 0
+            for i in range(n):
+                length, colour, j = 0, 0, i
+                while j not in seen:
+                    seen.add(j)
+                    length, colour, j = length + 1, colour + colours[j], perm[j]
+                if length:
+                    fixed += colour % e == 0
+                    det = det * (TPoly.t_power(field, length)
+                                 - TPoly.constant(field.zeta(colour % e)))
+            n_star += len(cls) if fixed == n - 1 else 0
+            dets.append(det)
+        big_d = one
+        for det in dets:
+            big_d = big_d * det.divmod(big_d.gcd(det))[0]
+        table = alg.coset_table()
+        rows = {self.class_index_of(self.element_for_class_param(xi.beta, xi.b)): row
+                for xi, row in zip(alg.class_params, table)}
+        if len(rows) != len(classes):
+            return ["the class params do not name every class"]
+        # the classes with one det share the weight D / det
+        terms = {}
+        for c, (cls, det) in enumerate(zip(classes, dets)):
+            row = rows[c]
+            terms.setdefault(det, []).append(([x * len(cls) for x in row],
+                                              [x.conjugate() for x in row]))
+        weights = [(big_d.divmod(det)[0], members) for det, members in terms.items()]
+        k, scale = len(alg.chars), field.from_rational(Fraction(1, self.order))
+        column = {tuple(row[a] for row in table): a for a in range(k)}
+        mirror = [column.get(tuple(row[a].conjugate() for row in table)) for a in range(k)]
+        if None in mirror:
+            return ["the conjugate of a character is not in X(0)"]
+        want, shift, done = alg.omega_prime(), (field.zero,) * n_star, set()
+        for a in range(k):
+            for b in range(k):
+                if (a, b) in done:
+                    continue
+                done.add((mirror[b], mirror[a]))
+                acc = TPoly(field, ())
+                for weight, members in weights:
+                    coeff = sum((row[a] * conj[b] for row, conj in members), field.zero)
+                    if not coeff.is_zero():
+                        acc = acc + weight.scale(coeff)
+                acc = acc.scale(scale)
+                got = TRat(TPoly(field, shift + acc.coeffs, trusted=True) if acc.coeffs else acc,
+                           reduce=False)
+                if got != want[a][b] or got != want[mirror[b]][mirror[a]]:
+                    return [f"OmegaPrime[{alg.labels[a]}][{alg.labels[b]}] is not the class sum"]
+        return []
 
 
 def _find_prime(modulus, lower):

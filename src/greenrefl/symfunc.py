@@ -9,27 +9,29 @@ index i mix the colours through the root of unity,
     p_r^(i) = sum_j zeta^(i*j) p_r(x^(j)),
 
 and a function is stored by its power-sum coordinates, so no polynomial
-in x is ever formed.  The one basis kept here is Schur: its power-sum rows
-(``Level.s_in_p``) come from the character table of the level, built by
-the wreath-product character formula, the colour-wise
-Murnaghan-Nakayama rule.  That formula multiplies roots of unity by
+in x is ever formed.  The character table of the level (the power-sum
+rows of the Schur functions, over the z_beta) is built by the
+wreath-product character formula, the colour-wise Murnaghan-Nakayama
+rule.  That formula multiplies roots of unity by
 integers only, so the table lives in the group ring Z[C_E], an integer
 vector over the exponents of zeta_E per entry, reduced into the power
 basis of Q(zeta_E) once where it is read; it is built one column at a
 time, on demand.  The tests hold these rows against explicit polynomials
 multiplied out in max(n, 1) variables per colour
 (``tests/polynomial_oracle.py``), which also supplies the monomial,
-power-sum and one-row q bases that the tests need.
+power-sum and one-row q bases that the tests need.  The tests also build
+the Schur Gram matrix of a level, their reference for the
+Hall-Littlewood data, by the class sum below.
 
 Every t-deformed scalar product of two families given by their values on
-the classes is one class sum, ``gram_numerators``: the Schur Gram matrix
-of a level here, and Omega' and the fake degrees of the coset layer,
-made canonical fractions by ``as_fractions``.  The weights are divided out
-in Z[C_E][t] with no gcd (``ring_weight``) over the degree product
-prod_i (t^(d_i) - 1), the lcm of the det(t id - w) (Springer, Regular
-elements of finite reflection groups, 1974, Thm 3.4), as integers over z
-on a coset and 1 on a level, and the numerators come back as integers in
-coordinate lists (``TPoly.coords``), the form the block LDU reads.  Every
+the classes is one class sum, ``gram_numerators``: Omega' and the fake
+degrees of the coset layer, made canonical fractions by ``as_fractions``.
+The weights are divided out in Z[C_E][t] with no gcd (``ring_weight``)
+over the degree product prod_i (t^(d_i) - 1), the lcm of the
+det(t id - w) (Springer, Regular elements of finite reflection groups,
+1974, Thm 3.4), as integers over z, and the numerators come back as
+integers in coordinate lists (``TPoly.coords``), the form the block LDU
+reads.  Every
 value is scaled to Z[zeta][t] and packed into one Python int, a slot of B
 bits per monomial t^d zeta^m, so the k^3 scalar products are big-integer
 products; the packing, and why B from L1 norms is safe, are described
@@ -47,7 +49,7 @@ class Level:
     """One color structure: ecols colors, a root of unity of that order
     living in an ambient field Q(zeta_E), and a fixed homogeneous degree n.
 
-    The character table, the Schur rows and the z-series are cached here.
+    The character table and the z-series are cached here.
     """
 
     _cache = {}
@@ -82,10 +84,8 @@ class Level:
         self._by_sizes = {}
         for a, alpha in enumerate(self.partitions):
             self._by_sizes.setdefault(tuple(map(sum, alpha)), []).append(a)
-        self._s_in_p = None
         self._zser = {}
         self.one = TRat.from_cyc(field.one)
-        self.zero_rat = TRat(TPoly(field, ()), reduce=False)
 
     def __repr__(self):
         return f"Level(E={self.E}, zeta^={self.h}, colors={self.ecols}, n={self.n})"
@@ -195,58 +195,6 @@ class Level:
             self._zser[beta] = TRat(num, self.det_poly(beta).reversed_coeffs())
         return self._zser[beta]
 
-    def s_in_p(self):
-        """Rows: powersum coordinates of the Schur functions (constants)."""
-        if self._s_in_p is None:
-            # conjugation sends zeta_E^m to zeta_E^(-m)
-            z = [self.z_int(beta) for beta in self.partitions]
-            self._s_in_p = [
-                [self.field.from_ring(v[:1] + v[:0:-1], zb) for v, zb in zip(row, z)]
-                for row in self.char_table()
-            ]
-        return self._s_in_p
-
-    def degree_product(self):
-        """L = prod_(i<=n) (t^(ecols i) - 1), as ints ascending in t: by
-        Springer's theorem the lcm of the det(t id - w) over G(ecols,1,n)."""
-        out = [1]
-        for d in range(self.ecols, self.ecols * self.n + 1, self.ecols):
-            out = [x - y for x, y in zip([0] * d + out, out + [0] * d)]
-        return out
-
-    def schur_gram(self, order):
-        """(N, L) with <s_a, s_b> = N[a][b] / L for a, b in ``order``, N in
-        coordinate lists: the class sum of the ``s_in_p`` rows against the
-        z-series times L = ``degree_product``.  As 1 - zeta^k t^r =
-        -zeta^k (t^r - zeta^(-k)), the weight of beta is +-zeta^(-sum_k k
-        #parts_k) z_beta L over det(t id - w) for the colours of beta
-        reversed (``ring_weight``); a remainder raises ArithmeticError."""
-        s_in_p = self.s_in_p()
-        rows = [s_in_p[self.pindex[alpha]] for alpha in order]
-        big_l = self.degree_product()
-        weights = []
-        for beta in self.partitions:
-            m = -self.h * sum(k * len(comp) for k, comp in enumerate(beta)) % self.E
-            unit = _rotate([(-1) ** ep_length(beta) * self.z_int(beta)] + [0] * (self.E - 1), m)
-            ints = ring_weight(self, [[c * x for x in unit] for c in big_l],
-                               beta[:1] + beta[:0:-1])
-            if ints is None:
-                raise ArithmeticError(f"the weight of class {beta} leaves a remainder over L")
-            weights.append((1, ints))
-        return gram_numerators(rows, rows, weights, TPoly.from_coords(self.field, [big_l]))
-
-    def scalar_from_p(self, u, v, subst=1):
-        """<f, g> from powersum coordinate vectors; z-series in t^subst."""
-        acc = self.zero_rat
-        for ug, vg, beta in zip(u, v, self.partitions):
-            if ug.is_zero() or vg.is_zero():
-                continue
-            z = self.z_series(beta)
-            if subst != 1:
-                z = z.subst_power(subst)
-            acc = acc + ug * vg.conjugate() * z
-        return acc
-
 
 def as_fractions(nums, common):
     """The matrix nums / common as canonical TRat, for numerators nums in
@@ -268,10 +216,9 @@ def gram_numerators(left, right, weights, common, mirror=None):
     integer coordinates of each power of t (``ring_weight``), and the
     caller's common a TPoly, so no polynomial gcd is taken here.  L is
     common times an integer where the sum is not integral over it, N[a][b]
-    in coordinate lists (``TPoly.coords``): Omega' and the Schur Gram
-    numerators go on to the block LDU (``wreath.certified_ldu``) in that
-    form, and a TPoly is built only where a matrix is printed
-    (``as_fractions``).  With ``mirror``, a permutation s of the rows of
+    in coordinate lists (``TPoly.coords``): Omega' goes on to the block LDU
+    (``wreath.certified_ldu``) in that form, and a TPoly is built only
+    where a matrix is printed (``as_fractions``).  With ``mirror``, a permutation s of the rows of
     left = right with conj(left[a]) = left[s[a]], N[a][b] = N[s[b]][s[a]]
     whatever the weights, and only one entry of each such pair is summed.
 

@@ -12,17 +12,14 @@ Together these make them the unique block LDU of the Schur Gram matrix
 G = (<s_a, s_b>) over the class blocks (the Lusztig-Shoji algorithm):
 G = K+ diag(D) conj(K-)^T, where K(+/-) = M(s, P(+/-)) are the Kostka
 matrices, block lower unitriangular, and D holds the within-class Gram
-matrices <P+_z, P-_z'>.  The elimination runs on the polynomial numerators
-N = L G over the degree product L = prod_(i<=n) (t^(e i) - 1), by
-Springer's theorem the lcm of the z-series denominators, with the same K(+/-)
-and D_N = L D.  N lies in Z[t] (``_compute_hl``) and N(0) = +-I, so it
-runs in Z[t]/(t^M) packed into one integer per entry (Kronecker
-substitution), with no gcd, on the integer coordinate lists that the class
-sum hands over (``symfunc.gram_numerators``), and the factors read back are
-kept only after an exact certificate, K+ diag(D_N) conj(K-)^T = N
-multiplied out in Z[t] (``certified_ldu``, which also factors the Green
-functions of a coset).  ``HLData`` holds those certified integer lists as
-they are, and the disk cache stores them as they are.
+matrices <P+_z, P-_z'>.  It is the Green-function factorization of
+G(e',1,n') (Shoji, J. Algebra 245, 2001): over the degree product D, the
+numerators D G are (-1)^n' A^T for the OmegaPrime A(u) = u^m N(1/u) of
+that coset, so no Gram matrix is built.  The data are read off the
+coset's block LDU of A (``_compute_hl``), which ``certified_ldu`` runs in
+Z[t]/(t^M) packed into one integer per entry, with no gcd, and keeps only
+after an exact certificate (``ldu_certified``).  ``HLData`` holds those
+integer lists as they are, and the disk cache stores them as they are.
 The Kostka matrices as TRat, the families P(+/-) (the rows of the inverse
 Kostka matrices, by forward substitution) and the duals Q(+/-) are built
 from the factors on first use.
@@ -35,7 +32,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from . import linalg
-from .combinatorics import ep_str, partition_similarity_classes
+from .combinatorics import GroupParams, ep_str
 from .exact_arith import SeriesRing, TPoly, TRat
 from .symfunc import level_for
 
@@ -141,7 +138,7 @@ def z_series(alpha, e=None):
 # Hall-Littlewood data
 
 
-class HLData(namedtuple("HLData", "level r order classes a_values l d u gram_den")):
+class HLData(namedtuple("HLData", "level r order classes a_values l d u")):
     """Both Hall-Littlewood families of one level at one symbol shift r,
     held as the block LDU factors of the Schur Gram matrix G along the
     symbol order: G = K+ diag(grams) conj(K-)^T.
@@ -149,12 +146,12 @@ class HLData(namedtuple("HLData", "level r order classes a_values l d u gram_den
     order: partitions in the canonical total order (class by class)
     classes: index ranges of the similarity classes
     a_values: one a-value per class
-    l / d / u: the block LDU of the Gram numerators N = gram_den G, as
-             ``certified_ldu`` returns it, every entry in coordinate lists
-             (``TPoly.coords``): l = K+ and u = conj(K-)^T, block lower and
-             upper unitriangular along ``order``, and d the within-class
-             Gram numerators, one matrix per class
-    gram_den: the TPoly denominator of ``Level.schur_gram``
+    l / d / u: the block LDU of N = D G, D the degree product of the coset
+             G(e',1,n') (``gepn.CosetAlgebra.big_d``), read off its factors
+             (``_compute_hl``), every entry in coordinate lists
+             (``TPoly.coords``): l = K+ and u = conj(K-)^T, block lower
+             and upper unitriangular along ``order``, and d the
+             within-class Gram numerators, one matrix per class
 
     Built on first use:
     kp / km: the Kostka matrices K+/- = M(s, P+/-) as TRat
@@ -184,7 +181,9 @@ class HLData(namedtuple("HLData", "level r order classes a_values l d u gram_den
 
     @cached_property
     def grams(self):
-        return [[[TRat(self._poly(x), self.gram_den) for x in row] for row in g] for g in self.d]
+        # D has rational coefficients, so its first coordinate list is all of it
+        big_d = self._poly(_coset(self.level, self.r).big_d().coords())
+        return [[[TRat(self._poly(x), big_d) for x in row] for row in g] for g in self.d]
 
     def _schur_rows(self, kostka):
         inv = linalg.invert_unit_lower(kostka)
@@ -223,23 +222,22 @@ class HLData(namedtuple("HLData", "level r order classes a_values l d u gram_den
         return out
 
     def certified(self):
-        """Whether the lists held pass ``ldu_certified`` against freshly
-        built Gram numerators N in ``order``: gram_den is their common
-        denominator, l and u are block lower and upper unitriangular along
-        ``classes``, and l diag(d) u = N, multiplied out exactly.  The
-        computation ran the same check; this repeats it on the data held.
-        It is the gate of a file read from the disk cache
-        (``_load_cached_hl``) and a check of ``verify``."""
-        nums, common = self.level.schur_gram(self.order)
+        """Whether the lists held pass ``ldu_certified`` against
+        N = (-1)^n' A^T, A(u) the OmegaPrime of the coset made in this
+        process (``gepn.CosetAlgebra._omega_in_u``): l and u block
+        unitriangular along ``classes`` and l diag(d) u = N exactly.  The
+        gate of a file read from the disk cache (``_load_cached_hl``) and a
+        check of ``verify``."""
+        a_u, _ = _coset(self.level, self.r)._omega_in_u()
+        nums = _from_coset(self.level.field, a_u, (-1) ** self.level.n)
         blocks = [len(c) for c in self.classes]
-        return common == self.gram_den and ldu_certified(
-            self.level.field, nums, blocks, self.l, self.d, self.u)
+        return ldu_certified(self.level.field, nums, blocks, self.l, self.d, self.u)
 
 
 _HL_CACHE = {}
 
 CACHE_ENV = "GREENREFL_CACHE"
-CACHE_FORMAT = 4          # part of the cache file name; bump when the layout changes
+CACHE_FORMAT = 5          # part of the cache file name; bump when the layout changes
 
 
 def hl_data(level, r):
@@ -269,25 +267,24 @@ def _cache_path(level, r):
 
 def _load_cached_hl(level, r):
     """The cached data of (level, r), or None: when the file is missing or
-    cannot be parsed, when an entry of its l, d, u or gram_den is not in
-    the form of ``TPoly.coords`` (phi(e) lists of plain ints, none with a
-    trailing zero), or when the data fail ``HLData.certified``, the exact
+    cannot be parsed, when an entry of its l, d or u is not in the form of
+    ``TPoly.coords`` (phi(e) lists of plain ints, none with a trailing
+    zero), or when the data fail ``HLData.certified``, the exact
     certificate that computed data pass.  The file holds no order: the
-    data take the symbol order of a fresh computation, and the
-    certificate, run in that order along its blocks, accepts only the
-    block LDU of N there, which is unique.  A refused file, unlike a
-    missing one, is named on stderr."""
+    data take the symbol order of the coset, and the certificate, run in
+    that order along its blocks, accepts only the block LDU of N there,
+    which is unique.  A refused file, unlike a missing one, is named on
+    stderr."""
     path = _cache_path(level, r)
     if path is None or not os.path.exists(path):
         return None
     try:
         with open(path) as handle:
             raw = json.load(handle, parse_float=_not_an_int, parse_constant=_not_an_int)
-        l, d, u, den = raw["l"], raw["d"], raw["u"], raw["gram_den"]
-        entries = [den] + [x for mat in (l, u, *d) for row in mat for x in row]
+        l, d, u = raw["l"], raw["d"], raw["u"]
+        entries = [x for mat in (l, u, *d) for row in mat for x in row]
         if all(_is_coords(x, level.field.degree) for x in entries):
-            data = HLData(level, r, *_symbol_order(level, r), l, d, u,
-                          TPoly.from_coords(level.field, den))
+            data = HLData(level, r, *_symbol_order(_coset(level, r)), l, d, u)
             if data.certified():
                 return data
     except (OSError, ValueError, KeyError, TypeError, IndexError, RecursionError):
@@ -314,7 +311,7 @@ def _store_cached_hl(data):
         return
     root = os.path.dirname(path)
     os.makedirs(root, exist_ok=True)
-    raw = {"l": data.l, "d": data.d, "u": data.u, "gram_den": data.gram_den.coords()}
+    raw = {"l": data.l, "d": data.d, "u": data.u}
     import tempfile
 
     # a temporary file of its own, so that no other writer can replace it
@@ -328,45 +325,55 @@ def _store_cached_hl(data):
         raise
 
 
-def _symbol_order(level, r):
-    """The canonical total order, its similarity classes as index ranges,
-    and one a-value per class."""
-    classes_parts, a_values = partition_similarity_classes(level.ecols, level.n, r)
-    order = [alpha for cls in classes_parts for alpha in cls]
+def _coset(level, r):
+    """The coset algebra of G(e',1,n'), e' the colours and n' the degree of
+    level."""
+    from .gepn import coset_algebra       # gepn imports this module
+
+    return coset_algebra(GroupParams(level.ecols, 1, level.n), r)
+
+
+def _symbol_order(alg):
+    """The canonical total order of the coset alg, its similarity classes
+    as index ranges, and one a-value per class."""
     classes, start = [], 0
-    for cls in classes_parts:
-        classes.append(list(range(start, start + len(cls))))
-        start += len(cls)
-    return order, classes, list(a_values)
+    for size in alg.blocks:
+        classes.append(list(range(start, start + size)))
+        start += size
+    return [z.alpha for z in alg.chars], classes, list(alg.class_a_values)
 
 
 def _compute_hl(level, r):
-    """The block LDU of the Schur Gram matrix G along the symbol order.
+    """The block LDU of N = D G, read off the block LDU (l', d', u') of
+    A(u) = u^m OmegaPrime(1/u) of G(e',1,n'): N = (-1)^n' A^T, so l = u'^T,
+    u = l'^T and d is (-1)^n' d' blockwise transposed.  ``certified_ldu``
+    runs on A itself, never through the coset's Kostka assembly, which
+    reads these data, and raises where it fails."""
+    alg = _coset(level, r)
+    a_u, m = alg._omega_in_u()
+    l, d, u = certified_ldu(alg.field, a_u, alg.blocks, m + 1)
+    field, sign = level.field, (-1) ** level.n
+    return HLData(level, r, *_symbol_order(alg), _from_coset(field, u),
+                  [_from_coset(field, dk, sign) for dk in d], _from_coset(field, l))
 
-    It factors the numerators N = L G of ``Level.schur_gram``: scaling a
-    matrix by L leaves the triangular factors unchanged and scales the
-    diagonal blocks by L, so those of N are the Gram numerators over L.
-    N lies in Z[t], with no zeta: <s_a, s_b> = |W|^-1 sum_w chi_a(w)
-    conj(chi_b(w)) / det(1 - t w) is a Molien series with natural-number
-    coefficients, and L (``Level.degree_product``) is in Z[t], so
-    N = L G is rational with integer coefficients.  The first precision is
-    2 deg N + 2: at deg N + 1 the first certificate failed on every level
-    tried."""
-    order, classes, a_values = _symbol_order(level, r)
-    nums, common = level.schur_gram(order)
-    prec = 2 * (max(len(c) for row in nums for x in row for c in x) - 1) + 2
-    l, d, u = certified_ldu(level.field, nums, [len(cls) for cls in classes], prec)
-    return HLData(level, r, order, classes, a_values, l, d, u, common)
+
+def _from_coset(field, mat, sign=1):
+    """sign times the transpose of a matrix of G(e',1,n') over Z[t] in
+    coordinate lists, in those of field; ValueError where it has zeta."""
+    if any(any(x[1:]) for row in mat for x in row):
+        raise ValueError("the coset matrix carries zeta")
+    rest = [[] for _ in range(field.degree - 1)]
+    return [[[[sign * v for v in x[0]]] + rest for x in col] for col in zip(*mat)]
 
 
 def certified_ldu(field, nums, blocks, prec):
     """The block LDU (l, d, u) of a square matrix N over Z[t] with
     N(0) = +-I, N and every factor in coordinate lists (``TPoly.coords``):
-    the one elimination of the Hall-Littlewood data (``_compute_hl``) and
-    of the Green functions of a coset (``gepn.CosetAlgebra._ldu_factors``).
-    Its certificate ``ldu_certified`` is the only one of both: it also
-    judges the factors that the Kostka assembly hands in where this
-    elimination does not apply (``gepn.CosetAlgebra.assembly_ldu``).
+    the one elimination of the Green functions of a coset
+    (``gepn.CosetAlgebra._ldu_factors``), and on G(e',1,n') of the
+    Hall-Littlewood data (``_compute_hl``).  Its certificate
+    ``ldu_certified`` also judges the factors that the Kostka assembly
+    hands in where it does not apply (``gepn.CosetAlgebra.assembly_ldu``).
 
     ``SeriesRing.encode`` raises ValueError, naming the coefficient, for an
     N that carries zeta.  N(0) = +-I makes every pivot block a unit modulo
@@ -455,8 +462,8 @@ def ldu_certified(field, nums, blocks, l, d, u):
 
 def kostka_matrix(level, r, sign):
     """K = M(s, P): rows/cols in the canonical symbol order; block lower
-    triangular with identity diagonal blocks.  These are the factors of the
-    Schur Gram matrix, read as they are."""
+    triangular with identity diagonal blocks: the factor l of ``HLData``,
+    read as it is."""
     data = hl_data(level, r)
     k = data.kp if sign > 0 else data.km
     labels = [ep_str(alpha) for alpha in data.order]

@@ -28,6 +28,7 @@ from greenrefl.symfunc import level_for
 from greenrefl.wreath import hl_data
 
 from polynomial_oracle import cauchy_truncated, poly_level_for
+from schur_gram import s_in_p, scalar_from_p, zero_rat
 from tuple_oracle import kostka_direct
 
 GRID = [
@@ -363,15 +364,15 @@ def test_criterion_8_property_suites():
     for ci, cls in enumerate(data.classes):
         for zi in cls:
             class_of[zi] = ci
-    s_rows = [[TRat.from_cyc(c) for c in row] for row in lv.s_in_p()]
+    s_rows = [[TRat.from_cyc(c) for c in row] for row in s_in_p(lv)]
     pp, pm, qm_p = (linalg.mat_mul(rows, s_rows) for rows in (data.sp, data.sm, data.qm))
     for i in range(len(data.order)):
         for j in range(len(data.order)):
-            prod = lv.scalar_from_p(pp[i], pm[j])
+            prod = scalar_from_p(lv, pp[i], pm[j])
             if class_of[i] != class_of[j]:
                 ok = ok and prod.is_zero()
-            dual = lv.scalar_from_p(pp[i], qm_p[j])
-            ok = ok and dual == (lv.one if i == j else lv.zero_rat)
+            dual = scalar_from_p(lv, pp[i], qm_p[j])
+            ok = ok and dual == (lv.one if i == j else zero_rat(lv))
     # tuple-level transition matrices specialize to the coset table at t=0:
     # X(+/-) = X(0) K_direct(+/-) with X(0) invertible, so this is
     # K_direct(+/-)(0) = identity

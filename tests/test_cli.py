@@ -339,6 +339,53 @@ def test_verify_fails_on_a_wrong_kostka_assembly(capsys, monkeypatch, argv, muta
     assert f"[FAIL] {line}" in out.splitlines()
 
 
+OMEGA_LINE = "OmegaPrime equals its class sum over the brute-force group"
+
+
+def test_verify_checks_omega_prime_against_the_brute_force_class_sum(capsys, monkeypatch):
+    from greenrefl import oracle
+
+    code, out = run(capsys, "verify", "--e", "3", "--p", "1", "--n", "3")
+    assert code == 0
+    assert f"[  ok] {OMEGA_LINE}" in out.splitlines()
+    # above the class cap the line shows up as skipped
+    monkeypatch.setattr(oracle, "OMEGA_CLASS_CAP", 21)  # G(3,1,3) has 22 classes
+    code, out = run(capsys, "verify", "--e", "3", "--p", "1", "--n", "3")
+    assert code == 0
+    assert f"[skip] {OMEGA_LINE}" in out.splitlines()
+
+
+def rotate_one_step_off(monkeypatch):
+    # every root of unity that ring_weight divides by, one power too high
+    from greenrefl import symfunc
+
+    rotate = symfunc._rotate
+    monkeypatch.setattr(symfunc, "_rotate", lambda vec, k: rotate(vec, (k + 1) % len(vec)))
+
+
+def z_integer_off_by_one(monkeypatch):
+    real = gepn.CosetAlgebra.z_integer
+    monkeypatch.setattr(gepn.CosetAlgebra, "z_integer",
+                        lambda self, xi: real(self, xi) + (xi == self.class_params[-1]))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--e", "3", "--p", "1", "--n", "3"),
+    ("--e", "3", "--p", "3", "--n", "3"),
+])
+@pytest.mark.parametrize("mutant", [rotate_one_step_off, z_integer_off_by_one])
+def test_verify_fails_on_wrong_class_weights(capsys, monkeypatch, argv, mutant):
+    # for p = 1 the Kostka assembly is read off the LDU route's own
+    # factors, so a fault in the class weights of OmegaPrime must show on
+    # the line that sums OmegaPrime over the brute-force group
+    monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+    monkeypatch.setattr(wreath, "_HL_CACHE", {})
+    mutant(monkeypatch)
+    code, out = run(capsys, "verify", *argv)
+    assert code == 1
+    assert any(line.startswith(f"[FAIL] {OMEGA_LINE}") for line in out.splitlines())
+
+
 def test_verify_on_a_trivial_group(capsys):
     # G(3,3,1) has one element, so its Dixon table is [[1]] over Q
     code, out = run(capsys, "verify", "--e", "3", "--p", "3", "--n", "1")

@@ -31,6 +31,7 @@ from greenrefl.oracle import BruteForceGroup
 from greenrefl.symfunc import Level, gram_numerators, level_for
 
 from polynomial_oracle import SymPoly, VarSpace, poly_level
+from schur_gram import scalar_from_p
 from test_acceptance import GRID
 from test_oracle import conjugated, phi_swapped, table_problems
 from test_symfunc import schur_rows
@@ -57,7 +58,7 @@ def tuple_scalar(alg, f, g):
     coordinates, with zeta^h and t^h at component j."""
     total = alg.zero
     for j in f.keys() & g.keys():
-        total = total + alg.levels[j].scalar_from_p(f[j], g[j], subst=alg.h_of[j])
+        total = total + scalar_from_p(alg.levels[j], f[j], g[j], subst=alg.h_of[j])
     return total.scale_cyc(alg.field.from_rational(Fraction(1, alg.params.p)))
 
 
@@ -193,7 +194,7 @@ def test_tuple_pairing_phi_factors():
                     for j, level in alg.levels.items():
                         if j % c:
                             continue
-                        pairing = level.scalar_from_p(fq[j], fm[j], subst=alg.h_of[j])
+                        pairing = scalar_from_p(level, fq[j], fm[j], subst=alg.h_of[j])
                         phase = alg.field.zeta((z.phi - w.phi) * params.d * j % params.e)
                         assert pairing == TRat.from_cyc(phase * c), (params, z, w, j)
 
@@ -954,16 +955,21 @@ def euclid_lcm(polys):
 
 def test_degree_product_is_the_lcm_of_the_z_series_denominators():
     # Springer: the lcm of det(t id - w) over G(e',1,n) is prod (t^(e'i) - 1),
-    # so it is the denominator L of the Schur Gram matrix
+    # the degree product D of the coset, so it is the denominator of the
+    # Hall-Littlewood Gram matrices of the level
     for lv in grid_levels():
+        alg = coset_algebra(GroupParams(lv.ecols, 1, lv.n))
         want = euclid_lcm([lv.z_series(beta).den for beta in lv.partitions])
-        assert TPoly.from_coords(lv.field, [lv.degree_product()]) == want, lv
+        assert TPoly.from_coords(lv.field, alg.big_d().coords()) == want, lv
 
 
 def test_the_class_sums_take_no_gcd(monkeypatch):
-    # the Schur Gram matrix, Omega' and the fake degrees divide the degree
-    # product by every det(t id - w) in the group ring: no polynomial gcd
-    # or division is taken (the q = 0 sets, where no weight has a remainder)
+    # the Hall-Littlewood data (the Omega' of G(e',1,n')), Omega' and the
+    # fake degrees divide the degree product by every det(t id - w) in the
+    # group ring: no polynomial gcd or division is taken (the q = 0 sets,
+    # where no weight has a remainder)
+    monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+    monkeypatch.setattr(wreath, "_HL_CACHE", {})
     calls = []
     for name in ("gcd", "divmod"):
         real = getattr(TPoly, name)
@@ -974,12 +980,71 @@ def test_the_class_sums_take_no_gcd(monkeypatch):
 
         monkeypatch.setattr(TPoly, name, spy)
     for lv in grid_levels():
-        lv.schur_gram(lv.partitions)
+        wreath.hl_data(lv, 2)
     for s in MIRROR_SETS:
         alg = CosetAlgebra(GroupParams(*s))
         alg.omega_prime()
         alg.fake_degrees()
     assert calls == []
+
+
+def test_omega_prime_equals_the_brute_force_class_sum():
+    # the q = 0 sets of the grid and G(3,1,3), all below the class cap
+    from greenrefl import oracle
+
+    for s in MIRROR_SETS + [(3, 1, 3, 0)]:
+        params = GroupParams(*s)
+        alg = coset_algebra(params)
+        assert len(alg.chars) <= oracle.OMEGA_CLASS_CAP, s
+        assert BruteForceGroup(params).omega_prime_problems(alg) == [], s
+
+
+def test_the_brute_force_class_sum_names_a_wrong_entry():
+    # an entry altered in a fresh algebra; the class sum takes one entry of
+    # each mirrored pair, and checks the other against it
+    params = GroupParams(3, 3, 3)
+    group = BruteForceGroup(params)
+    sigma = CosetAlgebra(params).conjugation_permutation()
+    for a, b in [(0, 1), (sigma[1], sigma[0]), (len(sigma) - 1, 0)]:
+        alg = CosetAlgebra(params)
+        omega = alg.omega_prime()
+        omega[a][b] = omega[a][b] + TRat.t(alg.field)
+        (problem,) = group.omega_prime_problems(alg)
+        assert "is not the class sum" in problem, (a, b)
+
+
+def test_hl_data_never_asks_the_kostka_assembly(monkeypatch):
+    # the data are read off the coset's own elimination; the assembly,
+    # which reads hl_data, would be a loop for p = 1
+    def refused(self):
+        raise AssertionError("the Kostka assembly was asked")
+
+    monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+    monkeypatch.setattr(wreath, "_HL_CACHE", {})
+    monkeypatch.setattr(CosetAlgebra, "assembly_ldu", refused)
+    for lv in grid_levels():
+        assert wreath.hl_data(lv, 2).level is lv
+
+
+def test_hl_data_raises_where_the_coset_elimination_fails(monkeypatch):
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise ArithmeticError("the block LDU failed its certificate")
+
+    monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+    monkeypatch.setattr(wreath, "_HL_CACHE", {})
+    monkeypatch.setattr(wreath, "certified_ldu", failing)
+    with pytest.raises(ArithmeticError, match="failed its certificate"):
+        wreath.hl_data(level_for(3, 2), 2)
+    assert len(calls) == 1
+    # green of G(3,1,2) falls back to the assembly, which asks hl_data of
+    # the same coset: one more failed elimination, then the error
+    calls.clear()
+    with pytest.raises(ArithmeticError, match="failed its certificate"):
+        green_suite(GroupParams(3, 1, 2))
+    assert len(calls) == 2
 
 
 def test_the_class_weights_are_divided_once(monkeypatch):
@@ -1002,17 +1067,6 @@ def test_the_class_weights_are_divided_once(monkeypatch):
         alg.fake_degrees()
         betas = {xi.beta for xi in alg.class_params}
         assert Counter(calls) == dict.fromkeys(betas, rounds), s
-
-
-def test_a_short_degree_product_raises(monkeypatch):
-    # with the factor t^(e'n) - 1 of L left out, some weight of the Schur
-    # Gram matrix is not a polynomial, against Springer's theorem
-    real = Level.degree_product
-    monkeypatch.setattr(Level, "degree_product",
-                        lambda lv: real(Level(lv.E, lv.h, lv.ecols, lv.n - 1)))
-    for lv in (level_for(2, 3), level_for(3, 2), Level(6, 2, 3, 2), level_for(1, 4)):
-        with pytest.raises(ArithmeticError, match=r"the weight of class \("):
-            lv.schur_gram(lv.partitions)
 
 
 def test_mirrored_class_sum_equals_the_full_one():

@@ -16,6 +16,7 @@ from greenrefl.symfunc import Level, as_fractions, gram_numerators, level_for
 from greenrefl.wreath import level_char_table
 
 from polynomial_oracle import SymPoly, cauchy_truncated, poly_level, poly_level_for
+from schur_gram import s_in_p, scalar_from_p, schur_gram
 from test_acceptance import GRID
 
 P = lambda *comps: tuple(tuple(c) for c in comps)
@@ -346,7 +347,7 @@ def differential_levels():
 
 def schur_rows(lv):
     """The power-sum rows of the Schur functions of ``lv`` as TRat."""
-    return [[TRat.from_cyc(c) for c in row] for row in lv.s_in_p()]
+    return [[TRat.from_cyc(c) for c in row] for row in s_in_p(lv)]
 
 
 def test_basis_matrices_match_polynomial_oracle():
@@ -369,7 +370,7 @@ def test_scalar_product_power_sums():
         fa = lv.expand(lv.powersum(alpha), "powersum")
         for j, beta in enumerate(lv.partitions):
             fb = lv.expand(lv.powersum(beta), "powersum")
-            got = lv.level.scalar_from_p(fa, fb)
+            got = scalar_from_p(lv.level, fa, fb)
             if i == j:
                 assert got == lv.level.z_series(alpha)
             else:
@@ -381,17 +382,16 @@ def test_scalar_product_q_m_duality():
     # series: <q_(a,-), m_b> = delta and <m_a, q_(b,+)> = delta
     for e, n in [(1, 2), (2, 2), (1, 3), (3, 2)]:
         lv = poly_level_for(e, n)
-        scalar = lv.level.scalar_from_p
         for alpha in lv.partitions:
             qa = lv.expand(lv.q_product(alpha, -1), "powersum")
             for beta in lv.partitions:
                 mb = lv.expand(lv.monomial(beta), "powersum")
-                got = scalar(qa, mb)
+                got = scalar_from_p(lv.level, qa, mb)
                 assert got == (lv.one if alpha == beta else lv.zero_rat), (alpha, beta)
                 # dual pairing on the other side
                 ma = lv.expand(lv.monomial(alpha), "powersum")
                 qb = lv.expand(lv.q_product(beta, +1), "powersum")
-                got2 = scalar(ma, qb)
+                got2 = scalar_from_p(lv.level, ma, qb)
                 assert got2 == (lv.one if alpha == beta else lv.zero_rat)
 
 
@@ -406,7 +406,7 @@ def test_schur_gram_matches_scalar_from_p():
     for lv in levels:
         order = list(lv.partitions)
         random.Random(lv.ecols * 10 + lv.n).shuffle(order)
-        gram = as_fractions(*lv.schur_gram(order))
+        gram = as_fractions(*schur_gram(lv, order))
         rows = schur_rows(lv)
         coords = [rows[lv.pindex[alpha]] for alpha in order]
         pairs = [(i, j) for i in range(lv.size) for j in range(lv.size)]
@@ -415,7 +415,7 @@ def test_schur_gram_matches_scalar_from_p():
             # entry, so its diagonal and its first row only
             pairs = [(i, j) for i, j in pairs if i == j or i == 0]
         for i, j in pairs:
-            assert gram[i][j] == lv.scalar_from_p(coords[i], coords[j]), (
+            assert gram[i][j] == scalar_from_p(lv, coords[i], coords[j]), (
                 lv, order[i], order[j]
             )
 

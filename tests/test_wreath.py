@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from greenrefl import linalg
-from greenrefl.combinatorics import CharParam, ClassParam, GroupParams, ep_str, partitions
+from greenrefl.combinatorics import (
+    CharParam,
+    ClassParam,
+    GroupParams,
+    ep_str,
+    partition_similarity_classes,
+    partitions,
+)
 from greenrefl.exact_arith import TPoly, TRat
 from greenrefl.oracle import BruteForceGroup
 from greenrefl.symfunc import Level, as_fractions, level_for
@@ -18,6 +25,7 @@ from greenrefl.wreath import (
     z_series,
 )
 
+from schur_gram import scalar_from_p, schur_gram, zero_rat
 from test_symfunc import mn_character, schur_rows
 
 P = lambda *comps: tuple(tuple(c) for c in comps)
@@ -227,7 +235,7 @@ def test_hl_top_class_is_schur():
         for zi in top:
             alpha = data.order[zi]
             for c, v in enumerate(data.sp[zi]):
-                expected = lv.one if lv.partitions[c] == alpha else lv.zero_rat
+                expected = lv.one if lv.partitions[c] == alpha else zero_rat(lv)
                 assert v == expected
                 assert data.sm[zi][c] == expected
 
@@ -287,15 +295,15 @@ def test_hl_orthogonality_and_duality():
         # <P+_z, P-_z'> = 0 unless similar
         for i in range(size):
             for j in range(size):
-                got = lv.scalar_from_p(pp[i], pm[j])
+                got = scalar_from_p(lv, pp[i], pm[j])
                 if class_of[i] != class_of[j]:
                     assert got.is_zero(), (data.order[i], data.order[j])
         # <P+_z, Q-_z'> = delta and <Q+_z, P-_z'> = delta
         for i in range(size):
             for j in range(size):
-                d1 = lv.scalar_from_p(pp[i], qm_p[j])
-                d2 = lv.scalar_from_p(qp_p[i], pm[j])
-                want = lv.one if i == j else lv.zero_rat
+                d1 = scalar_from_p(lv, pp[i], qm_p[j])
+                d2 = scalar_from_p(lv, qp_p[i], pm[j])
+                want = lv.one if i == j else zero_rat(lv)
                 assert d1 == want and d2 == want, (i, j)
 
 
@@ -408,8 +416,8 @@ def _cached_file(tmp_path, monkeypatch, lv, r):
 
 def _same_hl(a, b):
     # every other field of HLData is built from these
-    return (a.order, a.classes, a.a_values, a.l, a.d, a.u, a.gram_den) == (
-        b.order, b.classes, b.a_values, b.l, b.d, b.u, b.gram_den
+    return (a.order, a.classes, a.a_values, a.l, a.d, a.u) == (
+        b.order, b.classes, b.a_values, b.l, b.d, b.u
     )
 
 
@@ -499,25 +507,29 @@ def test_hl_cache_recomputes_a_file_with_a_wrong_value(tmp_path, monkeypatch, al
 
 def test_hl_cache_recomputes_a_file_in_another_symbol_order(tmp_path, monkeypatch):
     # the data with two partitions of a class swapped, consistent with
-    # itself: it passes the certificate in its own order, but the file holds
-    # no order, and in the symbol order of a fresh computation it fails
+    # itself: the block LDU of N with those rows and columns swapped.  The
+    # file holds no order, and in the symbol order of the coset it fails
     import greenrefl.wreath as wreath_mod
 
     lv = level_for(2, 2)
     fresh, path = _cached_file(tmp_path, monkeypatch, lv, 2)
     text = path.read_text()
-    symbol_order = wreath_mod._symbol_order
+    b, cls = next((b, cls) for b, cls in enumerate(fresh.classes) if len(cls) > 1)
+    perm = list(range(len(fresh.order)))
+    perm[cls[0]], perm[cls[1]] = cls[1], cls[0]
 
-    def swapped_order(level, r):
-        order, classes, a_values = symbol_order(level, r)
-        i, j = next(cls for cls in classes if len(cls) > 1)[:2]
-        order[i], order[j] = order[j], order[i]
-        return order, classes, a_values
+    def swapped(mat, idx=perm):
+        return [[mat[i][j] for j in idx] for i in idx]
 
-    with monkeypatch.context() as m:
-        m.setattr(wreath_mod, "_symbol_order", swapped_order)
-        other = wreath_mod._compute_hl(lv, 2)
-    assert other.order != fresh.order and other.certified()
+    local = [i - cls[0] for i in perm[cls[0] : cls[-1] + 1]]
+    d = [swapped(dk, local) if c == b else dk for c, dk in enumerate(fresh.d)]
+    other = fresh._replace(order=[fresh.order[i] for i in perm], l=swapped(fresh.l),
+                           d=d, u=swapped(fresh.u))
+    a_u, _ = wreath_mod._coset(lv, 2)._omega_in_u()
+    nums = wreath_mod._from_coset(lv.field, a_u, (-1) ** lv.n)
+    blocks = [len(c) for c in fresh.classes]
+    assert other.order != fresh.order and not other.certified()
+    assert wreath_mod.ldu_certified(lv.field, swapped(nums), blocks, other.l, other.d, other.u)
     wreath_mod._store_cached_hl(other)
     assert path.read_text() != text
     _assert_recomputed(lv, 2, fresh, path, text)
@@ -556,8 +568,8 @@ def _below(raw, i, j):
     return raw["u"][j], i
 
 
-def _denominator(raw, i, j):
-    return raw, "gram_den"
+def _first_block(raw, i, j):
+    return raw["d"], 0
 
 
 MALFORMED = {
@@ -569,8 +581,9 @@ MALFORMED = {
     "nan_leaf": (_below, lambda x: [[float("nan")] + x[0][1:]] + x[1:]),
     "trailing_zero": (_below, lambda x: [x[0] + [0]] + x[1:]),
     "extra_list": (_below, lambda x: x + [[]]),
-    # well formed, but not the denominator of the Gram numerators
-    "doubled_denominator": (_denominator, lambda x: [[2 * v for v in x[0]]] + x[1:]),
+    # well formed, but the first within-class Gram block doubled
+    "doubled_gram_block": (_first_block, lambda x: [
+        [[[2 * v for v in c] for c in entry] for entry in row] for row in x]),
 }
 
 
@@ -607,33 +620,38 @@ def test_hl_cache_ignores_a_file_of_the_parent_format(tmp_path, monkeypatch, cap
     assert old.read_text() == "garbage"
 
 
-def test_hl_data_matches_ldu_of_normalised_gram():
-    # production factors the numerators N = L G in a packed power-series
-    # ring and certifies the factors; the reference is the generic
-    # elimination of the Gram matrix G = l diag(d) u itself, every entry a
-    # canonical TRat, with K+ = l and K- = conj(u)^T
-    import greenrefl.wreath as wreath_mod
-    from greenrefl.gepn import coset_algebra
-    from test_acceptance import GRID
+def symbol_order(lv, r):
+    """The canonical total order of the symbols of lv at shift r, and its
+    similarity-class block sizes, from the symbols themselves."""
+    classes, _ = partition_similarity_classes(lv.ecols, lv.n, r)
+    return [alpha for cls in classes for alpha in cls], [len(cls) for cls in classes]
 
-    levels = []
-    # G(6,6,2) q=2 has a sub-level with h = 2; G(4,4,3) q=2 has k = 40
-    for e, p, n, q in GRID + [(6, 6, 2, 2), (4, 4, 3, 2)]:
-        for lv in coset_algebra(GroupParams(e, p, n, q)).levels.values():
-            if lv not in levels:
-                levels.append(lv)
-    # phi(e) = 4 for level_for(5, 2) and level_for(12, 1)
-    levels += [level_for(2, 4), level_for(5, 2), level_for(12, 1), level_for(1, 5)]
-    for lv in levels:
-        for r in (1, 2, 3):
-            order, classes, _ = wreath_mod._symbol_order(lv, r)
-            blocks = [len(cls) for cls in classes]
-            gram = as_fractions(*lv.schur_gram(order))
-            l, d, u = linalg.block_ldu(gram, blocks)
+
+def test_hl_data_matches_ldu_of_normalised_gram():
+    # production reads the data off the certified block LDU of OmegaPrime
+    # of the coset G(e',1,n'); the reference is the Schur Gram matrix G of
+    # the level, built by its own class sum.  On every level of the grid,
+    # the h > 1 sub-levels among them, the data pass the exact certificate
+    # against the Gram numerators N = L G, which makes them the block LDU
+    # of N, since that is unique; up to 30 partitions they also equal the
+    # generic elimination of G = l diag(d) u itself, every entry a
+    # canonical TRat, with K+ = l and K- = conj(u)^T.  All three shifts r
+    # up to 22 partitions, r = 2 above
+    import greenrefl.wreath as wreath_mod
+    from test_gepn import grid_levels
+
+    for lv in grid_levels():
+        for r in (1, 2, 3) if lv.size <= 22 else (2,):
+            order, blocks = symbol_order(lv, r)
+            nums, common = schur_gram(lv, order)
             got = hl_data(lv, r)
-            assert got.kp == l, (lv, r)
-            assert got.km == [[x.conjugate() for x in col] for col in zip(*u)], (lv, r)
-            assert got.grams == d, (lv, r)
+            assert got.order == order, (lv, r)
+            assert wreath_mod.ldu_certified(lv.field, nums, blocks, got.l, got.d, got.u), (lv, r)
+            if lv.size <= 30:
+                l, d, u = linalg.block_ldu(as_fractions(nums, common), blocks)
+                assert got.kp == l, (lv, r)
+                assert got.km == [[x.conjugate() for x in col] for col in zip(*u)], (lv, r)
+                assert got.grams == d, (lv, r)
 
 
 # -- the certificate of the packed elimination -------------------------------------
@@ -694,9 +712,8 @@ def _synthetic_ldu(e, blocks, seed):
 def _certificate_case(lv, r=2):
     import greenrefl.wreath as wreath_mod
 
-    order, classes, _ = wreath_mod._symbol_order(lv, r)
-    blocks = [len(cls) for cls in classes]
-    nums, _ = lv.schur_gram(order)
+    order, blocks = symbol_order(lv, r)
+    nums, _ = schur_gram(lv, order)
     return nums, blocks, wreath_mod.certified_ldu(lv.field, nums, blocks, _first_prec(nums))
 
 
