@@ -54,10 +54,10 @@ data too (``wreath._compute_hl``).
 
 The Kostka assembly is the paper's theorem: the Kostka matrices come from
 the block assembly out of sub-level Kostka matrices (``hl_data``).  For
-p > 1 it checks the LDU route in ``verify`` (for p = 1 it is that route's
-own factors), and it is the fallback of ``green`` and ``kostka`` where
-OmegaPrime carries zeta or the elimination fails its certificate.  It is
-then a second source of the same three factors
+p > 1 it checks the LDU route in ``verify``, and it is the fallback of
+``green`` and ``kostka`` where OmegaPrime carries zeta or the elimination
+fails its certificate.  For p = 1 it is that route's own factors, so it
+is neither.  It is then a second source of the same three factors
 (``CosetAlgebra.assembly_ldu``), with no gcd or linear solve: l
 and u are K- and tr(K+) in u, and d is read off one packed integer
 product of the inverse Kostka matrices (unit lower-triangular, by forward
@@ -556,12 +556,14 @@ class CosetAlgebra:
         the degree of every factor on each set tried; deg A + 1 is below
         that of d on all of them).  A coefficient with zeta, A(0) != +-I or
         three failed certificates end that route, named in the route line,
-        and the Kostka assembly hands in its factors (``assembly_ldu``),
-        judged by the same ``wreath.ldu_certified``.  Substituting u = 1/t
-        maps l, diag(d) and u one to one onto Ktilde- T^(-1),
-        t^(-m) L T LambdaTilde T and T^(-1) tr(Ktilde+), whose product is
-        t^(-m) N, so the certificate on A is that of the factorization of
-        OmegaPrime.  Kept for ``green`` and ``kostka_gepn``."""
+        and for p > 1 the Kostka assembly hands in its factors
+        (``assembly_ldu``), judged by the same ``wreath.ldu_certified``; for
+        p = 1 it would read these factors back, and the error is raised.
+        Substituting u = 1/t maps l, diag(d) and u one to one onto
+        Ktilde- T^(-1), t^(-m) L T LambdaTilde T and T^(-1) tr(Ktilde+),
+        whose product is t^(-m) N, so the certificate on A is that of the
+        factorization of OmegaPrime.  Kept for ``green``, ``kostka_gepn``
+        and ``hl_data``."""
         if self._factors is None:
             a_u, m = self._omega_in_u()
             common = self._omega_nums[1]
@@ -571,6 +573,8 @@ class CosetAlgebra:
                 factors = wreath.certified_ldu(self.field, a_u, self.blocks, m + 1)
                 certified, route = True, "block LDU of u^m OmegaPrime(1/u) over Z[u], certified"
             except (ValueError, ArithmeticError) as exc:
+                if self.params.p == 1:
+                    raise
                 factors = self.assembly_ldu()
                 certified = wreath.ldu_certified(self.field, a_u, self.blocks, *factors)
                 route = f"Kostka assembly ({exc})"

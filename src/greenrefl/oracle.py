@@ -12,7 +12,6 @@ exists to validate it.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import permutations, product
 from math import isqrt, lcm
 
@@ -21,10 +20,10 @@ from .exact_arith import CycField, TPoly, TRat
 
 SIZE_CAP = 10 ** 6
 # OmegaPrime is checked against its class sum over the group for at most
-# this many classes k: the sum takes about k^3 / 2 field products, measured
-# at 4.7 s on G(6,2,3) (k = 49) and 3.7 s on G(3,1,4) (k = 51), 2 vCPUs,
-# Python 3.11
-OMEGA_CLASS_CAP = 52
+# this many classes k: the sum takes about k^3 / 2 products of packed
+# integers, measured at 0.2 s on G(3,1,4) (k = 51), 1.6 s on G(3,1,5)
+# (k = 108) and 4.7 s on G(6,2,4) (k = 171), 2 vCPUs, Python 3.11
+OMEGA_CLASS_CAP = 200
 
 
 def e_mul(w1, w2, e):
@@ -266,8 +265,9 @@ class BruteForceGroup:
         ``element_for_class_param``; ``table_problems`` checks X(0) itself.
         OmegaPrime[z][z'] = OmegaPrime[s z'][s z] for the permutation s with
         chi_(s z) = conj(chi_z), so only one entry of each such pair is
-        summed; about k^3 / 2 field products for k classes
-        (``OMEGA_CLASS_CAP``)."""
+        summed, on packed integers (``_pack``): about k^3 / 2 integer
+        products for k classes (``OMEGA_CLASS_CAP``), and one reduction to
+        the power basis per coefficient."""
         if alg.params != self.params or self.params.q:
             raise ValueError("the class sum is that of OmegaPrime of W, with q = 0")
         e, n, field = self.e, self.n, CycField(self.e)
@@ -297,34 +297,89 @@ class BruteForceGroup:
         if len(rows) != len(classes):
             return ["the class params do not name every class"]
         # the classes with one det share the weight D / det
-        terms = {}
-        for c, (cls, det) in enumerate(zip(classes, dets)):
-            row = rows[c]
-            terms.setdefault(det, []).append(([x * len(cls) for x in row],
-                                              [x.conjugate() for x in row]))
-        weights = [(big_d.divmod(det)[0], members) for det, members in terms.items()]
-        k, scale = len(alg.chars), field.from_rational(Fraction(1, self.order))
+        groups = {}
+        for c, det in enumerate(dets):
+            groups.setdefault(det, []).append(c)
+        weights = [(big_d.divmod(det)[0], members) for det, members in groups.items()]
+        conj = {c: [x.conjugate() for x in row] for c, row in rows.items()}
+        values = [x for row in (*rows.values(), *conj.values()) for x in row]
+        if any(x.den != 1 for x in values):
+            return ["a character value is not in Z[zeta]"]
+        # every value is in Z[zeta], D / det too, so the class sum of an
+        # entry runs on integers: x = sum_j x_j zeta^j (power basis, j < phi)
+        # packs to sum_j x_j 2^(B j), coefficient i of a weight from
+        # 2^(B S i) on, with S = 3 phi - 2 slots per power of t for the zeta
+        # powers of a product of three.  B holds every slot of the sum
+        # (|coordinate of x y w| <= |x|_1 |y|_1 max |w|), with a sign bit
+        d, k = field.degree, len(alg.chars)
+        stride, top = 3 * d - 2, max(w.degree() for w, _ in weights) + 1
+        bound = 0
+        for w, members in weights:
+            big = max(abs(v) for x in w.coeffs for v in x.num)
+            bound += big * sum(len(classes[c]) * max(sum(map(abs, x.num)) for x in rows[c])
+                               * max(sum(map(abs, x.num)) for x in conj[c]) for c in members)
+        bits = bound.bit_length() + 2
+        packed = [(_pack([_pack(x.num, bits) for x in w.coeffs], bits * stride),
+                   [([_pack(x.num, bits) * len(classes[c]) for x in rows[c]],
+                     [_pack(x.num, bits) for x in conj[c]]) for c in members])
+                  for w, members in weights]
+        powers = [field.zeta(j).num for j in range(stride)]
         column = {tuple(row[a] for row in table): a for a in range(k)}
         mirror = [column.get(tuple(row[a].conjugate() for row in table)) for a in range(k)]
         if None in mirror:
             return ["the conjugate of a character is not in X(0)"]
-        want, shift, done = alg.omega_prime(), (field.zero,) * n_star, set()
+        want, shift, done = alg.omega_prime(), [field.zero] * n_star, set()
         for a in range(k):
             for b in range(k):
                 if (a, b) in done:
                     continue
                 done.add((mirror[b], mirror[a]))
-                acc = TPoly(field, ())
-                for weight, members in weights:
-                    coeff = sum((row[a] * conj[b] for row, conj in members), field.zero)
-                    if not coeff.is_zero():
-                        acc = acc + weight.scale(coeff)
-                acc = acc.scale(scale)
-                got = TRat(TPoly(field, shift + acc.coeffs, trusted=True) if acc.coeffs else acc,
-                           reduce=False)
+                acc = 0
+                for w, members in packed:
+                    coeff = sum(left[a] * right[b] for left, right in members)
+                    if coeff:
+                        acc += coeff * w
+                digits = _unpack(acc, bits, top * stride)
+                coeffs = []
+                for i in range(0, top * stride, stride):
+                    slots = digits[i : i + stride]
+                    coeffs.append(field.make(
+                        [sum(v * zj[m] for v, zj in zip(slots, powers) if v) for m in range(d)],
+                        self.order))
+                got = TRat(TPoly(field, shift + coeffs), reduce=False)
                 if got != want[a][b] or got != want[mirror[b]][mirror[a]]:
                     return [f"OmegaPrime[{alg.labels[a]}][{alg.labels[b]}] is not the class sum"]
         return []
+
+
+# the class sum keeps its own codec: the OmegaPrime it checks is packed by
+# exact_arith's kron_pack and kron_digits (``symfunc.gram_numerators``)
+
+
+def _pack(digits, bits):
+    """sum_j digits[j] 2^(bits j) for integers digits."""
+    v = 0
+    for c in reversed(digits):
+        v = (v << bits) + c
+    return v
+
+
+def _unpack(v, bits, count):
+    """The count balanced base-2^bits digits of v, lowest first, each in
+    [-2^(bits-1), 2^(bits-1)): the digits that ``_pack`` took when each
+    lay in that range."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    for _ in range(count):
+        c = v & mask
+        v >>= bits
+        if c >= half:
+            c -= mask + 1
+            v += 1
+        out.append(c)
+    if v:
+        raise ArithmeticError("a packed class sum overflows its slots")
+    return out
 
 
 def _find_prime(modulus, lower):

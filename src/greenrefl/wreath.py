@@ -15,14 +15,12 @@ matrices, block lower unitriangular, and D holds the within-class Gram
 matrices <P+_z, P-_z'>.  It is the Green-function factorization of
 G(e',1,n') (Shoji, J. Algebra 245, 2001): over the degree product D, the
 numerators D G are (-1)^n' A^T for the OmegaPrime A(u) = u^m N(1/u) of
-that coset, so no Gram matrix is built.  The data are read off the
-coset's block LDU of A (``_compute_hl``), which ``certified_ldu`` runs in
-Z[t]/(t^M) packed into one integer per entry, with no gcd, and keeps only
-after an exact certificate (``ldu_certified``).  ``HLData`` holds those
-integer lists as they are, and the disk cache stores them as they are.
-The Kostka matrices as TRat, the families P(+/-) (the rows of the inverse
-Kostka matrices, by forward substitution) and the duals Q(+/-) are built
-from the factors on first use.
+that coset, so no Gram matrix is built: the data are the coset's block
+LDU of A (``_compute_hl``), which ``certified_ldu`` runs in Z[t]/(t^M)
+packed into one integer per entry, with no gcd, and certifies.  ``HLData``
+and the disk cache hold those integer lists as they are; the Kostka
+matrices as TRat, the families P(+/-) (the rows of the inverse Kostka
+matrices) and the duals Q(+/-) are built from them on first use.
 """
 
 import json
@@ -346,12 +344,10 @@ def _symbol_order(alg):
 def _compute_hl(level, r):
     """The block LDU of N = D G, read off the block LDU (l', d', u') of
     A(u) = u^m OmegaPrime(1/u) of G(e',1,n'): N = (-1)^n' A^T, so l = u'^T,
-    u = l'^T and d is (-1)^n' d' blockwise transposed.  ``certified_ldu``
-    runs on A itself, never through the coset's Kostka assembly, which
-    reads these data, and raises where it fails."""
+    u = l'^T and d is (-1)^n' d' blockwise transposed: the factors that
+    the coset holds for ``green`` (``gepn.CosetAlgebra._ldu_factors``)."""
     alg = _coset(level, r)
-    a_u, m = alg._omega_in_u()
-    l, d, u = certified_ldu(alg.field, a_u, alg.blocks, m + 1)
+    (l, d, u, _), _, _ = alg._ldu_factors()
     field, sign = level.field, (-1) ** level.n
     return HLData(level, r, *_symbol_order(alg), _from_coset(field, u),
                   [_from_coset(field, dk, sign) for dk in d], _from_coset(field, l))

@@ -989,10 +989,12 @@ def test_the_class_sums_take_no_gcd(monkeypatch):
 
 
 def test_omega_prime_equals_the_brute_force_class_sum():
-    # the q = 0 sets of the grid and G(3,1,3), all below the class cap
+    # the q = 0 sets of the grid, G(3,1,3) and G(5,1,2), all below the
+    # class cap.  On G(5,1,2) the packed sum fills the top zeta slot of its
+    # stride, zeta^(3 phi - 3), which no set of the grid reaches
     from greenrefl import oracle
 
-    for s in MIRROR_SETS + [(3, 1, 3, 0)]:
+    for s in MIRROR_SETS + [(3, 1, 3, 0), (5, 1, 2, 0)]:
         params = GroupParams(*s)
         alg = coset_algebra(params)
         assert len(alg.chars) <= oracle.OMEGA_CLASS_CAP, s
@@ -1039,12 +1041,32 @@ def test_hl_data_raises_where_the_coset_elimination_fails(monkeypatch):
     with pytest.raises(ArithmeticError, match="failed its certificate"):
         wreath.hl_data(level_for(3, 2), 2)
     assert len(calls) == 1
-    # green of G(3,1,2) falls back to the assembly, which asks hl_data of
-    # the same coset: one more failed elimination, then the error
+    # green of G(3,1,2) has no assembly to fall back on, since that reads
+    # hl_data of the same coset: one failed elimination, then the error
     calls.clear()
     with pytest.raises(ArithmeticError, match="failed its certificate"):
         green_suite(GroupParams(3, 1, 2))
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_a_group_of_p_1_is_eliminated_once(monkeypatch):
+    # green, the Kostka assembly and the Hall-Littlewood data of G(e,1,n)
+    # all read the one set of factors that the coset holds
+    calls = []
+    real = wreath.certified_ldu
+
+    def spy(field, nums, *rest):
+        calls.append(len(nums))
+        return real(field, nums, *rest)
+
+    monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+    monkeypatch.setattr(wreath, "_HL_CACHE", {})
+    monkeypatch.setattr(wreath, "certified_ldu", spy)
+    alg = gepn.coset_algebra(GroupParams(3, 1, 3))
+    assert alg.green().residual_zero
+    alg.kostka_assembled(-1)
+    assert wreath.hl_data(level_for(3, 3), 2).certified()
+    assert calls == [len(alg.chars)]
 
 
 def test_the_class_weights_are_divided_once(monkeypatch):

@@ -630,28 +630,43 @@ def symbol_order(lv, r):
 def test_hl_data_matches_ldu_of_normalised_gram():
     # production reads the data off the certified block LDU of OmegaPrime
     # of the coset G(e',1,n'); the reference is the Schur Gram matrix G of
-    # the level, built by its own class sum.  On every level of the grid,
-    # the h > 1 sub-levels among them, the data pass the exact certificate
-    # against the Gram numerators N = L G, which makes them the block LDU
-    # of N, since that is unique; up to 30 partitions they also equal the
-    # generic elimination of G = l diag(d) u itself, every entry a
-    # canonical TRat, with K+ = l and K- = conj(u)^T.  All three shifts r
-    # up to 22 partitions, r = 2 above
+    # the level, built by its own class sum, in the order of the symbols
+    # themselves.  On the levels of the grid sets, two larger twisted
+    # ones and four more, phi(e) = 4 for level_for(5, 2) and
+    # level_for(12, 1), at every shift r, the data equal the generic
+    # elimination of G = l diag(d) u itself, every entry a canonical TRat,
+    # with K+ = l and K- = conj(u)^T.  On every other level of
+    # test_gepn.grid_levels(), the h > 1 sub-levels among them, at r = 2,
+    # they pass the exact certificate against the Gram numerators N = L G,
+    # which makes them the block LDU of N, since that is unique
     import greenrefl.wreath as wreath_mod
+    from greenrefl.gepn import coset_algebra
+    from test_acceptance import GRID
     from test_gepn import grid_levels
 
-    for lv in grid_levels():
-        for r in (1, 2, 3) if lv.size <= 22 else (2,):
+    levels = []
+    # G(6,6,2) q=2 has a sub-level with h = 2; G(4,4,3) q=2 has k = 40
+    for e, p, n, q in GRID + [(6, 6, 2, 2), (4, 4, 3, 2)]:
+        for lv in coset_algebra(GroupParams(e, p, n, q)).levels.values():
+            if lv not in levels:
+                levels.append(lv)
+    levels += [level_for(2, 4), level_for(5, 2), level_for(12, 1), level_for(1, 5)]
+    for lv in levels:
+        for r in (1, 2, 3):
             order, blocks = symbol_order(lv, r)
-            nums, common = schur_gram(lv, order)
             got = hl_data(lv, r)
             assert got.order == order, (lv, r)
-            assert wreath_mod.ldu_certified(lv.field, nums, blocks, got.l, got.d, got.u), (lv, r)
-            if lv.size <= 30:
-                l, d, u = linalg.block_ldu(as_fractions(nums, common), blocks)
-                assert got.kp == l, (lv, r)
-                assert got.km == [[x.conjugate() for x in col] for col in zip(*u)], (lv, r)
-                assert got.grams == d, (lv, r)
+            l, d, u = linalg.block_ldu(as_fractions(*schur_gram(lv, order)), blocks)
+            assert got.kp == l, (lv, r)
+            assert got.km == [[x.conjugate() for x in col] for col in zip(*u)], (lv, r)
+            assert got.grams == d, (lv, r)
+    for lv in grid_levels():
+        if lv not in levels:
+            order, blocks = symbol_order(lv, 2)
+            got = hl_data(lv, 2)
+            assert got.order == order, lv
+            nums, _ = schur_gram(lv, order)
+            assert wreath_mod.ldu_certified(lv.field, nums, blocks, got.l, got.d, got.u), lv
 
 
 # -- the certificate of the packed elimination -------------------------------------
