@@ -314,9 +314,10 @@ def cmd_verify(args):
     check("Green factorization holds exactly", green_ok)
 
     # for p > 1 the paper's assembly theorem, which green and kostka run only
-    # as their fallback, checks the LDU route from outside it; for p = 1 the
-    # assembly reads the route's own factors, so the comparison could not
-    # fail and is skipped.  K+- = Ktilde+-(1/t) T and
+    # as their fallback, checks the LDU route's factorization from outside it
+    # (its sub-level data share the class weights, ROADMAP item 9); for p = 1
+    # the assembly reads the route's own factors, so the comparison could
+    # not fail and is skipped.  K+- = Ktilde+-(1/t) T and
     # D(t) = t^m T(1/t) LambdaTilde(1/t) T(1/t) (L = 1 on this route), the
     # factors that the assembly hands in, come back by TRat arithmetic, not
     # by the coefficient reversal that green reads all three with.
