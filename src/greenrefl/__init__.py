@@ -44,6 +44,7 @@ from .gepn import (
     coset_char_table,
     fake_degrees,
     green_suite,
+    kostka,
     kostka_gepn,
     z_coset,
 )
@@ -53,7 +54,6 @@ from .wreath import (
     LabeledMatrix,
     char_table,
     hl_data,
-    kostka,
     z_series,
 )
 

@@ -49,15 +49,16 @@ u^m N(1/u) for OmegaPrime = N / L (``CosetAlgebra._ldu_factors``), and
 ``kostka`` prints l = K-(u) and tr(u) = K+(u) with u renamed t.  Where
 OmegaPrime is over Z[t], the factors come from the elimination in
 truncated power series over Z (``wreath.certified_ldu``, on
-``exact_arith.SeriesRing``), which on G(e',1,n') give the Hall-Littlewood
-data too (``wreath._compute_hl``).
+``exact_arith.SeriesRing``); on G(e',1,n') those factors are the
+Hall-Littlewood data themselves (``wreath._compute_hl``).
 
 The Kostka assembly is the paper's theorem: the Kostka matrices come from
-the block assembly out of sub-level Kostka matrices (``hl_data``).  For
-p > 1 it checks the LDU route in ``verify``, and it is the fallback of
-``green`` and ``kostka`` where OmegaPrime carries zeta or the elimination
-fails its certificate.  For p = 1 it is that route's own factors, so it
-is neither.  It is then a second source of the same three factors
+the block assembly out of sub-level Kostka matrices, read as the integer
+lists that ``hl_data`` holds and summed in Z[C_e][t] like X(0)
+(``kostka_assembled``).  For p > 1 it checks the LDU route in ``verify``,
+and it is the fallback of ``green`` and ``kostka`` where OmegaPrime
+carries zeta or the elimination fails its certificate.  For p = 1 it is
+that route's own factors, so it is neither.  It is then a second source of the same three factors
 (``CosetAlgebra.assembly_ldu``), with no gcd or linear solve: l
 and u are K- and tr(K+) in u, and d is read off one packed integer
 product of the inverse Kostka matrices (unit lower-triangular, by forward
@@ -79,6 +80,7 @@ from fractions import Fraction
 
 from . import linalg
 from .combinatorics import (
+    GroupParams,
     alpha_divide,
     alpha_truncate,
     class_multiplicity,
@@ -164,11 +166,6 @@ class CosetAlgebra:
         self._green = None
         self._assembly = None
         self._factors = None
-
-    # -- roots of unity -------------------------------------------------------
-
-    def zeta_pow(self, k):
-        return self.field.zeta(k % self.params.e)
 
     def conjugation_permutation(self):
         """Index permutation induced by complex conjugation of the
@@ -379,40 +376,42 @@ class CosetAlgebra:
         orbit size c and z', summed over the orbit terms (j, 0, a, k) of z
         and (j, i', a', k') of z' at a common sub-level j,
 
-          K[z,z'] = (c/p) sum zeta^(k - k') K_(level j)[a, a']
+          K[z,z'] = (c/p) sum zeta^(k - k') K_(level j)[a, a'](t^h)
 
-        with the sub-level matrix indexed by partition and taken at the
-        parameter t^h."""
+        with the sub-level matrix indexed by partition.  It is read off
+        ``hl_data`` as held, K- = l and K+ = tr(u), over Z[t], and summed in
+        the group ring Z[C_e][t] as ``_x_matrix`` sums X(0): zeta^(k - k')
+        is a rotation, t -> t^h an index stretch, and each coefficient is
+        reduced into Q(zeta_e), over p, once."""
         if sign not in self._kostka:
+            e, p, field = self.params.e, self.params.p, self.field
             base = {}
             for j, level in self.levels.items():
                 data = wreath.hl_data(level, self.r)
-                kmat = data.kp if sign > 0 else data.km
+                kmat = data.l if sign < 0 else list(zip(*data.u))
                 pos = [data.order.index(alpha) for alpha in level.partitions]
-                h = self.h_of[j]
-                base[j] = [
-                    [kmat[x][y] if h == 1 or kmat[x][y].is_zero()
-                     else kmat[x][y].subst_power(h) for y in pos]
-                    for x in pos
-                ]
+                # the entries lie in Z[t]: the first coordinate list is all of each
+                base[j] = [[kmat[x][y][0] for y in pos] for x in pos]
             terms = [self._orbit_terms(z) for z in self.chars]
-            size = len(self.chars)
-            out = [[self.zero] * size for _ in range(size)]
-            for zi, z in enumerate(self.chars):
+            out = []
+            for z, z_terms in zip(self.chars, terms):
                 # z.alpha leads its orbit, so its own terms are the i = 0 ones
-                lead = {j: (a, k) for j, i, a, k in terms[zi] if i == 0}
-                c = orbit_data(z.alpha, self.params.p)[1]
-                scale = self.field.from_rational(Fraction(c, self.params.p))
-                for wi, w_terms in enumerate(terms):
-                    acc = self.zero
+                lead = {j: (a, k) for j, i, a, k in z_terms if i == 0}
+                c = orbit_data(z.alpha, p)[1]
+                row = []
+                for w_terms in terms:
+                    ring = {}          # power of t -> element of Z[C_e]
                     for j, _, b, kw in w_terms:
-                        if j not in lead:
-                            continue
-                        a, k = lead[j]
-                        entry = base[j][a][b]
-                        if not entry.is_zero():
-                            acc = acc + entry.scale_cyc(self.zeta_pow(k - kw))
-                    out[zi][wi] = acc.scale_cyc(scale)
+                        if j in lead:
+                            a, k = lead[j]
+                            h, rot = self.h_of[j], (k - kw) % e
+                            for m, v in enumerate(base[j][a][b]):
+                                if v:
+                                    ring.setdefault(m * h, [0] * e)[rot] += c * v
+                    coeffs = [field.from_ring(ring[m], p) if m in ring else field.zero
+                              for m in range(max(ring, default=-1) + 1)]
+                    row.append(TRat(TPoly(field, coeffs), reduce=False))
+                out.append(row)
             self._kostka[sign] = out
         return self._kostka[sign]
 
@@ -760,6 +759,11 @@ def kostka_gepn(params, r=2, sign=-1):
     entries = [[TRat(TPoly.from_coords(alg.field, x), reduce=False) for x in row]
                for row in (l if sign < 0 else zip(*u))]
     return LabeledMatrix(alg.labels, alg.labels, entries, alg.blocks, alg.blocks)
+
+
+def kostka(e, n, r, sign=-1):
+    """Base Kostka matrix of G(e,1,n) for the given sign."""
+    return kostka_gepn(GroupParams(e, 1, n), r, sign)
 
 
 def green_suite(params, r=2):

@@ -15,12 +15,14 @@ matrices, block lower unitriangular, and D holds the within-class Gram
 matrices <P+_z, P-_z'>.  It is the Green-function factorization of
 G(e',1,n') (Shoji, J. Algebra 245, 2001): over the degree product D, the
 numerators D G are (-1)^n' A^T for the OmegaPrime A(u) = u^m N(1/u) of
-that coset, so no Gram matrix is built: the data are the coset's block
-LDU of A (``_compute_hl``), which ``certified_ldu`` runs in Z[t]/(t^M)
-packed into one integer per entry, with no gcd, and certifies.  ``HLData``
-and the disk cache hold those integer lists as they are; the Kostka
-matrices as TRat, the families P(+/-) (the rows of the inverse Kostka
-matrices) and the duals Q(+/-) are built from them on first use.
+that coset, so no Gram matrix is built.  ``HLData`` holds the coset's
+block LDU (l, d, u) of A, the very lists that the coset keeps for
+``green`` (``_compute_hl``): K- = l and K+ = tr(u), all over Z[t], and the
+Gram blocks (-1)^n' tr(d) / D.  ``certified_ldu`` runs that elimination in
+Z[t]/(t^M) packed into one integer per entry, with no gcd, and certifies
+it.  The disk cache holds the same integer lists; the Kostka matrices as
+TRat, the families P(+/-) (the rows of the inverse Kostka matrices) and
+the duals Q(+/-) are built from them on first use.
 """
 
 import json
@@ -138,20 +140,21 @@ def z_series(alpha, e=None):
 
 class HLData(namedtuple("HLData", "level r order classes a_values l d u")):
     """Both Hall-Littlewood families of one level at one symbol shift r,
-    held as the block LDU factors of the Schur Gram matrix G along the
-    symbol order: G = K+ diag(grams) conj(K-)^T.
+    held as the block LDU (l, d, u) of A(u) = u^m OmegaPrime(1/u) of the
+    coset G(e',1,n'), e' the colours and n' the degree of the level: the
+    lists that ``gepn.CosetAlgebra._ldu_factors`` returns, not a copy.
 
     order: partitions in the canonical total order (class by class)
     classes: index ranges of the similarity classes
     a_values: one a-value per class
-    l / d / u: the block LDU of N = D G, D the degree product of the coset
-             G(e',1,n') (``gepn.CosetAlgebra.big_d``), read off its factors
-             (``_compute_hl``), every entry in coordinate lists
-             (``TPoly.coords``): l = K+ and u = conj(K-)^T, block lower
-             and upper unitriangular along ``order``, and d the
-             within-class Gram numerators, one matrix per class
+    l / d / u: in the coordinate lists of the coset's field
+             (``TPoly.coords``), every entry in Z[t]: l = K- and u = tr(K+),
+             block lower and upper unitriangular along ``order``, and d one
+             matrix per class, (-1)^n' tr(d) the within-class Gram matrices
+             times the degree product D of the coset
+             (``gepn.CosetAlgebra.big_d``)
 
-    Built on first use:
+    Built on first use, over the level's field:
     kp / km: the Kostka matrices K+/- = M(s, P+/-) as TRat
     grams: the within-class Gram matrices <P+_z, P-_z'> as canonical TRat
     sp / sm: Schur coordinates of P+ / P- (rows aligned with ``order``,
@@ -170,18 +173,20 @@ class HLData(namedtuple("HLData", "level r order classes a_values l d u")):
 
     @cached_property
     def kp(self):
-        return [[TRat(self._poly(x), reduce=False) for x in row] for row in self.l]
+        return [[TRat(self._poly(x), reduce=False) for x in col] for col in zip(*self.u)]
 
     @cached_property
     def km(self):
-        return [[TRat(self._poly(x).conjugate(), reduce=False) for x in col]
-                for col in zip(*self.u)]
+        # over Z[t] conjugation is the identity, so K- = l as it is
+        return [[TRat(self._poly(x), reduce=False) for x in row] for row in self.l]
 
     @cached_property
     def grams(self):
         # D has rational coefficients, so its first coordinate list is all of it
         big_d = self._poly(_coset(self.level, self.r).big_d().coords())
-        return [[[TRat(self._poly(x), big_d) for x in row] for row in g] for g in self.d]
+        sign = (-1) ** self.level.n
+        return [[[TRat(self._poly([[sign * v for v in c] for c in x]), big_d) for x in col]
+                 for col in zip(*dk)] for dk in self.d]
 
     def _schur_rows(self, kostka):
         inv = linalg.invert_unit_lower(kostka)
@@ -220,22 +225,20 @@ class HLData(namedtuple("HLData", "level r order classes a_values l d u")):
         return out
 
     def certified(self):
-        """Whether the lists held pass ``ldu_certified`` against
-        N = (-1)^n' A^T, A(u) the OmegaPrime of the coset made in this
-        process (``gepn.CosetAlgebra._omega_in_u``): l and u block
-        unitriangular along ``classes`` and l diag(d) u = N exactly.  The
-        gate of a file read from the disk cache (``_load_cached_hl``) and a
-        check of ``verify``."""
-        a_u, _ = _coset(self.level, self.r)._omega_in_u()
-        nums = _from_coset(self.level.field, a_u, (-1) ** self.level.n)
-        blocks = [len(c) for c in self.classes]
-        return ldu_certified(self.level.field, nums, blocks, self.l, self.d, self.u)
+        """Whether the lists held pass ``ldu_certified`` against the A of
+        the coset made in this process (``gepn.CosetAlgebra._omega_in_u``):
+        l and u block unitriangular along ``classes`` and l diag(d) u = A
+        exactly, the certificate of the elimination itself.  The gate of a
+        file read from the disk cache (``_load_cached_hl``) and a check of
+        ``verify``."""
+        alg = _coset(self.level, self.r)
+        return ldu_certified(alg.field, alg._omega_in_u()[0], alg.blocks, self.l, self.d, self.u)
 
 
 _HL_CACHE = {}
 
 CACHE_ENV = "GREENREFL_CACHE"
-CACHE_FORMAT = 5          # part of the cache file name; bump when the layout changes
+CACHE_FORMAT = 6          # part of the cache file name; bump when the layout changes
 
 
 def hl_data(level, r):
@@ -266,12 +269,12 @@ def _cache_path(level, r):
 def _load_cached_hl(level, r):
     """The cached data of (level, r), or None: when the file is missing or
     cannot be parsed, when an entry of its l, d or u is not in the form of
-    ``TPoly.coords`` (phi(e) lists of plain ints, none with a trailing
-    zero), or when the data fail ``HLData.certified``, the exact
-    certificate that computed data pass.  The file holds no order: the
-    data take the symbol order of the coset, and the certificate, run in
-    that order along its blocks, accepts only the block LDU of N there,
-    which is unique.  A refused file, unlike a missing one, is named on
+    ``TPoly.coords`` over the coset's field (phi(e') lists of plain ints,
+    none with a trailing zero), or when the data fail ``HLData.certified``,
+    the exact certificate that computed data pass.  The file holds no
+    order: the data take the symbol order of the coset, and the
+    certificate, run in that order along its blocks, accepts only the block
+    LDU of A there, which is unique.  A refused file, unlike a missing one, is named on
     stderr."""
     path = _cache_path(level, r)
     if path is None or not os.path.exists(path):
@@ -281,8 +284,9 @@ def _load_cached_hl(level, r):
             raw = json.load(handle, parse_float=_not_an_int, parse_constant=_not_an_int)
         l, d, u = raw["l"], raw["d"], raw["u"]
         entries = [x for mat in (l, u, *d) for row in mat for x in row]
-        if all(_is_coords(x, level.field.degree) for x in entries):
-            data = HLData(level, r, *_symbol_order(_coset(level, r)), l, d, u)
+        alg = _coset(level, r)
+        if all(_is_coords(x, alg.field.degree) for x in entries):
+            data = HLData(level, r, *_symbol_order(alg), l, d, u)
             if data.certified():
                 return data
     except (OSError, ValueError, KeyError, TypeError, IndexError, RecursionError):
@@ -342,32 +346,19 @@ def _symbol_order(alg):
 
 
 def _compute_hl(level, r):
-    """The block LDU of N = D G, read off the block LDU (l', d', u') of
-    A(u) = u^m OmegaPrime(1/u) of G(e',1,n'): N = (-1)^n' A^T, so l = u'^T,
-    u = l'^T and d is (-1)^n' d' blockwise transposed: the factors that
-    the coset holds for ``green`` (``gepn.CosetAlgebra._ldu_factors``)."""
+    """The block LDU (l, d, u) of A(u) = u^m OmegaPrime(1/u) of G(e',1,n'),
+    as the coset holds it for ``green`` (``gepn.CosetAlgebra._ldu_factors``)."""
     alg = _coset(level, r)
     (l, d, u, _), _, _ = alg._ldu_factors()
-    field, sign = level.field, (-1) ** level.n
-    return HLData(level, r, *_symbol_order(alg), _from_coset(field, u),
-                  [_from_coset(field, dk, sign) for dk in d], _from_coset(field, l))
-
-
-def _from_coset(field, mat, sign=1):
-    """sign times the transpose of a matrix of G(e',1,n') over Z[t] in
-    coordinate lists, in those of field; ValueError where it has zeta."""
-    if any(any(x[1:]) for row in mat for x in row):
-        raise ValueError("the coset matrix carries zeta")
-    rest = [[] for _ in range(field.degree - 1)]
-    return [[[[sign * v for v in x[0]]] + rest for x in col] for col in zip(*mat)]
+    return HLData(level, r, *_symbol_order(alg), l, d, u)
 
 
 def certified_ldu(field, nums, blocks, prec):
     """The block LDU (l, d, u) of a square matrix N over Z[t] with
     N(0) = +-I, N and every factor in coordinate lists (``TPoly.coords``):
     the one elimination of the Green functions of a coset
-    (``gepn.CosetAlgebra._ldu_factors``), and on G(e',1,n') of the
-    Hall-Littlewood data (``_compute_hl``).  Its certificate
+    (``gepn.CosetAlgebra._ldu_factors``), whose factors on G(e',1,n') are
+    the Hall-Littlewood data (``_compute_hl``).  Its certificate
     ``ldu_certified`` also judges the factors that the Kostka assembly
     hands in where it does not apply (``gepn.CosetAlgebra.assembly_ldu``).
 
@@ -422,9 +413,10 @@ def ldu_certified(field, nums, blocks, l, d, u):
     """Whether l diag(d) u = nums exactly, with l block lower and u block
     upper unitriangular (identity diagonal blocks) and d the diagonal
     blocks of the given sizes.  Then (l, d, u) is the block LDU of nums,
-    which is unique.  The certificate of ``certified_ldu``, of
-    ``HLData.certified`` and of the Kostka assembly's factors of a coset's
-    Green functions.  Every entry is in the coordinate lists of ``field``
+    which is unique.  The certificate of ``certified_ldu``, which
+    ``HLData.certified`` repeats on the same A for a file of the disk
+    cache, and of the Kostka assembly's factors of a coset's Green
+    functions.  Every entry is in the coordinate lists of ``field``
     (``TPoly.coords``: a TPoly is converted, and checked, where it is
     made, and a cache file's lists by ``_load_cached_hl``); the product is
     multiplied out on packed integers by
@@ -454,19 +446,3 @@ def ldu_certified(field, nums, blocks, l, d, u):
             diag[start + i][start : start + len(dk)] = row
         start += len(dk)
     return linalg.PackedProduct(field, l, diag, u, nums).matches()
-
-
-def kostka_matrix(level, r, sign):
-    """K = M(s, P): rows/cols in the canonical symbol order; block lower
-    triangular with identity diagonal blocks: the factor l of ``HLData``,
-    read as it is."""
-    data = hl_data(level, r)
-    k = data.kp if sign > 0 else data.km
-    labels = [ep_str(alpha) for alpha in data.order]
-    blocks = [len(c) for c in data.classes]
-    return LabeledMatrix(labels, labels, k, blocks, blocks)
-
-
-def kostka(e, n, r, sign=-1):
-    """Base Kostka matrix of G(e,1,n) for the given sign."""
-    return kostka_matrix(level_for(e, n), r, sign)

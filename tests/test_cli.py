@@ -128,7 +128,7 @@ def test_hall_littlewood_recomputes_a_cache_file_with_a_wrong_value(capsys, monk
     with open(path) as handle:
         raw = json.load(handle)
     i, j = below_the_blocks(hl_data(lv, 2))
-    raw["u"][j][i] = seven_t_entry(raw["u"][j][i], lv.field)
+    raw["l"][i][j] = seven_t_entry(raw["l"][i][j], wreath._coset(lv, 2).field)
     with open(path, "w") as handle:
         json.dump(raw, handle)
     assert fresh_run() == cacheless
@@ -221,12 +221,16 @@ def test_verify_reports_the_ldu_certificate(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--e", "3", "--p", "3", "--n", "2")
     assert code == 0
     assert f"[  ok] {line}" in out
-    # one strictly lower entry of l = K+ altered in the data hl_data hands out
-    monkeypatch.setattr(wreath, "_HL_CACHE", {})
-    data = wreath.hl_data(level_for(3, 2), 2)
+    # one strictly lower entry of l = K- altered in a copy of the data, which
+    # hl_data then hands out; l itself is the factor that the coset of
+    # G(3,1,2) keeps, so it is left as it is
+    lv = level_for(3, 2)
+    data = wreath.hl_data(lv, 2)
     i, j = next((i, j) for i, row in enumerate(data.l) for j in range(i) if any(row[j]))
-    one = TPoly.constant(data.level.field.one)
-    data.l[i][j] = (TPoly.from_coords(data.level.field, data.l[i][j]) + one).coords()
+    field = wreath._coset(lv, 2).field
+    l = [row[:] for row in data.l]
+    l[i][j] = (TPoly.from_coords(field, l[i][j]) + TPoly.constant(field.one)).coords()
+    monkeypatch.setattr(wreath, "_HL_CACHE", {(lv, 2): data._replace(l=l)})
     code, out = run(capsys, "verify", "--e", "3", "--p", "3", "--n", "2")
     assert code == 1
     assert f"[FAIL] {line}" in out

@@ -49,7 +49,7 @@ def tuple_powersum(alg, xi):
     comps = {}
     for j, g, u, s in alg._power_terms(xi):
         comps[j] = [alg.zero] * alg.levels[j].size
-        comps[j][g] = TRat.from_cyc(alg.zeta_pow(u) * s)
+        comps[j][g] = TRat.from_cyc(alg.field.zeta(u) * s)
     return comps
 
 
@@ -78,7 +78,7 @@ def orbit_component(alg, z, j, basis_poly):
     out = None
     for jj, _, a, k in alg._orbit_terms(z):
         if jj == j:
-            term = basis_poly(partitions[a]).scale(TRat.from_cyc(alg.zeta_pow(k)))
+            term = basis_poly(partitions[a]).scale(TRat.from_cyc(alg.field.zeta(k)))
             out = term if out is None else out + term
     return out
 
@@ -461,7 +461,14 @@ def test_x_matrices_specialize_to_table():
 
 
 def test_kostka_direct_equals_assembled():
-    for e, p, n, q in [(2, 2, 2, 0), (2, 2, 2, 1), (3, 3, 2, 0), (4, 2, 2, 0)]:
+    # the second list holds the sets that see each part of the assembly's
+    # group-ring sum: a missing t -> t^h stretch shows only on G(2,2,4),
+    # whose sub-level Level(2,2,1,2) has h = 2 and n' = 2, and the rotation
+    # zeta^(k' - k) in place of zeta^(k - k') only on the twisted sets with
+    # e > 2
+    for e, p, n, q in [(2, 2, 2, 0), (2, 2, 2, 1), (3, 3, 2, 0), (4, 2, 2, 0)] + [
+            (2, 2, 4, 0), (2, 2, 4, 1), (3, 3, 2, 1), (4, 4, 2, 1), (6, 3, 2, 2),
+            (6, 6, 2, 2), (6, 2, 2, 0), (8, 4, 2, 0), (4, 4, 3, 2)]:
         params = GroupParams(e, p, n, q)
         alg = coset_algebra(params)
         for sign in (+1, -1):
@@ -517,7 +524,7 @@ def test_cor_4_10_special_case():
     level = alg.levels[0]
     order = wreath.hl_data(level, 2).order
     for sign in (+1, -1):
-        k = wreath.kostka_matrix(level, 2, sign).entries
+        k = greenrefl.kostka(2, 3, 2, sign).entries
         base = {
             (ai, aj): k[i][j] for i, ai in enumerate(order) for j, aj in enumerate(order)
         }
@@ -553,7 +560,7 @@ def test_tuple_cauchy_expansions():
                 lhs = SymPoly.zero(union)
                 for gamma in level.partitions:
                     for i in range(params.p):
-                        w = alg.zeta_pow(params.q * i * d)
+                        w = alg.field.zeta(params.q * i * d)
                         # theta^i acts on the X-colors by shifting i*d
                         qx = _poly_subst(oracle.q_product(gamma, -1), h)
                         qx = qx.shift_colors((i * d) % ec)
@@ -1067,6 +1074,16 @@ def test_a_group_of_p_1_is_eliminated_once(monkeypatch):
     alg.kostka_assembled(-1)
     assert wreath.hl_data(level_for(3, 3), 2).certified()
     assert calls == [len(alg.chars)]
+
+
+def test_hl_data_holds_the_coset_factors_themselves(monkeypatch):
+    # one form of the factors: the lists of HLData are those that the coset
+    # of G(e',1,n') keeps, not a copy
+    monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+    monkeypatch.setattr(wreath, "_HL_CACHE", {})
+    data = wreath.hl_data(level_for(3, 3), 2)
+    (l, d, u, _), _, _ = coset_algebra(GroupParams(3, 1, 3), 2)._ldu_factors()
+    assert data.l is l and data.d is d and data.u is u
 
 
 def test_the_class_weights_are_divided_once(monkeypatch):

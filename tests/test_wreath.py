@@ -1,10 +1,11 @@
+import json
 import pathlib
 import re
 from fractions import Fraction
 
 import pytest
 
-from greenrefl import linalg
+from greenrefl import kostka, linalg
 from greenrefl.combinatorics import (
     CharParam,
     ClassParam,
@@ -19,8 +20,6 @@ from greenrefl.symfunc import Level, as_fractions, level_for
 from greenrefl.wreath import (
     char_table,
     hl_data,
-    kostka,
-    kostka_matrix,
     level_char_table,
     z_series,
 )
@@ -311,7 +310,7 @@ def test_kostka_classical():
     # e = 1: Kostka matrix entries match the charge-statistic oracle
     for n, r in [(2, 1), (3, 1)]:
         lv = level_for(1, n)
-        mat = kostka_matrix(lv, r, -1)
+        mat = kostka(1, n, r, -1)
         order = [tuple(l.strip("()").split(";")) for l in mat.row_labels]
         data = hl_data(lv, r)
         for i, lam_t in enumerate(data.order):
@@ -332,7 +331,7 @@ def test_kostka_classical():
 def test_kostka_diagonal_blocks():
     for e, n, r, sign in [(2, 2, 2, -1), (3, 2, 2, +1), (3, 3, 2, -1)]:
         lv = level_for(e, n)
-        mat = kostka_matrix(lv, r, sign)
+        mat = kostka(e, n, r, sign)
         data = hl_data(lv, r)
         class_of = {}
         for ci, cls in enumerate(data.classes):
@@ -386,19 +385,27 @@ def test_dual_cauchy_identity():
 
 
 def test_hl_cache_roundtrip(tmp_path, monkeypatch):
+    # the file holds the coordinate lists of the coset's field: on
+    # Level(4,2,2,2), a sub-level of G(4,2,4), phi(e') = phi(2) = 1 list per
+    # entry, one fewer than the phi(4) = 2 of the level's own field
     import greenrefl.wreath as wreath_mod
 
-    monkeypatch.setenv(wreath_mod.CACHE_ENV, str(tmp_path))
-    lv = level_for(2, 2)
-    fresh = wreath_mod._compute_hl(lv, 3)
-    wreath_mod._store_cached_hl(fresh)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1 and files[0].name.endswith("_r3.json")
-    loaded = wreath_mod._load_cached_hl(lv, 3)
-    assert loaded.order == list(fresh.order) or tuple(loaded.order) == tuple(fresh.order)
-    assert loaded.sp == fresh.sp and loaded.sm == fresh.sm
-    assert loaded.qp == fresh.qp and loaded.qm == fresh.qm
-    assert loaded.a_values == fresh.a_values
+    for lv in (level_for(2, 2), Level(4, 2, 2, 2)):
+        root = tmp_path / str(lv.E)
+        monkeypatch.setenv(wreath_mod.CACHE_ENV, str(root))
+        fresh = wreath_mod._compute_hl(lv, 3)
+        wreath_mod._store_cached_hl(fresh)
+        files = list(root.iterdir())
+        assert len(files) == 1 and files[0].name.endswith("_r3.json")
+        raw = json.loads(files[0].read_text())
+        entries = [x for mat in (raw["l"], raw["u"], *raw["d"]) for row in mat for x in row]
+        assert {len(x) for x in entries} == {wreath_mod._coset(lv, 3).field.degree}
+        loaded = wreath_mod._load_cached_hl(lv, 3)
+        assert loaded.order == list(fresh.order) or tuple(loaded.order) == tuple(fresh.order)
+        assert loaded.sp == fresh.sp and loaded.sm == fresh.sm
+        assert loaded.qp == fresh.qp and loaded.qm == fresh.qm
+        assert loaded.grams == fresh.grams
+        assert loaded.a_values == fresh.a_values
 
 
 def _cached_file(tmp_path, monkeypatch, lv, r):
@@ -440,8 +447,6 @@ def test_hl_cache_recomputes_a_truncated_file(tmp_path, monkeypatch):
 
 
 def test_hl_cache_recomputes_a_file_not_block_unitriangular(tmp_path, monkeypatch):
-    import json
-
     import greenrefl.wreath as wreath_mod
 
     lv = level_for(2, 2)
@@ -449,8 +454,8 @@ def test_hl_cache_recomputes_a_file_not_block_unitriangular(tmp_path, monkeypatc
     assert len(fresh.classes) > 1
     text = path.read_text()
     raw = json.loads(text)
-    # u = conj(K-)^T in the symbol order, last row, first column: K- above
-    # the diagonal blocks, so zero in valid data
+    # u = tr(K+) is block upper unitriangular in the symbol order: its last
+    # row, first column lies below the diagonal blocks, so zero in valid data
     assert not any(fresh.u[-1][0])
     raw["u"][-1][0] = [[0, 1]]
     path.write_text(json.dumps(raw))
@@ -461,7 +466,7 @@ def test_hl_cache_recomputes_a_file_not_block_unitriangular(tmp_path, monkeypatc
 
 def below_the_blocks(data):
     """(i, j) of the first nonzero K- entry below the diagonal blocks, held
-    as the entry (j, i) of u."""
+    as the entry (i, j) of l."""
     class_of = [ci for ci, cls in enumerate(data.classes) for _ in cls]
     return next((i, j) for i, row in enumerate(data.km) for j, v in enumerate(row)
                 if class_of[j] < class_of[i] and not v.is_zero())
@@ -484,8 +489,9 @@ def seven_t_entry(entry, field):
 
 
 def other_field_entry(entry, field):
-    # one coordinate list more than the phi(e) of the field: read up to
-    # phi(e) lists, the entry is the valid one and the product would match
+    # one coordinate list more than the phi(e') of the coset's field: read
+    # up to phi(e') lists, the entry is the valid one and the product would
+    # match
     return entry + [[5, 5]]
 
 
@@ -493,22 +499,23 @@ def other_field_entry(entry, field):
 def test_hl_cache_recomputes_a_file_with_a_wrong_value(tmp_path, monkeypatch, alter):
     # one K- entry below the diagonal blocks altered; only the exact
     # certificate sees it
-    import json
+    import greenrefl.wreath as wreath_mod
 
     lv = Level(2, 1, 2, 3)          # the top sub-level of G(2,2,3)
     fresh, path = _cached_file(tmp_path, monkeypatch, lv, 2)
     text = path.read_text()
     raw = json.loads(text)
     i, j = below_the_blocks(fresh)
-    raw["u"][j][i] = alter(raw["u"][j][i], lv.field)
+    raw["l"][i][j] = alter(raw["l"][i][j], wreath_mod._coset(lv, 2).field)
     path.write_text(json.dumps(raw))
     _assert_recomputed(lv, 2, fresh, path, text)
 
 
 def test_hl_cache_recomputes_a_file_in_another_symbol_order(tmp_path, monkeypatch):
     # the data with two partitions of a class swapped, consistent with
-    # itself: the block LDU of N with those rows and columns swapped.  The
-    # file holds no order, and in the symbol order of the coset it fails
+    # itself: the block LDU of the coset's A with those rows and columns
+    # swapped.  The file holds no order, and in the symbol order of the
+    # coset it fails
     import greenrefl.wreath as wreath_mod
 
     lv = level_for(2, 2)
@@ -525,11 +532,10 @@ def test_hl_cache_recomputes_a_file_in_another_symbol_order(tmp_path, monkeypatc
     d = [swapped(dk, local) if c == b else dk for c, dk in enumerate(fresh.d)]
     other = fresh._replace(order=[fresh.order[i] for i in perm], l=swapped(fresh.l),
                            d=d, u=swapped(fresh.u))
-    a_u, _ = wreath_mod._coset(lv, 2)._omega_in_u()
-    nums = wreath_mod._from_coset(lv.field, a_u, (-1) ** lv.n)
-    blocks = [len(c) for c in fresh.classes]
+    alg = wreath_mod._coset(lv, 2)
+    a_u, _ = alg._omega_in_u()
     assert other.order != fresh.order and not other.certified()
-    assert wreath_mod.ldu_certified(lv.field, swapped(nums), blocks, other.l, other.d, other.u)
+    assert wreath_mod.ldu_certified(alg.field, swapped(a_u), alg.blocks, other.l, other.d, other.u)
     wreath_mod._store_cached_hl(other)
     assert path.read_text() != text
     _assert_recomputed(lv, 2, fresh, path, text)
@@ -537,8 +543,6 @@ def test_hl_cache_recomputes_a_file_in_another_symbol_order(tmp_path, monkeypatc
 
 def test_hl_cache_store_survives_a_nested_store(tmp_path, monkeypatch):
     # a second writer stores the same file while the first one writes it
-    import json
-
     import greenrefl.wreath as wreath_mod
 
     monkeypatch.setenv(wreath_mod.CACHE_ENV, str(tmp_path))
@@ -565,7 +569,7 @@ def _diagonal(raw, i, j):
 
 
 def _below(raw, i, j):
-    return raw["u"][j], i
+    return raw["l"][i], j
 
 
 def _first_block(raw, i, j):
@@ -589,8 +593,6 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_hl_cache_refuses_a_malformed_file(tmp_path, monkeypatch, capsys, case):
-    import json
-
     lv = Level(2, 1, 2, 3)          # the top sub-level of G(2,2,3)
     fresh, path = _cached_file(tmp_path, monkeypatch, lv, 2)
     text = path.read_text()
@@ -637,8 +639,10 @@ def test_hl_data_matches_ldu_of_normalised_gram():
     # elimination of G = l diag(d) u itself, every entry a canonical TRat,
     # with K+ = l and K- = conj(u)^T.  On every other level of
     # test_gepn.grid_levels(), the h > 1 sub-levels among them, at r = 2,
-    # they pass the exact certificate against the Gram numerators N = L G,
-    # which makes them the block LDU of N, since that is unique
+    # the data are the LDU (l', d', u') of A = (-1)^n' N^T, N = L G the Gram
+    # numerators: transposed here, N = tr(u') ((-1)^n' tr(d')) tr(l') passes
+    # the exact certificate, which makes it the block LDU of N, since that
+    # is unique
     import greenrefl.wreath as wreath_mod
     from greenrefl.gepn import coset_algebra
     from test_acceptance import GRID
@@ -666,7 +670,17 @@ def test_hl_data_matches_ldu_of_normalised_gram():
             got = hl_data(lv, 2)
             assert got.order == order, lv
             nums, _ = schur_gram(lv, order)
-            assert wreath_mod.ldu_certified(lv.field, nums, blocks, got.l, got.d, got.u), lv
+            l, u = _transposed(lv, got.u), _transposed(lv, got.l)
+            d = [_transposed(lv, dk, (-1) ** lv.n) for dk in got.d]
+            assert wreath_mod.ldu_certified(lv.field, nums, blocks, l, d, u), lv
+
+
+def _transposed(lv, mat, sign=1):
+    """sign times the transpose of a matrix over Z[t] in coordinate lists,
+    in those of the level's field."""
+    field = lv.field
+    return [[TPoly.from_coords(field, [[sign * v for v in c] for c in x]).coords()
+             for x in col] for col in zip(*mat)]
 
 
 # -- the certificate of the packed elimination -------------------------------------

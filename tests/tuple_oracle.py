@@ -47,7 +47,7 @@ def orbit_tuple(alg, z, entries):
     comps = {}
     for j, _, a, k in alg._orbit_terms(z):
         vec = comps.setdefault(j, [alg.zero] * alg.levels[j].size)
-        w = alg.zeta_pow(k)
+        w = alg.field.zeta(k)
         for idx, val in entries(j, a):
             vec[idx] = vec[idx] + val.scale_cyc(w)
     return TupleFun(alg.params, comps)
