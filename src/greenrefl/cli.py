@@ -12,7 +12,7 @@ import json
 import sys
 
 from .combinatorics import GroupParams, ep_str, make_symbol, similarity_order
-from .exact_arith import CycNum, TPoly, TRat
+from .exact_arith import CycNum, TRat, trim
 from .gepn import coset_algebra, coset_char_table, fake_degrees, green_suite, kostka_gepn
 from .symfunc import level_for
 from .wreath import LabeledMatrix, hl_data, level_char_table
@@ -317,30 +317,38 @@ def cmd_verify(args):
     # as their fallback, checks the LDU route's factorization from outside it
     # (its sub-level data share the class weights, ROADMAP item 9); for p = 1
     # the assembly reads the route's own factors, so the comparison could
-    # not fail and is skipped.  K+- = Ktilde+-(1/t) T and
-    # D(t) = t^m T(1/t) LambdaTilde(1/t) T(1/t) (L = 1 on this route), the
-    # factors that the assembly hands in, come back by TRat arithmetic, not
-    # by the coefficient reversal that green reads all three with.
+    # not fail and is skipped.  The printed matrices come back to u = 1/t
+    # on integer lists, by a reversal of their own, not by the read-back
+    # (gepn._reversal) that green reads all three with: K+-[i][j] is
+    # u^(a_j) Ktilde+-[i][j](1/u), and d[i][j] on the diagonal blocks is
+    # u^(m - a_i - a_j) LambdaTilde[i][j](1/u) (L = 1 on this route), m the
+    # degree of the printed OmegaPrime.  An entry that is not a polynomial
+    # of degree at most its top power fails.  The reference is the
+    # assembly's (l, d, u), its d included: the route's own d rests on the
+    # certificate that the route itself ran.
     def ldu_equals_assembly():
-        field = alg.field
-        powers = [TRat.t(field, a) for a in suite.a_diag]
-        t_m = TRat.t(field, max(x.num.degree() for row in suite.omega_prime.entries for x in row))
+        field, a, lam = alg.field, suite.a_diag, suite.lambda_tilde.entries
+        m = max(x.num.degree() for row in suite.omega_prime.entries for x in row)
+
+        def in_u(x, top):
+            if not x.is_polynomial() or x.num.degree() > top:
+                return None
+            return [trim([0] * (top + 1 - len(c)) + c[::-1]) for c in x.num.coords(field)]
 
         def kostka(mat):
-            return [[x.subst_tinv() * tp for x, tp in zip(row, powers)] for row in mat.entries]
+            return [[in_u(x, aj) for x, aj in zip(row, a)] for row in mat.entries]
 
-        diag = [[x.subst_tinv() * t_m / (ti * tj) for x, tj in zip(row, powers)]
-                for row, ti in zip(suite.lambda_tilde.entries, powers)]
-        _, d, _ = alg.assembly_ldu()
-        want = [[alg.zero] * len(diag) for _ in diag]
-        start = 0
-        for dk in d:
-            for i, row in enumerate(dk, start):
-                want[i][start : start + len(dk)] = [
-                    TRat(TPoly.from_coords(field, v), reduce=False) for v in row]
-            start += len(dk)
-        return (kostka(suite.ktilde_minus), diag, kostka(suite.ktilde_plus)) == (
-            alg.kostka_assembled(-1), want, alg.kostka_assembled(+1))
+        block_of = [b for b, size in enumerate(alg.blocks) for _ in range(size)]
+        d, start = [], 0
+        for size in alg.blocks:
+            block = range(start, start + size)
+            start += size
+            d.append([[in_u(lam[i][j], m - a[i] - a[j]) for j in block] for i in block])
+        # the assembly's d has no entries off the diagonal blocks
+        off_blocks = [x for i, row in enumerate(lam) for j, x in enumerate(row)
+                      if block_of[i] != block_of[j] and not x.is_zero()]
+        u = [list(col) for col in zip(*kostka(suite.ktilde_plus))]
+        return (kostka(suite.ktilde_minus), d, u, off_blocks) == (*alg.assembly_ldu(), [])
 
     check(
         "Ktilde+- and LambdaTilde from the OmegaPrime LDU equal the Kostka assembly",

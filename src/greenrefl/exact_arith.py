@@ -610,16 +610,6 @@ class TPoly:
             b = b.monic() if not b.is_zero() else b
         return a.monic()
 
-    def subst_power(self, k):
-        """t -> t^k (k >= 1)."""
-        if k == 1 or self.is_zero():
-            return self
-        zero = self.field.zero
-        out = [zero] * (k * self.degree() + 1)
-        for i, c in enumerate(self.coeffs):
-            out[k * i] = c
-        return TPoly(self.field, out)
-
     def reversed_coeffs(self):
         """t^deg * p(1/t)."""
         return TPoly(self.field, tuple(reversed(self.coeffs)))
@@ -826,26 +816,6 @@ class TRat:
         if self.field.degree <= 1:
             return self
         return TRat(self.num.conjugate(), self.den.conjugate(), reduce=False)
-
-    def subst_tinv(self):
-        """The rational function g with g(t) = f(1/t), in canonical form."""
-        a, b = self.num.degree(), self.den.degree()
-        if a < 0:
-            return self
-        num = self.num.reversed_coeffs()
-        den = self.den.reversed_coeffs()
-        field = self.field
-        if b >= a:
-            num = num * TPoly.t_power(field, b - a)
-        else:
-            den = den * TPoly.t_power(field, a - b)
-        return TRat(num, den)
-
-    def subst_power(self, k):
-        """t -> t^k; coprime num and den stay coprime, a monic den stays monic."""
-        if k == 1:
-            return self
-        return TRat(self.num.subst_power(k), self.den.subst_power(k), reduce=False)
 
     def eval_zero(self):
         """Value at t = 0 (denominator must not vanish there)."""

@@ -33,9 +33,11 @@ det(t id - w) by Springer's theorem, so on an untwisted coset every weight
 is a polynomial.  OmegaPrime is t^(N*) times its class sum.  For q = 0 the
 class sum takes one entry of each pair that complex conjugation of the
 characters mirrors.  The numerators stay integers, in coordinate lists
-(``TPoly.coords``), from the class sum through the elimination and its
+(``TPoly.coords``), from the class sum, held once by
+``CosetAlgebra._omega_numerators``, through the elimination and its
 certificate; TPoly and TRat are built only for the matrices a command
-prints.  The Green-function suite packages
+prints, so the cosets behind ``hl_data`` build none.  The Green-function
+suite packages
 
     Ktilde(+/-) = K(+/-)(t^(-1)) T,      T = diag(t^(a(z))),
     OmegaPrime  = t^(N*) D sum_xi X(0)-row outer products / (z_xi det(t id - w_xi)),
@@ -56,7 +58,9 @@ The Kostka assembly is the paper's theorem: the Kostka matrices come from
 the block assembly out of sub-level Kostka matrices, read as the integer
 lists that ``hl_data`` holds and summed in Z[C_e][t] like X(0)
 (``kostka_assembled``).  For p > 1 it checks the LDU route in ``verify``,
-and it is the fallback of ``green`` and ``kostka`` where OmegaPrime
+which brings the printed matrices back to u = 1/t by a reversal of integer
+lists of its own and compares them with the assembly's factors, lists as
+well; and it is the fallback of ``green`` and ``kostka`` where OmegaPrime
 carries zeta or the elimination fails its certificate.  For p = 1 it is
 that route's own factors, so it is neither.  It is then a second source of the same three factors
 (``CosetAlgebra.assembly_ldu``), with no gcd or linear solve: l
@@ -463,24 +467,29 @@ class CosetAlgebra:
             self._weights = [by_beta[xi.beta] for xi in self.class_params], common
         return self._weights
 
-    def omega_prime(self):
-        """O'[z,z'] = t^(N*) D sum_xi X[xi,z] conj(X[xi,z']) / (z_xi det_xi):
-        the class sum over ``_class_weights``, each numerator then shifted.
-
-        The numerators N, in coordinate lists, and their common denominator
-        L of the class sum (``gram_numerators``) are kept for the block LDU
-        and its certificate; the canonical fractions are built only here,
-        for printing.  For q = 0, O'[z,z'] = O'[s z', s z] with s the
-        conjugation permutation, so the class sum takes one entry of each
-        such pair."""
-        if self._omega is None:
+    def _omega_numerators(self):
+        """(N, L), computed once: OmegaPrime = N / L with
+        O'[z,z'] = t^(N*) D sum_xi X[xi,z] conj(X[xi,z']) / (z_xi det_xi),
+        the class sum over ``_class_weights`` (``gram_numerators``), each
+        numerator then shifted.  N is in coordinate lists and L a TPoly, the
+        form the block LDU and its certificate read.  For q = 0,
+        O'[z,z'] = O'[s z', s z] with s the conjugation permutation, so the
+        class sum takes one entry of each such pair."""
+        if self._omega_nums is None:
             cols = list(zip(*self.coset_table()))
             nums, common = gram_numerators(
                 cols, cols, *self._class_weights(), self.conjugation_permutation())
             shift = [0] * self.n_star()
             self._omega_nums = [[[shift + c if c else c for c in x] for x in row]
                                 for row in nums], common
-            self._omega = as_fractions(*self._omega_nums)
+        return self._omega_nums
+
+    def omega_prime(self):
+        """OmegaPrime in canonical fractions: N / L of ``_omega_numerators``
+        formatted for the printed matrix (and the brute-force class sum of
+        ``verify``); the elimination and its certificate read N and L."""
+        if self._omega is None:
+            self._omega = as_fractions(*self._omega_numerators())
         return self._omega
 
     def fake_degrees(self):
@@ -502,10 +511,11 @@ class CosetAlgebra:
 
     def _omega_in_u(self):
         """(A, m): A(u) = u^m N(1/u) for OmegaPrime = N / L, with m the
-        largest degree in N, in coordinate lists: each list of N reversed
-        into the slots up to u^m, apart from the read-back ``_reversal``."""
-        self.omega_prime()
-        nums, _ = self._omega_nums
+        largest degree in N, in coordinate lists: each list of N
+        (``_omega_numerators``) reversed into the slots up to u^m, apart
+        from the read-back ``_reversal``.  No canonical OmegaPrime is built,
+        so the cosets behind ``hl_data`` format none."""
+        nums, _ = self._omega_numerators()
         m = max(len(c) for row in nums for x in row for c in x) - 1
         return [[[[0] * (m + 1 - len(c)) + trim(c[::-1]) if any(c) else [] for c in x]
                  for x in row] for row in nums], m
@@ -565,7 +575,7 @@ class CosetAlgebra:
         and ``hl_data``."""
         if self._factors is None:
             a_u, m = self._omega_in_u()
-            common = self._omega_nums[1]
+            common = self._omega_numerators()[1]
             try:
                 if not (common.is_constant() and common.coeffs[0].is_one()):
                     raise ValueError("OmegaPrime is not over Z[t]")
@@ -594,7 +604,7 @@ class CosetAlgebra:
         fault of it reaches the printed matrices, where ``verify`` compares
         them with the assembly."""
         field, a_diag = self.field, self.a_diag
-        common = self._omega_nums[1]
+        common = self._omega_numerators()[1]
         over_one = common.is_constant() and common.eval_zero().is_one()
 
         def reversal(x, top):

@@ -308,23 +308,30 @@ def _is_coords(x, degree):
 
 
 def _store_cached_hl(data):
+    """Write data to its cache file, if GREENREFL_CACHE is set.  A file
+    that cannot be written (the cache is a regular file, say) is named on
+    stderr and the command goes on: the data are computed all the same."""
     path = _cache_path(data.level, data.r)
     if path is None:
         return
     root = os.path.dirname(path)
-    os.makedirs(root, exist_ok=True)
     raw = {"l": data.l, "d": data.d, "u": data.u}
     import tempfile
 
-    # a temporary file of its own, so that no other writer can replace it
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(root, exist_ok=True)
+        # a temporary file of its own, so that no other writer can replace it
+        fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             json.dump(raw, handle)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if not isinstance(exc, OSError):
+            raise
+        print(f"greenrefl: cannot write the HL cache file {path}: {exc}", file=sys.stderr)
 
 
 def _coset(level, r):

@@ -17,6 +17,8 @@ from greenrefl.combinatorics import ep_length
 from greenrefl.exact_arith import TPoly, TRat
 from greenrefl.symfunc import _rotate, gram_numerators, ring_weight
 
+from substitutions import subst_power
+
 
 def zero_rat(lv):
     """The zero of the rational functions over the field of lv."""
@@ -71,8 +73,5 @@ def scalar_from_p(lv, u, v, subst=1):
     for ug, vg, beta in zip(u, v, lv.partitions):
         if ug.is_zero() or vg.is_zero():
             continue
-        z = lv.z_series(beta)
-        if subst != 1:
-            z = z.subst_power(subst)
-        acc = acc + ug * vg.conjugate() * z
+        acc = acc + ug * vg.conjugate() * subst_power(lv.z_series(beta), subst)
     return acc

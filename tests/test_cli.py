@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 
 import pytest
 
@@ -135,6 +136,39 @@ def test_hall_littlewood_recomputes_a_cache_file_with_a_wrong_value(capsys, monk
     assert errs == ["", "", f"greenrefl: refused the HL cache file {path}; recomputing it\n"]
 
 
+@pytest.mark.parametrize("blocker", ["cache_is_a_file", "file_is_a_directory"])
+def test_hall_littlewood_survives_a_cache_it_cannot_write(capsys, monkeypatch, tmp_path, blocker):
+    # GREENREFL_CACHE naming a regular file, or a directory standing at the
+    # cache file's own path: the command prints the bytes of a run with no
+    # cache, exits 0 and names the file on stderr, leaving no temporary file
+    argv = ["hall-littlewood", "--e", "2", "--n", "2"]
+
+    def fresh_run():
+        monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+        monkeypatch.setattr(wreath, "_HL_CACHE", {})
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    monkeypatch.delenv(wreath.CACHE_ENV, raising=False)
+    cacheless = fresh_run()
+    assert cacheless[0] == 0
+    root = tmp_path / "cache"
+    if blocker == "cache_is_a_file":
+        root.write_text("")
+    else:
+        root.mkdir()
+    monkeypatch.setenv(wreath.CACHE_ENV, str(root))
+    path = wreath._cache_path(level_for(2, 2), 2)
+    if blocker == "file_is_a_directory":
+        os.mkdir(path)
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = fresh_run()
+    assert (code, out) == cacheless[:2]
+    assert f"greenrefl: cannot write the HL cache file {path}: " in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_kostka_reads_the_green_factors_and_no_hall_littlewood_data(capsys, monkeypatch):
     # on the LDU route kostka prints two of green's factors and builds no
     # sub-level Hall-Littlewood data; G(3,3,2) q=1 falls back to the assembly
@@ -268,15 +302,21 @@ def test_verify_names_the_green_route_and_checks_it_against_the_assembly(capsys,
     ("--e", "3", "--p", "3", "--n", "3"),
     ("--e", "2", "--p", "2", "--n", "3", "--q", "1"),
 ])
-@pytest.mark.parametrize("only_lambda", [False, True])
-def test_verify_fails_on_a_reversal_that_shifts_lambda(capsys, monkeypatch, argv, only_lambda):
+@pytest.mark.parametrize("only_lambda, step", [
+    pytest.param(False, +1, id="False"),
+    pytest.param(True, +1, id="True"),
+    pytest.param(False, -1, id="low"),
+])
+def test_verify_fails_on_a_reversal_that_shifts_lambda(capsys, monkeypatch, argv, only_lambda, step):
     # The certificate of the LDU route checks u^m OmegaPrime(1/u), not the
     # printed matrices, which the read-back takes off its factors.  A
     # reversal one power of t too high shifts the printed LambdaTilde and
     # Ktilde+- by t, and the comparison with the assembly must see that.  A
     # read-back that shifts LambdaTilde alone must be seen as well: the check
     # brings D back from LambdaTilde without the read-back, which the
-    # assembly's LambdaTilde shares with the route.
+    # assembly's LambdaTilde shares with the route.  A reversal one power
+    # low puts a power of t under every entry of top degree, which the
+    # check's own reversal must refuse.
     monkeypatch.setattr(gepn, "_ALGEBRAS", {})
     if only_lambda:
         read_back = gepn.CosetAlgebra._read_back
@@ -289,12 +329,33 @@ def test_verify_fails_on_a_reversal_that_shifts_lambda(capsys, monkeypatch, argv
         monkeypatch.setattr(gepn.CosetAlgebra, "_read_back", shifted)
     else:
         reversal = gepn._reversal
-        monkeypatch.setattr(gepn, "_reversal", lambda poly, top: reversal(poly, top + 1))
+        monkeypatch.setattr(gepn, "_reversal", lambda poly, top: reversal(poly, top + step))
     code, out = run(capsys, "verify", *argv)
     assert code == 1
     lines = out.splitlines()
     assert "[FAIL] Ktilde+- and LambdaTilde from the OmegaPrime LDU equal the Kostka assembly" in lines
     assert "[  ok] Green factorization holds exactly" in lines
+    if step < 0:
+        suite = gepn.coset_algebra(GroupParams(*map(int, argv[1::2])), 2).green()
+        assert not all(x.is_polynomial() for row in suite.ktilde_minus.entries for x in row)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--e", "3", "--p", "3", "--n", "3"),
+    ("--e", "2", "--p", "2", "--n", "3", "--q", "1"),
+])
+def test_verify_compares_the_ldu_route_with_the_assembly_with_no_trat_division(
+        capsys, monkeypatch, argv):
+    # the printed matrices come back to u = 1/t on integer lists, and the
+    # assembly's factors are lists too: no TRat is divided on the way
+    def refused(self, other):
+        raise AssertionError("a TRat division")
+
+    monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+    monkeypatch.setattr(TRat, "__truediv__", refused)
+    _, out = run(capsys, "verify", *argv)
+    assert "[  ok] Ktilde+- and LambdaTilde from the OmegaPrime LDU equal the Kostka assembly" in (
+        out.splitlines())
 
 
 def plus_t_off_the_diagonal(alg, mat):

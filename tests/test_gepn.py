@@ -32,6 +32,7 @@ from greenrefl.symfunc import Level, gram_numerators, level_for
 
 from polynomial_oracle import SymPoly, VarSpace, poly_level
 from schur_gram import scalar_from_p
+from substitutions import subst_power, subst_tinv
 from test_acceptance import GRID
 from test_oracle import conjugated, phi_swapped, table_problems
 from test_symfunc import schur_rows
@@ -541,7 +542,7 @@ def test_cor_4_10_special_case():
 def _poly_subst(poly, h):
     if h == 1:
         return poly
-    return SymPoly(poly.space, {e: c.subst_power(h) for e, c in poly.terms.items()})
+    return SymPoly(poly.space, {e: subst_power(c, h) for e, c in poly.terms.items()})
 
 
 def test_tuple_cauchy_expansions():
@@ -841,7 +842,7 @@ def gcd_ktilde(alg, sign):
     """Ktilde by TRat arithmetic: K(1/t) (subst_tinv) times t^(a_j)."""
     a_diag = [alg.a_of[z] for z in alg.chars]
     return [
-        [v if v.is_zero() else v.subst_tinv() * TRat.t(alg.field, a) for v, a in zip(row, a_diag)]
+        [v if v.is_zero() else subst_tinv(v) * TRat.t(alg.field, a) for v, a in zip(row, a_diag)]
         for row in alg.kostka_assembled(sign)
     ]
 
@@ -1078,12 +1079,15 @@ def test_a_group_of_p_1_is_eliminated_once(monkeypatch):
 
 def test_hl_data_holds_the_coset_factors_themselves(monkeypatch):
     # one form of the factors: the lists of HLData are those that the coset
-    # of G(e',1,n') keeps, not a copy
+    # of G(e',1,n') keeps, not a copy; the coset reads OmegaPrime's integer
+    # numerators only, and formats no OmegaPrime, which nothing prints
     monkeypatch.setattr(gepn, "_ALGEBRAS", {})
     monkeypatch.setattr(wreath, "_HL_CACHE", {})
     data = wreath.hl_data(level_for(3, 3), 2)
-    (l, d, u, _), _, _ = coset_algebra(GroupParams(3, 1, 3), 2)._ldu_factors()
+    alg = coset_algebra(GroupParams(3, 1, 3), 2)
+    (l, d, u, _), _, _ = alg._ldu_factors()
     assert data.l is l and data.d is d and data.u is u
+    assert alg._omega is None
 
 
 def test_the_class_weights_are_divided_once(monkeypatch):

@@ -23,6 +23,8 @@ from greenrefl import linalg
 from greenrefl.combinatorics import GroupParams
 from greenrefl.wreath import hl_data
 
+from substitutions import subst_power
+
 
 @dataclass(frozen=True)
 class TupleFun:
@@ -67,7 +69,7 @@ def tuple_hall_littlewood(alg, z, sign):
         row = (data.sp if sign > 0 else data.sm)[data.index(level.partitions[a])]
         h = alg.h_of[j]
         return [
-            (idx, val if h == 1 else val.subst_power(h))
+            (idx, subst_power(val, h))
             for idx, val in enumerate(row)
             if not val.is_zero()
         ]
