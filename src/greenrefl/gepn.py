@@ -30,10 +30,12 @@ computed by ``symfunc.gram_numerators`` over one set of integer weights
 per coset, D / (z_xi det(t id - w_xi)) divided in Z[C_e][t] with no gcd
 (``CosetAlgebra._class_weights``): D is the degree product, the lcm of the
 det(t id - w) by Springer's theorem, so on an untwisted coset every weight
-is a polynomial.  OmegaPrime is t^(N*) times its class sum.  For q = 0 the
-class sum takes one entry of each pair that complex conjugation of the
-characters mirrors.  The numerators stay integers, in coordinate lists
-(``TPoly.coords``), from the class sum, held once by
+is a polynomial.  OmegaPrime is t^(N*) times its class sum.  The
+unitarity (4.1.2) of X(0) that ``verify`` checks is the same kernel's
+class sum with the weight 1 / z_xi (``orthogonality_holds``).  For q = 0
+OmegaPrime's class sum takes one entry of each pair that complex
+conjugation of the characters mirrors.  Its numerators stay integers, in
+coordinate lists (``TPoly.coords``), from the class sum, held once by
 ``CosetAlgebra._omega_numerators``, through the elimination and its
 certificate; TPoly and TRat are built only for the matrices a command
 prints, so the cosets behind ``hl_data`` build none.  The Green-function
@@ -165,6 +167,7 @@ class CosetAlgebra:
         self._kostka = {}
         self._omega = None
         self._omega_nums = None
+        self._omega_u = None
         self._weights = None
         self._sigma = None
         self._green = None
@@ -357,21 +360,15 @@ class CosetAlgebra:
         return zt.scale_cyc(self.field.from_rational(frac))
 
     def orthogonality_holds(self):
-        """(4.1.2): sum_xi X[xi,z] conj(X[xi,z']) / z_xi = delta."""
-        table = self.coset_table()
-        zs = [self.z_integer(xi) for xi in self.class_params]
-        k = len(self.chars)
-        for a in range(k):
-            for b in range(k):
-                acc = self.field.zero
-                for i in range(len(self.class_params)):
-                    acc = acc + table[i][a] * table[i][b].conjugate() * Fraction(
-                        1, zs[i]
-                    )
-                want = self.field.one if a == b else self.field.zero
-                if acc != want:
-                    return False
-        return True
+        """(4.1.2): sum_xi X[xi,z] conj(X[xi,z']) / z_xi = delta, one class
+        sum of ``gram_numerators`` over the columns of X(0) with the weight
+        1 / z_xi at t-degree 0, which must come back as I over L = 1."""
+        cols, one = list(zip(*self.coset_table())), TPoly.constant(self.field.one)
+        weights = [(self.z_integer(xi), [self.field.one.num]) for xi in self.class_params]
+        nums, common = gram_numerators(cols, cols, weights, one)
+        zero, k = [[]] * self.field.degree, len(nums)
+        return common == one and nums == [[[[1]] + zero[1:] if a == b else zero for b in range(k)]
+                                          for a in range(k)]
 
     # -- Kostka matrices -------------------------------------------------------------
 
@@ -513,12 +510,14 @@ class CosetAlgebra:
         """(A, m): A(u) = u^m N(1/u) for OmegaPrime = N / L, with m the
         largest degree in N, in coordinate lists: each list of N
         (``_omega_numerators``) reversed into the slots up to u^m, apart
-        from the read-back ``_reversal``.  No canonical OmegaPrime is built,
-        so the cosets behind ``hl_data`` format none."""
-        nums, _ = self._omega_numerators()
-        m = max(len(c) for row in nums for x in row for c in x) - 1
-        return [[[[0] * (m + 1 - len(c)) + trim(c[::-1]) if any(c) else [] for c in x]
-                 for x in row] for row in nums], m
+        from the read-back ``_reversal``, once per coset.  No canonical
+        OmegaPrime is built, so the cosets behind ``hl_data`` format none."""
+        if self._omega_u is None:
+            nums, _ = self._omega_numerators()
+            m = max(len(c) for row in nums for x in row for c in x) - 1
+            self._omega_u = [[[[0] * (m + 1 - len(c)) + trim(c[::-1]) if any(c) else []
+                               for c in x] for x in row] for row in nums], m
+        return self._omega_u
 
     def assembly_ldu(self):
         """The block LDU (l, d, u) of A(u) = u^m N(1/u) (``_omega_in_u``)

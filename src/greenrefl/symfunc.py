@@ -24,8 +24,8 @@ the Schur Gram matrix of a level, their reference for the
 Hall-Littlewood data, by the class sum below.
 
 Every t-deformed scalar product of two families given by their values on
-the classes is one class sum, ``gram_numerators``: Omega' and the fake
-degrees of the coset layer, made canonical fractions by ``as_fractions``.
+the classes is one class sum, ``gram_numerators``: Omega', the fake
+degrees (canonical by ``as_fractions``) and the coset table's unitarity.
 The weights are divided out in Z[C_E][t] with no gcd (``ring_weight``)
 over the degree product prod_i (t^(d_i) - 1), the lcm of the
 det(t id - w) (Springer, Regular elements of finite reflection groups,

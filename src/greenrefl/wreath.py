@@ -228,9 +228,9 @@ class HLData(namedtuple("HLData", "level r order classes a_values l d u")):
         """Whether the lists held pass ``ldu_certified`` against the A of
         the coset made in this process (``gepn.CosetAlgebra._omega_in_u``):
         l and u block unitriangular along ``classes`` and l diag(d) u = A
-        exactly, the certificate of the elimination itself.  The gate of a
-        file read from the disk cache (``_load_cached_hl``) and a check of
-        ``verify``."""
+        exactly, the elimination's own certificate.  The gate of a cached
+        file (``_load_cached_hl``); in ``verify`` it repeats that verdict, or
+        the elimination's, for cached and computed data alike."""
         alg = _coset(self.level, self.r)
         return ldu_certified(alg.field, alg._omega_in_u()[0], alg.blocks, self.l, self.d, self.u)
 
@@ -420,14 +420,13 @@ def ldu_certified(field, nums, blocks, l, d, u):
     """Whether l diag(d) u = nums exactly, with l block lower and u block
     upper unitriangular (identity diagonal blocks) and d the diagonal
     blocks of the given sizes.  Then (l, d, u) is the block LDU of nums,
-    which is unique.  The certificate of ``certified_ldu``, which
-    ``HLData.certified`` repeats on the same A for a file of the disk
-    cache, and of the Kostka assembly's factors of a coset's Green
-    functions.  Every entry is in the coordinate lists of ``field``
-    (``TPoly.coords``: a TPoly is converted, and checked, where it is
-    made, and a cache file's lists by ``_load_cached_hl``); the product is
-    multiplied out on packed integers by
-    ``linalg.PackedProduct``."""
+    which is unique.  The certificate of ``certified_ldu`` and of the
+    Kostka assembly's factors; ``HLData.certified`` repeats it on the same
+    A, a verdict already reached for cached and computed data alike.  Every
+    entry is in the coordinate lists of ``field`` (``TPoly.coords``: a
+    TPoly is converted, and checked, where it is made, and a cache file's
+    lists by ``_load_cached_hl``); the product is multiplied out on packed
+    integers by ``linalg.PackedProduct``."""
     size = len(nums)
     if sum(blocks) != size or [len(dk) for dk in d] != list(blocks):
         return False

@@ -358,6 +358,29 @@ def test_verify_compares_the_ldu_route_with_the_assembly_with_no_trat_division(
         out.splitlines())
 
 
+def test_verify_builds_each_omega_in_u_once(capsys, monkeypatch):
+    # the elimination of G(3,3,4) and of its sub-level coset G(3,1,4), the
+    # assembly and the sub-level certificate all read the one A of their coset
+    built = {}
+    real = gepn.CosetAlgebra._omega_in_u
+
+    def spy(self):
+        a_u, m = real(self)
+        held = built.setdefault(self.params, [])
+        if not any(a is a_u for a in held):
+            held.append(a_u)
+        return a_u, m
+
+    monkeypatch.setattr(gepn, "_ALGEBRAS", {})
+    monkeypatch.setattr(wreath, "_HL_CACHE", {})
+    monkeypatch.delenv(wreath.CACHE_ENV, raising=False)
+    monkeypatch.setattr(gepn.CosetAlgebra, "_omega_in_u", spy)
+    code, _ = run(capsys, "verify", "--e", "3", "--p", "3", "--n", "4")
+    assert code == 0
+    assert {params: len(held) for params, held in built.items()} == {
+        GroupParams(3, 3, 4): 1, GroupParams(3, 1, 4): 1}
+
+
 def plus_t_off_the_diagonal(alg, mat):
     """The last row's first entry plus t: below the diagonal blocks."""
     mat[-1][0] = mat[-1][0] + TRat.t(alg.field)

@@ -240,6 +240,64 @@ def test_coset_table_constants_and_orthogonality():
         assert alg.orthogonality_holds(), (e, p, n, q)
 
 
+def loop_orthogonality(alg):
+    """(4.1.2) term by term in CycNum, each term over Fraction(1, z_xi): the
+    reference of the class-sum check ``orthogonality_holds``."""
+    table = alg.coset_table()
+    zs = [alg.z_integer(xi) for xi in alg.class_params]
+    k = len(alg.chars)
+    for a in range(k):
+        for b in range(k):
+            acc = alg.field.zero
+            for row, z in zip(table, zs):
+                acc = acc + row[a] * row[b].conjugate() * Fraction(1, z)
+            if acc != (alg.field.one if a == b else alg.field.zero):
+                return False
+    return True
+
+
+def with_doubled_centralizer(params, i):
+    """A fresh algebra of params whose class i has twice its centralizer order."""
+    alg = CosetAlgebra(params)
+    true_z, doubled = alg.z_integer, alg.class_params[i]
+    alg.z_integer = lambda xi: 2 * true_z(xi) if xi == doubled else true_z(xi)
+    return alg
+
+
+def test_orthogonality_fails_on_a_doubled_centralizer_order():
+    # every class of X(0) has a nonzero entry in some column, whose norm
+    # then changes
+    for params in [GroupParams(3, 3, 3, 0), GroupParams(3, 3, 2, 1), GroupParams(3, 1, 3, 0)]:
+        for i in range(len(CosetAlgebra(params).class_params)):
+            assert not with_doubled_centralizer(params, i).orthogonality_holds(), (params, i)
+
+
+def test_orthogonality_fails_on_two_swapped_table_entries():
+    alg = CosetAlgebra(GroupParams(3, 3, 3, 0))
+    table = alg.coset_table()
+    swaps = 0
+    for row in table:
+        for a in range(len(row)):
+            for b in range(a):
+                if row[a] != row[b]:
+                    row[a], row[b] = row[b], row[a]
+                    assert not alg.orthogonality_holds(), (a, b)
+                    row[a], row[b] = row[b], row[a]
+                    swaps += 1
+    assert swaps and alg.orthogonality_holds()
+
+
+def test_orthogonality_equals_the_term_by_term_sum():
+    # on the true tables and with the centralizer order of the middle class
+    # doubled
+    for s in GRID_18:
+        params = GroupParams(*s)
+        alg = CosetAlgebra(params)
+        assert alg.orthogonality_holds() is loop_orthogonality(alg) is True, s
+        mutant = with_doubled_centralizer(params, len(alg.class_params) // 2)
+        assert mutant.orthogonality_holds() is loop_orthogonality(mutant) is False, s
+
+
 def test_coset_table_trivial_character_column():
     params = GroupParams(3, 3, 3, 0)
     table = coset_char_table(params)
@@ -1248,6 +1306,7 @@ def test_certificate_rejects_an_altered_factor():
         nums, common = alg._omega_nums
         alg._omega_nums = ([row[:] for row in nums], common)
         alg._omega_nums[0][0][k - 1] = plus(field, nums[0][k - 1], t)
+        alg._omega_u = None                     # A is built once, from the old numerators
         assert alg.green().residual_zero is False
 
 
