@@ -3,9 +3,13 @@
 Elements are monomial matrices stored as (perm, colors): w maps the basis
 vector e_i to zeta^colors[i] * e_perm[i].  The oracle enumerates the group,
 computes conjugacy classes, orbits on a coset, centralizer orders, and the
-full character table by Dixon's method: the class-algebra structure
-constants are simultaneously diagonalized over a prime field F_p with
-p = 1 (mod exponent), and the eigenvalue data is lifted exactly to Q(zeta).
+full character table by Dixon's method.  One walk over the powers of each
+class representative gives its power classes and its order, and so the
+exponent m.  The class matrices (the class-algebra structure constants) are
+then built one at a time and simultaneously diagonalized over a prime field
+F_p with p = 1 (mod m), only until the class algebra splits into
+one-dimensional common eigenspaces, and the eigenvalue data is lifted
+exactly to Q(zeta_m).
 
 Everything here is independent of the symmetric-function machinery; it
 exists to validate it.
@@ -14,6 +18,7 @@ exists to validate it.
 from collections import namedtuple
 from itertools import permutations, product
 from math import isqrt, lcm
+from operator import mul
 
 from .combinatorics import CharParam, GroupParams, ep_str, orbit_data
 from .exact_arith import CycField, TPoly, TRat
@@ -42,17 +47,6 @@ def e_inv(w, e):
         xi[j] = i
     colors = tuple((-a[xi[i]]) % e for i in range(n))
     return tuple(xi), colors
-
-
-def element_order(w, e):
-    n = len(w[0])
-    identity = (tuple(range(n)), (0,) * n)
-    cur = w
-    order = 1
-    while cur != identity:
-        cur = e_mul(cur, w, e)
-        order += 1
-    return order
 
 
 class BruteForceGroup:
@@ -175,9 +169,6 @@ class BruteForceGroup:
             raise ValueError("element not in the requested coset") from None
 
     # -- Dixon character table ------------------------------------------------
-
-    def exponent(self):
-        return lcm(*(element_order(cls[0], self.e) for cls in self.conjugacy_classes()))
 
     def character_table(self):
         """Exact character table: rows are irreducible characters (in a
@@ -394,34 +385,37 @@ def _find_prime(modulus, lower):
 
 def _reduce_mod_p(rows, width, p):
     """Gauss-Jordan elimination over F_p on the first ``width`` columns of
-    ``rows``, in place; returns the pivot column of each leading row."""
+    ``rows``, entries in [0, p), in place; returns the pivot column of each
+    leading row.  A pivot row is zero left of its pivot, so each step
+    rewrites only the columns from its pivot on."""
     pivots = []
     for col in range(width):
         r = len(pivots)
-        piv = next((rr for rr in range(r, len(rows)) if rows[rr][col] % p), None)
+        piv = next((rr for rr in range(r, len(rows)) if rows[rr][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][col] % p:
-                f = rows[rr][col]
-                rows[rr] = [(x - f * y) % p for x, y in zip(rows[rr], rows[r])]
+        pivot = [(x * inv) % p for x in rows[r][col:]]
+        rows[r][col:] = pivot
+        for rr, row in enumerate(rows):
+            if rr != r and row[col]:
+                f = row[col]
+                row[col:] = [(x - f * y) % p for x, y in zip(row[col:], pivot)]
         pivots.append(col)
     return pivots
 
 
 def _kernel_mod_p(matrix, p):
-    """Basis of the kernel of a square matrix over F_p."""
+    """Basis of the kernel of a square matrix over F_p; reduces ``matrix``
+    in place."""
     k = len(matrix)
-    a = [row[:] for row in matrix]
-    pivots = _reduce_mod_p(a, k, p)
+    pivots = _reduce_mod_p(matrix, k, p)
     basis = []
     for col in (c for c in range(k) if c not in pivots):
         vec = [int(c == col) for c in range(k)]
         for r, pc in enumerate(pivots):
-            vec[pc] = (-a[r][col]) % p
+            vec[pc] = (-matrix[r][col]) % p
         basis.append(vec)
     return basis
 
@@ -441,46 +435,50 @@ def _dixon(group):
     reps = [cls[0] for cls in classes]
     sizes = [len(cls) for cls in classes]
     class_of = group._orbit_data(0)[1]
-    e = group.e
-    inv_class = [class_of[e_inv(rep, e)] for rep in reps]
+    e, identity = group.e, group.identity
+    ident = class_of[identity]
 
-    # structure constants: M_i[j][l] = #{u in C_i : u^{-1} g_l in C_j}
-    mats = []
-    for i in range(k):
-        mat = [[0] * k for _ in range(k)]
-        for l, rep in enumerate(reps):
-            for u in classes[i]:
-                j = class_of[e_mul(e_inv(u, e), rep, e)]
-                mat[j][l] += 1
-        mats.append(mat)
-
-    m = group.exponent()
+    # one walk over the powers of each representative: power_class[j][s] is
+    # the class of rep_j^s, its length the order of rep_j, its last entry
+    # the class of rep_j^-1
+    power_class = []
+    for rep in reps:
+        walk, cur = [ident], rep
+        while cur != identity:
+            walk.append(class_of[cur])
+            cur = e_mul(cur, rep, e)
+        power_class.append(walk)
+    m = lcm(*map(len, power_class))
     p = _find_prime(m, 2 * isqrt(group.order) + 1)
 
-    # split the class algebra into one-dimensional common eigenspaces
+    # split the class algebra into one-dimensional common eigenspaces by the
+    # structure constants M_i[j][l] = #{u in C_i : u^-1 g_l in C_j}, M_i built
+    # only while a space of dimension above one is left
     spaces = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
-    for mat in mats:
+    for i in range(k):
+        if len(spaces) == k:
+            break
+        mat = [[0] * k for _ in range(k)]
+        inverses = [e_inv(u, e) for u in classes[i]]
+        for l, rep in enumerate(reps):
+            for u_inv in inverses:
+                mat[class_of[e_mul(u_inv, rep, e)]][l] += 1
         new_spaces = []
         for basis in spaces:
             if len(basis) == 1:
                 new_spaces.append(basis)
                 continue
             # restriction N of the matrix to the subspace: columns of N solve
-            # M b_i = sum_j N[j][i] b_j;  set up the k x d system once
+            # M b_i = sum_j N[j][i] b_j, a k x d system with the images M b_i
+            # as its right-hand sides
             d = len(basis)
-            images = [
-                [sum(mat[r][c] * b[c] for c in range(k)) % p for r in range(k)] for b in basis
-            ]
-            # solve for coordinates of each image in the row space
-            bt = [[basis[j][r] for j in range(d)] for r in range(k)]
-            coords = _solve_mod_p(bt, [[img[r] for img in images] for r in range(k)], p)
-            n_mat = [[coords[j][i] for i in range(d)] for j in range(d)]
+            images = [[sum(map(mul, row, b)) % p for b in basis] for row in mat]
+            n_mat = _solve_mod_p([list(col) for col in zip(*basis)], images, p)
             seen = 0
             for lam in range(p):
-                shifted = [
-                    [(n_mat[r][c] - (lam if r == c else 0)) % p for c in range(d)]
-                    for r in range(d)
-                ]
+                shifted = [row[:] for row in n_mat]
+                for r in range(d):
+                    shifted[r][r] = (shifted[r][r] - lam) % p
                 ker = _kernel_mod_p(shifted, p)
                 if ker:
                     new_spaces.append([
@@ -498,9 +496,9 @@ def _dixon(group):
     if len(rays) != k:
         raise ArithmeticError("wrong number of central characters")
 
-    ident = class_of[group.identity]
     # normalize: the central character takes value |C_i| chi(g_i)/chi(1),
     # so the coordinate at the identity class is 1
+    inv_sizes = [pow(size, p - 2, p) for size in sizes]
     table_mod = []
     for ray in rays:
         if ray[ident] % p == 0:
@@ -508,44 +506,38 @@ def _dixon(group):
         inv = pow(ray[ident], p - 2, p)
         w = [(x * inv) % p for x in ray]
         # chi(1)^2 = |G| / sum_j w_j w_{j*} / |C_j|
-        denom = 0
-        for j in range(k):
-            denom = (denom + w[j] * w[inv_class[j]] * pow(sizes[j], p - 2, p)) % p
+        denom = sum(w[j] * w[walk[-1]] * inv_sizes[j] for j, walk in enumerate(power_class)) % p
         val = (group.order % p) * pow(denom, p - 2, p) % p
         deg = next((c for c in range(1, isqrt(group.order) + 1) if c * c % p == val), None)
         if deg is None:
             raise ArithmeticError("could not recover a character degree")
-        table_mod.append([(w[j] * deg % p) * pow(sizes[j], p - 2, p) % p for j in range(k)])
+        table_mod.append([(w[j] * deg % p) * inv_sizes[j] % p for j in range(k)])
 
     # lift to Q(zeta_m): chi(g) = sum_l a_l zeta_o^l with
-    # a_l = (1/o) sum_s chi^(g^s) z_o^(-l s) mod p, each a_l a small integer
+    # a_l = (1/o) sum_s chi(g^s) z_o^(-l s) mod p, each a_l a small integer;
+    # the weights (1/o) z_o^(-l s) are built once per class
     field = CycField(m)
     z = _element_of_order(m, p)
-    orders = [element_order(rep, e) for rep in reps]
-    power_class = []                       # power_class[j][s]: the class of rep_j^s
-    for rep, o in zip(reps, orders):
-        powers = [group.identity]
-        while len(powers) < o:
-            powers.append(e_mul(powers[-1], rep, e))
-        power_class.append([class_of[w] for w in powers])
+    lifts = []
+    for walk in power_class:
+        o = len(walk)
+        z_inv, steps = pow(z, m - m // o, p), [pow(o, p - 2, p)]
+        for _ in range(o - 1):
+            steps.append(steps[-1] * z_inv % p)                # (1/o) z_o^-t
+        lifts.append((walk, [[steps[l * s % o] for s in range(o)] for l in range(o)], m // o))
 
     table = []
     for row_mod in table_mod:
         row = []
-        for j in range(k):
-            o = orders[j]
-            zo = pow(z, m // o, p)
-            inv_o = pow(o, p - 2, p)
+        for walk, weights, step in lifts:
+            values = [row_mod[c] for c in walk]
             val = field.zero
-            for l in range(o):
-                acc = 0
-                for s in range(o):
-                    acc = (acc + row_mod[power_class[j][s]] * pow(zo, (-l * s) % o, p)) % p
-                a_l = acc * inv_o % p
+            for l, weight in enumerate(weights):
+                a_l = sum(map(mul, values, weight)) % p
                 if a_l > p // 2:
                     raise ArithmeticError("lifted multiplicity out of range")
                 if a_l:
-                    val = val + field.zeta((l * (m // o)) % m) * a_l
+                    val = val + field.zeta(l * step) * a_l
             row.append(val)
         table.append(row)
     return table
